@@ -1,6 +1,6 @@
 //! Shard-parallel pipeline cost model: what merge-on-query buys and costs.
 //!
-//! Five groups:
+//! Four groups, plus a hand-off occupancy printout:
 //!
 //! * `sharded_throughput/pipeline` — end-to-end packets/s of the
 //!   [`ShardedMonitor`] (hash-route → per-shard batch workers → harvest
@@ -8,13 +8,10 @@
 //!   single-vCPU box the extra shards measure the *coordination overhead*
 //!   (hash, buffer, hand-off, merge) rather than a speedup — the number a
 //!   deployment needs to know before reaching for threads.
-//! * `sharded_throughput/ring-vs-channel` — interleaved A/B pairs of the
-//!   two hand-off planes at a deliberately small batch grain (512 keys),
-//!   so the per-send cost — SPSC ring push+unpark vs mutex/condvar
-//!   channel send — dominates the comparison. Scheduler drift hits both
-//!   sides of a pair equally (same protocol as the PR 6/7 layout pairs).
-//!   After the pairs, one instrumented ring run per shard count prints
-//!   the per-shard occupancy/park/drop counters.
+//! * hand-off occupancy — one instrumented feed per shard count at a
+//!   deliberately small batch grain (512 keys, ~8× the pipeline group's
+//!   sends per packet) prints the per-shard ring occupancy/park/drop
+//!   counters: how full the rings ran and whether either side parked.
 //! * `sharded_throughput/query` — the non-blocking query plane on a live
 //!   4-shard ring monitor: `cached` re-serves the epoch-keyed merge,
 //!   `per-merge` K-way-merges the latest snapshots from scratch. Row ids
@@ -35,12 +32,12 @@ use hhh_bench::Workload;
 use hhh_core::{Rhhh, RhhhConfig};
 use hhh_counters::{CompactSpaceSaving, SpaceSaving};
 use hhh_hierarchy::Lattice;
-use hhh_vswitch::{Backpressure, Handoff, MultiVmDistributedRhhh, ShardedMonitor, SpawnOptions};
+use hhh_vswitch::{Backpressure, MultiVmDistributedRhhh, ShardedMonitor};
 
 const PACKETS: usize = 1_000_000;
 const SHARD_BATCH: usize = 4_096;
-/// Small grain for the hand-off A/B: ~8× more sends per packet than the
-/// pipeline group, so the ring-vs-channel term is what the pair measures.
+/// Small grain for the occupancy printout: ~8× more sends per packet than
+/// the pipeline group, so the rings see real backpressure.
 const HANDOFF_BATCH: usize = 512;
 
 fn config(v_scale: u64) -> RhhhConfig {
@@ -100,58 +97,18 @@ fn pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// One feed+harvest pass at the small hand-off grain with the given plane.
-fn handoff_pass(
-    lat: &Lattice<u64>,
-    keys: &[u64],
-    shards: usize,
-    handoff: Handoff,
-) -> Rhhh<u64, SpaceSaving<u64>> {
-    let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_with(
-        lat.clone(),
-        config(10),
-        shards,
-        HANDOFF_BATCH,
-        SpawnOptions {
-            handoff,
-            ..SpawnOptions::default()
-        },
-    )
-    .expect("spawn workers");
-    for &k in keys {
-        mon.update(k);
-    }
-    mon.harvest().expect("healthy pipeline")
-}
-
-fn ring_vs_channel(c: &mut Criterion) {
+/// Prints ring occupancy per shard; times nothing.
+fn handoff_occupancy(_: &mut Criterion) {
     let w = Workload::chicago16(PACKETS);
     let lat = Lattice::ipv4_src_dst_bytes();
-    let mut g = c.benchmark_group("sharded_throughput/ring-vs-channel");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .throughput(Throughput::Elements(w.keys2.len() as u64));
+    // One instrumented ring feed per shard count: how full the rings ran,
+    // how often either side had to park, whether anything was dropped.
     for shards in [1usize, 2, 4] {
-        g.bench_pair_interleaved(
-            format!("x{shards}-ring"),
-            |b| b.iter(|| handoff_pass(&lat, &w.keys2, shards, Handoff::Ring)),
-            format!("x{shards}-channel"),
-            |b| b.iter(|| handoff_pass(&lat, &w.keys2, shards, Handoff::Channel)),
-        );
-    }
-    g.finish();
-
-    // One instrumented ring feed per shard count: the backpressure story
-    // behind the pair numbers (how full the rings ran, how often either
-    // side had to park, whether anything was dropped).
-    for shards in [1usize, 2, 4] {
-        let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_with(
+        let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn(
             lat.clone(),
             config(10),
             shards,
             HANDOFF_BATCH,
-            SpawnOptions::default(),
         )
         .expect("spawn workers");
         for &k in &w.keys2 {
@@ -180,14 +137,8 @@ fn query_plane(c: &mut Criterion) {
 
     // A live 4-shard ring monitor: feed the full trace, publish, and keep
     // the workers alive (parked) while the query plane is measured.
-    let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_with(
-        lat,
-        config(1),
-        4,
-        SHARD_BATCH,
-        SpawnOptions::default(),
-    )
-    .expect("spawn workers");
+    let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn(lat, config(1), 4, SHARD_BATCH)
+        .expect("spawn workers");
     for &k in &w.keys2 {
         mon.update(k);
     }
@@ -286,7 +237,7 @@ fn multi_vm(c: &mut Criterion) {
 criterion_group!(
     sharded,
     pipeline,
-    ring_vs_channel,
+    handoff_occupancy,
     query_plane,
     merge_cost,
     multi_vm

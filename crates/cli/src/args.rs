@@ -3,18 +3,23 @@
 use std::collections::HashMap;
 
 /// Parsed `--flag value` pairs plus boolean switches.
+#[derive(Debug)]
 pub struct Flags {
     values: HashMap<String, String>,
     switches: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `--key value` and bare `--switch` tokens.
+    /// Parses `--key value` tokens for the names in `values` and bare
+    /// `--switch` tokens for the names in `switches`.
     ///
     /// # Errors
     ///
-    /// Returns a message for non-flag positional tokens.
-    pub fn parse(argv: &[String], switches: &[&str]) -> Result<Self, String> {
+    /// Returns a message for non-flag positional tokens, for a value flag
+    /// with no value, and for any flag the subcommand does not accept — a
+    /// typo such as `--shard` must fail, not silently run without it.
+    pub fn parse(argv: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let accepted = values;
         let mut values = HashMap::new();
         let mut found = Vec::new();
         let mut it = argv.iter().peekable();
@@ -24,11 +29,13 @@ impl Flags {
             };
             if switches.contains(&name) {
                 found.push(name.to_string());
-            } else {
+            } else if accepted.contains(&name) {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("--{name} expects a value"))?;
                 values.insert(name.to_string(), value.clone());
+            } else {
+                return Err(format!("unknown flag `--{name}`"));
             }
         }
         Ok(Self {
@@ -66,6 +73,22 @@ impl Flags {
         }
     }
 
+    /// Numeric value with default that must lie in `(0, 1]` — the range
+    /// of the accuracy and threshold parameters ε and θ.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when the value does not parse or
+    /// falls outside `(0, 1]` (NaN included).
+    pub fn fraction(&self, name: &str, default: f64) -> Result<f64, String> {
+        let v = self.num(name, default)?;
+        if v > 0.0 && v <= 1.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{name} expects a value in (0, 1], got {v}"))
+        }
+    }
+
     /// Whether a boolean switch was present.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
@@ -84,6 +107,7 @@ mod tests {
     fn parses_values_and_switches() {
         let f = Flags::parse(
             &v(&["--packets", "100", "--volume", "--theta", "0.05"]),
+            &["packets", "theta"],
             &["volume"],
         )
         .expect("parse");
@@ -95,17 +119,17 @@ mod tests {
 
     #[test]
     fn rejects_positional() {
-        assert!(Flags::parse(&v(&["oops"]), &[]).is_err());
+        assert!(Flags::parse(&v(&["oops"]), &[], &[]).is_err());
     }
 
     #[test]
     fn missing_value_is_error() {
-        assert!(Flags::parse(&v(&["--packets"]), &[]).is_err());
+        assert!(Flags::parse(&v(&["--packets"]), &["packets"], &[]).is_err());
     }
 
     #[test]
     fn require_and_defaults() {
-        let f = Flags::parse(&v(&["--out", "x.trc"]), &[]).expect("parse");
+        let f = Flags::parse(&v(&["--out", "x.trc"]), &["out"], &[]).expect("parse");
         assert_eq!(f.require("out").unwrap(), "x.trc");
         assert!(f.require("missing").is_err());
         assert_eq!(f.num("packets", 42.0).unwrap(), 42.0);
@@ -113,7 +137,33 @@ mod tests {
 
     #[test]
     fn bad_number_is_error() {
-        let f = Flags::parse(&v(&["--theta", "abc"]), &[]).expect("parse");
+        let f = Flags::parse(&v(&["--theta", "abc"]), &["theta"], &[]).expect("parse");
         assert!(f.num("theta", 0.0).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        let err = Flags::parse(&v(&["--shard", "4"]), &["shards"], &["batch"]).unwrap_err();
+        assert!(err.contains("--shard"), "{err}");
+        // A switch name is not a value flag, nor the other way round.
+        assert!(Flags::parse(&v(&["--batch"]), &["batch"], &[]).is_err());
+        assert!(Flags::parse(&v(&["--shards"]), &[], &["batch"]).is_err());
+    }
+
+    #[test]
+    fn fraction_bounds() {
+        let f = |value: &str| {
+            Flags::parse(&v(&["--epsilon", value]), &["epsilon"], &[])
+                .expect("parse")
+                .fraction("epsilon", 0.5)
+        };
+        assert_eq!(f("1"), Ok(1.0));
+        assert_eq!(f("0.001"), Ok(0.001));
+        for bad in ["0", "-0.1", "1.5", "nan", "inf"] {
+            let err = f(bad).unwrap_err();
+            assert!(err.contains("--epsilon"), "{bad}: {err}");
+        }
+        let absent = Flags::parse(&[], &["epsilon"], &[]).expect("parse");
+        assert_eq!(absent.fraction("epsilon", 0.5), Ok(0.5));
     }
 }

@@ -16,7 +16,7 @@ use hhh_traces::{
     parse_ipv4_frame, AttackConfig, FrameBlock, Packet, PcapReader, ScenarioConfig,
     ScenarioGenerator, ScenarioKind, TraceConfig, TraceGenerator,
 };
-use hhh_vswitch::{Handoff, ShardedMonitor, SpawnOptions, WindowedShardedMonitor, WireBlockView};
+use hhh_vswitch::{ShardedMonitor, WireBlockView};
 
 use crate::args::Flags;
 
@@ -60,7 +60,7 @@ const PCAP_BLOCK_FRAMES: usize = 8_192;
 /// input is still insignificant next to the counter state.
 const BATCH_CHUNK: usize = 65_536;
 
-/// Per-shard hand-off grain for `--shards`: one channel send per this many
+/// Per-shard hand-off grain for `--shards`: one ring push per this many
 /// packets of a shard's sub-stream (an rx-burst-sized batch each worker
 /// flushes through `update_batch`).
 const SHARD_BATCH: usize = 4_096;
@@ -121,13 +121,6 @@ fn shards_flag(flags: &Flags) -> Result<Option<usize>, String> {
         ));
     }
     Ok(if n == 0.0 { None } else { Some(n as usize) })
-}
-
-/// Parses the optional `--handoff ring|channel` flag selecting the
-/// sharded batch hand-off (default: the lock-free ring; `channel` keeps
-/// the bounded-channel baseline for differential runs).
-fn handoff_flag(flags: &Flags) -> Result<Handoff, String> {
-    flags.get("handoff").map_or(Ok(Handoff::Ring), str::parse)
 }
 
 /// Monomorphizes one expression over the selected [`CounterKind`]: inside
@@ -195,7 +188,11 @@ pub fn generate(argv: &[String]) -> i32 {
 }
 
 fn generate_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(
+        argv,
+        &["packets", "out", "scenario", "preset", "attack"],
+        &[],
+    )?;
     let packets = flags.num("packets", 1_000_000.0)? as usize;
     let out = flags.require("out")?;
     let (data, source) = if let Some(name) = flags.get("scenario") {
@@ -306,9 +303,29 @@ fn packets_from_blocks(blocks: &[FrameBlock]) -> Vec<Packet> {
 }
 
 fn analyze_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["volume", "batch"])?;
-    let theta = flags.num("theta", 0.03)?;
-    let epsilon = flags.num("epsilon", 0.005)?;
+    let flags = Flags::parse(
+        argv,
+        &[
+            "trace",
+            "pcap",
+            "scenario",
+            "preset",
+            "packets",
+            "algorithm",
+            "hierarchy",
+            "counter",
+            "theta",
+            "epsilon",
+            "shards",
+            "window",
+            "panes",
+            "top",
+            "filter",
+        ],
+        &["volume", "batch"],
+    )?;
+    let theta = flags.fraction("theta", 0.03)?;
+    let epsilon = flags.fraction("epsilon", 0.005)?;
     let top = flags.num("top", 50.0)? as usize;
     let algo_name = flags.get("algorithm").unwrap_or("rhhh");
     let hierarchy = flags.get("hierarchy").unwrap_or("2d-bytes");
@@ -316,7 +333,6 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
     let batch = flags.switch("batch");
     let counter = counter_kind(&flags)?;
     let shards = shards_flag(&flags)?;
-    let handoff = handoff_flag(&flags)?;
     let window = window_flags(&flags)?;
     let filter = flags.get("filter").map(ToString::to_string);
     check_one_source(&flags)?;
@@ -375,7 +391,6 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
             batch,
             counter,
             shards,
-            handoff,
             window,
             top,
             filter.as_deref(),
@@ -391,7 +406,6 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
             batch,
             counter,
             shards,
-            handoff,
             window,
             top,
             filter.as_deref(),
@@ -407,7 +421,6 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
             batch,
             counter,
             shards,
-            handoff,
             window,
             top,
             filter.as_deref(),
@@ -456,29 +469,43 @@ fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K>>(
     (algo.output(theta), total, elapsed)
 }
 
-/// Drives the shard-parallel pipeline with the clock running: hash-route
-/// every key across `shards` worker threads (each on its own RHHH instance
-/// through the batch path), then merge-on-harvest. The elapsed time covers
-/// feed, drain and merge — the end-to-end pipeline cost a deployment pays.
-fn run_sharded_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
+/// Drives the shard fleet with the clock running: hash-route every key
+/// (`keys`, or `weighted` when `volume`) across `shards` worker threads,
+/// each on its own pane ring through the batch path — a sliding window
+/// over the last W packets with globally aligned panes when `window` is
+/// `Some((W, G))` — then merge-on-harvest. The elapsed time covers feed,
+/// drain and merge, the end-to-end pipeline cost a deployment pays.
+/// Returns `(output, total, elapsed seconds)`; `total` is the weight or
+/// packet count the merged answer covers.
+#[allow(clippy::too_many_arguments)]
+fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     lattice: &Lattice<K>,
     config: RhhhConfig,
     shards: usize,
-    handoff: Handoff,
-    live_query: bool,
+    window: Option<(u64, usize)>,
+    volume: bool,
+    weighted: &[(K, u64)],
     keys: &[K],
+    live_query: bool,
     theta: f64,
 ) -> Result<(Vec<HeavyHitter<K>>, u64, f64), String> {
-    let opts = SpawnOptions {
-        handoff,
-        ..SpawnOptions::default()
-    };
     let start = Instant::now();
-    let mut mon =
-        ShardedMonitor::<K, E>::spawn_with(lattice.clone(), config, shards, SHARD_BATCH, opts)
-            .map_err(|e| e.to_string())?;
-    for &k in keys {
-        mon.update(k);
+    let mut mon = match window {
+        Some((win, panes)) => ShardedMonitor::<K, E>::spawn_windowed(
+            lattice.clone(),
+            config,
+            shards,
+            SHARD_BATCH,
+            win,
+            panes,
+        ),
+        None => ShardedMonitor::<K, E>::spawn(lattice.clone(), config, shards, SHARD_BATCH),
+    }
+    .map_err(|e| e.to_string())?;
+    if volume {
+        mon.update_batch_weighted(weighted);
+    } else {
+        mon.update_batch(keys);
     }
     let fed = start.elapsed();
     if live_query {
@@ -489,21 +516,32 @@ fn run_sharded_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     let drain = Instant::now();
     let merged = mon.harvest().map_err(|e| e.to_string())?;
     let elapsed = (fed + drain.elapsed()).as_secs_f64();
-    let total = merged.packets();
+    let total = if volume {
+        merged.total_weight()
+    } else {
+        merged.packets()
+    };
     Ok((merged.output(theta), total, elapsed))
 }
 
-/// Publishes fresh snapshots, waits (bounded) for them to land, and
-/// prints the live query's answer size, coverage and latency — without
-/// joining or stopping the workers.
+/// Publishes fresh snapshots, waits (bounded) for every shard to land
+/// one, and prints the live query's answer size, coverage and latency —
+/// without joining or stopping the workers.
 fn report_live_query<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     mon: &mut ShardedMonitor<K, E>,
     theta: f64,
 ) {
+    let before = mon.snapshot_epochs();
     mon.publish_now();
     let fed = mon.packets();
     let deadline = Instant::now() + std::time::Duration::from_millis(500);
-    while mon.query_coverage() < fed && Instant::now() < deadline {
+    while Instant::now() < deadline
+        && mon
+            .snapshot_epochs()
+            .iter()
+            .zip(&before)
+            .any(|(now, then)| now <= then)
+    {
         std::thread::yield_now();
     }
     let start = Instant::now();
@@ -516,32 +554,6 @@ fn report_live_query<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
         fed,
         ms
     );
-}
-
-/// The volume twin of [`run_sharded_timed`]: feeds `(key, weight)` pairs
-/// through [`ShardedMonitor::update_weighted`], so `--shards --volume`
-/// measures byte-weighted HHHs on the shard-parallel pipeline.
-fn run_sharded_weighted_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
-    lattice: &Lattice<K>,
-    config: RhhhConfig,
-    shards: usize,
-    handoff: Handoff,
-    weighted: &[(K, u64)],
-    theta: f64,
-) -> Result<(Vec<HeavyHitter<K>>, u64, f64), String> {
-    let opts = SpawnOptions {
-        handoff,
-        ..SpawnOptions::default()
-    };
-    let start = Instant::now();
-    let mut mon =
-        ShardedMonitor::<K, E>::spawn_with(lattice.clone(), config, shards, SHARD_BATCH, opts)
-            .map_err(|e| e.to_string())?;
-    mon.update_batch_weighted(weighted);
-    let merged = mon.harvest().map_err(|e| e.to_string())?;
-    let elapsed = start.elapsed().as_secs_f64();
-    let total = merged.total_weight();
-    Ok((merged.output(theta), total, elapsed))
 }
 
 /// Drives a pane-ring sliding window with the clock running: feed every
@@ -578,42 +590,6 @@ fn run_windowed_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     (output, covered, elapsed)
 }
 
-/// The shard-parallel windowed pipeline: hash-route across `shards`
-/// pane-ring workers with globally aligned rotations, harvest with one
-/// K·G-way merge.
-#[allow(clippy::too_many_arguments)]
-fn run_windowed_sharded_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
-    lattice: &Lattice<K>,
-    config: RhhhConfig,
-    window: u64,
-    panes: usize,
-    shards: usize,
-    handoff: Handoff,
-    keys: &[K],
-    theta: f64,
-) -> Result<(Vec<HeavyHitter<K>>, u64, f64), String> {
-    let opts = SpawnOptions {
-        handoff,
-        ..SpawnOptions::default()
-    };
-    let start = Instant::now();
-    let mut mon = WindowedShardedMonitor::<K, E>::spawn_with(
-        lattice.clone(),
-        config,
-        shards,
-        SHARD_BATCH,
-        window,
-        panes,
-        opts,
-    )
-    .map_err(|e| e.to_string())?;
-    mon.update_batch(keys);
-    let merged = mon.harvest_window().map_err(|e| e.to_string())?;
-    let elapsed = start.elapsed().as_secs_f64();
-    let covered = merged.packets();
-    Ok((merged.output(theta), covered, elapsed))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_analysis<K: KeyBits>(
     lattice: &Lattice<K>,
@@ -626,7 +602,6 @@ fn run_analysis<K: KeyBits>(
     batch: bool,
     counter: CounterKind,
     shards: Option<usize>,
-    handoff: Handoff,
     window: Option<(u64, usize)>,
     top: usize,
     filter: Option<&str>,
@@ -687,34 +662,16 @@ fn run_analysis<K: KeyBits>(
         } else {
             packets.iter().map(&key_of).collect()
         };
-        (output, total, elapsed) = if let Some((win, panes)) = window {
-            if let Some(shards) = shards {
-                with_counter_type!(counter, Est, {
-                    run_windowed_sharded_timed::<K, Est<K>>(
-                        lattice, config, win, panes, shards, handoff, &keys, theta,
-                    )?
-                })
-            } else {
-                with_counter_type!(counter, Est, {
-                    run_windowed_timed::<K, Est<K>>(
-                        lattice, config, win, panes, batch, &keys, theta,
-                    )
-                })
-            }
-        } else if let Some(shards) = shards {
-            if volume {
-                with_counter_type!(counter, Est, {
-                    run_sharded_weighted_timed::<K, Est<K>>(
-                        lattice, config, shards, handoff, &weighted, theta,
-                    )?
-                })
-            } else {
-                with_counter_type!(counter, Est, {
-                    run_sharded_timed::<K, Est<K>>(
-                        lattice, config, shards, handoff, true, &keys, theta,
-                    )?
-                })
-            }
+        (output, total, elapsed) = if let Some(shards) = shards {
+            with_counter_type!(counter, Est, {
+                run_fleet_timed::<K, Est<K>>(
+                    lattice, config, shards, window, volume, &weighted, &keys, true, theta,
+                )?
+            })
+        } else if let Some((win, panes)) = window {
+            with_counter_type!(counter, Est, {
+                run_windowed_timed::<K, Est<K>>(lattice, config, win, panes, batch, &keys, theta)
+            })
         } else {
             with_counter_type!(counter, Est, {
                 run_rhhh_timed::<K, Est<K>>(lattice, config, volume, batch, &weighted, &keys, theta)
@@ -898,15 +855,25 @@ pub fn speed(argv: &[String]) -> i32 {
 }
 
 fn speed_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["batch"])?;
+    let flags = Flags::parse(
+        argv,
+        &[
+            "preset",
+            "packets",
+            "epsilon",
+            "hierarchy",
+            "counter",
+            "shards",
+        ],
+        &["batch"],
+    )?;
     let config = preset(flags.get("preset").unwrap_or("chicago16"))?;
     let packets = flags.num("packets", 1_000_000.0)? as usize;
-    let epsilon = flags.num("epsilon", 0.001)?;
+    let epsilon = flags.fraction("epsilon", 0.001)?;
     let hierarchy = flags.get("hierarchy").unwrap_or("2d-bytes");
     let batch = flags.switch("batch");
     let counter = counter_kind(&flags)?;
     let shards = shards_flag(&flags)?;
-    let handoff = handoff_flag(&flags)?;
     let data = TraceGenerator::new(&config).take_packets(packets);
 
     println!(
@@ -924,7 +891,6 @@ fn speed_inner(argv: &[String]) -> Result<(), String> {
                 batch,
                 counter,
                 shards,
-                handoff,
             );
         }
         "1d-bytes" => {
@@ -936,7 +902,6 @@ fn speed_inner(argv: &[String]) -> Result<(), String> {
                 batch,
                 counter,
                 shards,
-                handoff,
             );
         }
         "1d-bits" => {
@@ -948,7 +913,6 @@ fn speed_inner(argv: &[String]) -> Result<(), String> {
                 batch,
                 counter,
                 shards,
-                handoff,
             );
         }
         other => return Err(format!("unknown hierarchy `{other}`")),
@@ -965,7 +929,6 @@ fn measure_sharded_mpps<K: KeyBits>(
     epsilon: f64,
     v_scale: u64,
     shards: usize,
-    handoff: Handoff,
 ) -> f64 {
     let config = RhhhConfig {
         epsilon_a: epsilon,
@@ -976,7 +939,7 @@ fn measure_sharded_mpps<K: KeyBits>(
         seed: 1,
     };
     let (_, total, elapsed) = with_counter_type!(counter, Est, {
-        run_sharded_timed::<K, Est<K>>(lattice, config, shards, handoff, false, keys, 1.0)
+        run_fleet_timed::<K, Est<K>>(lattice, config, shards, None, false, &[], keys, false, 1.0)
     })
     .expect("healthy pipeline");
     total as f64 / elapsed / 1e6
@@ -989,7 +952,6 @@ fn speed_table<K: KeyBits>(
     batch: bool,
     counter: CounterKind,
     shards: Option<usize>,
-    handoff: Handoff,
 ) {
     let mut kinds = AlgoKind::roster();
     if counter != CounterKind::default() {
@@ -1024,15 +986,10 @@ fn speed_table<K: KeyBits>(
             let AlgoKind::Rhhh { v_scale, counter } = kind else {
                 continue;
             };
-            let mpps =
-                measure_sharded_mpps(*counter, lattice, keys, epsilon, *v_scale, shards, handoff);
-            let tag = match handoff {
-                Handoff::Ring => String::new(),
-                Handoff::Channel => ", channel".to_string(),
-            };
+            let mpps = measure_sharded_mpps(*counter, lattice, keys, epsilon, *v_scale, shards);
             println!(
                 "{:<26} {:>10.2}",
-                format!("{}(x{shards} shards{tag})", kind.label()),
+                format!("{}(x{shards} shards)", kind.label()),
                 mpps
             );
         }
@@ -1081,17 +1038,34 @@ mod tests {
 
     #[test]
     fn shards_flag_parses() {
-        let f = Flags::parse(&["--shards".to_string(), "4".to_string()], &[]).expect("parse");
+        let f = Flags::parse(&["--shards".to_string(), "4".to_string()], &["shards"], &[])
+            .expect("parse");
         assert_eq!(shards_flag(&f), Ok(Some(4)));
-        let none = Flags::parse(&[], &[]).expect("parse");
+        let none = Flags::parse(&[], &[], &[]).expect("parse");
         assert_eq!(shards_flag(&none), Ok(None));
-        let zero = Flags::parse(&["--shards".to_string(), "0".to_string()], &[]).expect("parse");
+        let zero = Flags::parse(&["--shards".to_string(), "0".to_string()], &["shards"], &[])
+            .expect("parse");
         assert_eq!(shards_flag(&zero), Ok(None));
-        let bad = Flags::parse(&["--shards".to_string(), "2.5".to_string()], &[]).expect("parse");
+        let bad = Flags::parse(
+            &["--shards".to_string(), "2.5".to_string()],
+            &["shards"],
+            &[],
+        )
+        .expect("parse");
         assert!(shards_flag(&bad).is_err());
-        let neg = Flags::parse(&["--shards".to_string(), "-1".to_string()], &[]).expect("parse");
+        let neg = Flags::parse(
+            &["--shards".to_string(), "-1".to_string()],
+            &["shards"],
+            &[],
+        )
+        .expect("parse");
         assert!(shards_flag(&neg).is_err());
-        let huge = Flags::parse(&["--shards".to_string(), "1e9".to_string()], &[]).expect("parse");
+        let huge = Flags::parse(
+            &["--shards".to_string(), "1e9".to_string()],
+            &["shards"],
+            &[],
+        )
+        .expect("parse");
         assert!(shards_flag(&huge).is_err(), "absurd shard counts rejected");
     }
 
@@ -1116,13 +1090,15 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, total, elapsed) = run_sharded_timed::<u64, SpaceSaving<u64>>(
+        let (output, total, elapsed) = run_fleet_timed::<u64, SpaceSaving<u64>>(
             &lat,
             config,
             3,
-            Handoff::Ring,
-            true,
+            None,
+            false,
+            &[],
             &keys,
+            true,
             0.1,
         )
         .expect("healthy pipeline");
@@ -1169,12 +1145,15 @@ mod tests {
             })
             .collect();
         let volume: u64 = weighted.iter().map(|&(_, w)| w).sum();
-        let (output, total, elapsed) = run_sharded_weighted_timed::<u64, SpaceSaving<u64>>(
+        let (output, total, elapsed) = run_fleet_timed::<u64, SpaceSaving<u64>>(
             &lat,
             config,
             3,
-            Handoff::Channel,
+            None,
+            true,
             &weighted,
+            &[],
+            true,
             0.3,
         )
         .expect("healthy pipeline");
@@ -1193,6 +1172,7 @@ mod tests {
         let args = |argv: &[&str]| {
             Flags::parse(
                 &argv.iter().map(ToString::to_string).collect::<Vec<_>>(),
+                &["window", "panes"],
                 &[],
             )
             .expect("parse")
@@ -1296,14 +1276,15 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, covered, elapsed) = run_windowed_sharded_timed::<u64, SpaceSaving<u64>>(
+        let (output, covered, elapsed) = run_fleet_timed::<u64, SpaceSaving<u64>>(
             &lat,
             config,
-            100_000,
-            4,
             3,
-            Handoff::Ring,
+            Some((100_000, 4)),
+            false,
+            &[],
             &keys,
+            true,
             0.1,
         )
         .expect("healthy pipeline");
@@ -1390,16 +1371,50 @@ mod tests {
     }
 
     #[test]
+    fn subcommands_reject_unknown_flags() {
+        // A typo must not silently run single-threaded.
+        let err = analyze_inner(&argv(&["--preset", "chicago16", "--shard", "4"])).unwrap_err();
+        assert!(err.contains("--shard"), "{err}");
+        // The removed hand-off selector must not silently run the ring.
+        for run in [analyze_inner, speed_inner] {
+            let err = run(&argv(&["--shards", "2", "--handoff", "channel"])).unwrap_err();
+            assert!(err.contains("--handoff"), "{err}");
+        }
+        let err = generate_inner(&argv(&["--out", "x.trc", "--window", "10"])).unwrap_err();
+        assert!(err.contains("--window"), "{err}");
+    }
+
+    #[test]
+    fn epsilon_and_theta_outside_unit_interval_are_errors() {
+        for eps in ["0", "1.5", "nan"] {
+            let err = analyze_inner(&argv(&["--epsilon", eps])).unwrap_err();
+            assert!(err.contains("--epsilon"), "analyze --epsilon {eps}: {err}");
+        }
+        let err = speed_inner(&argv(&["--epsilon", "0"])).unwrap_err();
+        assert!(err.contains("--epsilon"), "speed --epsilon 0: {err}");
+        for theta in ["0", "nan", "2"] {
+            let err = analyze_inner(&argv(&["--theta", theta])).unwrap_err();
+            assert!(err.contains("--theta"), "analyze --theta {theta}: {err}");
+        }
+    }
+
+    #[test]
     fn counter_flag_parses() {
         let f = Flags::parse(
             &["--counter".to_string(), "compact".to_string()],
+            &["counter"],
             &["batch"],
         )
         .expect("parse");
         assert_eq!(counter_kind(&f), Ok(CounterKind::Compact));
-        let none = Flags::parse(&[], &[]).expect("parse");
+        let none = Flags::parse(&[], &[], &[]).expect("parse");
         assert_eq!(counter_kind(&none), Ok(CounterKind::StreamSummary));
-        let bad = Flags::parse(&["--counter".to_string(), "nope".to_string()], &[]).expect("parse");
+        let bad = Flags::parse(
+            &["--counter".to_string(), "nope".to_string()],
+            &["counter"],
+            &[],
+        )
+        .expect("parse");
         assert!(counter_kind(&bad).is_err());
     }
 }

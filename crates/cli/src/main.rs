@@ -46,16 +46,16 @@ USAGE:
                   [--counter stream-summary|compact|heap|misra-gries|lossy-counting] \\
                   [--theta <t>] [--epsilon <e>] [--volume] [--batch] \\
                   [--shards <n>]           (hash-partition across n worker threads) \\
-                  [--handoff ring|channel] (shard ingest plane; default lock-free ring) \\
                   [--window <w> [--panes <g>]]  (sliding window: last w packets, g-pane ring) \\
                   [--top <k>] [--filter <prefix>]   (e.g. --filter 10.0.0.0/8,*)
     rhhh speed    [--hierarchy <h>] [--packets <n>] [--preset <name>] [--batch] \\
-                  [--counter <kind>] [--shards <n>] [--handoff ring|channel]
+                  [--counter <kind>] [--shards <n>] [--epsilon <e>]
 
 --pcap feeds the zero-copy wire plane (raw frame bytes straight into the
 sketch) when the analysis is 2d-bytes + rhhh/10-rhhh + --batch without
 --shards; other combinations materialize packet structs first. --window
-needs a materialized trace.
+needs a materialized trace and composes with --shards. ε (--epsilon) and
+θ (--theta) must lie in (0, 1]; unknown flags are errors.
 
 PRESETS:   chicago15 chicago16 sanjose13 sanjose14
 SCENARIOS: ddos-ramp flash-crowd scan-sweep diurnal-drift multi-tenant"

@@ -1,17 +1,15 @@
-//! Batch hand-off plumbing for the sharded monitors: SPSC ring buffers
-//! with bounded spin-then-park backpressure, the legacy bounded-channel
-//! path behind the same interface, and named worker-thread spawning.
+//! Batch hand-off plumbing for the shard fleet: one SPSC ring buffer per
+//! shard with bounded spin-then-park backpressure, and named worker-thread
+//! spawning.
 //!
 //! The unit of hand-off is a whole batch (a `Vec` of a few thousand keys),
 //! so the per-packet ingest path never touches this module — it pushes
 //! into a plain buffer and crosses threads once per batch. What this
-//! module optimizes is that once-per-batch crossing: the default
-//! [`Handoff::Ring`] mode hands batches over a fixed-capacity lock-free
-//! ring ([`crossbeam::queue::ArrayQueue`]) where the uncontended cost is
-//! two atomic read-modify-writes, while [`Handoff::Channel`] keeps the
-//! previous `sync_channel` hop (a mutex + condvar handshake with a
-//! futex syscall under contention) as the differential baseline the
-//! `sharded_throughput` bench races ring mode against.
+//! module optimizes is that once-per-batch crossing: batches move over a
+//! fixed-capacity lock-free ring ([`crossbeam::queue::ArrayQueue`]) where
+//! the uncontended cost is two atomic read-modify-writes. The
+//! single-threaded `VecDeque` model in `tests/ring_properties.rs` is the
+//! ring's FIFO/no-loss oracle.
 //!
 //! Backpressure is spin-then-park on both sides. A producer hitting a
 //! full ring yields the CPU a bounded number of times (on the shared-core
@@ -31,13 +29,11 @@
 
 use std::fmt;
 use std::io;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use crossbeam::queue::ArrayQueue;
 
 /// Bounded yields before a full/empty encounter escalates to parking.
@@ -51,64 +47,19 @@ const PARK_WAIT: Duration = Duration::from_micros(100);
 /// of hot-spinning; the producer's `unpark` ends any nap early.
 const PARK_WAIT_MAX: Duration = Duration::from_millis(5);
 
-/// Which hand-off carries batches from the ingress thread to the shard
-/// workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Handoff {
-    /// Lock-free SPSC ring ([`crossbeam::queue::ArrayQueue`]) with
-    /// spin-then-park backpressure — the default.
-    #[default]
-    Ring,
-    /// The pre-ring bounded channel (`crossbeam::channel::bounded` over
-    /// `sync_channel`), kept as the differential baseline.
-    Channel,
-}
-
-impl fmt::Display for Handoff {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Handoff::Ring => "ring",
-            Handoff::Channel => "channel",
-        })
-    }
-}
-
-impl FromStr for Handoff {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "ring" => Ok(Handoff::Ring),
-            "channel" => Ok(Handoff::Channel),
-            other => Err(format!("unknown hand-off `{other}` (ring|channel)")),
-        }
-    }
-}
-
-/// Spawn-time knobs for the sharded monitors, beyond the required
+/// Spawn-time knobs for the flat shard fleet, beyond the required
 /// lattice/config/shards/batch arguments.
 #[derive(Debug, Clone, Copy)]
 pub struct SpawnOptions {
-    /// Batch hand-off mechanism; defaults to [`Handoff::Ring`].
-    pub handoff: Handoff,
-    /// Unwindowed workers publish a fresh snapshot every this many
-    /// batches (windowed workers publish at every pane rotation instead).
-    /// Lower is fresher but clones the per-shard summary more often.
+    /// Workers publish a fresh snapshot every this many batches (the
+    /// windowed fleet publishes at every pane rotation instead). Lower is
+    /// fresher but clones the per-shard summary more often.
     pub publish_every: u64,
-    /// Request pinning worker `i` to core `i`. Recorded for API parity
-    /// with deployments that pin RSS queues to cores, but currently a
-    /// no-op: thread affinity needs OS bindings (`libc`/`unsafe`) that
-    /// this offline, `#![deny(unsafe_code)]` workspace does not carry.
-    pub pin_cores: bool,
 }
 
 impl Default for SpawnOptions {
     fn default() -> Self {
-        Self {
-            handoff: Handoff::Ring,
-            publish_every: 8,
-            pin_cores: false,
-        }
+        Self { publish_every: 8 }
     }
 }
 
@@ -156,8 +107,7 @@ where
 }
 
 /// Per-shard hand-off counters, accumulated on the ingress thread (sends)
-/// and observed from the producer's view of the ring. The occupancy
-/// figures are ring-mode only — a `sync_channel` exposes no length.
+/// and observed from the producer's view of the ring.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HandoffStats {
     /// Batches handed to this shard (including dropped ones).
@@ -179,7 +129,7 @@ pub struct HandoffStats {
 
 impl HandoffStats {
     /// Mean ring occupancy observed at send time (0 when nothing was
-    /// sent or in channel mode).
+    /// sent).
     #[must_use]
     pub fn mean_occupancy(&self) -> f64 {
         if self.sends == 0 {
@@ -193,11 +143,11 @@ impl HandoffStats {
 /// Shared state of one shard's ring: the queue plus the liveness and
 /// wake-up handshake flags.
 #[derive(Debug)]
-pub(crate) struct RingCore<T> {
+struct RingCore<T> {
     queue: ArrayQueue<T>,
     /// Producer raised: no further batches will arrive; drain and exit.
     closed: AtomicBool,
-    /// Consumer holds this up; cleared in [`RingRx`]'s `Drop` (which also
+    /// Consumer holds this up; cleared in [`ShardRx`]'s `Drop` (which also
     /// runs during panic unwind), so the producer never retries against a
     /// dead worker.
     alive: AtomicBool,
@@ -207,7 +157,7 @@ pub(crate) struct RingCore<T> {
 }
 
 impl<T> RingCore<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             queue: ArrayQueue::new(capacity),
             closed: AtomicBool::new(false),
@@ -219,23 +169,20 @@ impl<T> RingCore<T> {
 
 /// Consumer half of a shard ring; owned by the worker thread.
 #[derive(Debug)]
-pub(crate) struct RingRx<T> {
+pub(crate) struct ShardRx<T> {
     core: Arc<RingCore<T>>,
 }
 
-impl<T> RingRx<T> {
-    pub(crate) fn new(core: Arc<RingCore<T>>) -> Self {
-        Self { core }
-    }
-
+impl<T> ShardRx<T> {
     /// Pops the next batch, spin-then-parking while the ring is empty;
-    /// `None` once the producer closed the ring and it drained.
+    /// `None` once the producer closed the ring and everything in flight
+    /// drained.
     ///
     /// Parks back off exponentially (100µs … [`PARK_WAIT_MAX`]) while the
     /// ring stays empty, so an idle worker costs ~1% of a core instead of
     /// spinning — and the producer's `unpark` on push means a long park
     /// never delays a batch by more than the wake-up itself.
-    fn recv(&self) -> Option<T> {
+    pub(crate) fn recv(&self) -> Option<T> {
         let mut idle_parks: u32 = 0;
         loop {
             if let Some(msg) = self.core.queue.pop() {
@@ -271,7 +218,7 @@ impl<T> RingRx<T> {
     }
 }
 
-impl<T> Drop for RingRx<T> {
+impl<T> Drop for ShardRx<T> {
     fn drop(&mut self) {
         // Runs on normal exit and on panic unwind: either way the
         // producer must stop waiting for this worker.
@@ -279,36 +226,14 @@ impl<T> Drop for RingRx<T> {
     }
 }
 
-/// Receiving half handed to a worker thread — ring or channel behind one
-/// `recv` loop shape.
+/// Sending half kept by the ingress thread. Dropping it closes the ring
+/// (the worker drains and exits).
 #[derive(Debug)]
-pub(crate) enum ShardRx<T> {
-    Channel(Receiver<T>),
-    Ring(RingRx<T>),
-}
-
-impl<T> ShardRx<T> {
-    /// Blocks for the next batch; `None` when the producer hung up and
-    /// everything in flight drained.
-    pub(crate) fn recv(&self) -> Option<T> {
-        match self {
-            ShardRx::Channel(rx) => rx.recv().ok(),
-            ShardRx::Ring(rx) => rx.recv(),
-        }
-    }
-}
-
-/// Sending half kept by the ingress thread. Dropping it closes the
-/// hand-off (worker drains and exits) in both modes.
-#[derive(Debug)]
-pub(crate) enum ShardTx<T> {
-    Channel(Sender<T>),
-    Ring {
-        core: Arc<RingCore<T>>,
-        /// The worker's thread handle, for unparking it out of an
-        /// empty-ring nap.
-        worker: Thread,
-    },
+pub(crate) struct ShardTx<T> {
+    core: Arc<RingCore<T>>,
+    /// The worker's thread handle, for unparking it out of an empty-ring
+    /// nap.
+    worker: Thread,
 }
 
 impl<T> ShardTx<T> {
@@ -316,60 +241,48 @@ impl<T> ShardTx<T> {
     /// bounded parks) while the hand-off is full. Returns `false` — and
     /// counts the batch as dropped — when the worker is dead, so a
     /// failed shard never wedges the ingress thread.
-    pub(crate) fn send(&self, msg: T, stats: &mut HandoffStats) -> bool {
+    pub(crate) fn send(&self, mut msg: T, stats: &mut HandoffStats) -> bool {
         stats.sends += 1;
-        match self {
-            ShardTx::Channel(tx) => {
-                if tx.send(msg).is_ok() {
-                    true
-                } else {
-                    stats.dropped += 1;
-                    false
+        let core = &self.core;
+        let occupancy = core.queue.len() as u64;
+        stats.occupancy_sum += occupancy;
+        stats.occupancy_max = stats.occupancy_max.max(occupancy);
+        let mut was_full = false;
+        loop {
+            if !core.alive.load(Ordering::Acquire) {
+                stats.dropped += 1;
+                return false;
+            }
+            match core.queue.push(msg) {
+                Ok(()) => {
+                    if core.parked.load(Ordering::Acquire) {
+                        self.worker.unpark();
+                    }
+                    return true;
+                }
+                Err(back) => {
+                    msg = back;
+                    if !was_full {
+                        was_full = true;
+                        stats.full_events += 1;
+                    }
                 }
             }
-            ShardTx::Ring { core, worker } => {
-                let occupancy = core.queue.len() as u64;
-                stats.occupancy_sum += occupancy;
-                stats.occupancy_max = stats.occupancy_max.max(occupancy);
-                let mut msg = msg;
-                let mut was_full = false;
-                loop {
-                    if !core.alive.load(Ordering::Acquire) {
-                        stats.dropped += 1;
-                        return false;
-                    }
-                    match core.queue.push(msg) {
-                        Ok(()) => {
-                            if core.parked.load(Ordering::Acquire) {
-                                worker.unpark();
-                            }
-                            return true;
-                        }
-                        Err(back) => {
-                            msg = back;
-                            if !was_full {
-                                was_full = true;
-                                stats.full_events += 1;
-                            }
-                        }
-                    }
-                    // Full: yield a bounded number of times (the worker
-                    // usually drains a slot quickly), then nap. Each lap
-                    // re-checks liveness, bounding the wait on a worker
-                    // that died mid-backlog.
-                    let mut drained = false;
-                    for _ in 0..SPIN_YIELDS {
-                        std::thread::yield_now();
-                        if !core.queue.is_full() {
-                            drained = true;
-                            break;
-                        }
-                    }
-                    if !drained {
-                        stats.park_events += 1;
-                        std::thread::park_timeout(PARK_WAIT);
-                    }
+            // Full: yield a bounded number of times (the worker usually
+            // drains a slot quickly), then nap. Each lap re-checks
+            // liveness, bounding the wait on a worker that died
+            // mid-backlog.
+            let mut drained = false;
+            for _ in 0..SPIN_YIELDS {
+                std::thread::yield_now();
+                if !core.queue.is_full() {
+                    drained = true;
+                    break;
                 }
+            }
+            if !drained {
+                stats.park_events += 1;
+                std::thread::park_timeout(PARK_WAIT);
             }
         }
     }
@@ -377,46 +290,34 @@ impl<T> ShardTx<T> {
 
 impl<T> Drop for ShardTx<T> {
     fn drop(&mut self) {
-        if let ShardTx::Ring { core, worker } = self {
-            core.closed.store(true, Ordering::Release);
-            // The worker may be napping on an empty ring; wake it so it
-            // observes the close promptly.
-            worker.unpark();
-        }
-        // Channel mode: dropping the inner Sender closes the channel.
+        self.core.closed.store(true, Ordering::Release);
+        // The worker may be napping on an empty ring; wake it so it
+        // observes the close promptly.
+        self.worker.unpark();
     }
 }
 
-/// Builds one shard's hand-off pair in the requested mode. The ring
-/// consumer must be moved into the worker before the producer half can be
-/// finalized (it needs the worker's [`Thread`] for unparking), so this
-/// returns the pieces rather than a finished `ShardTx`.
-pub(crate) fn conduit<T>(handoff: Handoff, capacity: usize) -> (ConduitTx<T>, ShardRx<T>) {
-    match handoff {
-        Handoff::Channel => {
-            let (tx, rx) = bounded(capacity);
-            (ConduitTx::Channel(tx), ShardRx::Channel(rx))
-        }
-        Handoff::Ring => {
-            let core = Arc::new(RingCore::new(capacity));
-            let rx = RingRx::new(Arc::clone(&core));
-            (ConduitTx::Ring(core), ShardRx::Ring(rx))
-        }
-    }
+/// Builds one shard's ring of `capacity` batches. The consumer must be
+/// moved into the worker before the producer half can be finalized (it
+/// needs the worker's [`Thread`] for unparking), so this returns the
+/// pieces rather than a finished [`ShardTx`].
+pub(crate) fn conduit<T>(capacity: usize) -> (ConduitTx<T>, ShardRx<T>) {
+    let core = Arc::new(RingCore::new(capacity));
+    let rx = ShardRx {
+        core: Arc::clone(&core),
+    };
+    (ConduitTx(core), rx)
 }
 
 /// Producer half of [`conduit`] before the worker thread exists.
-pub(crate) enum ConduitTx<T> {
-    Channel(Sender<T>),
-    Ring(Arc<RingCore<T>>),
-}
+pub(crate) struct ConduitTx<T>(Arc<RingCore<T>>);
 
 impl<T> ConduitTx<T> {
     /// Finalizes the producer half with the spawned worker's handle.
     pub(crate) fn bind(self, worker: Thread) -> ShardTx<T> {
-        match self {
-            ConduitTx::Channel(tx) => ShardTx::Channel(tx),
-            ConduitTx::Ring(core) => ShardTx::Ring { core, worker },
+        ShardTx {
+            core: self.0,
+            worker,
         }
     }
 }
@@ -426,16 +327,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handoff_parses_and_displays() {
-        assert_eq!("ring".parse::<Handoff>().unwrap(), Handoff::Ring);
-        assert_eq!("channel".parse::<Handoff>().unwrap(), Handoff::Channel);
-        assert!("rings".parse::<Handoff>().is_err());
-        assert_eq!(Handoff::default().to_string(), "ring");
-    }
-
-    #[test]
     fn ring_send_recv_roundtrip_with_stats() {
-        let (tx, rx) = conduit::<u32>(Handoff::Ring, 4);
+        let (tx, rx) = conduit::<u32>(4);
         let worker = spawn_named("handoff-test".into(), move || {
             let mut got = Vec::new();
             while let Some(v) = rx.recv() {
@@ -458,7 +351,7 @@ mod tests {
 
     #[test]
     fn dead_ring_worker_fails_fast_instead_of_wedging() {
-        let (tx, rx) = conduit::<u32>(Handoff::Ring, 2);
+        let (tx, rx) = conduit::<u32>(2);
         let worker = spawn_named("handoff-dead".into(), move || {
             // Take one message then die without draining.
             let _ = rx.recv();
@@ -469,7 +362,7 @@ mod tests {
         let mut stats = HandoffStats::default();
         assert!(tx.send(0, &mut stats));
         assert!(worker.join().is_err(), "worker dies by design");
-        // The worker's RingRx dropped during unwind, so even against a
+        // The worker's ShardRx dropped during unwind, so even against a
         // capacity-2 ring the producer must fail fast, not spin forever.
         let mut saw_drop = false;
         for i in 1..100u32 {
@@ -480,15 +373,5 @@ mod tests {
         }
         assert!(saw_drop, "producer must detect the dead worker");
         assert!(stats.dropped >= 1);
-    }
-
-    #[test]
-    fn channel_mode_reports_dead_worker_as_drop() {
-        let (tx, rx) = conduit::<u32>(Handoff::Channel, 2);
-        drop(rx);
-        let tx = tx.bind(std::thread::current());
-        let mut stats = HandoffStats::default();
-        assert!(!tx.send(7, &mut stats));
-        assert_eq!(stats.dropped, 1);
     }
 }

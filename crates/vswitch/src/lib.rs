@@ -32,7 +32,9 @@
 //!   out to several VMs by key hash and merges at harvest.
 //! * [`sharded`] — RSS-style shard parallelism: packets hash-partition
 //!   across worker threads, each running the geometric-skip batch path on
-//!   its own RHHH instance; queries merge the per-shard summaries.
+//!   its own pane ring (never rotated for the whole-stream answer, rotated
+//!   at global pane boundaries for the sliding window); queries merge the
+//!   per-shard summaries.
 //! * [`wire`] — the zero-copy wire ingest plane: resolves raw
 //!   [`hhh_traces::FrameBlock`]s into virtual key lanes and feeds
 //!   `Rhhh::update_batch_wire` without materializing packet structs,
@@ -53,10 +55,10 @@ pub use distributed::{
     SharedCollector, SharedFrontend,
 };
 pub use flow_table::{Action, FlowKey, MegaflowTable, MicroflowCache};
-pub use handoff::{Handoff, HandoffStats, SpawnError, SpawnOptions};
+pub use handoff::{HandoffStats, SpawnError, SpawnOptions};
 pub use monitor::{
     AlgoMonitor, BatchingMonitor, CompactBatchingMonitor, DynBatchingMonitor, NoOpMonitor,
 };
 pub use packet::{build_udp_frame, EthernetFrame, Ipv4View, ParseError, UdpView};
-pub use sharded::{shard_of, ShardSnapshot, ShardedMonitor, WindowedShardedMonitor};
+pub use sharded::{shard_of, shard_seed, ShardSnapshot, ShardedMonitor};
 pub use wire::WireBlockView;

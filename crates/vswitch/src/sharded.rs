@@ -1,6 +1,7 @@
 //! Shard-parallel RHHH: RSS-style hash partitioning across worker threads,
 //! lock-free batch hand-off, merge-on-harvest, and a non-blocking
-//! snapshot query plane.
+//! snapshot query plane — one fleet for flat and sliding-window
+//! deployments.
 //!
 //! Modern NICs spread flows across receive queues by hashing the packet
 //! header (RSS), and each queue is polled by its own core. The inline
@@ -8,7 +9,7 @@
 //! whole stream; this module drops that assumption: every worker thread
 //! runs its *own* RHHH instance over its own sub-stream through the
 //! geometric-skip batch path, shares nothing while packets flow, and the
-//! harvest combines the per-shard summaries with [`Rhhh::merge`].
+//! harvest combines the per-shard summaries with [`Rhhh::merge_many`].
 //!
 //! Partitioning is by **key hash**, so a flow (and every prefix of it, per
 //! shard) lands wholly in one shard. Accuracy-wise the merge analysis
@@ -18,29 +19,39 @@
 //! instance's `slack()` over the summed `N` charges. Convergence needs the
 //! *total* stream length to pass ψ, which the merged packet count reflects.
 //!
+//! **Every worker owns a [`PaneRing`].** The flat fleet
+//! ([`ShardedMonitor::spawn`]) is a ring that is never rotated: snapshots
+//! and the harvest use the active panes. The windowed fleet
+//! ([`ShardedMonitor::spawn_windowed`]) rotates every `⌈W/G⌉` *global*
+//! packets: the ingress thread flushes every partial buffer and broadcasts
+//! a rotation marker down each shard's ordered hand-off, so each shard's
+//! pane `i` summarizes exactly its sub-stream of global pane `i`, and the
+//! harvest answers the window with one K·G-way combine over all retained
+//! panes. Shard merge and pane merge are the same K-way combine — per-part
+//! bounds add — so the end-to-end bound is the same summed per-pane bound a
+//! single-threaded [`hhh_core::WindowedRhhh`] earns.
+//!
 //! The hand-off carries whole batches (one `Vec` per `batch` packets), not
 //! packets, so the per-packet cost on the ingress thread is a hash, a
 //! buffer push and an amortized hand-off — and the workers spend their
-//! time in `update_batch`, not on synchronization. By default the hand-off
-//! is a fixed-capacity lock-free SPSC ring per shard
-//! ([`crate::handoff::Handoff::Ring`]): the uncontended crossing is two
-//! atomic read-modify-writes, with spin-then-park backpressure when a
-//! worker falls behind ([`QUEUE_BATCHES`] in-flight batches bound the
-//! backlog). The previous bounded-channel hop stays available behind
-//! [`SpawnOptions`] as the differential baseline.
+//! time in `update_batch`, not on synchronization. The hand-off is a
+//! fixed-capacity lock-free SPSC ring per shard ([`crate::handoff`]): the
+//! uncontended crossing is two atomic read-modify-writes, with
+//! spin-then-park backpressure when a worker falls behind
+//! ([`QUEUE_BATCHES`] in-flight batches bound the backlog).
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
-//! periodically publishes an epoch-stamped [`ShardSnapshot`] — a clone of
-//! its summary — through an atomically swappable pointer (`arc-swap`):
-//! every `publish_every` batches for [`ShardedMonitor`], at every pane
-//! rotation for [`WindowedShardedMonitor`], and once at exit. A live
-//! `query(θ)` loads the latest snapshot from every shard and K-way-merges
-//! them via [`Rhhh::merge_many`], caching the merged instance keyed by the
-//! epoch vector (the cross-thread generalization of the pane-ring query
-//! cache in [`hhh_core::WindowedRhhh`]): repeated queries between
-//! publications cost one `Output(θ)` scan, not a re-merge. Snapshots are
-//! clones, so publication never perturbs the worker's state and the
-//! harvest stays bit-identical whether or when queries ran.
+//! publishes an epoch-stamped [`ShardSnapshot`] — a clone of its current
+//! answer — through an atomically swappable pointer (`arc-swap`): every
+//! `publish_every` batches for the flat fleet, at every pane rotation for
+//! the windowed one, on [`ShardedMonitor::publish_now`] markers, and once
+//! at exit. A live `query(θ)` loads the latest snapshot from every shard
+//! and K-way-merges them via [`Rhhh::merge_many`], caching the merged
+//! instance keyed by the epoch vector (the cross-thread generalization of
+//! the pane-ring query cache in [`hhh_core::WindowedRhhh`]): repeated
+//! queries between publications cost one `Output(θ)` scan, not a re-merge.
+//! Snapshots are clones, so publication never perturbs the worker's state
+//! and the harvest stays bit-identical whether or when queries ran.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,9 +71,10 @@ use crate::handoff::{conduit, spawn_named, HandoffStats, ShardTx, SpawnError, Sp
 /// backlog.
 const QUEUE_BATCHES: usize = 16;
 
-/// The canonical key-hash routing, re-exported so pipeline users need not
-/// reach into `hhh-hierarchy` for it.
-pub use hhh_hierarchy::shard_of;
+/// The canonical key-hash routing and the per-shard seed derivation,
+/// re-exported so pipeline users (and replays of the fleet) need not
+/// reach into `hhh-hierarchy` for them.
+pub use hhh_hierarchy::{shard_of, shard_seed};
 
 /// [`shard_of`] over any lattice key (hashes the low 64 bits; for the
 /// packed IPv4 keys this is the whole key).
@@ -86,23 +98,24 @@ pub struct ShardSnapshot<K: KeyBits, E: FrequencyEstimator<K>> {
     pub epoch: u64,
     /// Batches folded into `summary` at publication time.
     pub batches: u64,
-    /// Clone of the worker's RHHH state (for the windowed monitor: the
-    /// merged completed window, or the active pane before any rotation —
-    /// mirroring `harvest_window`'s coverage rule).
+    /// The worker's current answer: the merged completed panes, or the
+    /// active pane before any rotation (always, in the flat fleet) —
+    /// the same coverage rule [`ShardedMonitor::harvest`] applies.
     pub summary: Rhhh<K, E>,
 }
 
-/// One hand-off unit on a shard's conduit: a batch of unit-weight keys
-/// (the packet-count feed) or of `(key, weight)` pairs (the volume feed).
-/// Both kinds may interleave on one conduit — the worker drains them in
-/// arrival order through the matching RHHH batch path.
+/// One hand-off unit on a shard's ring, drained in arrival order. Unit and
+/// weighted batches may interleave; the markers ride the same FIFO ring,
+/// so each takes effect after every batch sent before it.
 #[derive(Debug)]
-enum ShardBatch<K> {
+enum ShardMsg<K> {
+    /// A batch of unit-weight keys (the packet-count feed).
     Unit(Vec<K>),
+    /// A batch of `(key, weight)` pairs (the volume feed).
     Weighted(Vec<(K, u64)>),
+    /// Global pane boundary: complete the active pane, then publish.
+    Rotate,
     /// Publication marker: the worker publishes a fresh snapshot now.
-    /// Rides the same FIFO conduit as the batches, so the snapshot
-    /// reflects everything sent before the marker.
     Publish,
     /// Failure-injection poison: the worker panics on receipt. Only ever
     /// sent by [`ShardedMonitor::inject_shard_failure`] (chaos tests).
@@ -122,8 +135,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Joins every shard worker — even after a failure, so no thread leaks —
 /// and surfaces the first death as [`MergeError::ShardFailed`] naming the
-/// shard and its panic payload. Shared by both monitors' harvests so the
-/// windowed and unwindowed pipelines keep an identical failure contract.
+/// shard and its panic payload.
 fn join_shards<T>(handles: Vec<JoinHandle<T>>) -> Result<Vec<T>, MergeError> {
     let mut workers = Vec::with_capacity(handles.len());
     let mut failure: Option<MergeError> = None;
@@ -146,18 +158,24 @@ fn join_shards<T>(handles: Vec<JoinHandle<T>>) -> Result<Vec<T>, MergeError> {
     }
 }
 
-/// Stores a fresh epoch-stamped snapshot of `summary` into `slot`.
-fn publish_snapshot<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+/// Stores a fresh epoch-stamped snapshot of the ring's current answer:
+/// the merged completed panes, or the active pane before the first
+/// rotation — the coverage rule [`ShardedMonitor::harvest`] applies, so
+/// live queries and the harvest agree on semantics.
+fn publish<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     slot: &ArcSwap<ShardSnapshot<K, E>>,
     epoch: &mut u64,
     batches: u64,
-    summary: &Rhhh<K, E>,
+    ring: &PaneRing<K, E>,
 ) {
     *epoch += 1;
+    let summary = ring
+        .merged_window()
+        .unwrap_or_else(|| ring.active().clone());
     slot.store(Arc::new(ShardSnapshot {
         epoch: *epoch,
         batches,
-        summary: summary.clone(),
+        summary,
     }));
 }
 
@@ -171,23 +189,37 @@ fn merge_snapshots<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     merged
 }
 
-/// Shard-parallel RHHH monitor: `N` worker threads, each owning one RHHH
-/// instance fed through the batch path, combined by merge at harvest.
+/// How a fleet's worker rings turn over and publish.
+#[derive(Debug, Clone, Copy)]
+struct Cadence {
+    /// Global packets per pane; `u64::MAX` never rotates (the flat fleet).
+    pane_len: u64,
+    /// Completed panes each ring retains.
+    keep: usize,
+    /// Batches between automatic publications; `u64::MAX` publishes only
+    /// at rotations and markers (the windowed fleet).
+    publish_every: u64,
+}
+
+/// Shard-parallel RHHH monitor: `N` worker threads, each owning one
+/// [`PaneRing`] fed through the batch path, combined by merge at harvest.
 ///
 /// Create with [`ShardedMonitor::spawn`] (or [`ShardedMonitor::spawn_with`]
-/// for hand-off/publication knobs), feed packets via
-/// [`ShardedMonitor::on_packet`] (or as a [`DataplaneMonitor`]), query the
-/// live snapshot plane with [`ShardedMonitor::query`] at any time, then
-/// [`ShardedMonitor::harvest`] to join the workers and obtain the merged,
-/// queryable instance.
+/// for the publication interval) for the whole-stream answer, or with
+/// [`ShardedMonitor::spawn_windowed`] for the sliding-window answer over
+/// the last `W` packets. Feed packets via [`ShardedMonitor::update`],
+/// [`ShardedMonitor::update_batch`] or their weighted twins (or as a
+/// [`DataplaneMonitor`]), query the live snapshot plane with
+/// [`ShardedMonitor::query`] at any time, then [`ShardedMonitor::harvest`]
+/// to join the workers and obtain the merged, queryable instance.
 ///
 /// Generic over the per-node counter like [`Rhhh`] itself; the flat-arena
 /// layout ([`crate::monitor::CompactBatchingMonitor`]'s counter) pairs well
 /// with the batch flush the workers run.
 #[derive(Debug)]
 pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSaving<K>> {
-    senders: Vec<ShardTx<ShardBatch<K>>>,
-    handles: Vec<JoinHandle<Rhhh<K, E>>>,
+    senders: Vec<ShardTx<ShardMsg<K>>>,
+    handles: Vec<JoinHandle<PaneRing<K, E>>>,
     snapshots: Vec<Arc<ArcSwap<ShardSnapshot<K, E>>>>,
     stats: Vec<HandoffStats>,
     bufs: Vec<Vec<K>>,
@@ -201,6 +233,12 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
     /// used).
     weight: u64,
     per_shard: Vec<u64>,
+    /// Global rotation period `⌈W/G⌉` in packets; `u64::MAX` (never) for
+    /// the flat fleet.
+    pane_len: u64,
+    /// Packets fed since the last rotation.
+    pane_fill: u64,
+    rotations: u64,
     /// Live-query merge cache keyed by the snapshot epoch vector; stays
     /// valid until any shard publishes again.
     query_cache: Option<(Vec<u64>, Rhhh<K, E>)>,
@@ -209,10 +247,9 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
 
 impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// Spawns `shards` worker threads over copies of `lattice`/`config`
-    /// (each worker gets a distinct deterministic seed derived from
-    /// `config.seed`), buffering `batch` packets per shard before handing
-    /// a batch over. Uses the default [`SpawnOptions`] (ring hand-off,
-    /// snapshot every 8 batches).
+    /// (worker `i` runs under [`shard_seed`]`(config.seed, i)`), buffering
+    /// `batch` packets per shard before handing a batch over. Uses the
+    /// default [`SpawnOptions`] (snapshot every 8 batches).
     ///
     /// # Errors
     ///
@@ -230,8 +267,8 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         Self::spawn_with(lattice, config, shards, batch, SpawnOptions::default())
     }
 
-    /// [`ShardedMonitor::spawn`] with explicit hand-off and publication
-    /// options. Worker threads are named `shard-{i}`.
+    /// [`ShardedMonitor::spawn`] with an explicit publication interval.
+    /// Worker threads are named `shard-{i}`.
     ///
     /// # Errors
     ///
@@ -247,64 +284,113 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         batch: usize,
         opts: SpawnOptions,
     ) -> Result<Self, SpawnError> {
+        let cadence = Cadence {
+            pane_len: u64::MAX,
+            keep: 1,
+            publish_every: opts.publish_every.max(1),
+        };
+        Self::launch(lattice, config, shards, batch, cadence, "Sharded")
+    }
+
+    /// The sliding-window fleet: `shards` pane-ring workers covering the
+    /// last `window` packets with `panes` globally aligned panes of
+    /// `⌈window/panes⌉` packets. Workers publish at every pane rotation
+    /// (stale by at most one pane) and on [`ShardedMonitor::publish_now`]
+    /// markers, never per batch. Worker threads are named `shard-{i}`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpawnError`] when the OS refuses to start a worker thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards`, `batch`, `window` or `panes` is zero, or when
+    /// `window < panes`.
+    pub fn spawn_windowed(
+        lattice: Lattice<K>,
+        config: RhhhConfig,
+        shards: usize,
+        batch: usize,
+        window: u64,
+        panes: usize,
+    ) -> Result<Self, SpawnError> {
+        assert!(window > 0, "window must be positive");
+        assert!(panes > 0, "need at least one pane");
+        assert!(
+            window >= panes as u64,
+            "window must hold at least one packet per pane"
+        );
+        let cadence = Cadence {
+            pane_len: window.div_ceil(panes as u64),
+            keep: panes,
+            publish_every: u64::MAX,
+        };
+        Self::launch(lattice, config, shards, batch, cadence, "WindowedSharded")
+    }
+
+    /// Spawns the workers, each owning a ring that turns over at
+    /// `cadence`, and labels the monitor `{kind}{shards}-{RHHH name}`.
+    fn launch(
+        lattice: Lattice<K>,
+        config: RhhhConfig,
+        shards: usize,
+        batch: usize,
+        cadence: Cadence,
+        kind: &str,
+    ) -> Result<Self, SpawnError> {
         assert!(shards > 0, "need at least one shard");
         assert!(batch > 0, "batch size must be positive");
-        let base = if config.v_scale == 1 {
-            "RHHH".to_string()
+        let label = if config.v_scale == 1 {
+            format!("{kind}{shards}-RHHH")
         } else {
-            format!("{}-RHHH", config.v_scale)
+            format!("{kind}{shards}-{}-RHHH", config.v_scale)
         };
-        let publish_every = opts.publish_every.max(1);
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut snapshots = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let worker = Rhhh::<K, E>::new(
-                lattice.clone(),
-                RhhhConfig {
-                    // Distinct deterministic seed per shard: the shards'
-                    // sampling draws must be independent.
-                    seed: config.seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ..config
-                },
-            );
+            let seed = shard_seed(config.seed, shard);
+            let ring =
+                PaneRing::<K, E>::new(lattice.clone(), RhhhConfig { seed, ..config }, cadence.keep);
             let slot = Arc::new(ArcSwap::from_pointee(ShardSnapshot {
                 epoch: 0,
                 batches: 0,
-                summary: worker.clone(),
+                summary: ring.active().clone(),
             }));
             snapshots.push(Arc::clone(&slot));
-            let (tx, rx) = conduit::<ShardBatch<K>>(opts.handoff, QUEUE_BATCHES);
+            let (tx, rx) = conduit::<ShardMsg<K>>(QUEUE_BATCHES);
             let handle = spawn_named(format!("shard-{shard}"), move || {
-                let mut worker = worker;
+                let mut ring = ring;
                 let mut batches = 0u64;
                 let mut epoch = 0u64;
                 while let Some(msg) = rx.recv() {
+                    // Batches publish every `publish_every`; markers
+                    // always publish.
                     match msg {
-                        ShardBatch::Unit(keys) => {
-                            worker.update_batch(&keys);
-                            batches += 1;
-                            if batches.is_multiple_of(publish_every) {
-                                publish_snapshot(&slot, &mut epoch, batches, &worker);
-                            }
+                        ShardMsg::Unit(keys) => ring.active_mut().update_batch(&keys),
+                        ShardMsg::Weighted(packets) => {
+                            ring.active_mut().update_batch_weighted(&packets);
                         }
-                        ShardBatch::Weighted(packets) => {
-                            worker.update_batch_weighted(&packets);
-                            batches += 1;
-                            if batches.is_multiple_of(publish_every) {
-                                publish_snapshot(&slot, &mut epoch, batches, &worker);
-                            }
+                        ShardMsg::Rotate => {
+                            ring.rotate();
+                            publish(&slot, &mut epoch, batches, &ring);
+                            continue;
                         }
-                        ShardBatch::Publish => {
-                            publish_snapshot(&slot, &mut epoch, batches, &worker);
+                        ShardMsg::Publish => {
+                            publish(&slot, &mut epoch, batches, &ring);
+                            continue;
                         }
-                        ShardBatch::Poison => panic!("injected shard failure"),
+                        ShardMsg::Poison => panic!("injected shard failure"),
+                    }
+                    batches += 1;
+                    if batches.is_multiple_of(cadence.publish_every) {
+                        publish(&slot, &mut epoch, batches, &ring);
                     }
                 }
                 // Final publication so late readers see the full
                 // sub-stream even without harvesting.
-                publish_snapshot(&slot, &mut epoch, batches, &worker);
-                worker
+                publish(&slot, &mut epoch, batches, &ring);
+                ring
             })?;
             senders.push(tx.bind(handle.thread().clone()));
             handles.push(handle);
@@ -320,8 +406,11 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             packets: 0,
             weight: 0,
             per_shard: vec![0; shards],
+            pane_len: cadence.pane_len,
+            pane_fill: 0,
+            rotations: 0,
             query_cache: None,
-            label: format!("Sharded{shards}-{base}"),
+            label,
         })
     }
 
@@ -350,6 +439,19 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         self.weight
     }
 
+    /// The global rotation period `⌈W/G⌉` in packets (`u64::MAX` for the
+    /// flat fleet, which never rotates).
+    #[must_use]
+    pub fn pane_len(&self) -> u64 {
+        self.pane_len
+    }
+
+    /// Global panes completed so far (always 0 for the flat fleet).
+    #[must_use]
+    pub fn panes_completed(&self) -> u64 {
+        self.rotations
+    }
+
     /// Per-shard hand-off counters (sends, ring occupancy, backpressure
     /// and park events, drops) — the diagnostics `sharded_throughput`
     /// prints.
@@ -366,9 +468,62 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     }
 
     /// Routes one packet to its shard, handing off a full batch when the
-    /// shard's buffer fills.
+    /// shard's buffer fills, and rotates at a global pane boundary.
     #[inline]
     pub fn update(&mut self, key2: K) {
+        self.route(key2);
+        self.advance(1);
+    }
+
+    /// Routes one packet carrying `weight` units (e.g. bytes) to its
+    /// shard — the volume-measurement twin of [`ShardedMonitor::update`].
+    /// The shard is still chosen by key hash, so a flow's whole volume
+    /// lands in one shard and the per-shard weighted batch path
+    /// ([`Rhhh::update_batch_weighted`]) records it; the harvest-time
+    /// merge then conserves total weight exactly (pinned by the
+    /// `sharded_weighted` property suite). Pane boundaries still count
+    /// packets, not weight.
+    #[inline]
+    pub fn update_weighted(&mut self, key2: K, weight: u64) {
+        self.route_weighted(key2, weight);
+        self.advance(1);
+    }
+
+    /// Feeds a slice of packets — the burst entry point. The slice is
+    /// split once at each pane boundary it straddles, so the per-packet
+    /// route loop carries no pane check.
+    pub fn update_batch(&mut self, keys: &[K]) {
+        self.feed(keys, Self::route);
+    }
+
+    /// Feeds a slice of weighted packets — the bulk entry point of the
+    /// volume feed, split at pane boundaries like
+    /// [`ShardedMonitor::update_batch`].
+    pub fn update_batch_weighted(&mut self, packets: &[(K, u64)]) {
+        self.feed(packets, |mon, (key, weight)| {
+            mon.route_weighted(key, weight)
+        });
+    }
+
+    /// Routes a slice pane by pane: splits it once at each pane boundary
+    /// it straddles and advances the pane count once per piece.
+    #[inline]
+    fn feed<T: Copy>(&mut self, items: &[T], mut route: impl FnMut(&mut Self, T)) {
+        let mut rest = items;
+        while !rest.is_empty() {
+            let room = (rest.len() as u64).min(self.pane_len - self.pane_fill);
+            let (pane, later) = rest.split_at(room as usize);
+            for &item in pane {
+                route(self, item);
+            }
+            self.advance(pane.len() as u64);
+            rest = later;
+        }
+    }
+
+    /// Buffers one unit packet for its shard; hands off a full batch.
+    #[inline]
+    fn route(&mut self, key2: K) {
         self.packets += 1;
         self.weight += 1;
         let shard = shard_of_key(key2, self.senders.len());
@@ -382,19 +537,13 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             // counted in its `HandoffStats::dropped` — and harvest
             // reports the failure as a `MergeError::ShardFailed` instead
             // of poisoning the ingress.
-            let _ = self.senders[shard].send(ShardBatch::Unit(full), &mut self.stats[shard]);
+            let _ = self.senders[shard].send(ShardMsg::Unit(full), &mut self.stats[shard]);
         }
     }
 
-    /// Routes one packet carrying `weight` units (e.g. bytes) to its
-    /// shard — the volume-measurement twin of [`ShardedMonitor::update`].
-    /// The shard is still chosen by key hash, so a flow's whole volume
-    /// lands in one shard and the per-shard weighted batch path
-    /// ([`Rhhh::update_batch_weighted`]) records it; the harvest-time
-    /// merge then conserves total weight exactly (pinned by the
-    /// `sharded_weighted` property suite).
+    /// Buffers one weighted packet for its shard; hands off a full batch.
     #[inline]
-    pub fn update_weighted(&mut self, key2: K, weight: u64) {
+    fn route_weighted(&mut self, key2: K, weight: u64) {
         self.packets += 1;
         self.weight += weight;
         let shard = shard_of_key(key2, self.senders.len());
@@ -406,15 +555,29 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         buf.push((key2, weight));
         if buf.len() >= self.batch {
             let full = std::mem::replace(buf, Vec::with_capacity(self.batch));
-            let _ = self.senders[shard].send(ShardBatch::Weighted(full), &mut self.stats[shard]);
+            let _ = self.senders[shard].send(ShardMsg::Weighted(full), &mut self.stats[shard]);
         }
     }
 
-    /// Feeds a slice of weighted packets — the bulk entry point of the
-    /// volume feed (ROADMAP sharding follow-up (b)).
-    pub fn update_batch_weighted(&mut self, packets: &[(K, u64)]) {
-        for &(key, weight) in packets {
-            self.update_weighted(key, weight);
+    /// Accounts `n` routed packets to the current pane; at the boundary,
+    /// flushes every partial buffer (so the boundary packet reaches its
+    /// worker first) and broadcasts the rotation marker.
+    #[inline]
+    fn advance(&mut self, n: u64) {
+        self.pane_fill += n;
+        if self.pane_fill == self.pane_len {
+            self.broadcast(|| ShardMsg::Rotate);
+            self.rotations += 1;
+            self.pane_fill = 0;
+        }
+    }
+
+    /// Flushes every partial buffer, then sends one marker to every
+    /// shard behind it.
+    fn broadcast(&mut self, marker: fn() -> ShardMsg<K>) {
+        self.flush();
+        for (tx, stats) in self.senders.iter().zip(&mut self.stats) {
+            let _ = tx.send(marker(), stats);
         }
     }
 
@@ -425,43 +588,41 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         for (shard, buf) in self.bufs.iter_mut().enumerate() {
             if !buf.is_empty() {
                 let part = std::mem::take(buf);
-                let _ = self.senders[shard].send(ShardBatch::Unit(part), &mut self.stats[shard]);
+                let _ = self.senders[shard].send(ShardMsg::Unit(part), &mut self.stats[shard]);
             }
         }
         for (shard, buf) in self.wbufs.iter_mut().enumerate() {
             if !buf.is_empty() {
                 let part = std::mem::take(buf);
-                let _ =
-                    self.senders[shard].send(ShardBatch::Weighted(part), &mut self.stats[shard]);
+                let _ = self.senders[shard].send(ShardMsg::Weighted(part), &mut self.stats[shard]);
             }
         }
     }
 
     /// Flushes all partial buffers and asks every worker to publish a
-    /// fresh snapshot. The marker rides the FIFO hand-off behind the
-    /// flushed batches, so once each shard's epoch advances past its
-    /// value at call time, [`ShardedMonitor::query`] reflects **every**
-    /// packet fed before this call — the deterministic freshness hook the
-    /// property suite pins.
+    /// fresh snapshot (without rotating). The marker rides the FIFO
+    /// hand-off behind the flushed batches, so once each shard's epoch
+    /// advances past its value at call time, [`ShardedMonitor::query`]
+    /// reflects **every** packet fed before this call that its coverage
+    /// rule admits — the deterministic freshness hook the property suite
+    /// pins.
     pub fn publish_now(&mut self) {
-        self.flush();
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let _ = tx.send(ShardBatch::Publish, &mut self.stats[shard]);
-        }
+        self.broadcast(|| ShardMsg::Publish);
     }
 
     /// Ensures the query cache holds the merge of the latest snapshots.
-    fn refresh_query_cache(&mut self) {
+    fn refresh_query_cache(&mut self) -> &Rhhh<K, E> {
         let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
             self.snapshots.iter().map(|s| s.load_full()).collect();
         let epochs: Vec<u64> = snaps.iter().map(|s| s.epoch).collect();
-        if let Some((cached, _)) = &self.query_cache {
-            if *cached == epochs {
-                return;
-            }
+        if self
+            .query_cache
+            .as_ref()
+            .is_none_or(|(cached, _)| *cached != epochs)
+        {
+            self.query_cache = Some((epochs, merge_snapshots(&snaps)));
         }
-        let merged = merge_snapshots(&snaps);
-        self.query_cache = Some((epochs, merged));
+        &self.query_cache.as_ref().expect("cache refreshed above").1
     }
 
     /// Live `Output(θ)` over the latest published snapshots — never
@@ -469,16 +630,11 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// keyed by the snapshot epoch vector, so repeated queries between
     /// publications cost one output scan (the cross-thread analogue of
     /// [`hhh_core::WindowedRhhh::query`]'s cache). Staleness is bounded
-    /// by one publication interval per shard plus whatever sits in the
-    /// monitor's partial buffers; call [`ShardedMonitor::publish_now`]
-    /// first for an up-to-the-call answer.
+    /// by one publication interval per shard (one pane for the windowed
+    /// fleet) plus whatever sits in the monitor's partial buffers; call
+    /// [`ShardedMonitor::publish_now`] first for an up-to-the-call answer.
     pub fn query(&mut self, theta: f64) -> Vec<HeavyHitter<K>> {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .output(theta)
+        self.refresh_query_cache().output(theta)
     }
 
     /// [`ShardedMonitor::query`] without the epoch cache: re-merges the
@@ -494,12 +650,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// Packets covered by the current snapshot merge — how much of the
     /// fed stream a live query reflects right now.
     pub fn query_coverage(&mut self) -> u64 {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .packets()
+        self.refresh_query_cache().packets()
     }
 
     /// Failure-injection hook for chaos tests: kills the given shard's
@@ -510,15 +661,17 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// dead shard's last published snapshot.
     #[doc(hidden)]
     pub fn inject_shard_failure(&mut self, shard: usize) {
-        let _ = self.senders[shard].send(ShardBatch::Poison, &mut self.stats[shard]);
+        let _ = self.senders[shard].send(ShardMsg::Poison, &mut self.stats[shard]);
     }
 
-    /// Flushes, joins every worker and merges the per-shard summaries into
-    /// one queryable instance whose packet and weight totals cover the
-    /// whole stream. All K summaries combine in a single
-    /// [`Rhhh::merge_many`] pass — tighter than the pairwise fold this
-    /// pipeline used before, which accumulated min-count padding per fold
-    /// step (ROADMAP sharding follow-up (c)).
+    /// Flushes, joins every worker and merges the per-shard answers into
+    /// one queryable instance in a single [`Rhhh::merge_many`] pass. The
+    /// flat fleet merges the K active panes: the totals cover the whole
+    /// stream. The windowed fleet merges all shards' retained completed
+    /// panes (K·G ways): the totals cover exactly the window (at least `W`
+    /// once `G` global panes have completed). Before its first rotation
+    /// there are no completed panes anywhere, and the K active panes merge
+    /// instead — a partial answer over everything fed so far.
     ///
     /// # Errors
     ///
@@ -528,9 +681,18 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     pub fn harvest(mut self) -> Result<Rhhh<K, E>, MergeError> {
         self.flush();
         self.senders.clear(); // closes every hand-off; workers drain & exit
-        let mut workers = join_shards(std::mem::take(&mut self.handles))?;
-        let mut merged = workers.remove(0);
-        merged.merge_many(workers);
+        let rings = join_shards(std::mem::take(&mut self.handles))?;
+        let mut panes = Vec::with_capacity(rings.len());
+        for ring in rings {
+            let (active, completed) = ring.into_parts();
+            if self.rotations == 0 {
+                panes.push(active);
+            } else {
+                panes.extend(completed);
+            }
+        }
+        let mut merged = panes.remove(0);
+        merged.merge_many(panes);
         Ok(merged)
     }
 
@@ -555,427 +717,9 @@ impl<E: FrequencyEstimator<u64> + Clone + Sync> DataplaneMonitor for ShardedMoni
     }
 }
 
-/// One hand-off unit on a windowed shard's conduit: a batch of keys, or
-/// the global pane-rotation marker. Markers ride the same ordered conduit
-/// as the batches, so every worker rotates at exactly the same global
-/// packet index — pane boundaries stay aligned across shards without any
-/// cross-thread synchronization.
-#[derive(Debug)]
-enum WindowedShardMsg<K> {
-    Batch(Vec<K>),
-    Rotate,
-    /// Publication marker, as in [`ShardBatch::Publish`].
-    Publish,
-    /// Failure-injection poison, as in [`ShardBatch::Poison`].
-    Poison,
-}
-
-/// Stores a fresh epoch-stamped snapshot of the ring's current windowed
-/// answer: the merged completed panes, or the active pane before the
-/// first rotation — exactly the coverage rule
-/// [`WindowedShardedMonitor::harvest_window`] applies, so live queries
-/// and the harvest agree on semantics.
-fn publish_window_snapshot<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    slot: &ArcSwap<ShardSnapshot<K, E>>,
-    epoch: &mut u64,
-    batches: u64,
-    ring: &PaneRing<K, E>,
-) {
-    *epoch += 1;
-    let summary = ring
-        .merged_window()
-        .unwrap_or_else(|| ring.active().clone());
-    slot.store(Arc::new(ShardSnapshot {
-        epoch: *epoch,
-        batches,
-        summary,
-    }));
-}
-
-/// Shard-parallel **sliding-window** RHHH: the windowed twin of
-/// [`ShardedMonitor`].
-///
-/// Every worker thread runs its own [`PaneRing`] over its hash-routed
-/// sub-stream through the geometric-skip batch path. Rotation is driven by
-/// the *global* packet count: every `⌈W/G⌉` packets the ingress thread
-/// flushes all partial buffers (so pane attribution is exact) and
-/// broadcasts a rotation marker down every shard conduit. Each shard's
-/// pane `i` therefore summarizes exactly its sub-stream of global pane
-/// `i`, and [`WindowedShardedMonitor::harvest_window`] can answer the
-/// windowed query with one **K·G-way** [`Rhhh::merge_many`] combine over
-/// all shards' retained panes — per-shard errors add within a pane (the
-/// sharded-merge analysis) and per-pane bounds add across the window (the
-/// pane-ring analysis), so the end-to-end bound is the same summed
-/// per-pane bound a single-threaded [`hhh_core::WindowedRhhh`] earns.
-///
-/// Workers publish their merged-window snapshot at every rotation, so
-/// [`WindowedShardedMonitor::query`] serves the sliding-window answer
-/// live — stale by at most one pane — without joining anything.
-#[derive(Debug)]
-pub struct WindowedShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSaving<K>> {
-    senders: Vec<ShardTx<WindowedShardMsg<K>>>,
-    handles: Vec<JoinHandle<PaneRing<K, E>>>,
-    snapshots: Vec<Arc<ArcSwap<ShardSnapshot<K, E>>>>,
-    stats: Vec<HandoffStats>,
-    bufs: Vec<Vec<K>>,
-    batch: usize,
-    window: u64,
-    pane_len: u64,
-    pane_count: usize,
-    packets: u64,
-    pane_fill: u64,
-    rotations: u64,
-    query_cache: Option<(Vec<u64>, Rhhh<K, E>)>,
-    label: String,
-}
-
-impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> WindowedShardedMonitor<K, E> {
-    /// Spawns `shards` pane-ring workers (distinct deterministic seeds per
-    /// shard, like [`ShardedMonitor::spawn`]) covering the last `window`
-    /// packets with `panes` globally-aligned ring panes. Uses the default
-    /// [`SpawnOptions`].
-    ///
-    /// # Errors
-    ///
-    /// [`SpawnError`] when the OS refuses to start a worker thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards`, `batch`, `window` or `panes` is zero, or when
-    /// `window < panes`.
-    pub fn spawn(
-        lattice: Lattice<K>,
-        config: RhhhConfig,
-        shards: usize,
-        batch: usize,
-        window: u64,
-        panes: usize,
-    ) -> Result<Self, SpawnError> {
-        Self::spawn_with(
-            lattice,
-            config,
-            shards,
-            batch,
-            window,
-            panes,
-            SpawnOptions::default(),
-        )
-    }
-
-    /// [`WindowedShardedMonitor::spawn`] with explicit hand-off options.
-    /// Worker threads are named `wshard-{i}`. Snapshots publish at every
-    /// pane rotation (the windowed publication interval), so
-    /// `SpawnOptions::publish_every` is not consulted here.
-    ///
-    /// # Errors
-    ///
-    /// [`SpawnError`] when the OS refuses to start a worker thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards`, `batch`, `window` or `panes` is zero, or when
-    /// `window < panes`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with(
-        lattice: Lattice<K>,
-        config: RhhhConfig,
-        shards: usize,
-        batch: usize,
-        window: u64,
-        panes: usize,
-        opts: SpawnOptions,
-    ) -> Result<Self, SpawnError> {
-        assert!(shards > 0, "need at least one shard");
-        assert!(batch > 0, "batch size must be positive");
-        assert!(window > 0, "window must be positive");
-        assert!(panes > 0, "need at least one pane");
-        assert!(
-            window >= panes as u64,
-            "window must hold at least one packet per pane"
-        );
-        let base = if config.v_scale == 1 {
-            "RHHH".to_string()
-        } else {
-            format!("{}-RHHH", config.v_scale)
-        };
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        let mut snapshots = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let ring = PaneRing::<K, E>::new(
-                lattice.clone(),
-                RhhhConfig {
-                    seed: config.seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ..config
-                },
-                panes,
-            );
-            let slot = Arc::new(ArcSwap::from_pointee(ShardSnapshot {
-                epoch: 0,
-                batches: 0,
-                summary: ring.active().clone(),
-            }));
-            snapshots.push(Arc::clone(&slot));
-            let (tx, rx) = conduit::<WindowedShardMsg<K>>(opts.handoff, QUEUE_BATCHES);
-            let handle = spawn_named(format!("wshard-{shard}"), move || {
-                let mut ring = ring;
-                let mut batches = 0u64;
-                let mut epoch = 0u64;
-                while let Some(msg) = rx.recv() {
-                    match msg {
-                        WindowedShardMsg::Batch(keys) => {
-                            ring.active_mut().update_batch(&keys);
-                            batches += 1;
-                        }
-                        WindowedShardMsg::Rotate => {
-                            ring.rotate();
-                            publish_window_snapshot(&slot, &mut epoch, batches, &ring);
-                        }
-                        WindowedShardMsg::Publish => {
-                            publish_window_snapshot(&slot, &mut epoch, batches, &ring);
-                        }
-                        WindowedShardMsg::Poison => panic!("injected shard failure"),
-                    }
-                }
-                publish_window_snapshot(&slot, &mut epoch, batches, &ring);
-                ring
-            })?;
-            senders.push(tx.bind(handle.thread().clone()));
-            handles.push(handle);
-        }
-        Ok(Self {
-            senders,
-            handles,
-            snapshots,
-            stats: vec![HandoffStats::default(); shards],
-            bufs: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
-            batch,
-            window,
-            pane_len: window.div_ceil(panes as u64),
-            pane_count: panes,
-            packets: 0,
-            pane_fill: 0,
-            rotations: 0,
-            query_cache: None,
-            label: format!("WindowedSharded{shards}-{base}"),
-        })
-    }
-
-    /// Number of worker shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The requested window W.
-    #[must_use]
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// The global rotation period `⌈W/G⌉` in packets.
-    #[must_use]
-    pub fn pane_len(&self) -> u64 {
-        self.pane_len
-    }
-
-    /// Packets fed so far (across all shards).
-    #[must_use]
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Global panes completed so far.
-    #[must_use]
-    pub fn panes_completed(&self) -> u64 {
-        self.rotations
-    }
-
-    /// Per-shard hand-off counters; see [`ShardedMonitor::handoff_stats`].
-    #[must_use]
-    pub fn handoff_stats(&self) -> &[HandoffStats] {
-        &self.stats
-    }
-
-    /// The latest published snapshot epoch per shard. Workers publish at
-    /// every pane rotation, on [`WindowedShardedMonitor::publish_now`]
-    /// markers, and at exit.
-    #[must_use]
-    pub fn snapshot_epochs(&self) -> Vec<u64> {
-        self.snapshots.iter().map(|s| s.load_full().epoch).collect()
-    }
-
-    /// Routes one packet to its shard; at every global pane boundary,
-    /// flushes all partial buffers and broadcasts the rotation marker.
-    #[inline]
-    pub fn update(&mut self, key2: K) {
-        self.packets += 1;
-        self.pane_fill += 1;
-        let shard = shard_of_key(key2, self.senders.len());
-        let buf = &mut self.bufs[shard];
-        buf.push(key2);
-        if buf.len() >= self.batch {
-            let full = std::mem::replace(buf, Vec::with_capacity(self.batch));
-            let _ = self.senders[shard].send(WindowedShardMsg::Batch(full), &mut self.stats[shard]);
-        }
-        if self.pane_fill == self.pane_len {
-            self.rotate();
-        }
-    }
-
-    /// Feeds a slice of packets (the burst entry point; routing and pane
-    /// accounting stay per-packet, hand-off stays per-batch).
-    pub fn update_batch(&mut self, keys: &[K]) {
-        for &k in keys {
-            self.update(k);
-        }
-    }
-
-    fn rotate(&mut self) {
-        // The boundary packet must reach its worker before the marker:
-        // flush every partial buffer first, then broadcast Rotate on the
-        // same ordered conduits.
-        self.flush();
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let _ = tx.send(WindowedShardMsg::Rotate, &mut self.stats[shard]);
-        }
-        self.rotations += 1;
-        self.pane_fill = 0;
-    }
-
-    /// Sends every partially filled buffer to its worker.
-    pub fn flush(&mut self) {
-        for (shard, buf) in self.bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let part = std::mem::take(buf);
-                let _ =
-                    self.senders[shard].send(WindowedShardMsg::Batch(part), &mut self.stats[shard]);
-            }
-        }
-    }
-
-    /// Flushes and asks every worker to publish a fresh snapshot (without
-    /// rotating); see [`ShardedMonitor::publish_now`]. The published
-    /// coverage still follows the window rule — completed panes, or the
-    /// active pane before the first rotation.
-    pub fn publish_now(&mut self) {
-        self.flush();
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let _ = tx.send(WindowedShardMsg::Publish, &mut self.stats[shard]);
-        }
-    }
-
-    fn refresh_query_cache(&mut self) {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        let epochs: Vec<u64> = snaps.iter().map(|s| s.epoch).collect();
-        if let Some((cached, _)) = &self.query_cache {
-            if *cached == epochs {
-                return;
-            }
-        }
-        let merged = merge_snapshots(&snaps);
-        self.query_cache = Some((epochs, merged));
-    }
-
-    /// Live sliding-window `Output(θ)` over the latest per-shard
-    /// merged-window snapshots — never joins or blocks the workers, stale
-    /// by at most one pane. Cached keyed by the snapshot epoch vector
-    /// like [`ShardedMonitor::query`].
-    pub fn query(&mut self, theta: f64) -> Vec<HeavyHitter<K>> {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .output(theta)
-    }
-
-    /// [`WindowedShardedMonitor::query`] without the epoch cache.
-    #[must_use]
-    pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        merge_snapshots(&snaps).output(theta)
-    }
-
-    /// Packets covered by the current snapshot merge.
-    pub fn query_coverage(&mut self) -> u64 {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .packets()
-    }
-
-    /// Failure-injection hook for chaos tests; see
-    /// [`ShardedMonitor::inject_shard_failure`].
-    #[doc(hidden)]
-    pub fn inject_shard_failure(&mut self, shard: usize) {
-        let _ = self.senders[shard].send(WindowedShardMsg::Poison, &mut self.stats[shard]);
-    }
-
-    /// Flushes, joins every worker and combines the windowed answer: all
-    /// shards' retained completed panes merge in a single K·G-way
-    /// [`Rhhh::merge_many`] pass, yielding one instance whose packet total
-    /// is exactly the covered window (at least `W` once `G` global panes
-    /// have completed). Before the first rotation there are no completed
-    /// panes anywhere, and the K active panes merge instead — a partial
-    /// answer over everything fed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::ShardFailed`] when any worker thread died mid-feed
-    /// (same contract as [`ShardedMonitor::harvest`]).
-    pub fn harvest_window(mut self) -> Result<Rhhh<K, E>, MergeError> {
-        self.flush();
-        self.senders.clear(); // closes every hand-off; workers drain & exit
-        let rings = join_shards(std::mem::take(&mut self.handles))?;
-        let mut panes: Vec<Rhhh<K, E>> = Vec::with_capacity(rings.len() * self.pane_count);
-        if self.rotations == 0 {
-            for ring in rings {
-                let (active, _) = ring.into_parts();
-                panes.push(active);
-            }
-        } else {
-            for ring in rings {
-                let (_, completed) = ring.into_parts();
-                panes.extend(completed);
-            }
-        }
-        let mut merged = panes.remove(0);
-        merged.merge_many(panes);
-        Ok(merged)
-    }
-
-    /// Convenience: harvest the windowed answer and run `Output(θ)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WindowedShardedMonitor::harvest_window`]'s failures.
-    pub fn finish_and_query(self, theta: f64) -> Result<Vec<HeavyHitter<K>>, MergeError> {
-        Ok(self.harvest_window()?.output(theta))
-    }
-}
-
-impl<E: FrequencyEstimator<u64> + Clone + Sync> DataplaneMonitor
-    for WindowedShardedMonitor<u64, E>
-{
-    #[inline]
-    fn on_packet(&mut self, key2: u64) {
-        self.update(key2);
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handoff::Handoff;
     use hhh_counters::CompactSpaceSaving;
     use hhh_hierarchy::pack2;
     use std::time::{Duration, Instant};
@@ -1076,28 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_mode_stays_available_as_baseline() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_with(
-            lat,
-            config(),
-            2,
-            256,
-            SpawnOptions {
-                handoff: Handoff::Channel,
-                ..SpawnOptions::default()
-            },
-        )
-        .expect("spawn workers");
-        let n = 50_000u64;
-        for &k in &attack_stream(n, 17) {
-            mon.update(k);
-        }
-        let merged = mon.harvest().expect("healthy pipeline");
-        assert_eq!(merged.packets(), n);
-    }
-
-    #[test]
     fn live_query_answers_without_harvesting() {
         let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
         // Auto-publication off: the explicit marker below is the only
@@ -1110,7 +832,6 @@ mod tests {
             256,
             SpawnOptions {
                 publish_every: u64::MAX,
-                ..SpawnOptions::default()
             },
         )
         .expect("spawn workers");
@@ -1154,10 +875,7 @@ mod tests {
             config(),
             2,
             128,
-            SpawnOptions {
-                publish_every: 1,
-                ..SpawnOptions::default()
-            },
+            SpawnOptions { publish_every: 1 },
         )
         .expect("spawn workers");
         let n = 20_000u64;
@@ -1182,7 +900,6 @@ mod tests {
             128,
             SpawnOptions {
                 publish_every: u64::MAX,
-                ..SpawnOptions::default()
             },
         )
         .expect("spawn workers");
@@ -1332,7 +1049,7 @@ mod tests {
     #[test]
     fn windowed_sharded_pane_accounting_is_global() {
         let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut mon = WindowedShardedMonitor::<u64, SpaceSaving<u64>>::spawn(
+        let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(
             lat,
             config(),
             3,
@@ -1347,7 +1064,7 @@ mod tests {
         }
         assert_eq!(mon.packets(), 35_000);
         assert_eq!(mon.panes_completed(), 3);
-        let merged = mon.harvest_window().expect("healthy pipeline");
+        let merged = mon.harvest().expect("healthy pipeline");
         assert_eq!(
             merged.packets(),
             30_000,
@@ -1358,7 +1075,7 @@ mod tests {
     #[test]
     fn windowed_live_query_matches_window_semantics() {
         let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut mon = WindowedShardedMonitor::<u64, SpaceSaving<u64>>::spawn(
+        let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(
             lat,
             config(),
             2,
@@ -1383,7 +1100,7 @@ mod tests {
             20_000,
             "live windowed coverage = completed panes"
         );
-        let merged = mon.harvest_window().expect("healthy pipeline");
+        let merged = mon.harvest().expect("healthy pipeline");
         assert_eq!(merged.packets(), 20_000);
     }
 
@@ -1391,7 +1108,7 @@ mod tests {
     fn windowed_sharded_finds_recent_attack_and_ages_out_old_one() {
         for shards in [1usize, 4] {
             let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-            let mut mon = WindowedShardedMonitor::<u64, CompactSpaceSaving<u64>>::spawn(
+            let mut mon = ShardedMonitor::<u64, CompactSpaceSaving<u64>>::spawn_windowed(
                 lat.clone(),
                 config(),
                 shards,
@@ -1416,7 +1133,7 @@ mod tests {
             );
 
             // Symmetric check: an attack inside the window is found.
-            let mut mon = WindowedShardedMonitor::<u64, SpaceSaving<u64>>::spawn(
+            let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(
                 lat.clone(),
                 config(),
                 shards,
@@ -1443,7 +1160,7 @@ mod tests {
     #[test]
     fn windowed_sharded_before_first_rotation_answers_partially() {
         let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut mon = WindowedShardedMonitor::<u64, SpaceSaving<u64>>::spawn(
+        let mut mon = ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(
             lat,
             config(),
             2,
@@ -1467,7 +1184,7 @@ mod tests {
                 .all(|(now, then)| now > then)
         });
         assert_eq!(mon.query_coverage(), 10_000);
-        let merged = mon.harvest_window().expect("healthy pipeline");
+        let merged = mon.harvest().expect("healthy pipeline");
         assert_eq!(
             merged.packets(),
             10_000,

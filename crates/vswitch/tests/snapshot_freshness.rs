@@ -57,7 +57,7 @@ proptest! {
             config(seed),
             shards,
             batch,
-            SpawnOptions { publish_every, ..SpawnOptions::default() },
+            SpawnOptions { publish_every },
         )
         .expect("spawn workers");
 
@@ -101,7 +101,7 @@ proptest! {
             config(seed),
             shards,
             32,
-            SpawnOptions { publish_every: 1, ..SpawnOptions::default() },
+            SpawnOptions { publish_every: 1 },
         )
         .expect("spawn workers");
         for &k in &keys {

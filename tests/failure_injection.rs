@@ -6,7 +6,7 @@ use hhh_core::{ExactHhh, HhhAlgorithm, MergeError, RhhhConfig};
 use hhh_counters::SpaceSaving;
 use hhh_eval::AlgoKind;
 use hhh_hierarchy::{pack2, Lattice};
-use hhh_vswitch::{ShardedMonitor, SpawnOptions, WindowedShardedMonitor};
+use hhh_vswitch::{ShardedMonitor, SpawnOptions};
 
 /// A single key flooding the stream — maximal skew.
 #[test]
@@ -172,7 +172,7 @@ fn dead_shard_mid_feed_surfaces_merge_error() {
     // broadcasts that cross the dead channel), and the windowed harvest
     // refuses the partial answer.
     let mut mon =
-        WindowedShardedMonitor::<u64, SpaceSaving<u64>>::spawn(lat, config, 2, 128, 20_000, 4)
+        ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(lat, config, 2, 128, 20_000, 4)
             .expect("spawn workers");
     for _ in 0..10_000 {
         mon.update(next());
@@ -181,7 +181,7 @@ fn dead_shard_mid_feed_surfaces_merge_error() {
     for _ in 0..30_000 {
         mon.update(next()); // crosses several rotation broadcasts
     }
-    match mon.harvest_window() {
+    match mon.harvest() {
         Err(MergeError::ShardFailed(msg)) => {
             assert!(msg.contains("shard 1"), "error must name the shard: {msg}");
             assert!(
@@ -220,7 +220,6 @@ fn dead_ring_worker_keeps_producer_and_query_plane_alive() {
         128,
         SpawnOptions {
             publish_every: u64::MAX,
-            ..SpawnOptions::default()
         },
     )
     .expect("spawn workers");
