@@ -161,8 +161,8 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
 /// their full/evicting steady state, then fed streams of entirely new
 /// distinct keys — every key is a miss, and at capacity every miss evicts.
 /// The scalar rows drive `increment`; the `flush` rows drive
-/// `flush_group_evicting` on sorted 4Ki groups, the exact entry point the
-/// RHHH batch flush calls (bulk min-level eviction on the compact layout,
+/// `flush_group` on sorted 4Ki groups, the exact hook the RHHH batch
+/// flush calls (bulk min-level eviction on the compact layout,
 /// the per-key default elsewhere).
 ///
 /// Warm-up streams fresh chicago16 1D keys through the shared
@@ -239,7 +239,7 @@ fn miss_heavy(c: &mut Criterion) {
             || (warm_list.clone(), chunks.clone()),
             |(mut est, mut chunks)| {
                 for chunk in &mut chunks {
-                    est.flush_group_evicting(chunk);
+                    est.flush_group(chunk, &mut <[u32]>::sort_unstable);
                 }
                 est
             },
@@ -251,7 +251,7 @@ fn miss_heavy(c: &mut Criterion) {
             || (warm_compact.clone(), chunks.clone()),
             |(mut est, mut chunks)| {
                 for chunk in &mut chunks {
-                    est.flush_group_evicting(chunk);
+                    est.flush_group(chunk, &mut <[u32]>::sort_unstable);
                 }
                 est
             },
@@ -263,7 +263,7 @@ fn miss_heavy(c: &mut Criterion) {
             || (warm_heap.clone(), chunks.clone()),
             |(mut est, mut chunks)| {
                 for chunk in &mut chunks {
-                    est.flush_group_evicting(chunk);
+                    est.flush_group(chunk, &mut <[u32]>::sort_unstable);
                 }
                 est
             },
@@ -275,7 +275,7 @@ fn miss_heavy(c: &mut Criterion) {
             || (warm_chk.clone(), chunks.clone()),
             |(mut est, mut chunks)| {
                 for chunk in &mut chunks {
-                    est.flush_group_evicting(chunk);
+                    est.flush_group(chunk, &mut <[u32]>::sort_unstable);
                 }
                 est
             },

@@ -239,8 +239,9 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
         // PR 7 acceptance pair: the dispatched monitor against the
         // measured best fixed layout for this V (compact at V = 10H,
         // the stream-summary list at V = H), interleaved so the ratio is
-        // within-run. A longer window than the plain rows, matching the
-        // block-vs-pr5 interleave settings.
+        // within-run. A longer window than the plain rows: the interleave
+        // needs each of its slices to hold several iterations even for the
+        // ~30 ms V=H rows.
         let mut g = c.benchmark_group(&group);
         g.sample_size(10)
             .warm_up_time(Duration::from_millis(300))
@@ -284,108 +285,6 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
                         criterion::BatchSize::LargeInput,
                     );
                 }
-            },
-        );
-        g.finish();
-    }
-}
-
-/// The PR 6 acceptance rows: the block-staged batch front end
-/// (`update_batch`) against the frozen PR 5-shape reference path
-/// (`update_batch_reference`) on identical pre-warmed instances, both
-/// counter layouts, `V ∈ {H, 10H}`. The two paths consume the same RNG
-/// draws and produce bit-identical state (pinned by `batch_props`), so the
-/// rows isolate the front-end restructuring: fused mask-at-gather instead
-/// of a per-group mask pass, split int/float draw loops, dense staging.
-///
-/// Compare `block/*` vs `pr5/*` only *within one run* — this box drifts
-/// ±8% between runs, so cross-run ratios are noise. The CI gate computes
-/// the ratio from one run's `BENCH_update_speed.json`.
-fn block_vs_pr5(c: &mut Criterion) {
-    const STEADY_PACKETS: usize = 1_000_000;
-    const WARM_PACKETS: usize = 12_000_000;
-    const WARM_CHUNK: usize = 65_536;
-    let lat = Lattice::ipv4_src_dst_bytes();
-    for v_scale in [1u64, 10] {
-        let group = format!("block-vs-pr5/v{v_scale}");
-
-        // Same warm protocol as `compact-vs-stream-summary`: the measured
-        // 1M packets come first, then 12M fresh packets of the same
-        // generator warm both layouts to eviction steady state.
-        let mut gen = hhh_traces::TraceGenerator::new(&hhh_traces::TraceConfig::chicago16());
-        let keys2: Vec<u64> = (0..STEADY_PACKETS).map(|_| gen.generate().key2()).collect();
-        let mut warm_list = Rhhh::<u64>::new(lat.clone(), rhhh_config(v_scale));
-        let mut warm_compact =
-            Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat.clone(), rhhh_config(v_scale));
-        hhh_bench::warm_stream(
-            &mut gen,
-            WARM_PACKETS,
-            WARM_CHUNK,
-            hhh_traces::Packet::key2,
-            |chunk| {
-                warm_list.update_batch(chunk);
-                warm_compact.update_batch(chunk);
-            },
-        );
-
-        let mut g = c.benchmark_group(&group);
-        // A longer window than the plain-throughput groups: the interleave
-        // needs each of its slices to hold several iterations even for the
-        // ~30 ms V=H rows.
-        g.sample_size(10)
-            .warm_up_time(Duration::from_millis(300))
-            .measurement_time(Duration::from_secs(2))
-            .throughput(Throughput::Elements(keys2.len() as u64));
-        // Interleaved pairs (a shim extension): the pr5-vs-block ratio is
-        // the acceptance number, so each pair's samples must share one
-        // wall-clock span — sequential windows hand the ratio to clock
-        // drift.
-        g.bench_pair_interleaved(
-            "pr5/stream-summary",
-            |b| {
-                b.iter_batched(
-                    || warm_list.clone(),
-                    |mut algo| {
-                        algo.update_batch_reference(&keys2);
-                        algo
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-            "block/stream-summary",
-            |b| {
-                b.iter_batched(
-                    || warm_list.clone(),
-                    |mut algo| {
-                        algo.update_batch(&keys2);
-                        algo
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-        g.bench_pair_interleaved(
-            "pr5/compact",
-            |b| {
-                b.iter_batched(
-                    || warm_compact.clone(),
-                    |mut algo| {
-                        algo.update_batch_reference(&keys2);
-                        algo
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-            "block/compact",
-            |b| {
-                b.iter_batched(
-                    || warm_compact.clone(),
-                    |mut algo| {
-                        algo.update_batch(&keys2);
-                        algo
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
             },
         );
         g.finish();
@@ -557,7 +456,6 @@ criterion_group!(
     benches,
     batch_vs_scalar,
     compact_vs_stream_summary,
-    block_vs_pr5,
     windowed_throughput,
     multi_update_sweep,
     ipv6_h_scaling

@@ -89,6 +89,26 @@ impl Flags {
         }
     }
 
+    /// Integral value with default that must lie in `[0, max]` — the
+    /// packet, row, window, pane and shard counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when the value does not parse, is
+    /// not integral, or falls outside `[0, max]` (NaN and infinities
+    /// included).
+    pub fn count(&self, name: &str, default: u64, max: u64) -> Result<u64, String> {
+        let v = self.num(name, default as f64)?;
+        if v >= 0.0 && v <= max as f64 && v.fract() == 0.0 {
+            Ok(v as u64)
+        } else {
+            let raw = self.get(name).unwrap_or_default();
+            Err(format!(
+                "--{name} expects an integer in 0..={max}, got {raw}"
+            ))
+        }
+    }
+
     /// Whether a boolean switch was present.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
@@ -165,5 +185,23 @@ mod tests {
         }
         let absent = Flags::parse(&[], &["epsilon"], &[]).expect("parse");
         assert_eq!(absent.fraction("epsilon", 0.5), Ok(0.5));
+    }
+
+    #[test]
+    fn count_bounds() {
+        let f = |value: &str| {
+            Flags::parse(&v(&["--packets", value]), &["packets"], &[])
+                .expect("parse")
+                .count("packets", 7, 1_000)
+        };
+        assert_eq!(f("0"), Ok(0));
+        assert_eq!(f("1e3"), Ok(1_000));
+        assert_eq!(f("250"), Ok(250));
+        for bad in ["-5", "nan", "2.5", "1e30", "1001", "inf", "-inf", "abc"] {
+            let err = f(bad).unwrap_err();
+            assert!(err.contains("--packets"), "{bad}: {err}");
+        }
+        let absent = Flags::parse(&[], &["packets"], &[]).expect("parse");
+        assert_eq!(absent.count("packets", 7, 1_000), Ok(7));
     }
 }

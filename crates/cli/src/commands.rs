@@ -70,6 +70,14 @@ const SHARD_BATCH: usize = 4_096;
 /// reaching thread spawn.
 const MAX_SHARDS: usize = 256;
 
+/// Upper bound for `--packets`: generated traces are materialized in
+/// memory, so a typo like `1e30` must fail cleanly instead of reaching the
+/// allocator.
+const MAX_PACKETS: u64 = 1 << 32;
+
+/// Upper bound for `--top`, the number of HHH rows printed.
+const MAX_TOP: u64 = 1 << 32;
+
 /// Default pane count G for `--window` when `--panes` is absent: a good
 /// coverage/cost point per the `window_accuracy` eval (slop W/4, merge
 /// ~4 × per-pane cost, accuracy flat in G).
@@ -82,25 +90,28 @@ const MAX_PANES: usize = 64;
 /// Parses the optional `--window W [--panes G]` pair. `None` when
 /// `--window` is absent; `--panes` without `--window` is rejected.
 fn window_flags(flags: &Flags) -> Result<Option<(u64, usize)>, String> {
-    let window = flags.num("window", 0.0)?;
-    if window < 0.0 || window.fract() != 0.0 {
-        return Err(format!(
-            "--window expects a non-negative packet count, got {window}"
-        ));
-    }
-    let panes = flags.num("panes", DEFAULT_PANES as f64)?;
-    if !(1.0..=MAX_PANES as f64).contains(&panes) || panes.fract() != 0.0 {
-        return Err(format!(
-            "--panes expects an integer in 1..={MAX_PANES}, got {panes}"
-        ));
-    }
-    if window == 0.0 {
+    let window = flags.count("window", 0, u64::MAX).map_err(|_| {
+        format!(
+            "--window expects a non-negative packet count, got {}",
+            flags.get("window").unwrap_or_default()
+        )
+    })?;
+    let panes = flags
+        .count("panes", DEFAULT_PANES as u64, MAX_PANES as u64)
+        .ok()
+        .filter(|&p| p >= 1)
+        .ok_or_else(|| {
+            format!(
+                "--panes expects an integer in 1..={MAX_PANES}, got {}",
+                flags.get("panes").unwrap_or_default()
+            )
+        })? as usize;
+    if window == 0 {
         if flags.get("panes").is_some() {
             return Err("--panes only applies together with --window".into());
         }
         return Ok(None);
     }
-    let (window, panes) = (window as u64, panes as usize);
     if window < panes as u64 {
         return Err(format!(
             "--window {window} is smaller than --panes {panes} (each pane needs a packet)"
@@ -111,16 +122,16 @@ fn window_flags(flags: &Flags) -> Result<Option<(u64, usize)>, String> {
 
 /// Parses the optional `--shards N` flag (`None` when absent or `0`).
 fn shards_flag(flags: &Flags) -> Result<Option<usize>, String> {
-    let n = flags.num("shards", 0.0)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("--shards expects a non-negative integer, got {n}"));
-    }
-    if n > MAX_SHARDS as f64 {
+    let raw = flags.get("shards").unwrap_or_default();
+    let n = flags
+        .count("shards", 0, u64::MAX)
+        .map_err(|_| format!("--shards expects a non-negative integer, got {raw}"))?;
+    if n > MAX_SHARDS as u64 {
         return Err(format!(
-            "--shards {n} is beyond the supported maximum of {MAX_SHARDS} worker threads"
+            "--shards {raw} is beyond the supported maximum of {MAX_SHARDS} worker threads"
         ));
     }
-    Ok(if n == 0.0 { None } else { Some(n as usize) })
+    Ok((n > 0).then_some(n as usize))
 }
 
 /// Monomorphizes one expression over the selected [`CounterKind`]: inside
@@ -193,7 +204,7 @@ fn generate_inner(argv: &[String]) -> Result<(), String> {
         &["packets", "out", "scenario", "preset", "attack"],
         &[],
     )?;
-    let packets = flags.num("packets", 1_000_000.0)? as usize;
+    let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
     let out = flags.require("out")?;
     let (data, source) = if let Some(name) = flags.get("scenario") {
         if flags.get("preset").is_some() || flags.get("attack").is_some() {
@@ -259,7 +270,7 @@ fn load_packets(flags: &Flags) -> Result<Vec<Packet>, String> {
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| format!("reading {path}: {e}"));
     }
-    let packets = flags.num("packets", 1_000_000.0)? as usize;
+    let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
     if let Some(name) = flags.get("scenario") {
         let kind = ScenarioKind::parse(name)?;
         return Ok(ScenarioGenerator::new(&ScenarioConfig::new(kind)).take_packets(packets));
@@ -326,7 +337,7 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
     )?;
     let theta = flags.fraction("theta", 0.03)?;
     let epsilon = flags.fraction("epsilon", 0.005)?;
-    let top = flags.num("top", 50.0)? as usize;
+    let top = flags.count("top", 50, MAX_TOP)? as usize;
     let algo_name = flags.get("algorithm").unwrap_or("rhhh");
     let hierarchy = flags.get("hierarchy").unwrap_or("2d-bytes");
     let volume = flags.switch("volume");
@@ -868,7 +879,7 @@ fn speed_inner(argv: &[String]) -> Result<(), String> {
         &["batch"],
     )?;
     let config = preset(flags.get("preset").unwrap_or("chicago16"))?;
-    let packets = flags.num("packets", 1_000_000.0)? as usize;
+    let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
     let epsilon = flags.fraction("epsilon", 0.001)?;
     let hierarchy = flags.get("hierarchy").unwrap_or("2d-bytes");
     let batch = flags.switch("batch");
@@ -1395,6 +1406,39 @@ mod tests {
         for theta in ["0", "nan", "2"] {
             let err = analyze_inner(&argv(&["--theta", theta])).unwrap_err();
             assert!(err.contains("--theta"), "analyze --theta {theta}: {err}");
+        }
+    }
+
+    #[test]
+    fn packet_and_row_counts_outside_range_are_errors() {
+        for packets in ["1e30", "-5", "nan", "2.5"] {
+            let err = analyze_inner(&argv(&["--packets", packets])).unwrap_err();
+            assert!(
+                err.contains("--packets"),
+                "analyze --packets {packets}: {err}"
+            );
+            let err = speed_inner(&argv(&["--packets", packets])).unwrap_err();
+            assert!(
+                err.contains("--packets"),
+                "speed --packets {packets}: {err}"
+            );
+            let gen = [
+                "--scenario",
+                "ddos-ramp",
+                "--out",
+                "x.pcap",
+                "--packets",
+                packets,
+            ];
+            let err = generate_inner(&argv(&gen)).unwrap_err();
+            assert!(
+                err.contains("--packets"),
+                "generate --packets {packets}: {err}"
+            );
+        }
+        for top in ["-1", "nan", "0.5"] {
+            let err = analyze_inner(&argv(&["--top", top])).unwrap_err();
+            assert!(err.contains("--top"), "analyze --top {top}: {err}");
         }
     }
 

@@ -31,11 +31,15 @@
 //!    into one weighted update per distinct key — one index lookup and one
 //!    bucket walk where the scalar path pays one per packet.
 //!
-//! # The block front end (PR 6)
+//! # One pipeline over unit and weighted lanes
 //!
-//! The selection front end runs as a staged pipeline over *refill blocks*
-//! (up to [`DRAW_BLOCK`] selection trials at a time) instead of one
-//! packet-at-a-time closure dispatch:
+//! Every batch entry point — [`Rhhh::update_batch`],
+//! [`Rhhh::update_batch_wire`], [`Rhhh::update_batch_weighted`] and
+//! [`Rhhh::update_batch_wire_weighted`] — runs the same staged pipeline
+//! over *refill blocks* (up to [`DRAW_BLOCK`] selection trials at a time).
+//! The pipeline is generic over its lane element: a bare key `K` for unit
+//! feeds, a `(K, weight)` pair for weighted feeds. Only the per-node flush
+//! differs between the two.
 //!
 //! * **Draw** — one [`FastRng::fill_block`] refill produces the block's
 //!   raw uniforms; the node choices are derived from their low bits in one
@@ -43,36 +47,36 @@
 //!   in one float loop (the block evaluation of the `fast_ln` polynomial),
 //!   and the selection walk reduces gaps to selected packet indices.
 //!   Splitting the integer and float work into separate loops lets each
-//!   pipeline saturate instead of interleaving; the RNG stream is consumed
-//!   in *exactly* the order of the reference path (the gap transform draws
+//!   pipeline saturate instead of interleaving. The gap transform draws
 //!   nothing, so hoisting the node loop — including its rare Lemire
-//!   rejection re-draws, which stay in trial order — is schedule-only).
-//! * **Mask + hash** — the masked-key gather: `LANE_BLOCK`-wide lanes of
-//!   `keys[idx] & mask[node]` written into one dense staging buffer.
-//!   Masking is fused into the gather, which *replaces* the old
-//!   read-modify-write mask pass over every per-node group; the u64 lane
-//!   ANDs have no cross-lane dependencies. Key hashing itself stays inside
-//!   the counter flush (the tagged table probes with the shared
-//!   [`hhh_counters::mix`] hash), but the dense staged buffer is what the
-//!   flush's hash loop streams from.
-//! * **Scatter** — the staged masked keys are distributed into the
-//!   per-node groups. The pushes are the only randomly-targeted writes
-//!   left in the front end.
-//! * **Flush** — each non-empty group goes to its counter instance via
-//!   [`FrequencyEstimator::flush_group_evicting`], unchanged from PR 4/5.
+//!   rejection re-draws, which stay in trial order — leaves the RNG
+//!   stream consumed in trial order.
+//! * **Mask + hash** — the masked gather: `LANE_BLOCK`-wide lanes of
+//!   `entry[idx] & mask[node]` written into one dense staging buffer, so
+//!   no group is re-walked to mask it. The u64 lane ANDs have no
+//!   cross-lane dependencies. Key hashing stays inside the counter flush
+//!   (the tagged table probes with the shared [`hhh_counters::mix`] hash),
+//!   which streams from the dense staged groups.
+//! * **Scatter** — the staged entries are distributed into the per-node
+//!   groups. The pushes are the only randomly-targeted writes left in the
+//!   front end.
+//! * **Flush** — each non-empty group goes to its counter instance. A unit
+//!   group goes through the estimator's one hook,
+//!   [`FrequencyEstimator::flush_group`], with the byte-digit radix sorter
+//!   of [`crate::radix`]. A weighted group is sorted by masked key and each
+//!   run becomes one [`FrequencyEstimator::add`].
 //!
 //! Each stage can be bracketed by the feature-gated cycle accounting in
 //! [`crate::hot_profile`] (`hot-profile` feature; compiled out by
 //! default), which is how the `hot_path_profile` bench attributes the
 //! batch path's time.
 //!
-//! The pre-block shape of the path — per-selection closure dispatch, raw
-//! keys scattered first and masked per group at flush time — is preserved
-//! verbatim as [`Rhhh::update_batch_reference`] /
-//! [`Rhhh::update_batch_weighted_reference`]: the property suite pins the
-//! block path bit-identical to it (same seed, same chunking), and the
-//! `update_speed` bench reports the block rows as within-run ratios
-//! against it.
+//! The bit-identity oracle is test code: `crates/core/tests/batch_props.rs`
+//! re-implements the pre-block walk (per-selection dispatch, raw keys
+//! scattered first and masked per group at flush time) from public API
+//! only, and pins this pipeline bit-identical to it for every counter,
+//! `V ∈ {H, 10H}`, `r ∈ {1, 4}`, unit and weighted feeds, and fixed and
+//! ragged chunkings.
 //!
 //! # Draw-schedule caveat
 //!
@@ -86,7 +90,7 @@
 //! path, so a batch run and a scalar run agree *statistically* — same
 //! convergence bound ψ, same error guarantees — not bit-for-bit. The
 //! `batch_props` suite checks this equivalence with a chi-squared test over
-//! per-node update counts. The block and reference batch paths, by
+//! per-node update counts. The pipeline and the test-side oracle, by
 //! contrast, consume the *same* draws in the same order and are
 //! bit-identical.
 //!
@@ -109,14 +113,10 @@ use crate::sampling::{FastRng, GeometricSkip};
 /// per lattice node, and the buffers keep their capacity across batches.
 #[derive(Debug, Clone)]
 pub struct BatchScratch<K> {
-    /// Selected masked keys per node, in arrival order (lazily sized to `H`).
-    node_keys: Vec<Vec<K>>,
-    /// Selected masked `(key, weight)` pairs per node (weighted path).
-    node_weighted: Vec<Vec<(K, u64)>>,
-    /// Dense staging for one block's masked-key gather.
-    mkeys: Vec<K>,
-    /// Dense staging for one block's masked weighted gather.
-    mweighted: Vec<(K, u64)>,
+    /// Buffers of the unit-key lanes.
+    unit: Lanes<K>,
+    /// Buffers of the weighted `(key, weight)` lanes.
+    weighted: Lanes<(K, u64)>,
     /// Ping-pong buffer for the flush's byte-digit radix sort.
     radix: Vec<K>,
 }
@@ -124,11 +124,84 @@ pub struct BatchScratch<K> {
 impl<K: KeyBits> Default for BatchScratch<K> {
     fn default() -> Self {
         Self {
-            node_keys: Vec::new(),
-            node_weighted: Vec::new(),
-            mkeys: Vec::new(),
-            mweighted: Vec::new(),
+            unit: Lanes::default(),
+            weighted: Lanes::default(),
             radix: Vec::new(),
+        }
+    }
+}
+
+/// One lane type's pipeline buffers.
+#[derive(Debug, Clone)]
+struct Lanes<T> {
+    /// Selected masked entries per node, in arrival order (lazily sized
+    /// to `H`).
+    groups: Vec<Vec<T>>,
+    /// Dense staging for one block's masked gather.
+    staged: Vec<T>,
+}
+
+impl<T> Default for Lanes<T> {
+    fn default() -> Self {
+        Self {
+            groups: Vec::new(),
+            staged: Vec::new(),
+        }
+    }
+}
+
+/// A lane element of the batch pipeline: a unit key `K`, or a weighted
+/// `(K, u64)` pair. The two differ only in how they are masked, which
+/// scratch buffers they use, and how a node's group is flushed.
+trait Lane<K: KeyBits>: Copy {
+    /// The entry with its key masked to one lattice node.
+    fn masked(self, mask: K) -> Self;
+
+    /// This lane type's buffers, plus the shared radix ping-pong buffer.
+    fn lanes(scratch: &mut BatchScratch<K>) -> (&mut Lanes<Self>, &mut Vec<K>);
+
+    /// Hands one node's non-empty group to its counter instance.
+    fn flush<E: FrequencyEstimator<K>>(instance: &mut E, group: &mut [Self], radix: &mut Vec<K>);
+}
+
+impl<K: KeyBits> Lane<K> for K {
+    #[inline(always)]
+    fn masked(self, mask: K) -> Self {
+        self.and(mask)
+    }
+
+    fn lanes(scratch: &mut BatchScratch<K>) -> (&mut Lanes<K>, &mut Vec<K>) {
+        (&mut scratch.unit, &mut scratch.radix)
+    }
+
+    /// The estimator's one flush hook, sorting with the byte-digit radix
+    /// sorter. It skips the byte positions a node's mask zeroed and yields
+    /// `sort_unstable`'s ascending order, so the state is bit-identical to
+    /// a comparison-sorted flush. The estimator still owns the ordering
+    /// decision (the flat arena may skip the sort on hit-heavy nodes) and
+    /// the license to batch evictions; see the `flush_group` contract.
+    #[inline]
+    fn flush<E: FrequencyEstimator<K>>(instance: &mut E, group: &mut [K], radix: &mut Vec<K>) {
+        instance.flush_group(group, &mut |g| radix_sort_keys(g, radix));
+    }
+}
+
+impl<K: KeyBits> Lane<K> for (K, u64) {
+    #[inline(always)]
+    fn masked(self, mask: K) -> Self {
+        (self.0.and(mask), self.1)
+    }
+
+    fn lanes(scratch: &mut BatchScratch<K>) -> (&mut Lanes<(K, u64)>, &mut Vec<K>) {
+        (&mut scratch.weighted, &mut scratch.radix)
+    }
+
+    /// Sorts by masked key and merges each run into one `add`.
+    #[inline]
+    fn flush<E: FrequencyEstimator<K>>(instance: &mut E, group: &mut [Self], _: &mut Vec<K>) {
+        group.sort_unstable();
+        for run in group.chunk_by(|a, b| a.0 == b.0) {
+            instance.add(run[0].0, run.iter().map(|&(_, w)| w).sum());
         }
     }
 }
@@ -167,10 +240,9 @@ fn node_from(x: u64, h: u64, rng: &mut FastRng) -> u16 {
 /// one integer loop deriving the node choices (the only consumer of
 /// further serial draws, via the rare Lemire rejection), one float loop
 /// converting gaps, and the selection walk that accumulates gaps into
-/// draw indices. It consumes the RNG stream in exactly the same order as
-/// [`for_each_selected_reference`] — same refill sizes, same rejection
-/// draws in the same trial order — so the two paths are bit-identical
-/// given the same generator state.
+/// draw indices. It consumes the RNG stream in the same order as a
+/// per-trial walk would — same refill sizes, same rejection draws in the
+/// same trial order — which the `batch_props` oracle pins.
 #[inline]
 fn for_each_selected_blocks<S>(
     skip: &GeometricSkip,
@@ -269,22 +341,19 @@ fn for_each_selected_blocks<S>(
     }
 }
 
-/// The Mask+hash stage: gathers `keys[idx/r] & masks[node]` for one block
-/// into the dense staging buffer, [`LANE_BLOCK`] lanes at a time. The
-/// lane loops index fixed-size chunks, so they compile to straight-line
-/// loads and ANDs with no capacity or bounds checks; `map_key` lets the
-/// weighted path gather `(key, weight)` pairs through the same lanes.
+/// The Mask+hash stage: gathers `entry_at(idx/r)` masked to `masks[node]`
+/// for one block into the dense staging buffer, [`LANE_BLOCK`] lanes at a
+/// time. The lane loops index fixed-size chunks, so they compile to
+/// straight-line loads and ANDs with no capacity or bounds checks.
 #[inline]
-fn gather_masked<K: KeyBits, T: Copy, F>(
+fn gather_masked<K: KeyBits, T: Lane<K>>(
     r: u64,
     idx: &[u64],
     nodes: &[u16],
     masks: &[K],
     out: &mut Vec<T>,
-    map_key: F,
-) where
-    F: Fn(usize, K) -> T,
-{
+    entry_at: impl Fn(usize) -> T,
+) {
     let m = idx.len();
     out.clear();
     out.reserve(m);
@@ -295,12 +364,12 @@ fn gather_masked<K: KeyBits, T: Copy, F>(
     {
         for l in 0..LANE_BLOCK {
             let packet = if r == 1 { ic[l] } else { ic[l] / r } as usize;
-            out.push(map_key(packet, masks[nc[l] as usize]));
+            out.push(entry_at(packet).masked(masks[nc[l] as usize]));
         }
     }
     for j in lanes..m {
         let packet = if r == 1 { idx[j] } else { idx[j] / r } as usize;
-        out.push(map_key(packet, masks[nodes[j] as usize]));
+        out.push(entry_at(packet).masked(masks[nodes[j] as usize]));
     }
 }
 
@@ -315,10 +384,9 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// no group is re-walked to mask it), per-node scatter, and a sorted
     /// flush — ordered by the constant-byte-skipping radix sort of
     /// [`crate::radix`] — that merges duplicate masked keys into one
-    /// weighted [`FrequencyEstimator`] update each. Bit-identical to
-    /// [`Rhhh::update_batch_reference`] for the same seed and chunking.
+    /// weighted [`FrequencyEstimator`] update each.
     pub fn update_batch(&mut self, keys: &[K]) {
-        self.update_batch_keyed(keys.len(), |packet| keys[packet]);
+        self.pipeline(keys.len(), keys.len() as u64, |packet| keys[packet]);
     }
 
     /// Zero-copy wire entry point: [`Rhhh::update_batch`] over a *virtual*
@@ -342,94 +410,20 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     where
         F: Fn(usize) -> K,
     {
-        self.update_batch_keyed(packets, key_at);
-    }
-
-    /// Shared body of [`Rhhh::update_batch`] / [`Rhhh::update_batch_wire`]:
-    /// the staged block pipeline over an indexable key lane.
-    fn update_batch_keyed<F>(&mut self, packets: usize, key_at: F)
-    where
-        F: Fn(usize) -> K,
-    {
-        let total = ProfTimer::start();
-        let n = packets as u64;
-        self.packets += n;
-        self.weight += n;
-        let r = u64::from(self.config.updates_per_packet);
-        let draws = if r == 1 { n } else { n * r };
-
-        let h = self.h as usize;
-        let scratch = &mut self.scratch;
-        if scratch.node_keys.len() < h {
-            scratch.node_keys.resize_with(h, Vec::new);
-        }
-        for buf in &mut scratch.node_keys[..h] {
-            buf.clear();
-        }
-
-        let node_keys = &mut scratch.node_keys;
-        let mkeys = &mut scratch.mkeys;
-        let masks = &self.masks;
-        for_each_selected_blocks(
-            &self.skip,
-            &mut self.rng,
-            self.h,
-            self.v,
-            draws,
-            |idx, nodes| {
-                let t = ProfTimer::start();
-                gather_masked(r, idx, nodes, masks, mkeys, |packet, mask| {
-                    key_at(packet).and(mask)
-                });
-                t.stop(Stage::MaskHash);
-                let t = ProfTimer::start();
-                for (&node, &mk) in nodes.iter().zip(mkeys.iter()) {
-                    node_keys[node as usize].push(mk);
-                }
-                t.stop(Stage::Scatter);
-            },
-        );
-
-        // Flush node by node: hand each unordered, already-masked group to
-        // the estimator's `flush_group_evicting_with`, which owns both the
-        // ordering decision (the default sorts by key so duplicates become
-        // runs for `increment_batch`) and the license to batch the
-        // evictions themselves (the flat-arena layout serves each run of
-        // slot-stealing keys from one minimum-level sweep). When the
-        // estimator does sort, it uses our byte-digit radix sorter, which
-        // skips the byte positions a node's mask zeroed — same ascending
-        // order as `sort_unstable`, so the state stays bit-identical to the
-        // reference path's comparison-sorted flush. Order within a group is
-        // a tie-break the analysis never observes, and bulk eviction
-        // preserves the per-key count multiset exactly; see the module docs
-        // and the `flush_group_evicting` contract.
-        let t = ProfTimer::start();
-        let instances = &mut self.instances;
-        let radix = &mut scratch.radix;
-        for (node, group) in scratch.node_keys[..h].iter_mut().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // Inner bracket feeds the per-layout side table only; the
-            // outer `t` still owns the `Stage::Flush` accounting.
-            let per_node = ProfTimer::start();
-            let instance = &mut instances[node];
-            instance.flush_group_evicting_with(group, &mut |g| radix_sort_keys(g, radix));
-            per_node.stop_layout(|| instance.layout_label());
-        }
-        t.stop(Stage::Flush);
-        total.stop(Stage::Total);
+        self.pipeline(packets, packets as u64, key_at);
     }
 
     /// Weighted batch update: the batch counterpart of
     /// [`Rhhh::update_weighted`]. Each element is one packet carrying
     /// `weight` units (e.g. bytes); selection stays per *packet*, and a
     /// selected packet records its full weight at the chosen node. Runs
-    /// the same staged block pipeline as [`Rhhh::update_batch`] and is
-    /// bit-identical to [`Rhhh::update_batch_weighted_reference`].
+    /// the same staged block pipeline as [`Rhhh::update_batch`].
     pub fn update_batch_weighted(&mut self, packets: &[(K, u64)]) {
-        let added: u64 = packets.iter().map(|&(_, w)| w).sum();
-        self.update_batch_weighted_keyed(packets.len(), added, |packet| packets[packet]);
+        self.pipeline(
+            packets.len(),
+            packets.iter().map(|&(_, w)| w).sum(),
+            |packet| packets[packet],
+        );
     }
 
     /// Volume-weighted wire entry point: like [`Rhhh::update_batch_wire`]
@@ -443,20 +437,23 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     where
         F: Fn(usize) -> K,
     {
-        let added: u64 = wire_len.iter().map(|&w| u64::from(w)).sum();
-        self.update_batch_weighted_keyed(wire_len.len(), added, |packet| {
-            (key_at(packet), u64::from(wire_len[packet]))
-        });
+        self.pipeline(
+            wire_len.len(),
+            wire_len.iter().map(|&w| u64::from(w)).sum(),
+            |packet| (key_at(packet), u64::from(wire_len[packet])),
+        );
     }
 
-    /// Shared body of the weighted batch entry points: the staged block
-    /// pipeline over an indexable `(key, weight)` lane. `added_weight`
-    /// must be the sum of all `n` weights (selection is per packet, but
+    /// The one body behind every batch entry point: the staged block
+    /// pipeline over an indexable lane of `packets` entries. `added_weight`
+    /// must be the sum of all entry weights (selection is per packet, but
     /// the total-weight accounting covers unselected packets too).
-    fn update_batch_weighted_keyed<F>(&mut self, packets: usize, added_weight: u64, entry_at: F)
-    where
-        F: Fn(usize) -> (K, u64),
-    {
+    fn pipeline<T: Lane<K>>(
+        &mut self,
+        packets: usize,
+        added_weight: u64,
+        entry_at: impl Fn(usize) -> T,
+    ) {
         let total = ProfTimer::start();
         let n = packets as u64;
         self.packets += n;
@@ -465,16 +462,14 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         let draws = if r == 1 { n } else { n * r };
 
         let h = self.h as usize;
-        let scratch = &mut self.scratch;
-        if scratch.node_weighted.len() < h {
-            scratch.node_weighted.resize_with(h, Vec::new);
+        let (Lanes { groups, staged }, radix) = T::lanes(&mut self.scratch);
+        if groups.len() < h {
+            groups.resize_with(h, Vec::new);
         }
-        for buf in &mut scratch.node_weighted[..h] {
+        for buf in &mut groups[..h] {
             buf.clear();
         }
 
-        let node_weighted = &mut scratch.node_weighted;
-        let mweighted = &mut scratch.mweighted;
         let masks = &self.masks;
         for_each_selected_blocks(
             &self.skip,
@@ -484,41 +479,27 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
             draws,
             |idx, nodes| {
                 let t = ProfTimer::start();
-                gather_masked(r, idx, nodes, masks, mweighted, |packet, mask| {
-                    let (key, w) = entry_at(packet);
-                    (key.and(mask), w)
-                });
+                gather_masked(r, idx, nodes, masks, staged, &entry_at);
                 t.stop(Stage::MaskHash);
                 let t = ProfTimer::start();
-                for (&node, &entry) in nodes.iter().zip(mweighted.iter()) {
-                    node_weighted[node as usize].push(entry);
+                for (&node, &entry) in nodes.iter().zip(staged.iter()) {
+                    groups[node as usize].push(entry);
                 }
                 t.stop(Stage::Scatter);
             },
         );
 
+        // Flush node by node, so one instance's state stays cache-hot
+        // while it drains its group.
         let t = ProfTimer::start();
-        let instances = &mut self.instances;
-        for (node, group) in scratch.node_weighted[..h].iter_mut().enumerate() {
+        for (instance, group) in self.instances.iter_mut().zip(&mut groups[..h]) {
             if group.is_empty() {
                 continue;
             }
-            // Sort by masked key and merge each run into one `add`.
+            // Inner bracket feeds the per-layout side table only; the
+            // outer `t` still owns the `Stage::Flush` accounting.
             let per_node = ProfTimer::start();
-            group.sort_unstable();
-            let instance = &mut instances[node];
-            let mut i = 0usize;
-            while i < group.len() {
-                let key = group[i].0;
-                let mut w = group[i].1;
-                let mut j = i + 1;
-                while j < group.len() && group[j].0 == key {
-                    w += group[j].1;
-                    j += 1;
-                }
-                instance.add(key, w);
-                i = j;
-            }
+            T::flush(instance, group, radix);
             per_node.stop_layout(|| instance.layout_label());
         }
         t.stop(Stage::Flush);
@@ -526,222 +507,10 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Frozen PR 5-shape reference path
-// ---------------------------------------------------------------------------
-
-/// The pre-block selection walk, preserved verbatim: per-selection closure
-/// dispatch with interleaved node/gap derivation per refill. Consumes the
-/// RNG stream in the same order as [`for_each_selected_blocks`]; kept so
-/// the property suite can pin the block path bit-identical against it and
-/// the `update_speed` bench can report within-run ratios.
-#[inline]
-fn for_each_selected_reference<E>(
-    skip: &GeometricSkip,
-    rng: &mut FastRng,
-    h: u64,
-    v: u64,
-    draws: u64,
-    mut sink: E,
-) where
-    E: FnMut(u64, u16),
-{
-    if draws == 0 {
-        return;
-    }
-    if skip.selects_all() {
-        // V = H: every draw is selected; only node choices are needed.
-        let mut raw = [0u64; DRAW_BLOCK];
-        let mut cur = 0u64;
-        while cur < draws {
-            let take = ((draws - cur) as usize).min(DRAW_BLOCK);
-            rng.fill_block(&mut raw[..take]);
-            for &x in &raw[..take] {
-                sink(cur, node_from(x, h, rng));
-                cur += 1;
-            }
-        }
-        return;
-    }
-
-    let inv_p = (v / h).max(1); // expected draws per selection ≈ V/H
-    let mut gaps = [0u64; DRAW_BLOCK];
-    let mut nodes = [0u16; DRAW_BLOCK];
-    let mut len = 0usize;
-    let mut i = 0usize;
-    let mut cur = 0u64;
-    loop {
-        if i == len {
-            // Size the refill to the expected remaining selections (plus
-            // slack) so a tail refill doesn't draw a full block for a
-            // handful of survivors.
-            let expect = (draws - cur) / inv_p + 8;
-            len = (expect as usize).min(DRAW_BLOCK);
-            rng.fill_block(&mut gaps[..len]);
-            if h < (1 << 11) {
-                // One raw draw yields both the trial's gap (bits 11..64)
-                // and its node (bits 0..11, exact 11-bit Lemire whose rare
-                // rejection — probability (2^11 mod h)/2^11 — falls back
-                // to a fresh serial draw).
-                let threshold = (1u64 << 11) % h;
-                for j in 0..len {
-                    let x = gaps[j];
-                    let m = (x & 0x7FF) * h;
-                    nodes[j] = if (m & 0x7FF) < threshold {
-                        rng.bounded(h) as u16
-                    } else {
-                        (m >> 11) as u16
-                    };
-                    gaps[j] = skip.gap_from_bits(x >> 11);
-                }
-            } else {
-                // Very deep hierarchies: separate node draws.
-                skip.gaps_from_block(&mut gaps[..len]);
-                let mut raw = [0u64; DRAW_BLOCK];
-                rng.fill_block(&mut raw[..len]);
-                for j in 0..len {
-                    nodes[j] = node_from(raw[j], h, rng);
-                }
-            }
-            i = 0;
-        }
-        cur += gaps[i];
-        if cur >= draws {
-            return;
-        }
-        sink(cur, nodes[i]);
-        cur += 1;
-        i += 1;
-    }
-}
-
-impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
-    /// The PR 5-shape batch update, frozen for comparison: scatters *raw*
-    /// keys per selection through a per-packet closure, then masks each
-    /// group in a separate read-modify-write pass before flushing.
-    /// Consumes the same RNG draws in the same order as
-    /// [`Rhhh::update_batch`] and produces bit-identical state (the
-    /// property suite enforces this); exists as the baseline side of the
-    /// `update_speed` block-vs-reference rows, not for production use.
-    pub fn update_batch_reference(&mut self, keys: &[K]) {
-        let n = keys.len() as u64;
-        self.packets += n;
-        self.weight += n;
-        let r = u64::from(self.config.updates_per_packet);
-
-        let h = self.h as usize;
-        let scratch = &mut self.scratch;
-        if scratch.node_keys.len() < h {
-            scratch.node_keys.resize_with(h, Vec::new);
-        }
-        for buf in &mut scratch.node_keys[..h] {
-            buf.clear();
-        }
-
-        // Selection: scatter straight into the per-node buffers.
-        let node_keys = &mut scratch.node_keys;
-        if r == 1 {
-            // Common case: draw index == packet index, no division.
-            for_each_selected_reference(&self.skip, &mut self.rng, self.h, self.v, n, |i, node| {
-                node_keys[node as usize].push(keys[i as usize]);
-            });
-        } else {
-            // Corollary 6.8: r independent selection trials per packet is
-            // one geometric walk over n·r virtual draws.
-            for_each_selected_reference(
-                &self.skip,
-                &mut self.rng,
-                self.h,
-                self.v,
-                n * r,
-                |i, node| {
-                    node_keys[node as usize].push(keys[(i / r) as usize]);
-                },
-            );
-        }
-
-        // Flush node by node: mask once per group, then hand the unordered
-        // group to the estimator.
-        for node in 0..h {
-            let group = &mut scratch.node_keys[node];
-            if group.is_empty() {
-                continue;
-            }
-            let mask = self.masks[node];
-            for key in group.iter_mut() {
-                *key = key.and(mask);
-            }
-            self.instances[node].flush_group_evicting(group);
-        }
-    }
-
-    /// The PR 5-shape weighted batch update, frozen for comparison; see
-    /// [`Rhhh::update_batch_reference`].
-    pub fn update_batch_weighted_reference(&mut self, packets: &[(K, u64)]) {
-        let n = packets.len() as u64;
-        self.packets += n;
-        self.weight += packets.iter().map(|&(_, w)| w).sum::<u64>();
-        let r = u64::from(self.config.updates_per_packet);
-
-        let h = self.h as usize;
-        let scratch = &mut self.scratch;
-        if scratch.node_weighted.len() < h {
-            scratch.node_weighted.resize_with(h, Vec::new);
-        }
-        for buf in &mut scratch.node_weighted[..h] {
-            buf.clear();
-        }
-
-        let node_weighted = &mut scratch.node_weighted;
-        if r == 1 {
-            for_each_selected_reference(&self.skip, &mut self.rng, self.h, self.v, n, |i, node| {
-                node_weighted[node as usize].push(packets[i as usize]);
-            });
-        } else {
-            for_each_selected_reference(
-                &self.skip,
-                &mut self.rng,
-                self.h,
-                self.v,
-                n * r,
-                |i, node| {
-                    node_weighted[node as usize].push(packets[(i / r) as usize]);
-                },
-            );
-        }
-
-        for node in 0..h {
-            let group = &mut scratch.node_weighted[node];
-            if group.is_empty() {
-                continue;
-            }
-            let mask = self.masks[node];
-            for entry in group.iter_mut() {
-                entry.0 = entry.0.and(mask);
-            }
-            // Sort by masked key and merge each run into one `add`.
-            group.sort_unstable();
-            let instance = &mut self.instances[node];
-            let mut i = 0usize;
-            while i < group.len() {
-                let key = group[i].0;
-                let mut w = group[i].1;
-                let mut j = i + 1;
-                while j < group.len() && group[j].0 == key {
-                    w += group[j].1;
-                    j += 1;
-                }
-                instance.add(key, w);
-                i = j;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{HhhAlgorithm, Rhhh, RhhhConfig};
-    use hhh_hierarchy::{pack2, Lattice, NodeId};
+    use hhh_hierarchy::{pack2, Lattice};
 
     struct Lcg(u64);
     impl Lcg {
@@ -835,40 +604,6 @@ mod tests {
         for (x, y) in oa.iter().zip(&ob) {
             assert_eq!(x.prefix, y.prefix);
             assert_eq!(x.freq_upper, y.freq_upper);
-        }
-    }
-
-    #[test]
-    fn block_path_matches_reference_bitwise() {
-        // The full-strength pin lives in `batch_props`; this is the quick
-        // in-crate smoke check of the same contract. Comparing per-node
-        // candidate vectors is stronger than comparing `output(θ)` (it pins
-        // the full counter state, order included) and avoids the HHH
-        // extraction pass, which is slow at the paper's fine default ε in
-        // unoptimized builds.
-        use crate::NodeEstimates;
-        for v_scale in [1u64, 10] {
-            let lat = Lattice::ipv4_src_dst_bytes();
-            let cfg = RhhhConfig {
-                v_scale,
-                ..RhhhConfig::default()
-            };
-            let keys = stream(80_000, 13);
-            let mut block = Rhhh::<u64>::new(lat.clone(), cfg);
-            let mut reference = Rhhh::<u64>::new(lat, cfg);
-            for chunk in keys.chunks(7_001) {
-                block.update_batch(chunk);
-                reference.update_batch_reference(chunk);
-            }
-            assert_eq!(block.total_updates(), reference.total_updates());
-            for node in 0..block.h() as u16 {
-                let node = NodeId(node);
-                assert_eq!(
-                    block.node_candidates(node),
-                    reference.node_candidates(node),
-                    "v_scale {v_scale}: counter state diverged at {node:?}"
-                );
-            }
         }
     }
 

@@ -3,21 +3,22 @@
 //! The `update_speed` benches answer "how fast is the batch path end to
 //! end", but never *where the time goes* — and a perf PR that can't
 //! attribute its cycles is guessing. With the `hot-profile` cargo feature
-//! enabled, [`crate::batch`] brackets each pipeline stage of
-//! `update_batch` with a [`ProfTimer`] and charges the elapsed wall time
-//! to one of four named stages plus a whole-call total:
+//! enabled, [`crate::batch`] brackets each stage of its one pipeline —
+//! shared by the unit, weighted and wire entry points — with a
+//! [`ProfTimer`] and charges the elapsed wall time to one of four named
+//! stages plus a whole-call total:
 //!
-//! * **`draw`** — RNG block fill, the geometric gap (`fast_ln`)
-//!   conversion, and the selection walk that turns gaps into packet
-//!   indices.
-//! * **`mask-hash`** — deriving each trial's node from its draw (the
-//!   Lemire bound) and the masked-key gather (`key & node_mask`, the
-//!   block's SWAR lane work).
-//! * **`scatter`** — distributing masked keys into the per-node staging
-//!   groups.
-//! * **`flush`** — handing each node group to its counter instance
-//!   (`flush_group_evicting`), including the counter's own sort/evict
-//!   work.
+//! * **`draw`** — RNG block fill, deriving each trial's node from its
+//!   draw (the Lemire bound), the geometric gap (`fast_ln`) conversion,
+//!   and the selection walk that turns gaps into packet indices.
+//! * **`mask-hash`** — the masked gather (`key & node_mask`, the block's
+//!   lane work), for bare keys or `(key, weight)` pairs.
+//! * **`scatter`** — distributing masked entries into the per-node
+//!   staging groups.
+//! * **`flush`** — handing each node group to its counter instance: the
+//!   estimator's one hook (`flush_group`) for unit groups, a sort plus
+//!   one `add` per run for weighted groups, including the counter's own
+//!   sort/evict work.
 //!
 //! Accounting is per-thread (`thread_local`) so shard-parallel pipelines
 //! don't contend, and the timers bracket whole *refill blocks* (≤256

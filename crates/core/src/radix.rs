@@ -16,8 +16,8 @@
 //! ([`KeyBits::to_u128`] is order-preserving, and counting passes are
 //! stable), and equal keys are indistinguishable — so swapping it into a
 //! sorted flush leaves every estimator in a bit-identical state, which is
-//! what lets the block path use it while staying prop-pinned to the
-//! reference path's `sort_unstable` flush.
+//! what lets the batch pipeline use it while staying pinned to the
+//! `batch_props` oracle's `sort_unstable` flush.
 
 use hhh_hierarchy::KeyBits;
 

@@ -278,24 +278,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
         }
     }
 
-    /// [`WindowedRhhh::update_batch`] through the frozen PR 5-shape batch
-    /// path ([`Rhhh::update_batch_reference`]); identical pane splitting,
-    /// so the property suite can pin the windowed block path bit-identical
-    /// across pane-straddling feeds. Comparison baseline only.
-    #[doc(hidden)]
-    pub fn update_batch_reference(&mut self, keys: &[K]) {
-        let mut rest = keys;
-        while !rest.is_empty() {
-            let room = self.pane_len - HhhAlgorithm::packets(self.ring.active());
-            let take = (rest.len() as u64).min(room) as usize;
-            self.ring.active_mut().update_batch_reference(&rest[..take]);
-            if HhhAlgorithm::packets(self.ring.active()) >= self.pane_len {
-                self.rotate();
-            }
-            rest = &rest[take..];
-        }
-    }
-
     fn rotate(&mut self) {
         self.ring.rotate();
         // The completed set changed: the merged snapshot no longer covers

@@ -11,11 +11,15 @@
 //! * binomial bounds on the selected fraction,
 //! * deterministic checks that batch flushes respect the Space Saving
 //!   `count − error ≤ X ≤ count` sandwich, exactly (no-eviction regime) and
-//!   as an inequality (eviction-heavy regime).
+//!   as an inequality (eviction-heavy regime),
+//! * bit-identity of the block pipeline against [`Oracle`], a test-side
+//!   rebuild of the pre-block batch walk from public API.
 //!
 //! Everything is seeded; there is no flakiness to re-roll.
 
+use hhh_core::sampling::{FastRng, GeometricSkip};
 use hhh_core::{HhhAlgorithm, NodeEstimates, Rhhh, RhhhConfig};
+use hhh_counters::{counters_for, FrequencyEstimator};
 use hhh_hierarchy::{pack2, Lattice, NodeId};
 
 struct Lcg(u64);
@@ -292,15 +296,15 @@ fn batch_and_scalar_agree_on_the_hhh_set() {
     }
 }
 
-/// `flush_group_evicting` (what the batch flush calls — adaptive ordering
-/// with bulk min-level eviction on the flat arena) vs per-key processing
-/// of the same groups in the same (deterministically chosen, exposed)
-/// order: the deferred-eviction path must leave the same count multiset,
-/// update total and min-count — only the tie-break among equal minima
-/// (hence which key owns a slot) may differ.
+/// `flush_group` (what the batch flush calls — adaptive ordering with
+/// bulk min-level eviction on the flat arena) vs per-key processing of the
+/// same groups in the same (deterministically chosen, exposed) order: the
+/// deferred-eviction path must leave the same count multiset, update total
+/// and min-count — only the tie-break among equal minima (hence which key
+/// owns a slot) may differ.
 #[test]
 fn flush_group_evicting_matches_default_flush() {
-    use hhh_counters::{CompactSpaceSaving, FrequencyEstimator};
+    use hhh_counters::CompactSpaceSaving;
     let mut rng = Lcg(0x5CA1E);
     for cap in [1usize, 5, 24, 120] {
         for (universe, group_len) in [(8u64, 64usize), (200, 96), (10_000, 512)] {
@@ -309,15 +313,14 @@ fn flush_group_evicting_matches_default_flush() {
             for _ in 0..30 {
                 let mut group: Vec<u64> = (0..group_len).map(|_| rng.next() % universe).collect();
                 let mut group2 = group.clone();
-                bulk.flush_group_evicting(&mut group);
+                bulk.flush_group(&mut group, &mut <[u64]>::sort_unstable);
                 // Mirror the adaptive order decision: sorted runs go
-                // through the default flush, arrival order through plain
-                // per-key increment_batch.
+                // through the default flush (sort, then increment_batch),
+                // arrival order through plain per-key increment_batch.
                 if bulk.last_flush_sorted() {
-                    default.flush_group(&mut group2);
-                } else {
-                    default.increment_batch(&group2);
+                    group2.sort_unstable();
                 }
+                default.increment_batch(&group2);
             }
             let label = format!("cap {cap}, universe {universe}, group {group_len}");
             assert_eq!(bulk.updates(), default.updates(), "{label}: updates");
@@ -338,46 +341,261 @@ fn flush_group_evicting_matches_default_flush() {
     }
 }
 
-/// Per-instance state comparison used by the PR 6 block-vs-reference pins:
-/// identical RNG schedules must leave *identical* counter state, so we
-/// compare packets, total updates and every node's full candidate vector
-/// (order included) — strictly stronger than comparing `output(θ)`.
-fn assert_state_identical<E>(label: &str, block: &Rhhh<u64, E>, reference: &Rhhh<u64, E>)
-where
-    E: hhh_counters::FrequencyEstimator<u64>,
-{
-    assert_eq!(block.packets(), reference.packets(), "{label}: packets");
-    assert_eq!(
-        block.total_updates(),
-        reference.total_updates(),
-        "{label}: total updates"
-    );
-    for node in 0..block.h() as u16 {
-        let node = NodeId(node);
-        assert_eq!(
-            block.node_updates(node),
-            reference.node_updates(node),
-            "{label}: update totals diverged at {node:?}"
-        );
-        assert_eq!(
-            block.node_candidates(node),
-            reference.node_candidates(node),
-            "{label}: counter state diverged at {node:?}"
-        );
+/// The bit-identity oracle: the pre-block batch walk, rebuilt from
+/// public API only. It draws per selection with node and gap derived per
+/// refill, scatters *raw* keys per node, and masks each group in a
+/// separate pass at flush time. It owns its own RNG, sampler and per-node
+/// estimators, seeded and sized as `Rhhh::new` does, so the production
+/// pipeline must leave every estimator in exactly the oracle's state.
+struct Oracle<E> {
+    masks: Vec<u64>,
+    instances: Vec<E>,
+    rng: FastRng,
+    skip: GeometricSkip,
+    h: u64,
+    v: u64,
+    r: u64,
+    packets: u64,
+    weight: u64,
+}
+
+/// Refill size of the oracle's walk (the pipeline's draw block).
+const DRAW_BLOCK: usize = 256;
+
+/// Exact Lemire bounded draw from one pre-generated uniform, with a fresh
+/// serial draw on the rare rejection.
+fn node_from(x: u64, h: u64, rng: &mut FastRng) -> u16 {
+    let m = u128::from(x) * u128::from(h);
+    let low = m as u64;
+    if low < h && low < h.wrapping_neg() % h {
+        return rng.bounded(h) as u16;
+    }
+    (m >> 64) as u16
+}
+
+impl<E: FrequencyEstimator<u64>> Oracle<E> {
+    fn new(lat: &Lattice<u64>, config: RhhhConfig) -> Self {
+        let h = lat.num_nodes() as u64;
+        let v = config.v_scale * h;
+        let counters = counters_for(config.epsilon_a, config.epsilon_s);
+        Self {
+            masks: lat.node_ids().map(|n| lat.mask(n)).collect(),
+            instances: (0..h).map(|_| E::with_capacity(counters)).collect(),
+            rng: FastRng::new(config.seed),
+            skip: GeometricSkip::new(h, v),
+            h,
+            v,
+            r: u64::from(config.updates_per_packet),
+            packets: 0,
+            weight: 0,
+        }
+    }
+
+    /// Walks `draws` Bernoulli(H/V) trials and calls `sink(draw, node)`
+    /// once per selected trial, in order.
+    fn walk(&mut self, draws: u64, mut sink: impl FnMut(u64, u16)) {
+        let (h, rng, skip) = (self.h, &mut self.rng, &self.skip);
+        if draws == 0 {
+            return;
+        }
+        if skip.selects_all() {
+            let mut raw = [0u64; DRAW_BLOCK];
+            let mut cur = 0u64;
+            while cur < draws {
+                let take = ((draws - cur) as usize).min(DRAW_BLOCK);
+                rng.fill_block(&mut raw[..take]);
+                for &x in &raw[..take] {
+                    sink(cur, node_from(x, h, rng));
+                    cur += 1;
+                }
+            }
+            return;
+        }
+        let inv_p = (self.v / h).max(1);
+        let mut gaps = [0u64; DRAW_BLOCK];
+        let mut nodes = [0u16; DRAW_BLOCK];
+        let (mut len, mut i, mut cur) = (0usize, 0usize, 0u64);
+        loop {
+            if i == len {
+                len = (((draws - cur) / inv_p + 8) as usize).min(DRAW_BLOCK);
+                rng.fill_block(&mut gaps[..len]);
+                if h < (1 << 11) {
+                    // Node from bits 0..11 (11-bit Lemire, serial re-draw on
+                    // rejection), gap from bits 11..64.
+                    let threshold = (1u64 << 11) % h;
+                    for j in 0..len {
+                        let x = gaps[j];
+                        let m = (x & 0x7FF) * h;
+                        nodes[j] = if (m & 0x7FF) < threshold {
+                            rng.bounded(h) as u16
+                        } else {
+                            (m >> 11) as u16
+                        };
+                        gaps[j] = skip.gap_from_bits(x >> 11);
+                    }
+                } else {
+                    skip.gaps_from_block(&mut gaps[..len]);
+                    let mut raw = [0u64; DRAW_BLOCK];
+                    rng.fill_block(&mut raw[..len]);
+                    for j in 0..len {
+                        nodes[j] = node_from(raw[j], h, rng);
+                    }
+                }
+                i = 0;
+            }
+            cur += gaps[i];
+            if cur >= draws {
+                return;
+            }
+            sink(cur, nodes[i]);
+            cur += 1;
+            i += 1;
+        }
+    }
+
+    /// Raw entries scattered per node by the walk over `n` packets.
+    fn scatter<T: Copy>(&mut self, entries: &[T]) -> Vec<Vec<T>> {
+        let r = self.r;
+        let mut groups = vec![Vec::new(); self.h as usize];
+        self.walk(entries.len() as u64 * r, |i, node| {
+            groups[node as usize].push(entries[(i / r) as usize]);
+        });
+        groups
+    }
+
+    fn feed(&mut self, batch: Batch<'_>) {
+        match batch {
+            Batch::Unit(keys) => {
+                self.packets += keys.len() as u64;
+                self.weight += keys.len() as u64;
+                for (node, mut group) in self.scatter(keys).into_iter().enumerate() {
+                    if group.is_empty() {
+                        continue;
+                    }
+                    for key in &mut group {
+                        *key &= self.masks[node];
+                    }
+                    self.instances[node].flush_group(&mut group, &mut <[u64]>::sort_unstable);
+                }
+            }
+            Batch::Weighted(packets) => {
+                self.packets += packets.len() as u64;
+                self.weight += packets.iter().map(|&(_, w)| w).sum::<u64>();
+                for (node, mut group) in self.scatter(packets).into_iter().enumerate() {
+                    for entry in &mut group {
+                        entry.0 &= self.masks[node];
+                    }
+                    group.sort_unstable();
+                    let mut i = 0;
+                    while i < group.len() {
+                        let (key, mut w) = group[i];
+                        let mut j = i + 1;
+                        while j < group.len() && group[j].0 == key {
+                            w += group[j].1;
+                            j += 1;
+                        }
+                        self.instances[node].add(key, w);
+                        i = j;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Identical RNG schedules must leave *identical* state: packets,
+    /// weight, and every node's update total and full candidate vector
+    /// (order included) — strictly stronger than comparing `output(θ)`.
+    fn assert_matches(&self, label: &str, algo: &Rhhh<u64, E>) {
+        assert_eq!(algo.packets(), self.packets, "{label}: packets");
+        assert_eq!(algo.total_weight(), self.weight, "{label}: weight");
+        for (node, instance) in self.instances.iter().enumerate() {
+            let node = NodeId(node as u16);
+            assert_eq!(
+                algo.node_updates(node),
+                instance.updates(),
+                "{label}: update totals diverged at {node:?}"
+            );
+            assert_eq!(
+                algo.node_candidates(node),
+                instance.candidates(),
+                "{label}: counter state diverged at {node:?}"
+            );
+        }
     }
 }
 
-/// The PR 6 block front end must be *bit-identical* to the frozen PR 5
-/// reference scatter given the same seed and chunking — not merely equal in
-/// distribution. Pinned across V ∈ {H, 10H} × both counter layouts ×
-/// several chunkings (whole-slice, power-of-two, ragged prime) × r ∈ {1, 4}.
+/// One batch of a feed: unit keys or weighted `(key, weight)` packets.
+#[derive(Clone, Copy)]
+enum Batch<'a> {
+    Unit(&'a [u64]),
+    Weighted(&'a [(u64, u64)]),
+}
+
+/// Feeds `batches` through the production pipeline and the oracle with
+/// counter `E`, then pins the two states bit-identical.
+fn pin_against_oracle<E: FrequencyEstimator<u64>>(
+    label: &str,
+    config: RhhhConfig,
+    batches: &[Batch<'_>],
+) {
+    let lat = Lattice::ipv4_src_dst_bytes();
+    let mut algo = Rhhh::<u64, E>::new(lat.clone(), config);
+    let mut oracle = Oracle::<E>::new(&lat, config);
+    for &batch in batches {
+        match batch {
+            Batch::Unit(keys) => algo.update_batch(keys),
+            Batch::Weighted(packets) => algo.update_batch_weighted(packets),
+        }
+        oracle.feed(batch);
+    }
+    oracle.assert_matches(label, &algo);
+}
+
+/// Runs [`pin_against_oracle`] for every counter whose flush hook the
+/// pipeline can reach: the default (stream summary, CHK) and both
+/// overrides (compact, dispatched). Each sorts through the pipeline's radix
+/// sorter on one side and `sort_unstable` on the other, so this also pins
+/// the "any ascending sorter leaves identical state" hook contract.
+fn pin_all_counters(label: &str, config: RhhhConfig, batches: &[Batch<'_>]) {
+    use hhh_counters::{CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, SpaceSaving};
+    pin_against_oracle::<SpaceSaving<u64>>(&format!("{label}, list"), config, batches);
+    pin_against_oracle::<CompactSpaceSaving<u64>>(&format!("{label}, compact"), config, batches);
+    pin_against_oracle::<DispatchedEstimator<u64>>(&format!("{label}, dispatch"), config, batches);
+    pin_against_oracle::<CuckooHeavyKeeper<u64>>(&format!("{label}, chk"), config, batches);
+}
+
+/// The chunkings each pin runs: the given fixed sizes, plus one ragged
+/// schedule that varies from batch to batch — empty, single-packet,
+/// draw-block-boundary and multi-block batches.
+fn chunkings<T>(data: &[T], fixed: [usize; 3]) -> Vec<(String, Vec<&[T]>)> {
+    const RAGGED: [usize; 8] = [1, 0, 255, 256, 257, 4_099, 17, 12_345];
+    let mut out: Vec<(String, Vec<&[T]>)> = fixed
+        .iter()
+        .map(|&c| (format!("chunk {c}"), data.chunks(c).collect()))
+        .collect();
+    let (mut ragged, mut rest) = (Vec::new(), data);
+    for &len in RAGGED.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(len.min(rest.len()));
+        ragged.push(head);
+        rest = tail;
+    }
+    out.push(("ragged".to_string(), ragged));
+    out
+}
+
+/// The block pipeline must be *bit-identical* to the oracle given the same
+/// seed and chunking — not merely equal in distribution. Pinned across
+/// V ∈ {H, 10H} × r ∈ {1, 4} × four counters × fixed (whole-slice,
+/// power-of-two, ragged prime) and varying chunkings.
 #[test]
 fn block_path_bit_identical_to_reference() {
-    use hhh_counters::CompactSpaceSaving;
     let keys = stream(150_000, 99);
     for v_scale in [1u64, 10] {
         for updates_per_packet in [1u32, 4] {
-            for chunk in [150_000usize, 8_192, 7_001] {
+            for (chunking, chunks) in chunkings(&keys, [150_000, 8_192, 7_001]) {
                 let config = RhhhConfig {
                     epsilon_s: 0.01,
                     epsilon_a: 0.005,
@@ -386,37 +604,24 @@ fn block_path_bit_identical_to_reference() {
                     updates_per_packet,
                     seed: 0xB10C,
                 };
-                let lat = Lattice::ipv4_src_dst_bytes();
-                let label =
-                    format!("v_scale {v_scale}, r {updates_per_packet}, chunk {chunk}, list");
-                let mut block = Rhhh::<u64>::new(lat.clone(), config);
-                let mut reference = Rhhh::<u64>::new(lat.clone(), config);
-                for c in keys.chunks(chunk) {
-                    block.update_batch(c);
-                    reference.update_batch_reference(c);
-                }
-                assert_state_identical(&label, &block, &reference);
-
-                let label =
-                    format!("v_scale {v_scale}, r {updates_per_packet}, chunk {chunk}, compact");
-                let mut block = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat.clone(), config);
-                let mut reference = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat, config);
-                for c in keys.chunks(chunk) {
-                    block.update_batch(c);
-                    reference.update_batch_reference(c);
-                }
-                assert_state_identical(&label, &block, &reference);
+                let batches: Vec<Batch<'_>> = chunks.into_iter().map(Batch::Unit).collect();
+                let label = format!("v_scale {v_scale}, r {updates_per_packet}, {chunking}");
+                pin_all_counters(&label, config, &batches);
             }
         }
     }
 }
 
-/// Weighted feeds go through the same block engine (gap draws over packet
-/// indices, weights carried alongside); the weighted block path must also
-/// be bit-identical to its frozen reference.
+/// Weighted feeds go through the same pipeline (gap draws over packet
+/// indices, weights carried alongside); the weighted lane must also be
+/// bit-identical to the oracle. The weighted flush never reaches the flush
+/// hook (it sorts, then `add`s one run at a time), and the walk over
+/// `r` draws per packet is shared with the unit lane, so the counter and
+/// `r` axes stay on the unit pin; this one runs both Space Saving layouts
+/// at r = 1 over the same chunkings.
 #[test]
 fn block_weighted_path_bit_identical_to_reference() {
-    use hhh_counters::CompactSpaceSaving;
+    use hhh_counters::{CompactSpaceSaving, SpaceSaving};
     let mut rng = Lcg(0x00B1_0CED);
     let packets: Vec<(u64, u64)> = (0..150_000usize)
         .map(|i| {
@@ -429,7 +634,7 @@ fn block_weighted_path_bit_identical_to_reference() {
         })
         .collect();
     for v_scale in [1u64, 10] {
-        for chunk in [150_000usize, 2_048, 7_001] {
+        for (chunking, chunks) in chunkings(&packets, [150_000, 2_048, 7_001]) {
             let config = RhhhConfig {
                 epsilon_s: 0.01,
                 epsilon_a: 0.005,
@@ -438,71 +643,16 @@ fn block_weighted_path_bit_identical_to_reference() {
                 updates_per_packet: 1,
                 seed: 0x17E5,
             };
-            let lat = Lattice::ipv4_src_dst_bytes();
-            let label = format!("weighted, v_scale {v_scale}, chunk {chunk}, list");
-            let mut block = Rhhh::<u64>::new(lat.clone(), config);
-            let mut reference = Rhhh::<u64>::new(lat.clone(), config);
-            for c in packets.chunks(chunk) {
-                block.update_batch_weighted(c);
-                reference.update_batch_weighted_reference(c);
-            }
-            assert_eq!(block.total_weight(), reference.total_weight(), "{label}");
-            assert_state_identical(&label, &block, &reference);
-
-            let label = format!("weighted, v_scale {v_scale}, chunk {chunk}, compact");
-            let mut block = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat.clone(), config);
-            let mut reference = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat, config);
-            for c in packets.chunks(chunk) {
-                block.update_batch_weighted(c);
-                reference.update_batch_weighted_reference(c);
-            }
-            assert_eq!(block.total_weight(), reference.total_weight(), "{label}");
-            assert_state_identical(&label, &block, &reference);
+            let batches: Vec<Batch<'_>> = chunks.into_iter().map(Batch::Weighted).collect();
+            let label = format!("weighted, v_scale {v_scale}, {chunking}");
+            pin_against_oracle::<SpaceSaving<u64>>(&format!("{label}, list"), config, &batches);
+            pin_against_oracle::<CompactSpaceSaving<u64>>(
+                &format!("{label}, compact"),
+                config,
+                &batches,
+            );
         }
     }
-}
-
-/// Windowed feeds split batches at pane boundaries before reaching the
-/// block engine; with a ragged chunk size every pane rotation lands
-/// mid-chunk. The block path must agree with the reference bit for bit on
-/// every pane — pinned through the merged-window query (coarse ε keeps the
-/// extraction cheap) and the bookkeeping counters.
-#[test]
-fn block_windowed_path_bit_identical_across_pane_straddles() {
-    use hhh_core::WindowedRhhh;
-    // ε_s sized so ψ = Z·V/ε_s² ≈ 22k stays under the 40k window (checked
-    // by `WindowedRhhh::new` in debug builds).
-    let config = RhhhConfig {
-        epsilon_s: 0.15,
-        epsilon_a: 0.01,
-        delta_s: 0.05,
-        v_scale: 10,
-        updates_per_packet: 1,
-        seed: 0xAB1E,
-    };
-    let lat = Lattice::ipv4_src_dst_bytes();
-    let keys = stream(130_000, 7);
-    // window 40k over 4 panes → pane length 10k; 7001-key chunks straddle
-    // every rotation.
-    let mut block = WindowedRhhh::<u64>::new(lat.clone(), config, 40_000, 4);
-    let mut reference = WindowedRhhh::<u64>::new(lat, config, 40_000, 4);
-    for c in keys.chunks(7_001) {
-        block.update_batch(c);
-        reference.update_batch_reference(c);
-    }
-    assert_eq!(block.total_packets(), reference.total_packets());
-    assert_eq!(block.panes_completed(), reference.panes_completed());
-    assert_eq!(block.covered_range(), reference.covered_range());
-    assert_eq!(
-        block.query(0.1),
-        reference.query(0.1),
-        "windowed merged-window answers diverged"
-    );
-    assert_eq!(
-        block.query_current(0.1),
-        reference.query_current(0.1),
-        "active-pane answers diverged"
-    );
 }
 
 /// Swapping the per-node counter for the flat-arena layout changes neither

@@ -33,7 +33,7 @@
 //!   `LEVELS` exhausted levels — on eviction-heavy nodes this removes most
 //!   of the rescan traffic that capped the PR 2 layout.
 //! * **Bulk min-level eviction with adaptive ordering**
-//!   ([`FrequencyEstimator::flush_group_evicting`]): the estimator owns
+//!   (the [`FrequencyEstimator::flush_group`] override): the estimator owns
 //!   each RHHH node group's processing order and picks it from a learned
 //!   miss-ratio estimate. Hit-heavy groups skip sorting entirely (arrival
 //!   order; duplicates re-hit hot lines — and the sort itself is ~30% of
@@ -43,8 +43,9 @@
 //!   sweep stay *virtual* (a count-bucketed scratch ladder): a later miss
 //!   whose victim is such an entry replaces it in O(1) scratch work
 //!   without touching the table, so only true table minima are physically
-//!   evicted and only the sweep's survivors are installed. The default
-//!   trait hook keeps the classic sort-and-flush for every other
+//!   evicted and only the sweep's survivors are installed. Its sorted
+//!   path uses the caller's ascending sorter (RHHH's radix sort). The
+//!   default trait hook keeps the classic sort-and-flush for every other
 //!   estimator.
 //!
 //! # Replace-min without the bucket list
@@ -170,11 +171,11 @@ pub struct CompactSpaceSaving<K> {
     virt_ladder: Vec<Vec<u32>>,
     /// EWMA of the flush-path miss fraction (0 = all hits, 255 = all
     /// misses), learned from each flushed group; drives the adaptive
-    /// ordering decision of `flush_group_evicting`. Starts pessimistic
+    /// ordering decision of `flush_group`. Starts pessimistic
     /// (miss-heavy ⇒ sorted) so fresh instances keep the classic
     /// behaviour until they have observed real traffic.
     miss_ratio: u8,
-    /// Whether the last `flush_group_evicting` took the sorted path —
+    /// Whether the last `flush_group` took the sorted path —
     /// exposed (doc-hidden) so differential tests can mirror the adaptive
     /// order decision onto their reference instance.
     last_flush_sorted: bool,
@@ -709,7 +710,7 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
     }
 
     /// The miss-heavy flush order behind
-    /// [`FrequencyEstimator::flush_group_evicting`]: one classification
+    /// [`FrequencyEstimator::flush_group`]: one classification
     /// probe per distinct key of the (sorted) group, with slot-stealing
     /// keys deferred and evicted in per-run sweeps.
     fn flush_sorted_bulk(&mut self, keys: &[K]) {
@@ -762,7 +763,7 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
         self.note_miss_ratio(misses, keys.len());
     }
 
-    /// Whether the last [`FrequencyEstimator::flush_group_evicting`] call
+    /// Whether the last [`FrequencyEstimator::flush_group`] call
     /// took the sorted bulk path (`true`) or the arrival-order path
     /// (`false`). Diagnostic for the differential suites, which mirror
     /// the adaptive order decision onto their reference instance.
@@ -959,43 +960,26 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
         for_each_run(keys, |key, run| self.apply(key, run));
     }
 
-    fn flush_group_evicting(&mut self, keys: &mut [K]) {
+    fn flush_group(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
         // Adaptive ordering: the estimator owns the group's processing
         // order, and the best order depends on the node's regime, which
         // the previous flushes of the *same instance* predict well.
         //
-        // * **Miss-heavy** (tail nodes): sort so distinct keys become
-        //   runs, defer the slot-stealing keys, and serve each run of
-        //   misses as one bulk min-level eviction sweep (most of the
-        //   churn collapses into the virtual ladder).
+        // * **Miss-heavy** (tail nodes): sort with the caller's ascending
+        //   sorter so distinct keys become runs, defer the slot-stealing
+        //   keys, and serve each run of misses as one bulk min-level
+        //   eviction sweep (most of the churn collapses into the virtual
+        //   ladder).
         // * **Hit-heavy** (aggregated nodes): skip the sort entirely —
         //   duplicate keys re-hit cache-hot lines, and the sort itself
         //   (~30% of a steady-state batch across all nodes) is pure
-        //   overhead when there is nothing to evict in bulk.
+        //   overhead when there is nothing to evict in bulk. Staging or
+        //   prefetching this path measured as a double-digit regression.
         //
         // Either order processes the same multiset per-key through true
         // minimum evictions, so every Space Saving guarantee holds
         // identically; which one ran is exposed for the differential
         // suites via `last_flush_sorted`.
-        if self.miss_ratio >= 230 {
-            self.last_flush_sorted = true;
-            keys.sort_unstable();
-            self.flush_sorted_bulk(keys);
-        } else {
-            self.last_flush_sorted = false;
-            self.flush_arrival(keys);
-        }
-    }
-
-    fn flush_group_evicting_with(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
-        // Same adaptive-order flush as `flush_group_evicting`, with the
-        // caller's ascending sorter in place of the comparison sort when
-        // the miss-ratio estimate asks for the sorted sweep. The arrival
-        // path stays untouched — it is the hit-heavy regime, whose probes
-        // are already cache-hot; staging or prefetching it measured as a
-        // double-digit regression. The order decision and every per-run
-        // state transition are unchanged, so state evolution is
-        // bit-identical.
         if self.miss_ratio >= 230 {
             self.last_flush_sorted = true;
             sort(keys);
@@ -1252,9 +1236,10 @@ mod tests {
 
     #[test]
     fn bulk_flush_matches_default_flush_multiset() {
-        // flush_group_evicting (bulk min-level eviction) and flush_group
-        // (per-run apply) must produce identical count multisets, updates
-        // and min-counts on the same groups — tie-breaks may differ.
+        // flush_group (bulk min-level eviction) and a sorted
+        // increment_batch (per-run apply) must produce identical count
+        // multisets, updates and min-counts on the same groups —
+        // tie-breaks may differ.
         let mut x = 0xBEEF_u64;
         for cap in [1usize, 3, 8, 32] {
             let mut bulk: CompactSpaceSaving<u64> = CompactSpaceSaving::with_capacity(cap);
@@ -1267,15 +1252,14 @@ mod tests {
                     })
                     .collect();
                 let mut group2 = group.clone();
-                bulk.flush_group_evicting(&mut group);
+                bulk.flush_group(&mut group, &mut <[u64]>::sort_unstable);
                 // Mirror the adaptive order decision onto the per-key
-                // reference (sorted runs = flush_group; arrival order =
-                // plain increment_batch).
+                // reference (sorted runs; arrival order = plain
+                // increment_batch).
                 if bulk.last_flush_sorted() {
-                    default.flush_group(&mut group2);
-                } else {
-                    default.increment_batch(&group2);
+                    group2.sort_unstable();
                 }
+                default.increment_batch(&group2);
             }
             assert_eq!(bulk.updates(), default.updates(), "cap {cap}");
             assert_eq!(bulk.min_count(), default.min_count(), "cap {cap}");
@@ -1313,7 +1297,7 @@ mod tests {
             let mut sorted = group.clone();
             sorted.sort_unstable();
             scalar.increment_batch(&sorted);
-            bulk.flush_group_evicting(&mut group);
+            bulk.flush_group(&mut group, &mut <[u64]>::sort_unstable);
             assert!(
                 bulk.last_flush_sorted(),
                 "all-miss groups must stay on the sorted bulk path"

@@ -497,13 +497,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for CuckooHeavyKeeper<K> {
         for_each_run(keys, |key, run| self.apply(key, run));
     }
 
-    fn flush_group_evicting_with(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
-        // The caller's radix sort groups duplicates into runs; any
-        // ascending order leaves the same state as `flush_group`.
-        sort(keys);
-        self.increment_batch(keys);
-    }
-
     fn merge(&mut self, other: Self) {
         self.merge_many(vec![other]);
     }

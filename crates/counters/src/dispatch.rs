@@ -448,21 +448,9 @@ impl<K: CounterKey> FrequencyEstimator<K> for DispatchedEstimator<K> {
         each_inner!(&mut self.inner, e => e.increment_batch(keys));
     }
 
-    fn flush_group(&mut self, keys: &mut [K]) {
+    fn flush_group(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
         let sampled = self.sample_misses(keys);
-        each_inner!(&mut self.inner, e => e.flush_group(keys));
-        self.after_flush(keys.len(), sampled);
-    }
-
-    fn flush_group_evicting(&mut self, keys: &mut [K]) {
-        let sampled = self.sample_misses(keys);
-        each_inner!(&mut self.inner, e => e.flush_group_evicting(keys));
-        self.after_flush(keys.len(), sampled);
-    }
-
-    fn flush_group_evicting_with(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
-        let sampled = self.sample_misses(keys);
-        each_inner!(&mut self.inner, e => e.flush_group_evicting_with(keys, sort));
+        each_inner!(&mut self.inner, e => e.flush_group(keys, sort));
         self.after_flush(keys.len(), sampled);
     }
 
@@ -552,7 +540,7 @@ mod tests {
 
     fn flush<E: FrequencyEstimator<u64>>(e: &mut E, keys: &[u64]) {
         let mut group = keys.to_vec();
-        e.flush_group_evicting_with(&mut group, &mut |g| g.sort_unstable());
+        e.flush_group(&mut group, &mut <[u64]>::sort_unstable);
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //!   array is probed ahead of the slot lanes, so misses — the dominant
 //!   case on eviction-heavy tail nodes — resolve without loading any slot
 //!   data, and the sorted batch flush amortizes replace-min work across
-//!   each group via [`FrequencyEstimator::flush_group_evicting`]. Choose
+//!   each group via its [`FrequencyEstimator::flush_group`] hook. Choose
 //!   it for the batch flush (`increment_batch` / RHHH's `update_batch`),
 //!   where it sets the workspace's best throughput (ROADMAP
 //!   "Performance"); RHHH's accuracy is insensitive to the swap (the
@@ -178,52 +178,26 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
     }
 
     /// Processes one *unordered* group of occurrences — the shape RHHH's
-    /// batch path produces per lattice node after masking. The estimator
-    /// owns the ordering decision; the default — used by every current
-    /// implementation — sorts by key so duplicates become runs for
-    /// [`Self::increment_batch`]. An estimator whose layout favours a
-    /// different traversal can override it (a table-position order was
-    /// prototyped for the flat arena and measured slower, so none does
-    /// today). Any processing order is a tie-break the counter guarantees
-    /// never observe; the slice is reordered in place.
-    fn flush_group(&mut self, keys: &mut [K]) {
-        keys.sort_unstable();
-        self.increment_batch(keys);
-    }
-
-    /// [`Self::flush_group`] with an explicit license to batch the
-    /// *evictions* too, and to pick the group's processing order — the
-    /// entry point RHHH's batch flush calls. The default simply delegates
-    /// to [`Self::flush_group`]; an estimator whose replace-min machinery
-    /// can amortize across a whole group overrides it
-    /// ([`CompactSpaceSaving`] chooses sorted or arrival order from a
-    /// learned miss-ratio estimate, collects every key of a sorted group
-    /// that must steal a slot and serves each run of misses as one
-    /// minimum-level sweep instead of re-establishing the minimum per
-    /// key). Overrides must evict true minima in the order they process —
-    /// any order is a tie-break Definition 4 never observes — so the
-    /// count multiset matches per-key processing of that same order
-    /// exactly; only the tie-break among equal minima may differ.
-    fn flush_group_evicting(&mut self, keys: &mut [K]) {
-        self.flush_group(keys);
-    }
-
-    /// [`Self::flush_group_evicting`] with a caller-supplied ascending
-    /// sorter — the entry point of RHHH's *block* batch pipeline, which
-    /// sorts masked key groups with a radix pass an order-comparison sort
-    /// can't match on prefix-masked keys (most digit positions are
-    /// constant within a group). `sort` must produce exactly
-    /// `sort_unstable`'s ascending order; since equal keys are
-    /// indistinguishable, any ascending sort leaves the estimator in a
-    /// state bit-identical to [`Self::flush_group_evicting`]'s.
+    /// batch pipeline produces per lattice node after masking. This is the
+    /// estimator's one flush hook. `sort` is the caller's ascending
+    /// sorter and must produce exactly `sort_unstable`'s order (RHHH
+    /// passes a radix sort that skips the byte positions a node's mask
+    /// zeroed). Equal keys are indistinguishable, so any ascending sorter
+    /// leaves the same state.
     ///
-    /// The default ignores the sorter and delegates, so estimators that
-    /// never opted in keep their exact `flush_group_evicting` behaviour;
-    /// the Space Saving layouts override it to route their *sorted* paths
-    /// (and only those) through `sort`.
-    fn flush_group_evicting_with(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
-        let _ = sort;
-        self.flush_group_evicting(keys);
+    /// The default sorts so duplicates become runs for
+    /// [`Self::increment_batch`]. An override may pick its own processing
+    /// order and batch its evictions ([`CompactSpaceSaving`] chooses
+    /// sorted or arrival order from a learned miss-ratio estimate and
+    /// serves each run of slot-stealing keys as one minimum-level sweep).
+    /// Overrides must evict true minima in the order they process — any
+    /// order is a tie-break Definition 4 never observes — so the count
+    /// multiset matches per-key processing of that same order exactly;
+    /// only the tie-break among equal minima may differ. The slice is
+    /// reordered in place.
+    fn flush_group(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
+        sort(keys);
+        self.increment_batch(keys);
     }
 
     /// Merges `other` — a summary of a *different portion* of the same

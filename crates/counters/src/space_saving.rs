@@ -507,15 +507,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
         });
     }
 
-    fn flush_group_evicting_with(&mut self, keys: &mut [K], sort: &mut dyn FnMut(&mut [K])) {
-        // This layout's flush is the default sorted flush; swapping the
-        // comparison sort for the caller's ascending sorter changes the
-        // permutation only among equal keys, which `increment_batch`'s
-        // run-length view cannot observe.
-        sort(keys);
-        self.increment_batch(keys);
-    }
-
     fn updates(&self) -> u64 {
         self.updates
     }

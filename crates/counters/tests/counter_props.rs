@@ -116,7 +116,7 @@ fn check_bulk_flush_vs_stream_summary(stream: &[u64], cap: usize, group: usize) 
     let mut list: SpaceSaving<u64> = SpaceSaving::with_capacity(cap);
     for chunk in stream.chunks(group.max(1)) {
         let mut g = chunk.to_vec();
-        flat.flush_group_evicting(&mut g);
+        flat.flush_group(&mut g, &mut <[u64]>::sort_unstable);
         let mut reference = chunk.to_vec();
         if flat.last_flush_sorted() {
             reference.sort_unstable();
@@ -187,7 +187,7 @@ fn adaptive_flush_order_tracks_regime_on_sanjose14_stream() {
     let mirror =
         |flat: &mut CompactSpaceSaving<u64>, list: &mut SpaceSaving<u64>, group: &[u64]| {
             let mut g = group.to_vec();
-            flat.flush_group_evicting(&mut g);
+            flat.flush_group(&mut g, &mut <[u64]>::sort_unstable);
             let mut reference = group.to_vec();
             if flat.last_flush_sorted() {
                 reference.sort_unstable();

@@ -33,7 +33,7 @@ fn exact_counts(stream: &[u64]) -> HashMap<u64, u64> {
 fn feed_groups<E: FrequencyEstimator<u64>>(est: &mut E, stream: &[u64], group: usize) {
     for chunk in stream.chunks(group.max(1)) {
         let mut g = chunk.to_vec();
-        est.flush_group_evicting_with(&mut g, &mut |keys| keys.sort_unstable());
+        est.flush_group(&mut g, &mut <[u64]>::sort_unstable);
     }
 }
 

@@ -19,8 +19,9 @@
 //! `CRITERION_FILTER=<substring>` skips every benchmark whose
 //! `group/id` label does not contain the substring — the environment
 //! counterpart of real criterion's positional filter argument, for
-//! targeted local measurement runs (`CRITERION_FILTER=block-vs-pr5 cargo
-//! bench -p hhh-bench --bench update_speed`).
+//! targeted local measurement runs
+//! (`CRITERION_FILTER=compact-vs-stream-summary cargo bench -p hhh-bench
+//! --bench update_speed`).
 
 use std::fmt::Write as _;
 use std::hint;
@@ -245,8 +246,8 @@ impl BenchmarkGroup<'_> {
     /// remains. Each side reports the median of its per-round means, so a
     /// contention burst that lands inside a handful of slices is discarded
     /// rather than charged to one side. Use it for any row pair whose
-    /// *ratio* is the deliverable, e.g. the `block-vs-pr5` and
-    /// `dispatch-vs-fixed` acceptance rows.
+    /// *ratio* is the deliverable, e.g. the `dispatch-vs-fixed`
+    /// acceptance rows.
     pub fn bench_pair_interleaved<FA, FB>(
         &mut self,
         id_a: impl std::fmt::Display,
