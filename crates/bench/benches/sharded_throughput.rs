@@ -21,9 +21,10 @@
 //!   [`Rhhh::merge`] of two steady-state instances (25 nodes × 1001
 //!   counters each); this is the per-query price of shard parallelism and
 //!   of multi-VM aggregation.
-//! * `sharded_throughput/multi-vm` — switch-side throughput of the
-//!   [`MultiVmDistributedRhhh`] fan-out (10-RHHH, blocking link) for 1, 2
-//!   and 4 measurement VMs.
+//! * `sharded_throughput/multi-vm` — end-to-end throughput of the
+//!   [`DistributedRhhh`] sample-and-forward frontend (10-RHHH, batched
+//!   samples over one ring per VM, blocking backpressure, merge at
+//!   finish) for 1, 2 and 4 measurement VMs.
 
 use std::time::Duration;
 
@@ -32,7 +33,7 @@ use hhh_bench::Workload;
 use hhh_core::{Rhhh, RhhhConfig};
 use hhh_counters::{CompactSpaceSaving, SpaceSaving};
 use hhh_hierarchy::Lattice;
-use hhh_vswitch::{Backpressure, MultiVmDistributedRhhh, ShardedMonitor};
+use hhh_vswitch::{DistributedRhhh, ShardedMonitor};
 
 const PACKETS: usize = 1_000_000;
 const SHARD_BATCH: usize = 4_096;
@@ -217,17 +218,12 @@ fn multi_vm(c: &mut Criterion) {
     for vms in [1usize, 2, 4] {
         g.bench_function(BenchmarkId::from_parameter(format!("x{vms}")), |b| {
             b.iter(|| {
-                let mut dist = MultiVmDistributedRhhh::spawn(
-                    lat.clone(),
-                    config(10),
-                    vms,
-                    8_192,
-                    Backpressure::Block,
-                );
+                let mut dist = DistributedRhhh::spawn(lat.clone(), config(10), vms)
+                    .expect("spawn measurement VMs");
                 for &k in &w.keys2 {
                     dist.update(k);
                 }
-                dist.finish()
+                dist.finish().expect("measurement VMs alive")
             });
         });
     }

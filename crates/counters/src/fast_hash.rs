@@ -4,8 +4,7 @@
 //! (std's default) costs more than the rest of the update combined. This is
 //! an FxHash-style multiply-fold hasher: not DoS-resistant, which is an
 //! explicit non-goal — the keys are IP prefixes already attacker-visible,
-//! and the counter algorithms' guarantees do not depend on hash quality
-//! (only the Count-Min sketch does, and it uses its own seeded row hashes).
+//! and the counter algorithms' guarantees do not depend on hash quality.
 //!
 //! The mixing arithmetic itself lives in [`crate::mix`], shared with the
 //! batch front end's block hashing; this module is the `Hasher` adapter

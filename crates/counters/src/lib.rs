@@ -28,9 +28,6 @@
 //! * [`MisraGries`] — the Frequent algorithm (deterministic underestimates,
 //!   amortized O(1)).
 //! * [`LossyCounting`] — Manku–Motwani buckets (deterministic, δ = 0).
-//! * [`CountMin`] — a Count-Min sketch with a candidate list, the
-//!   "sketches can also be applicable here" remark of Section 3.1
-//!   (Definition 5 requires maintaining a heavy-hitter list alongside).
 //! * [`CuckooHeavyKeeper`] — a bucketized cuckoo table whose slots carry
 //!   HeavyKeeper exponential-decay counts (arXiv 2412.12873):
 //!   underestimate-only counts sandwiched by an exact unattributed-mass
@@ -84,7 +81,6 @@
 //! ```
 
 mod compact_space_saving;
-mod count_min;
 mod cuckoo_heavy_keeper;
 mod dispatch;
 mod fast_hash;
@@ -96,8 +92,6 @@ mod space_saving;
 mod tagged_table;
 
 pub use compact_space_saving::CompactSpaceSaving;
-
-pub use count_min::CountMin;
 pub use cuckoo_heavy_keeper::CuckooHeavyKeeper;
 pub use dispatch::{DispatchLayout, DispatchedEstimator};
 pub use fast_hash::{FastHasher, IntHashBuilder};

@@ -5,8 +5,7 @@
 //! Zipf, phase-change and adversarial streams.
 
 use hhh_counters::{
-    CompactSpaceSaving, CountMin, FrequencyEstimator, HeapSpaceSaving, LossyCounting, MisraGries,
-    SpaceSaving,
+    CompactSpaceSaving, FrequencyEstimator, HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
 };
 use hhh_hierarchy::shard_of;
 use proptest::collection::vec;
@@ -349,30 +348,6 @@ fn merge_overflow_re_evicts_to_capacity() {
     let min = a.min_count();
     assert!(min >= 3, "kept counters dominate dropped ones (min={min})");
     a.debug_validate();
-}
-
-#[test]
-fn count_min_merge_is_element_wise_exact() {
-    let mut whole: CountMin<u64> = CountMin::with_capacity(32);
-    let mut a: CountMin<u64> = CountMin::with_capacity(32);
-    let mut b: CountMin<u64> = CountMin::with_capacity(32);
-    let mut x = 9u64;
-    for i in 0..20_000u64 {
-        x = x.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(5);
-        let key = x % 500;
-        whole.increment(key);
-        if i % 2 == 0 {
-            a.increment(key);
-        } else {
-            b.increment(key);
-        }
-    }
-    a.merge(b);
-    assert_eq!(a.updates(), whole.updates());
-    // Identical seeds + element-wise sum ⇒ identical point estimates.
-    for key in 0..500u64 {
-        assert_eq!(a.upper(&key), whole.upper(&key), "key {key}");
-    }
 }
 
 #[test]

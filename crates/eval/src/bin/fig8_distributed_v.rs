@@ -4,8 +4,9 @@
 //! throughput again improves with V (fewer samples cross the link), and
 //! sits slightly below the dataplane integration while freeing the switch
 //! from counter maintenance. Here the VM is a measurement thread and the
-//! link a bounded channel with blocking backpressure, so the number is the
-//! end-to-end sustainable rate.
+//! link the shard fleet's SPSC ring carrying 4096-sample batches with
+//! blocking backpressure, so the number is the end-to-end sustainable
+//! rate.
 
 use std::time::Instant;
 
@@ -14,7 +15,7 @@ use hhh_eval::{Args, Report};
 use hhh_hierarchy::Lattice;
 use hhh_stats::Summary;
 use hhh_traces::{Packet, TraceConfig, TraceGenerator};
-use hhh_vswitch::{Backpressure, Datapath, DistributedRhhh};
+use hhh_vswitch::{Datapath, DistributedRhhh};
 
 fn main() {
     let args = Args::parse(4_000_000, 3);
@@ -23,7 +24,7 @@ fn main() {
         &["v", "v_scale", "mpps", "ci95_half", "forwarded_fraction"],
     );
     report.comment(&format!(
-        "fig8: 2D bytes (H=25), chicago16, eps=delta=0.001, queue=8192, packets={}, runs={}",
+        "fig8: 2D bytes (H=25), chicago16, eps=delta=0.001, 1 VM, batch=4096 samples, packets={}, runs={}",
         args.packets, args.runs
     ));
 
@@ -52,16 +53,16 @@ fn main() {
                     updates_per_packet: 1,
                     seed: 0xF168 + u64::from(run),
                 },
-                8192,
-                Backpressure::Block,
-            );
+                1,
+            )
+            .expect("spawn measurement VM");
             let mut dp = Datapath::new(dist);
             let start = Instant::now();
             for p in &packets {
                 dp.process_packet(p);
             }
             let elapsed = start.elapsed().as_secs_f64();
-            let (_, stats) = dp.into_monitor().finish();
+            let (_, stats) = dp.into_monitor().finish().expect("measurement VM alive");
             summary.add(packets.len() as f64 / elapsed / 1e6);
             forwarded_fraction = stats.forwarded as f64 / stats.packets as f64;
         }

@@ -1,29 +1,12 @@
 //! Offline shim for `crossbeam`.
 //!
-//! Maps the `crossbeam::channel` surface this workspace uses onto
-//! `std::sync::mpsc`. Like the real crate — and unlike raw `mpsc` — one
-//! `Sender` type serves both flavours, so code holding a `Sender<T>` never
-//! cares which constructor produced it:
-//!
-//! * `bounded(cap)` wraps `sync_channel(cap)`: blocking `send`,
-//!   non-blocking `try_send` that fails with `TrySendError::Full`.
-//! * `unbounded()` wraps `channel()`: `send` never blocks, `try_send`
-//!   always succeeds while the receiver lives (crossbeam's unbounded
-//!   semantics exactly).
-//!
-//! Senders are `Clone` for multi-producer use; receivers iterate until
-//! every sender is dropped, exactly like crossbeam's.
-//!
-//! Semantics differences worth noting: `bounded(0)` is a rendezvous
-//! channel in both crates, so even that edge case carries over. The shim
-//! omits `select!` and deadlines — nothing in this workspace uses them; if
-//! that changes, swap in the real crate by deleting the shim entry in the
-//! root manifest's `[workspace.dependencies]`.
-//!
-//! [`queue::ArrayQueue`] adds the fixed-capacity lock-free ring the
-//! sharded ingest path hands batches over (the real crate's
-//! `crossbeam::queue::ArrayQueue`), and [`utils::CachePadded`] the
-//! false-sharing guard its head/tail indices sit behind.
+//! Provides the two pieces of the real crate this workspace uses:
+//! [`queue::ArrayQueue`], the fixed-capacity lock-free ring every worker
+//! hand-off moves batches over (shard fleet and distributed VMs alike), and
+//! [`utils::CachePadded`], the false-sharing guard its head/tail indices
+//! sit behind. The APIs match the real crate's, so swapping it in means
+//! deleting the shim entry in the root manifest's
+//! `[workspace.dependencies]`.
 
 pub mod utils {
     //! Shim of `crossbeam_utils`: currently just [`CachePadded`].
@@ -260,84 +243,10 @@ pub mod queue {
     }
 }
 
-pub mod channel {
-    use std::sync::mpsc;
-
-    pub use std::sync::mpsc::{Receiver, RecvError, SendError, TryRecvError, TrySendError};
-
-    /// Sending half of a channel; one type for both flavours, like
-    /// crossbeam's `Sender`.
-    #[derive(Debug)]
-    pub struct Sender<T>(Flavor<T>);
-
-    #[derive(Debug)]
-    enum Flavor<T> {
-        Bounded(mpsc::SyncSender<T>),
-        Unbounded(mpsc::Sender<T>),
-    }
-
-    // Derived `Clone` would require `T: Clone`; the senders themselves are
-    // always cloneable.
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Self(match &self.0 {
-                Flavor::Bounded(tx) => Flavor::Bounded(tx.clone()),
-                Flavor::Unbounded(tx) => Flavor::Unbounded(tx.clone()),
-            })
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends, blocking while a bounded channel is full. Fails only when
-        /// the receiver disconnected.
-        ///
-        /// # Errors
-        ///
-        /// Returns the value when the receiving half was dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match &self.0 {
-                Flavor::Bounded(tx) => tx.send(value),
-                Flavor::Unbounded(tx) => tx.send(value),
-            }
-        }
-
-        /// Non-blocking send. On an unbounded channel this only fails with
-        /// `TrySendError::Disconnected`.
-        ///
-        /// # Errors
-        ///
-        /// `TrySendError::Full` when a bounded channel is at capacity,
-        /// `TrySendError::Disconnected` when the receiver was dropped.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            match &self.0 {
-                Flavor::Bounded(tx) => tx.try_send(value),
-                Flavor::Unbounded(tx) => tx
-                    .send(value)
-                    .map_err(|SendError(v)| TrySendError::Disconnected(v)),
-            }
-        }
-    }
-
-    /// Creates a bounded channel with capacity `cap`.
-    #[must_use]
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(Flavor::Bounded(tx)), rx)
-    }
-
-    /// Creates an unbounded channel: sends never block.
-    #[must_use]
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(Flavor::Unbounded(tx)), rx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use super::channel::{bounded, unbounded, TrySendError};
     use super::queue::ArrayQueue;
     use super::utils::CachePadded;
 
@@ -443,72 +352,5 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn bounded_send_try_send_and_drain() {
-        let (tx, rx) = bounded::<u32>(2);
-        tx.send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert!(
-            matches!(tx.try_send(3), Err(TrySendError::Full(3))),
-            "full channel rejects try_send"
-        );
-        drop(tx);
-        let got: Vec<u32> = rx.into_iter().collect();
-        assert_eq!(got, [1, 2]);
-    }
-
-    #[test]
-    fn clone_senders_share_channel() {
-        let (tx, rx) = bounded::<u32>(8);
-        let tx2 = tx.clone();
-        std::thread::spawn(move || tx2.send(7).unwrap())
-            .join()
-            .unwrap();
-        tx.send(9).unwrap();
-        drop(tx);
-        let mut got: Vec<u32> = rx.into_iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, [7, 9]);
-    }
-
-    #[test]
-    fn unbounded_never_reports_full() {
-        let (tx, rx) = unbounded::<u32>();
-        for i in 0..10_000 {
-            tx.try_send(i).expect("unbounded try_send cannot fill up");
-        }
-        drop(tx);
-        assert_eq!(rx.into_iter().count(), 10_000);
-    }
-
-    #[test]
-    fn unbounded_try_send_reports_disconnect() {
-        let (tx, rx) = unbounded::<u32>();
-        drop(rx);
-        assert!(matches!(tx.try_send(1), Err(TrySendError::Disconnected(1))));
-        assert!(tx.send(2).is_err());
-    }
-
-    #[test]
-    fn receiver_iteration_ends_when_all_clones_drop() {
-        let (tx, rx) = unbounded::<u32>();
-        let handles: Vec<_> = (0..4u32)
-            .map(|i| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for j in 0..100 {
-                        tx.send(i * 100 + j).unwrap();
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let drained: Vec<u32> = rx.into_iter().collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(drained.len(), 400);
     }
 }

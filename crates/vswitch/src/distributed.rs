@@ -1,502 +1,227 @@
-//! The distributed integration: sampling in the switch, counting in a
-//! "virtual machine".
+//! The distributed integration: sampling in the switch, counting in one or
+//! more "virtual machines".
 //!
 //! Section 5.2 of the paper: "HHH measurement can be performed in a
 //! separate virtual machine. In that case, OVS forwards the relevant
 //! traffic to the virtual machine. When RHHH operates with V > H, we only
 //! forward the sampled packets and thus reduce overheads."
 //!
-//! Here the VM is a measurement thread and the virtual link is a bounded
-//! crossbeam channel. The switch-side frontend performs the `[0, V)` draw
-//! per packet and forwards only the `H/V` fraction that actually updates a
-//! counter — so a larger `V` proportionally unloads both the switch and
-//! the link, which is the monotone throughput-vs-V trend of Figure 8.
-//! Backpressure behaviour is explicit: when the channel is full the sample
-//! is dropped and counted, like a NIC queue overflow.
+//! The switch-side frontend makes the `r` draws in `[0, V)` per packet that
+//! [`Rhhh::update`] would make (from the same seed, so one VM replays the
+//! inline instance draw for draw), masks each selecting draw's key, and
+//! forwards only those `(node, masked key)` samples — so a larger `V`
+//! proportionally unloads both the switch and the link, which is the
+//! monotone throughput-vs-V trend of Figure 8. Each VM is a measurement
+//! thread that applies its samples with [`Rhhh::raw_update`].
+//!
+//! Samples route to `shard_of(masked key, vms)`, so every key's samples land
+//! on one VM and each VM holds a key-partitioned slice of every node's
+//! summary. [`DistributedRhhh::finish`] K-way-merges the slices with
+//! [`Rhhh::merge_many`] (per-VM error bounds add, the merge analysis of
+//! Mitzenmacher–Steinke–Thaler) and sets the merged `N` to the switch-side
+//! packet count. Figure 8's single VM is `vms = 1`.
+//!
+//! The virtual link is the shard fleet's transport ([`crate::handoff`]): one
+//! SPSC ring per VM carrying batches of a few thousand samples, so the
+//! per-packet path only pushes into a plain buffer. A full ring
+//! backpressures the switch (a lossless link: switch throughput is the
+//! end-to-end sustainable rate, which is what Figure 8 reports). A VM that
+//! dies never wedges the switch: samples routed to it are counted in
+//! [`DistributedStats::dropped`], and `finish` reports the death as
+//! [`MergeError::ShardFailed`] instead of a merged under-count.
 
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Sender};
 use hhh_core::sampling::FastRng;
-use hhh_core::{HeavyHitter, Rhhh, RhhhConfig};
-use hhh_hierarchy::{KeyBits, Lattice, NodeId};
+use hhh_core::{HeavyHitter, MergeError, Rhhh, RhhhConfig};
+use hhh_hierarchy::{Lattice, NodeId};
 
 use crate::datapath::DataplaneMonitor;
+use crate::handoff::{
+    conduit, join_shards, spawn_named, HandoffStats, ShardTx, SpawnError, QUEUE_BATCHES,
+};
+use crate::sharded::shard_of;
 
-/// What the switch side does when the switch→VM channel is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Wait for the measurement thread — models a lossless link; switch
-    /// throughput then reflects the end-to-end sustainable rate, which is
-    /// what Figure 8 reports.
-    Block,
-    /// Drop the sample and count it — models a lossy NIC queue.
-    DropNewest,
-}
+/// Samples per hand-off batch (the CLI's shard batch grain).
+const SAMPLE_BATCH: usize = 4_096;
 
-/// Statistics of a finished distributed run.
+/// One forwarded sample: the selected lattice node and the masked key.
+type Sample = (u16, u64);
+
+/// Statistics of a distributed run.
 ///
-/// Every switch-side packet is accounted for exactly once:
-/// `packets == forwarded + dropped + unsampled` (pinned by the
-/// `distributed_props` property suite across seeds and configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// In the stats [`DistributedRhhh::finish`] returns, every switch-side
+/// draw is accounted for exactly once:
+/// `packets · r == forwarded + dropped + unsampled` (pinned by the
+/// `distributed_props` property suite).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DistributedStats {
     /// Packets the switch processed.
     pub packets: u64,
-    /// Samples forwarded to the measurement thread.
+    /// Samples handed to a live measurement VM.
     pub forwarded: u64,
-    /// Samples dropped because the channel was full.
+    /// Samples routed to a VM that had died.
     pub dropped: u64,
-    /// Packets whose `[0, V)` draw selected no node (the `1 − H/V`
-    /// fraction that never leaves the switch).
+    /// Draws that selected no node (the `1 − H/V` fraction that never
+    /// leaves the switch).
     pub unsampled: u64,
 }
 
-/// Switch-side frontend plus the measurement thread.
+/// Switch-side frontend plus `vms` measurement threads.
 ///
 /// Create with [`DistributedRhhh::spawn`], feed packets via `update` (or
 /// use it as a [`DataplaneMonitor`]), then call [`DistributedRhhh::finish`]
-/// to join the thread and query results.
+/// to join the VMs and query the merged result.
 #[derive(Debug)]
 pub struct DistributedRhhh {
-    sender: Option<Sender<(u16, u64)>>,
-    handle: Option<JoinHandle<Rhhh<u64>>>,
+    senders: Vec<ShardTx<Vec<Sample>>>,
+    handles: Vec<JoinHandle<Rhhh<u64>>>,
+    bufs: Vec<Vec<Sample>>,
+    link: HandoffStats,
     masks: Vec<u64>,
     rng: FastRng,
     v: u64,
     h: u64,
-    packets: u64,
-    forwarded: u64,
-    dropped: u64,
-    unsampled: u64,
-    backpressure: Backpressure,
+    r: u32,
+    stats: DistributedStats,
 }
 
 impl DistributedRhhh {
-    /// Spawns the measurement thread. `queue_capacity` bounds the
-    /// switch→VM channel (the virtual link's buffer).
-    #[must_use]
-    pub fn spawn(
-        lattice: Lattice<u64>,
-        config: RhhhConfig,
-        queue_capacity: usize,
-        backpressure: Backpressure,
-    ) -> Self {
-        let masks: Vec<u64> = lattice.node_ids().map(|n| lattice.mask(n)).collect();
-        let h = lattice.num_nodes() as u64;
-        let v = config.v_scale * h;
-        let seed = config.seed;
-        let backend = Rhhh::<u64>::new(lattice, config);
-        let (sender, receiver) = bounded::<(u16, u64)>(queue_capacity);
-        let handle = std::thread::spawn(move || {
-            let mut backend = backend;
-            for (node, key) in receiver {
-                backend.raw_update(NodeId(node), key);
-            }
-            backend
-        });
-        Self {
-            sender: Some(sender),
-            handle: Some(handle),
-            masks,
-            rng: FastRng::new(seed ^ 0xD157_0000),
-            v,
-            h,
-            packets: 0,
-            forwarded: 0,
-            dropped: 0,
-            unsampled: 0,
-            backpressure,
-        }
-    }
-
-    /// Switch-side per-packet work: O(1) draw, occasional forward.
-    #[inline]
-    pub fn update(&mut self, key2: u64) {
-        self.packets += 1;
-        let d = self.rng.bounded(self.v);
-        if d < self.h {
-            let masked = key2.and(self.masks[d as usize]);
-            let sender = self.sender.as_ref().expect("not finished");
-            match self.backpressure {
-                Backpressure::Block => {
-                    sender
-                        .send((d as u16, masked))
-                        .expect("measurement thread alive");
-                    self.forwarded += 1;
-                }
-                Backpressure::DropNewest => match sender.try_send((d as u16, masked)) {
-                    Ok(()) => self.forwarded += 1,
-                    Err(_) => self.dropped += 1,
-                },
-            }
-        } else {
-            self.unsampled += 1;
-        }
-    }
-
-    /// Samples dropped on the virtual link so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Joins the measurement thread and returns the queryable backend with
-    /// run statistics. The backend's `N` is set to the switch-side packet
-    /// count.
+    /// Spawns `vms` measurement threads (`vm-0` …), each with its own
+    /// ring and an [`Rhhh`] backend built from `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpawnError`] when the OS refuses a thread.
     ///
     /// # Panics
     ///
-    /// Panics if the measurement thread panicked.
-    #[must_use]
-    pub fn finish(mut self) -> (Rhhh<u64>, DistributedStats) {
-        drop(self.sender.take()); // closes the channel, thread drains & exits
-        let mut backend = self
-            .handle
-            .take()
-            .expect("finish called once")
-            .join()
-            .expect("measurement thread panicked");
-        backend.note_packets(self.packets);
-        (
-            backend,
-            DistributedStats {
-                packets: self.packets,
-                forwarded: self.forwarded,
-                dropped: self.dropped,
-                unsampled: self.unsampled,
-            },
-        )
-    }
-
-    /// Convenience: finish and immediately run `Output(θ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the measurement thread panicked.
-    #[must_use]
-    pub fn finish_and_query(self, theta: f64) -> (Vec<HeavyHitter<u64>>, DistributedStats) {
-        let (backend, stats) = self.finish();
-        (backend.output(theta), stats)
-    }
-}
-
-impl DataplaneMonitor for DistributedRhhh {
-    #[inline]
-    fn on_packet(&mut self, key2: u64) {
-        self.update(key2);
-    }
-
-    fn label(&self) -> String {
-        if self.v == self.h {
-            "Distributed-RHHH".into()
-        } else {
-            format!("Distributed-{}-RHHH", self.v / self.h)
-        }
-    }
-}
-
-/// One switch's frontend in a multi-source deployment: same per-packet
-/// work as [`DistributedRhhh`], but many frontends share a single
-/// measurement thread — the paper's closing point for the distributed
-/// integration: "our distributed implementation is capable of analyzing
-/// data from multiple network devices."
-#[derive(Debug)]
-pub struct SharedFrontend {
-    sender: Sender<(u16, u64)>,
-    masks: std::sync::Arc<Vec<u64>>,
-    rng: FastRng,
-    v: u64,
-    h: u64,
-    packets: u64,
-    forwarded: u64,
-    dropped: u64,
-    unsampled: u64,
-    backpressure: Backpressure,
-}
-
-impl SharedFrontend {
-    /// Switch-side per-packet work; identical contract to
-    /// [`DistributedRhhh::update`].
-    #[inline]
-    pub fn update(&mut self, key2: u64) {
-        self.packets += 1;
-        let d = self.rng.bounded(self.v);
-        if d < self.h {
-            let masked = key2 & self.masks[d as usize];
-            match self.backpressure {
-                Backpressure::Block => {
-                    self.sender
-                        .send((d as u16, masked))
-                        .expect("measurement thread alive");
-                    self.forwarded += 1;
-                }
-                Backpressure::DropNewest => match self.sender.try_send((d as u16, masked)) {
-                    Ok(()) => self.forwarded += 1,
-                    Err(_) => self.dropped += 1,
-                },
-            }
-        } else {
-            self.unsampled += 1;
-        }
-    }
-
-    /// Finishes this frontend, returning its statistics. The backend keeps
-    /// running until every frontend has finished.
-    #[must_use]
-    pub fn finish(self) -> DistributedStats {
-        DistributedStats {
-            packets: self.packets,
-            forwarded: self.forwarded,
-            dropped: self.dropped,
-            unsampled: self.unsampled,
-        }
-    }
-}
-
-impl DataplaneMonitor for SharedFrontend {
-    #[inline]
-    fn on_packet(&mut self, key2: u64) {
-        self.update(key2);
-    }
-
-    fn label(&self) -> String {
-        "Distributed-RHHH(shared)".into()
-    }
-}
-
-/// Multi-source distributed RHHH: `frontends` switch frontends (one per
-/// network device, each usable from its own thread) feeding one
-/// measurement backend over a shared bounded channel.
-///
-/// Returns the frontends plus a collector handle; after all frontends are
-/// finished (dropping their channel clones), call
-/// [`SharedCollector::finish`] with the summed switch-side packet count to
-/// obtain the queryable backend.
-#[must_use]
-pub fn spawn_shared(
-    lattice: Lattice<u64>,
-    config: RhhhConfig,
-    queue_capacity: usize,
-    backpressure: Backpressure,
-    frontends: usize,
-) -> (Vec<SharedFrontend>, SharedCollector) {
-    assert!(frontends > 0, "need at least one frontend");
-    let masks = std::sync::Arc::new(
-        lattice
-            .node_ids()
-            .map(|n| lattice.mask(n))
-            .collect::<Vec<u64>>(),
-    );
-    let h = lattice.num_nodes() as u64;
-    let v = config.v_scale * h;
-    let seed = config.seed;
-    let backend = Rhhh::<u64>::new(lattice, config);
-    let (sender, receiver) = bounded::<(u16, u64)>(queue_capacity);
-    let handle = std::thread::spawn(move || {
-        let mut backend = backend;
-        for (node, key) in receiver {
-            backend.raw_update(NodeId(node), key);
-        }
-        backend
-    });
-    let fronts = (0..frontends)
-        .map(|i| SharedFrontend {
-            sender: sender.clone(),
-            masks: masks.clone(),
-            // Distinct deterministic seed per device.
-            rng: FastRng::new(seed ^ 0x5A_0000 ^ (i as u64).wrapping_mul(0x9E37_79B9)),
-            v,
-            h,
-            packets: 0,
-            forwarded: 0,
-            dropped: 0,
-            unsampled: 0,
-            backpressure,
-        })
-        .collect();
-    drop(sender); // backend exits once every frontend's clone is dropped
-    (fronts, SharedCollector { handle })
-}
-
-/// Joins the shared measurement backend once all frontends finished.
-#[derive(Debug)]
-pub struct SharedCollector {
-    handle: JoinHandle<Rhhh<u64>>,
-}
-
-impl SharedCollector {
-    /// Joins the measurement thread; `total_packets` is the sum of packets
-    /// across all switch frontends (the global `N`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the measurement thread panicked.
-    #[must_use]
-    pub fn finish(self, total_packets: u64) -> Rhhh<u64> {
-        let mut backend = self.handle.join().expect("measurement thread panicked");
-        backend.note_packets(total_packets);
-        backend
-    }
-}
-
-/// The multi-VM generalization of [`DistributedRhhh`]: one switch frontend
-/// fanning sampled `(node, masked key)` pairs out to `M` measurement VMs
-/// by **key hash**, queries answered by merging the backends at harvest.
-///
-/// Where [`spawn_shared`] scales the *ingress* side (many devices, one
-/// backend), this scales the *measurement* side: a single backend VM caps
-/// the sustainable sample rate, so the frontend routes each masked key to
-/// `hash(key) % M` — every key's samples land on one VM, each VM holds a
-/// key-partitioned slice of every node's summary, and
-/// [`Rhhh::merge`] combines the slices with the per-VM error bounds
-/// summed. The same `V`-fold overhead reduction of Section 5.2 applies per
-/// link; the fan-out adds backend capacity linearly.
-#[derive(Debug)]
-pub struct MultiVmDistributedRhhh {
-    senders: Vec<Sender<(u16, u64)>>,
-    handles: Vec<JoinHandle<Rhhh<u64>>>,
-    masks: Vec<u64>,
-    rng: FastRng,
-    v: u64,
-    h: u64,
-    packets: u64,
-    forwarded: u64,
-    dropped: u64,
-    unsampled: u64,
-    backpressure: Backpressure,
-}
-
-impl MultiVmDistributedRhhh {
-    /// Spawns `vms` measurement threads, each with its own bounded
-    /// switch→VM channel of `queue_capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `vms` is zero.
-    #[must_use]
+    /// Panics when `vms` is zero or `config` is invalid for [`Rhhh::new`].
     pub fn spawn(
         lattice: Lattice<u64>,
         config: RhhhConfig,
         vms: usize,
-        queue_capacity: usize,
-        backpressure: Backpressure,
-    ) -> Self {
+    ) -> Result<Self, SpawnError> {
         assert!(vms > 0, "need at least one measurement VM");
-        let masks: Vec<u64> = lattice.node_ids().map(|n| lattice.mask(n)).collect();
+        let masks = lattice.node_ids().map(|n| lattice.mask(n)).collect();
         let h = lattice.num_nodes() as u64;
-        let v = config.v_scale * h;
-        let seed = config.seed;
         let mut senders = Vec::with_capacity(vms);
         let mut handles = Vec::with_capacity(vms);
         for vm in 0..vms {
-            let backend = Rhhh::<u64>::new(
-                lattice.clone(),
-                RhhhConfig {
-                    seed: seed ^ (vm as u64 + 1).wrapping_mul(0x9E37_79B9),
-                    ..config
-                },
-            );
-            let (tx, rx) = bounded::<(u16, u64)>(queue_capacity);
-            handles.push(std::thread::spawn(move || {
-                let mut backend = backend;
-                for (node, key) in rx {
-                    backend.raw_update(NodeId(node), key);
+            let mut backend = Rhhh::<u64>::new(lattice.clone(), config);
+            let (tx, rx) = conduit::<Vec<Sample>>(QUEUE_BATCHES);
+            let handle = spawn_named(format!("vm-{vm}"), move || {
+                while let Some(batch) = rx.recv() {
+                    for (node, key) in batch {
+                        backend.raw_update(NodeId(node), key);
+                    }
                 }
                 backend
-            }));
-            senders.push(tx);
+            })?;
+            senders.push(tx.bind(handle.thread().clone()));
+            handles.push(handle);
         }
-        Self {
+        Ok(Self {
             senders,
             handles,
+            bufs: (0..vms).map(|_| Vec::with_capacity(SAMPLE_BATCH)).collect(),
+            link: HandoffStats::default(),
             masks,
-            rng: FastRng::new(seed ^ 0xFA11_0007),
-            v,
+            rng: FastRng::new(config.seed),
+            v: config.v_scale * h,
             h,
-            packets: 0,
-            forwarded: 0,
-            dropped: 0,
-            unsampled: 0,
-            backpressure,
-        }
+            r: config.updates_per_packet,
+            stats: DistributedStats::default(),
+        })
     }
 
     /// Number of measurement VMs.
     #[must_use]
     pub fn vms(&self) -> usize {
-        self.senders.len()
+        self.bufs.len()
     }
 
-    /// Switch-side per-packet work: one `[0, V)` draw; a selected packet is
-    /// masked and routed to its key's VM.
+    /// Switch-side per-packet work: `r` O(1) draws; each selecting draw
+    /// masks the key and buffers the sample for its key's VM.
     #[inline]
     pub fn update(&mut self, key2: u64) {
-        self.packets += 1;
-        let d = self.rng.bounded(self.v);
-        if d < self.h {
-            let masked = key2.and(self.masks[d as usize]);
-            let vm = crate::sharded::shard_of(masked, self.senders.len());
-            match self.backpressure {
-                Backpressure::Block => {
-                    self.senders[vm]
-                        .send((d as u16, masked))
-                        .expect("measurement thread alive");
-                    self.forwarded += 1;
+        self.stats.packets += 1;
+        for _ in 0..self.r {
+            let d = self.rng.bounded(self.v);
+            if d < self.h {
+                let masked = key2 & self.masks[d as usize];
+                let vm = shard_of(masked, self.bufs.len());
+                self.bufs[vm].push((d as u16, masked));
+                if self.bufs[vm].len() == SAMPLE_BATCH {
+                    self.send(vm);
                 }
-                Backpressure::DropNewest => match self.senders[vm].try_send((d as u16, masked)) {
-                    Ok(()) => self.forwarded += 1,
-                    Err(_) => self.dropped += 1,
-                },
+            } else {
+                self.stats.unsampled += 1;
             }
-        } else {
-            self.unsampled += 1;
         }
     }
 
-    /// Closes every channel, joins the VM threads, merges their summaries
-    /// and returns the queryable whole with run statistics. The merged
-    /// `N` is set to the switch-side packet count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a measurement thread panicked.
-    #[must_use]
-    pub fn finish(mut self) -> (Rhhh<u64>, DistributedStats) {
-        self.senders.clear(); // closes the channels, threads drain & exit
-        let mut backends = self
-            .handles
-            .drain(..)
-            .map(|h| h.join().expect("measurement thread panicked"));
-        let mut merged = backends.next().expect("at least one VM");
-        for backend in backends {
-            merged.merge(backend);
+    /// Hands VM `vm`'s buffered samples over its ring.
+    fn send(&mut self, vm: usize) {
+        let batch = std::mem::replace(&mut self.bufs[vm], Vec::with_capacity(SAMPLE_BATCH));
+        let n = batch.len() as u64;
+        if self.senders[vm].send(batch, &mut self.link) {
+            self.stats.forwarded += n;
+        } else {
+            self.stats.dropped += n;
         }
-        merged.note_packets(self.packets);
-        (
-            merged,
-            DistributedStats {
-                packets: self.packets,
-                forwarded: self.forwarded,
-                dropped: self.dropped,
-                unsampled: self.unsampled,
-            },
-        )
+    }
+
+    /// Hands every partial batch to its VM.
+    fn flush(&mut self) {
+        for vm in 0..self.bufs.len() {
+            if !self.bufs[vm].is_empty() {
+                self.send(vm);
+            }
+        }
+    }
+
+    /// The run statistics so far. Samples still buffered for a VM are not
+    /// yet counted as forwarded or dropped; the ledger closes at
+    /// [`DistributedRhhh::finish`].
+    #[must_use]
+    pub fn stats(&self) -> DistributedStats {
+        self.stats
+    }
+
+    /// Flushes, joins every VM and merges their summaries into one
+    /// queryable instance whose `N` is the switch-side packet count.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeError::ShardFailed`] when a VM thread died: its slice of the
+    /// summary is gone, so a merged answer would silently under-count. The
+    /// error names the first dead VM by index.
+    pub fn finish(mut self) -> Result<(Rhhh<u64>, DistributedStats), MergeError> {
+        self.flush();
+        self.senders.clear(); // closes every ring; the VMs drain & exit
+        let mut backends = join_shards(std::mem::take(&mut self.handles))?;
+        let mut merged = backends.remove(0);
+        merged.merge_many(backends);
+        merged.note_packets(self.stats.packets);
+        Ok((merged, self.stats))
     }
 
     /// Convenience: finish and immediately run `Output(θ)`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a measurement thread panicked.
-    #[must_use]
-    pub fn finish_and_query(self, theta: f64) -> (Vec<HeavyHitter<u64>>, DistributedStats) {
-        let (backend, stats) = self.finish();
-        (backend.output(theta), stats)
+    /// Propagates [`DistributedRhhh::finish`]'s `ShardFailed`.
+    pub fn finish_and_query(
+        self,
+        theta: f64,
+    ) -> Result<(Vec<HeavyHitter<u64>>, DistributedStats), MergeError> {
+        let (backend, stats) = self.finish()?;
+        Ok((backend.output(theta), stats))
     }
 }
 
-impl DataplaneMonitor for MultiVmDistributedRhhh {
+impl DataplaneMonitor for DistributedRhhh {
     #[inline]
     fn on_packet(&mut self, key2: u64) {
         self.update(key2);
@@ -508,7 +233,10 @@ impl DataplaneMonitor for MultiVmDistributedRhhh {
         } else {
             format!("{}-RHHH", self.v / self.h)
         };
-        format!("Distributed-{base}(x{} VMs)", self.senders.len())
+        match self.vms() {
+            1 => format!("Distributed-{base}"),
+            vms => format!("Distributed-{base}(x{vms} VMs)"),
+        }
     }
 }
 
@@ -529,149 +257,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forwards_h_over_v_fraction() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut dist =
-            DistributedRhhh::spawn(lat, RhhhConfig::ten_rhhh(), 1 << 16, Backpressure::Block);
-        let mut rng = Lcg(1);
-        let n = 200_000u64;
-        for _ in 0..n {
-            dist.update(rng.next());
-        }
-        let (_, stats) = dist.finish();
-        assert_eq!(stats.packets, n);
-        let rate = stats.forwarded as f64 / n as f64;
-        assert!((rate - 0.1).abs() < 0.01, "forward rate {rate}");
-        assert_eq!(stats.dropped, 0, "blocking mode never drops");
-        assert_eq!(
-            stats.packets,
-            stats.forwarded + stats.dropped + stats.unsampled,
-            "every packet accounted exactly once"
-        );
-    }
-
-    #[test]
-    fn finds_planted_hhh_like_inline() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let config = RhhhConfig {
+    fn planted_config() -> RhhhConfig {
+        RhhhConfig {
             epsilon_s: 0.02,
             epsilon_a: 0.005,
             delta_s: 0.05,
             ..RhhhConfig::default()
-        };
-        let mut dist = DistributedRhhh::spawn(lat.clone(), config, 1 << 16, Backpressure::Block);
-        let mut rng = Lcg(4);
+        }
+    }
+
+    /// 30% of the stream from 10.20.0.0/16 to 8.8.8.8, the rest uniform.
+    fn planted_key(i: u64, rng: &mut Lcg) -> u64 {
+        if i % 10 < 3 {
+            pack2(
+                0x0A14_0000 | (rng.next() as u32 & 0xFFFF),
+                u32::from_be_bytes([8, 8, 8, 8]),
+            )
+        } else {
+            pack2(rng.next() as u32, rng.next() as u32)
+        }
+    }
+
+    fn assert_finds_planted(dist: DistributedRhhh, seed: u64) {
+        let lat = Lattice::ipv4_src_dst_bytes();
+        let vms = dist.vms();
+        let mut dist = dist;
+        let mut rng = Lcg(seed);
         let n = 400_000u64;
         for i in 0..n {
-            let key = if i % 10 < 3 {
-                pack2(
-                    0x0A14_0000 | (rng.next() as u32 & 0xFFFF),
-                    u32::from_be_bytes([8, 8, 8, 8]),
-                )
-            } else {
-                pack2(rng.next() as u32, rng.next() as u32)
-            };
-            dist.update(key);
+            dist.update(planted_key(i, &mut rng));
         }
-        let (out, stats) = dist.finish_and_query(0.1);
+        let (backend, stats) = dist.finish().expect("VMs alive");
         assert_eq!(stats.packets, n);
-        assert_eq!(stats.dropped, 0, "blocking mode never drops");
-        let rendered: Vec<String> = out.iter().map(|h| h.prefix.display(&lat)).collect();
+        assert_eq!(stats.dropped, 0, "live VMs never drop");
+        assert_eq!(stats.forwarded + stats.unsampled, n);
+        assert_eq!(backend.packets(), n, "merged backend carries global N");
+        let rendered: Vec<String> = backend
+            .output(0.1)
+            .iter()
+            .map(|h| h.prefix.display(&lat))
+            .collect();
         assert!(
             rendered
                 .iter()
                 .any(|s| s.contains("10.20.0.0/16") && s.contains("8.8.8.8/32")),
-            "missing planted HHH in {rendered:?}"
+            "{vms} VMs: missing planted HHH in {rendered:?}"
         );
     }
 
-    #[test]
-    fn tiny_queue_counts_drops_instead_of_blocking() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        // Capacity-1 queue with V = H: heavy contention guaranteed.
-        let mut dist =
-            DistributedRhhh::spawn(lat, RhhhConfig::default(), 1, Backpressure::DropNewest);
-        let mut rng = Lcg(9);
-        for _ in 0..50_000 {
-            dist.update(rng.next());
-        }
-        let (_, stats) = dist.finish();
-        // V = H: every packet is sampled, so none is unsampled.
-        assert_eq!(stats.unsampled, 0);
-        assert_eq!(stats.forwarded + stats.dropped, 50_000);
-        // The run must terminate promptly (no deadlock) — reaching this
-        // assertion is the test.
-    }
-
-    #[test]
-    fn multi_vm_fanout_finds_planted_hhh_and_accounts_packets() {
-        for vms in [1usize, 2, 4] {
-            let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-            let config = RhhhConfig {
-                epsilon_s: 0.02,
-                epsilon_a: 0.005,
-                delta_s: 0.05,
-                ..RhhhConfig::default()
-            };
-            let mut dist = MultiVmDistributedRhhh::spawn(
-                lat.clone(),
-                config,
-                vms,
-                1 << 14,
-                Backpressure::Block,
-            );
-            assert_eq!(dist.vms(), vms);
-            let mut rng = Lcg(40 + vms as u64);
-            let n = 400_000u64;
-            for i in 0..n {
-                let key = if i % 10 < 3 {
-                    pack2(
-                        0x0A14_0000 | (rng.next() as u32 & 0xFFFF),
-                        u32::from_be_bytes([8, 8, 8, 8]),
-                    )
-                } else {
-                    pack2(rng.next() as u32, rng.next() as u32)
-                };
-                dist.update(key);
-            }
-            let (backend, stats) = dist.finish();
-            assert_eq!(stats.packets, n);
-            assert_eq!(
-                stats.packets,
-                stats.forwarded + stats.dropped + stats.unsampled
-            );
-            assert_eq!(backend.packets(), n, "merged backend carries global N");
-            let rendered: Vec<String> = backend
-                .output(0.1)
-                .iter()
-                .map(|h| h.prefix.display(&lat))
-                .collect();
-            assert!(
-                rendered
-                    .iter()
-                    .any(|s| s.contains("10.20.0.0/16") && s.contains("8.8.8.8/32")),
-                "{vms} VMs: missing planted HHH in {rendered:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn multi_vm_ten_rhhh_forwards_h_over_v() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut dist = MultiVmDistributedRhhh::spawn(
-            lat,
-            RhhhConfig::ten_rhhh(),
-            3,
-            1 << 14,
-            Backpressure::Block,
-        );
-        let mut rng = Lcg(77);
+    fn assert_forwards_h_over_v(vms: usize, seed: u64) {
+        let lat = Lattice::ipv4_src_dst_bytes();
+        let mut dist = DistributedRhhh::spawn(lat, RhhhConfig::ten_rhhh(), vms).unwrap();
+        let mut rng = Lcg(seed);
         let n = 200_000u64;
         for _ in 0..n {
             dist.update(rng.next());
         }
-        let (backend, stats) = dist.finish();
+        let (backend, stats) = dist.finish().expect("VMs alive");
         let rate = stats.forwarded as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "forward rate {rate}");
         assert_eq!(stats.packets, stats.forwarded + stats.unsampled);
@@ -679,66 +321,64 @@ mod tests {
     }
 
     #[test]
-    fn multiple_devices_feed_one_backend() {
-        // Two "switches" on their own threads observe different halves of
-        // the attack; the shared backend sees the union.
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let config = RhhhConfig {
-            epsilon_s: 0.02,
-            epsilon_a: 0.005,
-            delta_s: 0.05,
-            ..RhhhConfig::default()
-        };
-        let (fronts, collector) =
-            spawn_shared(lat.clone(), config, 1 << 14, Backpressure::Block, 2);
-        let mut handles = Vec::new();
-        for (dev, mut front) in fronts.into_iter().enumerate() {
-            handles.push(std::thread::spawn(move || {
-                let mut rng = Lcg(100 + dev as u64);
-                let n = 200_000u64;
-                for i in 0..n {
-                    // Each device sees ~15% attack traffic; the aggregate
-                    // crosses theta = 0.1 only when combined... both see it,
-                    // but per-device share (~15%) and combined share (~15%)
-                    // are equal here; the point is the union count.
-                    let key = if i % 20 < 3 {
-                        pack2(
-                            0x0A14_0000 | (rng.next() as u32 & 0xFFFF),
-                            u32::from_be_bytes([8, 8, 8, 8]),
-                        )
-                    } else {
-                        pack2(rng.next() as u32, rng.next() as u32)
-                    };
-                    front.update(key);
-                }
-                front.finish()
-            }));
+    fn forwards_h_over_v_fraction() {
+        assert_forwards_h_over_v(1, 1);
+    }
+
+    #[test]
+    fn multi_vm_ten_rhhh_forwards_h_over_v() {
+        assert_forwards_h_over_v(3, 77);
+    }
+
+    #[test]
+    fn finds_planted_hhh_like_inline() {
+        let lat = Lattice::ipv4_src_dst_bytes();
+        assert_finds_planted(DistributedRhhh::spawn(lat, planted_config(), 1).unwrap(), 4);
+    }
+
+    #[test]
+    fn multi_vm_fanout_finds_planted_hhh_and_accounts_packets() {
+        for vms in [2usize, 4] {
+            let lat = Lattice::ipv4_src_dst_bytes();
+            let dist = DistributedRhhh::spawn(lat, planted_config(), vms).unwrap();
+            assert_eq!(dist.vms(), vms);
+            assert_finds_planted(dist, 40 + vms as u64);
         }
-        let mut total = 0u64;
-        for h in handles {
-            let stats = h.join().expect("device thread");
-            assert_eq!(stats.dropped, 0);
-            total += stats.packets;
-        }
-        assert_eq!(total, 400_000);
-        let backend = collector.finish(total);
-        assert_eq!(backend.packets(), total);
-        let out = backend.output(0.1);
-        let found = out
-            .iter()
-            .any(|h| h.prefix.display(&lat).contains("10.20.0.0/16"));
-        assert!(found, "shared backend must aggregate both devices");
     }
 
     #[test]
     fn backend_n_matches_switch_packets() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
-        let mut dist =
-            DistributedRhhh::spawn(lat, RhhhConfig::default(), 1 << 12, Backpressure::Block);
+        let lat = Lattice::ipv4_src_dst_bytes();
+        let mut dist = DistributedRhhh::spawn(lat, RhhhConfig::default(), 1).unwrap();
         for i in 0..10_000u64 {
             dist.update(i);
         }
-        let (backend, _) = dist.finish();
+        let (backend, _) = dist.finish().unwrap();
         assert_eq!(backend.packets(), 10_000);
+    }
+
+    #[test]
+    fn dead_vm_drops_samples_and_surfaces_as_merge_error() {
+        let lat = Lattice::ipv4_src_dst_bytes();
+        let mut dist = DistributedRhhh::spawn(lat, RhhhConfig::default(), 2).unwrap();
+        // A sample naming a node outside the lattice panics VM 1 on receipt.
+        assert!(dist.senders[1].send(vec![(u16::MAX, 0)], &mut dist.link));
+        let n = 400_000u64;
+        for i in 0..n {
+            dist.update(i.wrapping_mul(0x9E37_79B9));
+        }
+        dist.flush();
+        // VM 1 pops nothing after the poison, so once its ring fills every
+        // further sample for it is dropped instead of wedging the switch.
+        let stats = dist.stats();
+        assert!(stats.dropped > 0, "samples for the dead VM: {stats:?}");
+        assert_eq!(stats.forwarded + stats.dropped + stats.unsampled, n);
+        match dist.finish() {
+            Err(MergeError::ShardFailed(msg)) => {
+                assert!(msg.contains("shard 1"), "error names the VM: {msg}");
+            }
+            Ok(_) => panic!("finish must not merge a partial answer"),
+            Err(e) => panic!("wrong error kind: {e}"),
+        }
     }
 }

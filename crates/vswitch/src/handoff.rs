@@ -1,6 +1,8 @@
-//! Batch hand-off plumbing for the shard fleet: one SPSC ring buffer per
-//! shard with bounded spin-then-park backpressure, and named worker-thread
-//! spawning.
+//! Batch hand-off plumbing for every worker fleet — the shard fleet
+//! ([`crate::sharded`]) and the distributed measurement VMs
+//! ([`crate::distributed`]): one SPSC ring buffer per worker with bounded
+//! spin-then-park backpressure, named worker-thread spawning, and the
+//! join that turns a dead worker into [`MergeError::ShardFailed`].
 //!
 //! The unit of hand-off is a whole batch (a `Vec` of a few thousand keys),
 //! so the per-packet ingest path never touches this module — it pushes
@@ -35,6 +37,7 @@ use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use crossbeam::queue::ArrayQueue;
+use hhh_core::MergeError;
 
 /// Bounded yields before a full/empty encounter escalates to parking.
 const SPIN_YIELDS: u32 = 64;
@@ -46,6 +49,13 @@ const PARK_WAIT: Duration = Duration::from_micros(100);
 /// empty. An idle worker settles into ~5 ms naps (≈1% of a core) instead
 /// of hot-spinning; the producer's `unpark` ends any nap early.
 const PARK_WAIT_MAX: Duration = Duration::from_millis(5);
+
+/// In-flight batches each worker's hand-off may hold before the ingress
+/// thread backpressures. Enough to ride out scheduling hiccups (at the
+/// default 4Ki-entry batches this is ≤ 2 MiB per worker), small enough that
+/// a continuously slower worker bounds memory instead of growing a
+/// backlog.
+pub(crate) const QUEUE_BATCHES: usize = 16;
 
 /// Spawn-time knobs for the flat shard fleet, beyond the required
 /// lattice/config/shards/batch arguments.
@@ -104,6 +114,42 @@ where
             thread: name,
             source,
         })
+}
+
+/// Extracts a human-readable message from a worker thread's panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked with a non-string payload".to_string()
+    }
+}
+
+/// Joins every worker — even after a failure, so no thread leaks — and
+/// surfaces the first death as [`MergeError::ShardFailed`] naming the
+/// worker's index (`shard i`, in spawn order) and its panic payload.
+pub(crate) fn join_shards<T>(handles: Vec<JoinHandle<T>>) -> Result<Vec<T>, MergeError> {
+    let mut workers = Vec::with_capacity(handles.len());
+    let mut failure: Option<MergeError> = None;
+    for (shard, handle) in handles.into_iter().enumerate() {
+        match handle.join() {
+            Ok(worker) => workers.push(worker),
+            Err(payload) => {
+                failure.get_or_insert_with(|| {
+                    MergeError::ShardFailed(format!(
+                        "shard {shard}: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                });
+            }
+        }
+    }
+    match failure {
+        Some(err) => Err(err),
+        None => Ok(workers),
+    }
 }
 
 /// Per-shard hand-off counters, accumulated on the ingress thread (sends)

@@ -25,11 +25,15 @@
 //! * [`datapath`] — the pipeline plus [`datapath::DataplaneMonitor`], the
 //!   measurement hook; [`monitor`] adapts any [`hhh_core::HhhAlgorithm`]
 //!   into a monitor (inline dataplane integration, Figure 6/7).
-//! * [`distributed`] — the paper's second integration: the switch only
-//!   *samples* (`d < H`) and forwards sampled headers over a bounded
-//!   channel to a measurement thread standing in for the monitoring VM
-//!   (Figure 8); [`distributed::MultiVmDistributedRhhh`] fans the samples
-//!   out to several VMs by key hash and merges at harvest.
+//! * [`distributed`] — the paper's second integration (Figure 8): the
+//!   switch only *samples* (`r` draws of `d < H` per packet) and forwards
+//!   the sampled `(node, masked key)` pairs, batched over the fleet's ring
+//!   hand-off, to one or more measurement threads standing in for the
+//!   monitoring VMs; several VMs split the samples by key hash and merge
+//!   at finish.
+//! * [`handoff`] — the transport both worker fleets share: one SPSC ring
+//!   per worker with spin-then-park backpressure, named spawning, and the
+//!   join that turns a dead worker into `MergeError::ShardFailed`.
 //! * [`sharded`] — RSS-style shard parallelism: packets hash-partition
 //!   across worker threads, each running the geometric-skip batch path on
 //!   its own pane ring (never rotated for the whole-stream answer, rotated
@@ -50,10 +54,7 @@ pub mod sharded;
 pub mod wire;
 
 pub use datapath::{Datapath, DatapathStats, DataplaneMonitor};
-pub use distributed::{
-    spawn_shared, Backpressure, DistributedRhhh, DistributedStats, MultiVmDistributedRhhh,
-    SharedCollector, SharedFrontend,
-};
+pub use distributed::{DistributedRhhh, DistributedStats};
 pub use flow_table::{Action, FlowKey, MegaflowTable, MicroflowCache};
 pub use handoff::{HandoffStats, SpawnError, SpawnOptions};
 pub use monitor::{

@@ -37,8 +37,8 @@
 //! time in `update_batch`, not on synchronization. The hand-off is a
 //! fixed-capacity lock-free SPSC ring per shard ([`crate::handoff`]): the
 //! uncontended crossing is two atomic read-modify-writes, with
-//! spin-then-park backpressure when a worker falls behind
-//! ([`QUEUE_BATCHES`] in-flight batches bound the backlog).
+//! spin-then-park backpressure when a worker falls behind (a fixed
+//! number of in-flight batches bounds the backlog).
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
 //! publishes an epoch-stamped [`ShardSnapshot`] — a clone of its current
@@ -62,14 +62,10 @@ use hhh_counters::{FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice};
 
 use crate::datapath::DataplaneMonitor;
-use crate::handoff::{conduit, spawn_named, HandoffStats, ShardTx, SpawnError, SpawnOptions};
-
-/// In-flight batches each shard's hand-off may hold before the ingress
-/// thread backpressures. Enough to ride out scheduling hiccups (at the
-/// default 4Ki-key batches this is ≤ 2 MiB per shard), small enough that
-/// a continuously slower worker bounds memory instead of growing a
-/// backlog.
-const QUEUE_BATCHES: usize = 16;
+use crate::handoff::{
+    conduit, join_shards, spawn_named, HandoffStats, ShardTx, SpawnError, SpawnOptions,
+    QUEUE_BATCHES,
+};
 
 /// The canonical key-hash routing and the per-shard seed derivation,
 /// re-exported so pipeline users (and replays of the fleet) need not
@@ -120,42 +116,6 @@ enum ShardMsg<K> {
     /// Failure-injection poison: the worker panics on receipt. Only ever
     /// sent by [`ShardedMonitor::inject_shard_failure`] (chaos tests).
     Poison,
-}
-
-/// Extracts a human-readable message from a worker thread's panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// Joins every shard worker — even after a failure, so no thread leaks —
-/// and surfaces the first death as [`MergeError::ShardFailed`] naming the
-/// shard and its panic payload.
-fn join_shards<T>(handles: Vec<JoinHandle<T>>) -> Result<Vec<T>, MergeError> {
-    let mut workers = Vec::with_capacity(handles.len());
-    let mut failure: Option<MergeError> = None;
-    for (shard, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(worker) => workers.push(worker),
-            Err(payload) => {
-                failure.get_or_insert_with(|| {
-                    MergeError::ShardFailed(format!(
-                        "shard {shard}: {}",
-                        panic_message(payload.as_ref())
-                    ))
-                });
-            }
-        }
-    }
-    match failure {
-        Some(err) => Err(err),
-        None => Ok(workers),
-    }
 }
 
 /// Stores a fresh epoch-stamped snapshot of the ring's current answer:

@@ -4,9 +4,7 @@
 use hhh_core::{HhhAlgorithm, Rhhh, RhhhConfig};
 use hhh_hierarchy::Lattice;
 use hhh_traces::{AttackConfig, TraceConfig, TraceGenerator};
-use hhh_vswitch::{
-    build_udp_frame, Action, AlgoMonitor, Backpressure, Datapath, DistributedRhhh, NoOpMonitor,
-};
+use hhh_vswitch::{build_udp_frame, Action, AlgoMonitor, Datapath, DistributedRhhh, NoOpMonitor};
 
 fn attack_trace() -> TraceConfig {
     TraceConfig::chicago16().with_attack(AttackConfig {
@@ -57,12 +55,7 @@ fn distributed_agrees_with_inline_on_attack() {
     let lattice = Lattice::ipv4_src_dst_bytes();
 
     let mut inline = Rhhh::<u64>::new(lattice.clone(), loose_config(2));
-    let mut dist = DistributedRhhh::spawn(
-        lattice.clone(),
-        loose_config(2),
-        1 << 14,
-        Backpressure::Block,
-    );
+    let mut dist = DistributedRhhh::spawn(lattice.clone(), loose_config(2), 1).expect("spawn VM");
 
     let mut gen = TraceGenerator::new(&attack_trace());
     for _ in 0..250_000 {
@@ -70,7 +63,7 @@ fn distributed_agrees_with_inline_on_attack() {
         inline.update(key);
         dist.update(key);
     }
-    let (dist_out, stats) = dist.finish_and_query(0.1);
+    let (dist_out, stats) = dist.finish_and_query(0.1).expect("VM alive");
     assert_eq!(stats.dropped, 0);
 
     let inline_found: Vec<String> = inline
@@ -86,6 +79,8 @@ fn distributed_agrees_with_inline_on_attack() {
         .collect();
     assert!(!inline_found.is_empty(), "inline missed the attack");
     assert!(!dist_found.is_empty(), "distributed missed the attack");
+    // One VM on the inline seed replays inline `update` draw for draw.
+    assert_eq!(dist_out, inline.output(0.1));
 }
 
 #[test]
