@@ -1,30 +1,30 @@
-//! Shard-parallel pipeline cost model: what merge-on-query buys and costs.
+//! Shard fleet cost model: what sample-then-route and merge-on-query buy
+//! and cost.
 //!
-//! Four groups, plus a hand-off occupancy printout:
+//! Three groups, plus a hand-off occupancy printout:
 //!
 //! * `sharded_throughput/pipeline` — end-to-end packets/s of the
-//!   [`ShardedMonitor`] (hash-route → per-shard batch workers → harvest
-//!   merge) for 1, 2 and 4 shards, both Space Saving layouts. On a
-//!   single-vCPU box the extra shards measure the *coordination overhead*
-//!   (hash, buffer, hand-off, merge) rather than a speedup — the number a
-//!   deployment needs to know before reaching for threads.
+//!   [`ShardedMonitor`] (ingress sample → route by masked key → per-shard
+//!   flush workers → harvest merge) for 1, 2 and 4 shards, both Space
+//!   Saving layouts, at 10-RHHH fed one packet at a time. One shard is
+//!   Figure 8's single measurement VM; more shards are the multi-VM
+//!   deployment. On a box with fewer cores than threads the extra shards
+//!   measure the *coordination overhead* (route, hand-off, merge) rather
+//!   than a speedup — the number a deployment needs to know before
+//!   reaching for threads.
 //! * hand-off occupancy — one instrumented feed per shard count at a
-//!   deliberately small batch grain (512 keys, ~8× the pipeline group's
-//!   sends per packet) prints the per-shard ring occupancy/park/drop
-//!   counters: how full the rings ran and whether either side parked.
+//!   deliberately small grain (512 samples per hand-off, ~8× the pipeline
+//!   group's sends per packet) prints the per-shard ring
+//!   occupancy/park/drop counters: how full the rings ran and whether
+//!   either side parked.
 //! * `sharded_throughput/query` — the non-blocking query plane on a live
-//!   4-shard ring monitor: `cached` re-serves the epoch-keyed merge,
-//!   `per-merge` K-way-merges the latest snapshots from scratch. Row ids
+//!   4-shard monitor: `cached` re-serves the epoch-keyed combine,
+//!   `per-merge` combines the latest snapshots from scratch. Row ids
 //!   mirror `windowed_throughput/query` in `update_speed` so CI can
 //!   compare the two caches directly.
 //! * `sharded_throughput/merge` — the harvest-time cost of one
 //!   [`Rhhh::merge`] of two steady-state instances (25 nodes × 1001
-//!   counters each); this is the per-query price of shard parallelism and
-//!   of multi-VM aggregation.
-//! * `sharded_throughput/multi-vm` — end-to-end throughput of the
-//!   [`DistributedRhhh`] sample-and-forward frontend (10-RHHH, batched
-//!   samples over one ring per VM, blocking backpressure, merge at
-//!   finish) for 1, 2 and 4 measurement VMs.
+//!   counters each); this is the per-query price of shard parallelism.
 
 use std::time::Duration;
 
@@ -33,7 +33,7 @@ use hhh_bench::Workload;
 use hhh_core::{Rhhh, RhhhConfig};
 use hhh_counters::{CompactSpaceSaving, SpaceSaving};
 use hhh_hierarchy::Lattice;
-use hhh_vswitch::{DistributedRhhh, ShardedMonitor};
+use hhh_vswitch::ShardedMonitor;
 
 const PACKETS: usize = 1_000_000;
 const SHARD_BATCH: usize = 4_096;
@@ -207,35 +207,11 @@ fn merge_cost(c: &mut Criterion) {
     g.finish();
 }
 
-fn multi_vm(c: &mut Criterion) {
-    let w = Workload::chicago16(PACKETS);
-    let lat = Lattice::ipv4_src_dst_bytes();
-    let mut g = c.benchmark_group("sharded_throughput/multi-vm");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .throughput(Throughput::Elements(w.keys2.len() as u64));
-    for vms in [1usize, 2, 4] {
-        g.bench_function(BenchmarkId::from_parameter(format!("x{vms}")), |b| {
-            b.iter(|| {
-                let mut dist = DistributedRhhh::spawn(lat.clone(), config(10), vms)
-                    .expect("spawn measurement VMs");
-                for &k in &w.keys2 {
-                    dist.update(k);
-                }
-                dist.finish().expect("measurement VMs alive")
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     sharded,
     pipeline,
     handoff_occupancy,
     query_plane,
-    merge_cost,
-    multi_vm
+    merge_cost
 );
 criterion_main!(sharded);

@@ -60,9 +60,8 @@ const PCAP_BLOCK_FRAMES: usize = 8_192;
 /// input is still insignificant next to the counter state.
 const BATCH_CHUNK: usize = 65_536;
 
-/// Per-shard hand-off grain for `--shards`: one ring push per this many
-/// packets of a shard's sub-stream (an rx-burst-sized batch each worker
-/// flushes through `update_batch`).
+/// Hand-off grain for `--shards`: the ingress hands each worker its
+/// sampled entries once some shard has this many waiting.
 const SHARD_BATCH: usize = 4_096;
 
 /// Upper bound for `--shards`: each shard is an OS thread plus a full set
@@ -440,8 +439,23 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
     }
 }
 
+/// The `# UNCONVERGED` warning for an answering instance that has not
+/// passed ψ yet (`N ≤ ψ`), so Theorem 6.17's guarantee does not hold.
+fn convergence_note<K: KeyBits, E: FrequencyEstimator<K>>(algo: &Rhhh<K, E>) -> Option<String> {
+    (!algo.converged()).then(|| {
+        format!(
+            "# UNCONVERGED (N/ψ = {:.2}%)",
+            100.0 * HhhAlgorithm::packets(algo) as f64 / algo.psi()
+        )
+    })
+}
+
+/// What an RHHH run hands the report: the answer, the weight or packet
+/// count it covers, the elapsed seconds and its convergence note.
+type Answer<K> = (Vec<HeavyHitter<K>>, u64, f64, Option<String>);
+
 /// Drives one concrete `Rhhh<K, E>` through the requested update path with
-/// the clock running; returns `(output, total, elapsed seconds)`.
+/// the clock running.
 fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K>>(
     lattice: &Lattice<K>,
     config: RhhhConfig,
@@ -450,7 +464,7 @@ fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K>>(
     weighted: &[(K, u64)],
     keys: &[K],
     theta: f64,
-) -> (Vec<HeavyHitter<K>>, u64, f64) {
+) -> Answer<K> {
     let mut algo = Rhhh::<K, E>::new(lattice.clone(), config);
     let start = Instant::now();
     match (volume, batch) {
@@ -477,17 +491,17 @@ fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K>>(
     } else {
         algo.packets()
     };
-    (algo.output(theta), total, elapsed)
+    (algo.output(theta), total, elapsed, convergence_note(&algo))
 }
 
-/// Drives the shard fleet with the clock running: hash-route every key
-/// (`keys`, or `weighted` when `volume`) across `shards` worker threads,
-/// each on its own pane ring through the batch path — a sliding window
-/// over the last W packets with globally aligned panes when `window` is
-/// `Some((W, G))` — then merge-on-harvest. The elapsed time covers feed,
-/// drain and merge, the end-to-end pipeline cost a deployment pays.
-/// Returns `(output, total, elapsed seconds)`; `total` is the weight or
-/// packet count the merged answer covers.
+/// Drives the shard fleet with the clock running: sample every key
+/// (`keys`, or `weighted` when `volume`) at ingress in [`BATCH_CHUNK`]
+/// calls, route the samples across `shards` worker threads, each flushing
+/// into its own pane ring — a sliding window over the last W packets with
+/// globally aligned panes when `window` is `Some((W, G))` — then
+/// merge-on-harvest. The elapsed time covers feed, drain and merge, the
+/// end-to-end pipeline cost a deployment pays. The answer's `N` is the
+/// harvested instance's.
 #[allow(clippy::too_many_arguments)]
 fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     lattice: &Lattice<K>,
@@ -499,7 +513,7 @@ fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     keys: &[K],
     live_query: bool,
     theta: f64,
-) -> Result<(Vec<HeavyHitter<K>>, u64, f64), String> {
+) -> Result<Answer<K>, String> {
     let start = Instant::now();
     let mut mon = match window {
         Some((win, panes)) => ShardedMonitor::<K, E>::spawn_windowed(
@@ -513,16 +527,17 @@ fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
         None => ShardedMonitor::<K, E>::spawn(lattice.clone(), config, shards, SHARD_BATCH),
     }
     .map_err(|e| e.to_string())?;
-    if volume {
-        mon.update_batch_weighted(weighted);
-    } else {
-        mon.update_batch(keys);
+    for chunk in weighted.chunks(BATCH_CHUNK) {
+        mon.update_batch_weighted(chunk);
+    }
+    for chunk in keys.chunks(BATCH_CHUNK) {
+        mon.update_batch(chunk);
     }
     let fed = start.elapsed();
     if live_query {
         // Demonstrate the snapshot query plane off the clock: the workers
         // keep running while we merge their latest published snapshots.
-        report_live_query(&mut mon, theta);
+        report_live_query(&mut mon, window.map(|(_, g)| g), theta);
     }
     let drain = Instant::now();
     let merged = mon.harvest().map_err(|e| e.to_string())?;
@@ -532,27 +547,33 @@ fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     } else {
         merged.packets()
     };
-    Ok((merged.output(theta), total, elapsed))
+    Ok((
+        merged.output(theta),
+        total,
+        elapsed,
+        convergence_note(&merged),
+    ))
 }
 
-/// Publishes fresh snapshots, waits (bounded) for every shard to land
-/// one, and prints the live query's answer size, coverage and latency —
-/// without joining or stopping the workers.
+/// Publishes fresh snapshots, waits (bounded) until they cover what the
+/// answer should (every packet fed, or the last `panes` completed panes of
+/// a window), and prints the live query's answer size, coverage and
+/// latency — without joining or stopping the workers.
 fn report_live_query<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     mon: &mut ShardedMonitor<K, E>,
+    panes: Option<usize>,
     theta: f64,
 ) {
-    let before = mon.snapshot_epochs();
     mon.publish_now();
     let fed = mon.packets();
+    let want = match panes {
+        Some(g) if mon.panes_completed() > 0 => {
+            mon.panes_completed().min(g as u64) * mon.pane_len()
+        }
+        _ => fed,
+    };
     let deadline = Instant::now() + std::time::Duration::from_millis(500);
-    while Instant::now() < deadline
-        && mon
-            .snapshot_epochs()
-            .iter()
-            .zip(&before)
-            .any(|(now, then)| now <= then)
-    {
+    while Instant::now() < deadline && mon.query_coverage() < want {
         std::thread::yield_now();
     }
     let start = Instant::now();
@@ -570,9 +591,9 @@ fn report_live_query<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
 /// Drives a pane-ring sliding window with the clock running: feed every
 /// key (scalar or geometric-skip batch per `batch`), then answer the
 /// windowed query over the last G completed panes. Streams shorter than
-/// one pane fall back to the partial active-pane answer. Returns
-/// `(output, covered packets, elapsed seconds)` — `covered` is the window
-/// the answer speaks for, the denominator of the printed shares.
+/// one pane fall back to the partial active-pane answer. The answer's
+/// total is the packets it covers, the denominator of the printed shares,
+/// and its `N` for the convergence note.
 fn run_windowed_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     lattice: &Lattice<K>,
     config: RhhhConfig,
@@ -581,7 +602,7 @@ fn run_windowed_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     batch: bool,
     keys: &[K],
     theta: f64,
-) -> (Vec<HeavyHitter<K>>, u64, f64) {
+) -> Answer<K> {
     let mut mon = WindowedRhhh::<K, E>::new(lattice.clone(), config, window, panes);
     let start = Instant::now();
     if batch {
@@ -598,7 +619,9 @@ fn run_windowed_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
         None => (mon.query_current(theta), mon.current_fill()),
     };
     let elapsed = start.elapsed().as_secs_f64();
-    (output, covered, elapsed)
+    let mut probe = Rhhh::<K, E>::new(lattice.clone(), config);
+    probe.note_packets(covered);
+    (output, covered, elapsed, convergence_note(&probe))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -627,6 +650,7 @@ fn run_analysis<K: KeyBits>(
     let output: Vec<HeavyHitter<K>>;
     let total: u64;
     let elapsed: f64;
+    let mut note = None;
 
     if volume || batch || shards.is_some() || window.is_some() {
         // Volume weighting, the batch update path, shard parallelism and
@@ -645,8 +669,12 @@ fn run_analysis<K: KeyBits>(
             };
             return Err(format!("{flag} supports rhhh/10-rhhh only"));
         }
-        if volume && window.is_some() {
-            return Err("--window measures packet-count windows; drop --volume".into());
+        if volume && window.is_some() && shards.is_none() {
+            return Err(
+                "--window --volume needs --shards (the single-thread window takes no \
+                        weighted feed); add --shards N or drop --volume"
+                    .into(),
+            );
         }
         let v_scale = if algo_name == "10-rhhh" { 10 } else { 1 };
         let config = RhhhConfig {
@@ -673,7 +701,7 @@ fn run_analysis<K: KeyBits>(
         } else {
             packets.iter().map(&key_of).collect()
         };
-        (output, total, elapsed) = if let Some(shards) = shards {
+        (output, total, elapsed, note) = if let Some(shards) = shards {
             with_counter_type!(counter, Est, {
                 run_fleet_timed::<K, Est<K>>(
                     lattice, config, shards, window, volume, &weighted, &keys, true, theta,
@@ -705,8 +733,9 @@ fn run_analysis<K: KeyBits>(
     }
 
     if let Some((win, panes)) = window {
+        let unit = if volume { "bytes" } else { "packets" };
         println!(
-            "# sliding window: last {total} packets covered ({panes}-pane ring over W={win}, \
+            "# sliding window: {total} {unit} covered ({panes}-pane ring over W={win} packets, \
              pane={} packets)",
             win.div_ceil(panes as u64)
         );
@@ -723,6 +752,7 @@ fn run_analysis<K: KeyBits>(
         epsilon,
         volume,
         top,
+        note,
     );
     Ok(())
 }
@@ -742,6 +772,7 @@ fn print_report<K: KeyBits>(
     epsilon: f64,
     volume: bool,
     top: usize,
+    note: Option<String>,
 ) {
     if let Some(filter) = filter {
         output.retain(|h| filter.generalizes(&h.prefix, lattice));
@@ -755,6 +786,9 @@ fn print_report<K: KeyBits>(
         elapsed,
         stream_len as f64 / elapsed / 1e6,
     );
+    if let Some(note) = note {
+        println!("{note}");
+    }
     println!(
         "{:<46} {:>14} {:>14} {:>8}",
         "prefix", "lower", "upper", "share"
@@ -802,7 +836,7 @@ fn run_wire_analysis(
         updates_per_packet: 1,
         seed: 0xC11,
     };
-    let (output, frames, skipped, total, elapsed) = with_counter_type!(counter, Est, {
+    let (output, frames, skipped, total, elapsed, note) = with_counter_type!(counter, Est, {
         let mut algo = Rhhh::<u64, Est<u64>>::new(lattice.clone(), config);
         let mut frames = 0u64;
         let mut non_ipv4 = 0u64;
@@ -831,6 +865,7 @@ fn run_wire_analysis(
             (non_ipv4, truncated),
             total,
             elapsed,
+            convergence_note(&algo),
         )
     });
     println!(
@@ -850,6 +885,7 @@ fn run_wire_analysis(
         epsilon,
         volume,
         top,
+        note,
     );
     Ok(())
 }
@@ -949,7 +985,7 @@ fn measure_sharded_mpps<K: KeyBits>(
         updates_per_packet: 1,
         seed: 1,
     };
-    let (_, total, elapsed) = with_counter_type!(counter, Est, {
+    let (_, total, elapsed, _) = with_counter_type!(counter, Est, {
         run_fleet_timed::<K, Est<K>>(lattice, config, shards, None, false, &[], keys, false, 1.0)
     })
     .expect("healthy pipeline");
@@ -1101,7 +1137,7 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, total, elapsed) = run_fleet_timed::<u64, SpaceSaving<u64>>(
+        let (output, total, elapsed, _) = run_fleet_timed::<u64, SpaceSaving<u64>>(
             &lat,
             config,
             3,
@@ -1156,7 +1192,7 @@ mod tests {
             })
             .collect();
         let volume: u64 = weighted.iter().map(|&(_, w)| w).sum();
-        let (output, total, elapsed) = run_fleet_timed::<u64, SpaceSaving<u64>>(
+        let (output, total, elapsed, _) = run_fleet_timed::<u64, SpaceSaving<u64>>(
             &lat,
             config,
             3,
@@ -1233,7 +1269,7 @@ mod tests {
                 .map(Packet::key2),
         );
         for batch in [false, true] {
-            let (output, covered, _) = run_windowed_timed::<u64, SpaceSaving<u64>>(
+            let (output, covered, _, _) = run_windowed_timed::<u64, SpaceSaving<u64>>(
                 &lat, config, 100_000, 4, batch, &keys, 0.1,
             );
             assert_eq!(covered, 100_000, "4 panes of 25k cover the window");
@@ -1250,7 +1286,7 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, covered, _) = run_windowed_timed::<u64, CompactSpaceSaving<u64>>(
+        let (output, covered, _, _) = run_windowed_timed::<u64, CompactSpaceSaving<u64>>(
             &lat,
             config,
             100_000,
@@ -1287,7 +1323,7 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, covered, elapsed) = run_fleet_timed::<u64, SpaceSaving<u64>>(
+        let (output, covered, elapsed, _) = run_fleet_timed::<u64, SpaceSaving<u64>>(
             &lat,
             config,
             3,
@@ -1311,6 +1347,69 @@ mod tests {
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn window_volume_runs_on_the_fleet_only() {
+        // The fleet takes a weighted feed into packet-count panes.
+        analyze_inner(&argv(&[
+            "--packets",
+            "60000",
+            "--shards",
+            "2",
+            "--window",
+            "20000",
+            "--volume",
+        ]))
+        .expect("--shards --window --volume runs");
+        // The single-thread window has no weighted feed: a typed error.
+        let err =
+            analyze_inner(&argv(&["--packets", "100", "--window", "50", "--volume"])).unwrap_err();
+        assert!(
+            err.contains("--shards") && err.contains("--volume"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn short_run_is_reported_unconverged() {
+        // 10-RHHH at ε = 0.005 needs ψ ≈ 8e7 packets; 20k are far short.
+        let lat = Lattice::ipv4_src_dst_bytes();
+        let config = RhhhConfig {
+            epsilon_a: 0.005,
+            epsilon_s: 0.005,
+            delta_s: 0.001,
+            v_scale: 10,
+            updates_per_packet: 1,
+            seed: 0xC11,
+        };
+        let keys: Vec<u64> = (0..20_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9))
+            .collect();
+        let (_, _, _, note) =
+            run_rhhh_timed::<u64, SpaceSaving<u64>>(&lat, config, false, true, &[], &keys, 0.1);
+        let note = note.expect("N ≤ ψ must be reported");
+        assert!(note.starts_with("# UNCONVERGED (N/ψ = 0.0"), "{note}");
+    }
+
+    #[test]
+    fn run_past_psi_is_not_reported_unconverged() {
+        // ε_s = 0.5 puts ψ near 330 packets; 20k are well past it.
+        let lat = Lattice::ipv4_src_dst_bytes();
+        let config = RhhhConfig {
+            epsilon_a: 0.5,
+            epsilon_s: 0.5,
+            delta_s: 0.001,
+            v_scale: 1,
+            updates_per_packet: 1,
+            seed: 0xC11,
+        };
+        let keys: Vec<u64> = (0..20_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9))
+            .collect();
+        let (_, _, _, note) =
+            run_rhhh_timed::<u64, SpaceSaving<u64>>(&lat, config, false, true, &[], &keys, 0.1);
+        assert_eq!(note, None);
     }
 
     #[test]

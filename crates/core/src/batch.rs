@@ -31,15 +31,25 @@
 //!    into one weighted update per distinct key — one index lookup and one
 //!    bucket walk where the scalar path pays one per packet.
 //!
-//! # One pipeline over unit and weighted lanes
+//! # One pipeline over unit and weighted lanes, split at the flush
 //!
 //! Every batch entry point — [`Rhhh::update_batch`],
 //! [`Rhhh::update_batch_wire`], [`Rhhh::update_batch_weighted`] and
 //! [`Rhhh::update_batch_wire_weighted`] — runs the same staged pipeline
 //! over *refill blocks* (up to [`DRAW_BLOCK`] selection trials at a time).
-//! The pipeline is generic over its lane element: a bare key `K` for unit
-//! feeds, a `(K, weight)` pair for weighted feeds. Only the per-node flush
-//! differs between the two.
+//! The pipeline is generic over its [`Lane`] element: a bare key `K` for
+//! unit feeds, a `(K, weight)` pair for weighted feeds. Only the per-node
+//! flush differs between the two.
+//!
+//! The pipeline is cut in two after the scatter. The first three stages
+//! are one [`Sampler`] call: it owns the RNG, the gap sampler, the masks
+//! and the lane scratch, and returns the call's per-node groups of masked
+//! samples. The flush stage belongs to the counters: [`Rhhh`] embeds a
+//! sampler and flushes its groups at once, while the shard fleet of
+//! `hhh_vswitch` samples in its ingress and ships the groups to workers
+//! that only flush ([`Rhhh::absorb`]). Flushing each call's groups in call
+//! order is what the whole pipeline does, so both deployments leave the
+//! counters in the same state.
 //!
 //! * **Draw** — one [`FastRng::fill_block`] refill produces the block's
 //!   raw uniforms; the node choices are derived from their low bits in one
@@ -101,39 +111,19 @@
 //! the same seed are bit-identical.
 
 use hhh_counters::FrequencyEstimator;
-use hhh_hierarchy::KeyBits;
+use hhh_hierarchy::{KeyBits, Lattice, NodeId};
 
 use crate::hot_profile::{ProfTimer, Stage};
 use crate::radix::radix_sort_keys;
-use crate::rhhh::Rhhh;
+use crate::rhhh::{Rhhh, RhhhConfig};
 use crate::sampling::{FastRng, GeometricSkip};
 
-/// Reusable buffers for the batch path, owned by [`Rhhh`] so steady-state
-/// batches allocate nothing: selection scatters straight into one buffer
-/// per lattice node, and the buffers keep their capacity across batches.
+/// One lane type's reusable [`Sampler`] buffers, so steady-state calls
+/// allocate nothing: selection scatters straight into one buffer per
+/// lattice node, and the buffers keep their capacity.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-pub struct BatchScratch<K> {
-    /// Buffers of the unit-key lanes.
-    unit: Lanes<K>,
-    /// Buffers of the weighted `(key, weight)` lanes.
-    weighted: Lanes<(K, u64)>,
-    /// Ping-pong buffer for the flush's byte-digit radix sort.
-    radix: Vec<K>,
-}
-
-impl<K: KeyBits> Default for BatchScratch<K> {
-    fn default() -> Self {
-        Self {
-            unit: Lanes::default(),
-            weighted: Lanes::default(),
-            radix: Vec::new(),
-        }
-    }
-}
-
-/// One lane type's pipeline buffers.
-#[derive(Debug, Clone)]
-struct Lanes<T> {
+pub struct Lanes<T> {
     /// Selected masked entries per node, in arrival order (lazily sized
     /// to `H`).
     groups: Vec<Vec<T>>,
@@ -153,25 +143,43 @@ impl<T> Default for Lanes<T> {
 /// A lane element of the batch pipeline: a unit key `K`, or a weighted
 /// `(K, u64)` pair. The two differ only in how they are masked, which
 /// scratch buffers they use, and how a node's group is flushed.
-trait Lane<K: KeyBits>: Copy {
+pub trait Lane<K: KeyBits>: Copy {
+    /// The entry's key.
+    fn key(self) -> K;
+
+    /// The entry's weight (1 for a unit key).
+    fn weight(self) -> u64;
+
     /// The entry with its key masked to one lattice node.
     fn masked(self, mask: K) -> Self;
 
-    /// This lane type's buffers, plus the shared radix ping-pong buffer.
-    fn lanes(scratch: &mut BatchScratch<K>) -> (&mut Lanes<Self>, &mut Vec<K>);
+    /// This lane type's buffers, out of a sampler's unit and weighted ones.
+    #[doc(hidden)]
+    fn lanes<'a>(unit: &'a mut Lanes<K>, weighted: &'a mut Lanes<(K, u64)>) -> &'a mut Lanes<Self>;
 
     /// Hands one node's non-empty group to its counter instance.
+    #[doc(hidden)]
     fn flush<E: FrequencyEstimator<K>>(instance: &mut E, group: &mut [Self], radix: &mut Vec<K>);
 }
 
 impl<K: KeyBits> Lane<K> for K {
     #[inline(always)]
+    fn key(self) -> K {
+        self
+    }
+
+    #[inline(always)]
+    fn weight(self) -> u64 {
+        1
+    }
+
+    #[inline(always)]
     fn masked(self, mask: K) -> Self {
         self.and(mask)
     }
 
-    fn lanes(scratch: &mut BatchScratch<K>) -> (&mut Lanes<K>, &mut Vec<K>) {
-        (&mut scratch.unit, &mut scratch.radix)
+    fn lanes<'a>(unit: &'a mut Lanes<K>, _: &'a mut Lanes<(K, u64)>) -> &'a mut Lanes<K> {
+        unit
     }
 
     /// The estimator's one flush hook, sorting with the byte-digit radix
@@ -188,12 +196,22 @@ impl<K: KeyBits> Lane<K> for K {
 
 impl<K: KeyBits> Lane<K> for (K, u64) {
     #[inline(always)]
+    fn key(self) -> K {
+        self.0
+    }
+
+    #[inline(always)]
+    fn weight(self) -> u64 {
+        self.1
+    }
+
+    #[inline(always)]
     fn masked(self, mask: K) -> Self {
         (self.0.and(mask), self.1)
     }
 
-    fn lanes(scratch: &mut BatchScratch<K>) -> (&mut Lanes<(K, u64)>, &mut Vec<K>) {
-        (&mut scratch.weighted, &mut scratch.radix)
+    fn lanes<'a>(_: &'a mut Lanes<K>, weighted: &'a mut Lanes<(K, u64)>) -> &'a mut Lanes<Self> {
+        weighted
     }
 
     /// Sorts by masked key and merges each run into one `add`.
@@ -373,6 +391,96 @@ fn gather_masked<K: KeyBits, T: Lane<K>>(
     }
 }
 
+/// The draw/mask/scatter half of the batch pipeline: it turns a slice of
+/// packets into per-node groups of masked samples, and owns everything
+/// that takes (the RNG, the geometric gap sampler, the node masks and the
+/// lane scratch) but no counter. [`Rhhh`] embeds one and flushes its
+/// groups straight into its instances. A shard fleet's ingress holds one
+/// on its own, routes the groups' entries to the workers, and the workers
+/// run only the flush half, [`Rhhh::absorb`].
+#[derive(Debug, Clone)]
+pub struct Sampler<K> {
+    /// Node masks in node order.
+    pub(crate) masks: Vec<K>,
+    pub(crate) h: u64,
+    pub(crate) v: u64,
+    /// Independent draws per packet (`r`).
+    r: u64,
+    pub(crate) rng: FastRng,
+    /// Precomputed `H/V` selection constants: the geometric gap sampler
+    /// caches `1/ln(1 - H/V)` so per-call work never recomputes it.
+    skip: GeometricSkip,
+    unit: Lanes<K>,
+    weighted: Lanes<(K, u64)>,
+}
+
+impl<K: KeyBits> Sampler<K> {
+    /// A sampler for `lattice` drawing `V = v_scale·H` and `r` from
+    /// `config`, seeded with `config.seed`: the draws an [`Rhhh`] built
+    /// from the same pair makes.
+    #[must_use]
+    pub fn new(lattice: &Lattice<K>, config: &RhhhConfig) -> Self {
+        let h = lattice.num_nodes() as u64;
+        let v = config.v_scale * h;
+        Self {
+            masks: lattice.node_ids().map(|n| lattice.mask(n)).collect(),
+            h,
+            v,
+            r: u64::from(config.updates_per_packet),
+            rng: FastRng::new(config.seed),
+            skip: GeometricSkip::new(h, v),
+            unit: Lanes::default(),
+            weighted: Lanes::default(),
+        }
+    }
+
+    /// Restarts the draw stream from `seed`, as a fresh instance built
+    /// with that seed would draw.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = FastRng::new(seed);
+    }
+
+    /// One sampler call over an indexable lane of `packets` entries: the
+    /// Draw, Mask+hash and Scatter stages of the module docs. Returns the
+    /// `H` per-node groups of masked selected entries (index = node), in
+    /// arrival order; they stay valid until the next call.
+    pub fn sample<T: Lane<K>>(
+        &mut self,
+        packets: usize,
+        entry_at: impl Fn(usize) -> T,
+    ) -> &mut [Vec<T>] {
+        let r = self.r;
+        let draws = packets as u64 * r;
+        let h = self.h as usize;
+        let Lanes { groups, staged } = T::lanes(&mut self.unit, &mut self.weighted);
+        if groups.len() < h {
+            groups.resize_with(h, Vec::new);
+        }
+        for buf in &mut groups[..h] {
+            buf.clear();
+        }
+        let masks = &self.masks;
+        for_each_selected_blocks(
+            &self.skip,
+            &mut self.rng,
+            self.h,
+            self.v,
+            draws,
+            |idx, nodes| {
+                let t = ProfTimer::start();
+                gather_masked(r, idx, nodes, masks, staged, &entry_at);
+                t.stop(Stage::MaskHash);
+                let t = ProfTimer::start();
+                for (&node, &entry) in nodes.iter().zip(staged.iter()) {
+                    groups[node as usize].push(entry);
+                }
+                t.stop(Stage::Scatter);
+            },
+        );
+        &mut groups[..h]
+    }
+}
+
 impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// Algorithm 1 `Update` over a whole packet slice — statistically
     /// identical to calling [`Rhhh::update`] per element (see the
@@ -444,8 +552,20 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         );
     }
 
-    /// The one body behind every batch entry point: the staged block
-    /// pipeline over an indexable lane of `packets` entries. `added_weight`
+    /// The flush half of the pipeline on its own: hands one node's group
+    /// of masked samples, as one [`Sampler::sample`] call grouped them, to
+    /// that node's counter instance. Flushing each call's groups
+    /// separately, in call order, leaves the instances exactly as
+    /// [`Rhhh::update_batch`] over the same calls would. The packet and
+    /// weight totals are not touched; see [`Rhhh::note_totals`].
+    pub fn absorb<T: Lane<K>>(&mut self, node: NodeId, group: &mut [T]) {
+        if !group.is_empty() {
+            T::flush(&mut self.instances[node.index()], group, &mut self.radix);
+        }
+    }
+
+    /// The one body behind every batch entry point: one call of the
+    /// embedded [`Sampler`], then the flush of its groups. `added_weight`
     /// must be the sum of all entry weights (selection is per packet, but
     /// the total-weight accounting covers unselected packets too).
     fn pipeline<T: Lane<K>>(
@@ -455,51 +575,21 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         entry_at: impl Fn(usize) -> T,
     ) {
         let total = ProfTimer::start();
-        let n = packets as u64;
-        self.packets += n;
+        self.packets += packets as u64;
         self.weight += added_weight;
-        let r = u64::from(self.config.updates_per_packet);
-        let draws = if r == 1 { n } else { n * r };
-
-        let h = self.h as usize;
-        let (Lanes { groups, staged }, radix) = T::lanes(&mut self.scratch);
-        if groups.len() < h {
-            groups.resize_with(h, Vec::new);
-        }
-        for buf in &mut groups[..h] {
-            buf.clear();
-        }
-
-        let masks = &self.masks;
-        for_each_selected_blocks(
-            &self.skip,
-            &mut self.rng,
-            self.h,
-            self.v,
-            draws,
-            |idx, nodes| {
-                let t = ProfTimer::start();
-                gather_masked(r, idx, nodes, masks, staged, &entry_at);
-                t.stop(Stage::MaskHash);
-                let t = ProfTimer::start();
-                for (&node, &entry) in nodes.iter().zip(staged.iter()) {
-                    groups[node as usize].push(entry);
-                }
-                t.stop(Stage::Scatter);
-            },
-        );
+        let groups = self.sampler.sample(packets, entry_at);
 
         // Flush node by node, so one instance's state stays cache-hot
         // while it drains its group.
         let t = ProfTimer::start();
-        for (instance, group) in self.instances.iter_mut().zip(&mut groups[..h]) {
+        for (instance, group) in self.instances.iter_mut().zip(groups) {
             if group.is_empty() {
                 continue;
             }
             // Inner bracket feeds the per-layout side table only; the
             // outer `t` still owns the `Stage::Flush` accounting.
             let per_node = ProfTimer::start();
-            T::flush(instance, group, radix);
+            T::flush(instance, group, &mut self.radix);
             per_node.stop_layout(|| instance.layout_label());
         }
         t.stop(Stage::Flush);

@@ -64,11 +64,12 @@ pub mod rhhh;
 pub mod sampling;
 pub mod windowed;
 
+pub use batch::{Lane, Sampler};
 pub use counter::CounterKind;
 pub use exact::ExactHhh;
 pub use output::{HeavyHitter, NodeEstimates};
 pub use rhhh::{Rhhh, RhhhConfig};
-pub use windowed::{PaneRing, WindowedRhhh};
+pub use windowed::{pane_seed, PaneRing, WindowedRhhh};
 
 use hhh_hierarchy::KeyBits;
 

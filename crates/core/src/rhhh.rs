@@ -10,9 +10,8 @@ use hhh_counters::{counters_for, Candidate, FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
 use hhh_stats::{psi, sampling_slack};
 
-use crate::batch::BatchScratch;
+use crate::batch::Sampler;
 use crate::output::{extract_hhh, HeavyHitter, NodeEstimates};
-use crate::sampling::{FastRng, GeometricSkip};
 use crate::{HhhAlgorithm, MergeError};
 
 /// Configuration of an RHHH instance.
@@ -84,23 +83,15 @@ impl RhhhConfig {
 pub struct Rhhh<K: KeyBits, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     lattice: Lattice<K>,
     pub(crate) instances: Vec<E>,
-    /// Cached masks in node order — avoids the lattice indirection on the
-    /// hot path.
-    pub(crate) masks: Vec<K>,
-    pub(crate) v: u64,
-    pub(crate) h: u64,
-    pub(crate) rng: FastRng,
+    /// The draw state and node masks of both the scalar and the batch
+    /// path, plus the batch path's reusable scatter buffers.
+    pub(crate) sampler: Sampler<K>,
     pub(crate) packets: u64,
     /// Total recorded weight (equals `packets` for unit updates).
     pub(crate) weight: u64,
     pub(crate) config: RhhhConfig,
-    /// Precomputed `H/V` selection constants for the batch path: the
-    /// geometric gap sampler caches `1/ln(1 - H/V)` so per-batch work never
-    /// recomputes it.
-    pub(crate) skip: GeometricSkip,
-    /// Reusable buffers for [`Rhhh::update_batch`]; kept on the instance so
-    /// steady-state batch updates allocate nothing.
-    pub(crate) scratch: BatchScratch<K>,
+    /// Ping-pong buffer for the batch flush's byte-digit radix sort.
+    pub(crate) radix: Vec<K>,
 }
 
 impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
@@ -112,38 +103,31 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
             config.updates_per_packet >= 1,
             "updates_per_packet must be at least 1"
         );
-        let h = lattice.num_nodes() as u64;
-        let v = config.v_scale * h;
         let counters = counters_for(config.epsilon_a, config.epsilon_s);
         let instances = (0..lattice.num_nodes())
             .map(|_| E::with_capacity(counters))
             .collect();
-        let masks = lattice.node_ids().map(|n| lattice.mask(n)).collect();
         Self {
+            sampler: Sampler::new(&lattice, &config),
             lattice,
             instances,
-            masks,
-            v,
-            h,
-            rng: FastRng::new(config.seed),
             packets: 0,
             weight: 0,
             config,
-            skip: GeometricSkip::new(h, v),
-            scratch: BatchScratch::default(),
+            radix: Vec::new(),
         }
     }
 
     /// The performance parameter `V`.
     #[must_use]
     pub fn v(&self) -> u64 {
-        self.v
+        self.sampler.v
     }
 
     /// The hierarchy size `H`.
     #[must_use]
     pub fn h(&self) -> u64 {
-        self.h
+        self.sampler.h
     }
 
     /// The lattice this instance measures over.
@@ -163,7 +147,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// (δ, ε, θ)-approximate HHH guarantee of Theorem 6.17 holds.
     #[must_use]
     pub fn psi(&self) -> f64 {
-        psi(self.v, self.config.epsilon_s, self.config.delta_s)
+        psi(self.v(), self.config.epsilon_s, self.config.delta_s)
             / f64::from(self.config.updates_per_packet)
     }
 
@@ -178,10 +162,11 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     pub fn update(&mut self, key: K) {
         self.packets += 1;
         self.weight += 1;
+        let s = &mut self.sampler;
         for _ in 0..self.config.updates_per_packet {
-            let d = self.rng.bounded(self.v);
-            if d < self.h {
-                let masked = key.and(self.masks[d as usize]);
+            let d = s.rng.bounded(s.v);
+            if d < s.h {
+                let masked = key.and(s.masks[d as usize]);
                 self.instances[d as usize].increment(masked);
             }
         }
@@ -200,10 +185,11 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     pub fn update_weighted(&mut self, key: K, weight: u64) {
         self.packets += 1;
         self.weight += weight;
+        let s = &mut self.sampler;
         for _ in 0..self.config.updates_per_packet {
-            let d = self.rng.bounded(self.v);
-            if d < self.h {
-                let masked = key.and(self.masks[d as usize]);
+            let d = s.rng.bounded(s.v);
+            if d < s.h {
+                let masked = key.and(s.masks[d as usize]);
                 self.instances[d as usize].add(masked, weight);
             }
         }
@@ -259,7 +245,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// any accuracy/performance field of the configuration differs; `self`
     /// is unchanged in that case.
     pub fn try_merge(&mut self, other: Self) -> Result<(), MergeError> {
-        if self.masks != other.masks {
+        if self.sampler.masks != other.sampler.masks {
             return Err(MergeError::ConfigMismatch(format!(
                 "lattice `{}` vs `{}`",
                 self.lattice.name(),
@@ -313,7 +299,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     pub fn try_merge_many(&mut self, others: Vec<Self>) -> Result<(), MergeError> {
         // Validate every input before mutating anything.
         for other in &others {
-            if self.masks != other.masks {
+            if self.sampler.masks != other.sampler.masks {
                 return Err(MergeError::ConfigMismatch(format!(
                     "lattice `{}` vs `{}`",
                     self.lattice.name(),
@@ -332,7 +318,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         }
         // Transpose: node i's estimators from every shard, handed to one
         // K-way counter combine each.
-        let h = self.h as usize;
+        let h = self.instances.len();
         let mut per_node: Vec<Vec<E>> = (0..h).map(|_| Vec::with_capacity(others.len())).collect();
         for other in others {
             self.packets += other.packets;
@@ -358,29 +344,26 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         }
     }
 
-    /// Applies an already-drawn update directly to one node's instance —
-    /// the backend half of the distributed integration (Section 5.2's
-    /// "HHH measurement … performed in a separate virtual machine"): the
-    /// switch performs the `[0, V)` draw and forwards only sampled
-    /// `(node, masked key)` pairs; the measurement side calls this.
-    #[inline]
-    pub fn raw_update(&mut self, node: NodeId, masked_key: K) {
-        self.instances[node.index()].increment(masked_key);
+    /// Overrides the packet count `N` and the weight `W` with `n` each
+    /// (a unit-weight stream of `n` packets).
+    pub fn note_packets(&mut self, n: u64) {
+        self.note_totals(n, n);
     }
 
-    /// Overrides the packet count `N`. Required by distributed frontends:
-    /// `N` counts packets seen by the *switch*, while this instance only
-    /// sees the sampled sub-stream.
-    pub fn note_packets(&mut self, n: u64) {
-        self.packets = n;
-        self.weight = n;
+    /// Overrides the packet count `N` and the total weight `W`. Needed
+    /// wherever the instance sees only the sampled sub-stream — the shard
+    /// fleet's workers flush samples drawn at ingress, and `N` and `W`
+    /// count the packets the ingress saw.
+    pub fn note_totals(&mut self, packets: u64, weight: u64) {
+        self.packets = packets;
+        self.weight = weight;
     }
 
     /// Frequency scale: each recorded update stands for `V/r` packets
     /// (Definition 11 with the Corollary 6.8 adjustment).
     #[must_use]
     pub fn scale(&self) -> f64 {
-        self.v as f64 / f64::from(self.config.updates_per_packet)
+        self.v() as f64 / f64::from(self.config.updates_per_packet)
     }
 
     /// The sampling slack added to every conditioned-frequency estimate
@@ -393,7 +376,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         let delta = self.config.delta().min(0.5);
         sampling_slack(
             self.weight,
-            self.v / u64::from(self.config.updates_per_packet).max(1),
+            self.v() / u64::from(self.config.updates_per_packet).max(1),
             delta,
         )
     }

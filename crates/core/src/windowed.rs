@@ -67,10 +67,12 @@ use crate::output::HeavyHitter;
 use crate::rhhh::{Rhhh, RhhhConfig};
 use crate::HhhAlgorithm;
 
-/// Derives the seed of pane `i + 1` from the base seed: panes stay
+/// Derives the seed of pane `rotation + 1` from the base seed: panes stay
 /// statistically independent while the whole ring remains a pure function
-/// of the configuration.
-fn pane_seed(base: u64, rotation: u64) -> u64 {
+/// of the configuration. [`PaneRing::rotate`] seeds each fresh pane with
+/// it, and a shard fleet's ingress reseeds its sampler with it.
+#[must_use]
+pub fn pane_seed(base: u64, rotation: u64) -> u64 {
     base.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(rotation.wrapping_add(1))
 }

@@ -3,19 +3,21 @@
 //! Paper: the switch forwards only sampled packets to a measurement VM;
 //! throughput again improves with V (fewer samples cross the link), and
 //! sits slightly below the dataplane integration while freeing the switch
-//! from counter maintenance. Here the VM is a measurement thread and the
-//! link the shard fleet's SPSC ring carrying 4096-sample batches with
-//! blocking backpressure, so the number is the end-to-end sustainable
-//! rate.
+//! from counter maintenance. Here the switch is a one-shard
+//! `ShardedMonitor` behind the datapath: its ingress samples, its worker
+//! thread is the VM, and the link is the fleet's SPSC ring carrying
+//! 4096-sample batches with blocking backpressure, so the number is the
+//! end-to-end sustainable rate. The forwarded fraction is the harvest's
+//! sampled updates per packet.
 
 use std::time::Instant;
 
-use hhh_core::RhhhConfig;
+use hhh_core::{HhhAlgorithm, RhhhConfig};
 use hhh_eval::{Args, Report};
 use hhh_hierarchy::Lattice;
 use hhh_stats::Summary;
 use hhh_traces::{Packet, TraceConfig, TraceGenerator};
-use hhh_vswitch::{Datapath, DistributedRhhh};
+use hhh_vswitch::{Datapath, ShardedMonitor};
 
 fn main() {
     let args = Args::parse(4_000_000, 3);
@@ -43,7 +45,7 @@ fn main() {
         let mut summary = Summary::new();
         let mut forwarded_fraction = 0.0;
         for run in 0..args.runs {
-            let dist = DistributedRhhh::spawn(
+            let fleet = ShardedMonitor::<u64>::spawn(
                 lattice.clone(),
                 RhhhConfig {
                     epsilon_a: 0.001,
@@ -54,17 +56,18 @@ fn main() {
                     seed: 0xF168 + u64::from(run),
                 },
                 1,
+                4_096,
             )
             .expect("spawn measurement VM");
-            let mut dp = Datapath::new(dist);
+            let mut dp = Datapath::new(fleet);
             let start = Instant::now();
             for p in &packets {
                 dp.process_packet(p);
             }
             let elapsed = start.elapsed().as_secs_f64();
-            let (_, stats) = dp.into_monitor().finish().expect("measurement VM alive");
+            let merged = dp.into_monitor().harvest().expect("measurement VM alive");
             summary.add(packets.len() as f64 / elapsed / 1e6);
-            forwarded_fraction = stats.forwarded as f64 / stats.packets as f64;
+            forwarded_fraction = merged.total_updates() as f64 / merged.packets() as f64;
         }
         let ci = summary.confidence_interval(0.95);
         report.row(&[

@@ -172,16 +172,6 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards
 }
 
-/// The RHHH seed shard `shard` runs under when a shard fleet is spawned
-/// from a configuration seeded `seed`: distinct per shard, so the shards'
-/// sampling draws are independent, and a pure function of the pair, so a
-/// replay can rebuild every shard's instance exactly.
-#[inline]
-#[must_use]
-pub fn shard_seed(seed: u64, shard: usize) -> u64 {
-    seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Packs a (source, destination) IPv4 pair into a `u64` key with the source
 /// in the high 32 bits — the layout used by the 2D lattices.
 #[inline(always)]

@@ -47,7 +47,7 @@ mod parse;
 mod prefix;
 mod presets;
 
-pub use key::{pack2, shard_of, shard_seed, split2, KeyBits};
+pub use key::{pack2, shard_of, split2, KeyBits};
 pub use lattice::{FieldSpec, Lattice, NodeId};
 pub use parse::PrefixParseError;
 pub use prefix::Prefix;

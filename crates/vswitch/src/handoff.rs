@@ -1,10 +1,9 @@
-//! Batch hand-off plumbing for every worker fleet — the shard fleet
-//! ([`crate::sharded`]) and the distributed measurement VMs
-//! ([`crate::distributed`]): one SPSC ring buffer per worker with bounded
-//! spin-then-park backpressure, named worker-thread spawning, and the
-//! join that turns a dead worker into [`MergeError::ShardFailed`].
+//! Batch hand-off plumbing for the shard fleet ([`crate::sharded`]): one
+//! SPSC ring buffer per worker with bounded spin-then-park backpressure,
+//! named worker-thread spawning, and the join that turns a dead worker
+//! into [`MergeError::ShardFailed`].
 //!
-//! The unit of hand-off is a whole batch (a `Vec` of a few thousand keys),
+//! The unit of hand-off is a whole batch (a few thousand sampled entries),
 //! so the per-packet ingest path never touches this module — it pushes
 //! into a plain buffer and crosses threads once per batch. What this
 //! module optimizes is that once-per-batch crossing: batches move over a
@@ -13,10 +12,16 @@
 //! single-threaded `VecDeque` model in `tests/ring_properties.rs` is the
 //! ring's FIFO/no-loss oracle.
 //!
+//! A ring is full when its batches in flight — queued, plus the one the
+//! worker is flushing — reach [`ring_slots`]: a fixed budget of the
+//! packets they stand for, because a fresh answer must wait for all of
+//! them.
+//!
 //! Backpressure is spin-then-park on both sides. A producer hitting a
 //! full ring yields the CPU a bounded number of times (on the shared-core
 //! CI box the consumer usually drains within a few yields), then parks in
-//! bounded [`PARK_WAIT`] naps so a stalled worker costs sleep, not spin.
+//! bounded [`PARK_WAIT`] naps so a stalled worker costs sleep, not spin;
+//! the worker wakes it as soon as it finishes a batch.
 //! A worker finding the ring empty does the same with a parked-flag
 //! handshake so the producer can wake it the moment a batch lands. Every
 //! park and every full-ring encounter is counted in [`HandoffStats`] —
@@ -32,7 +37,7 @@
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
@@ -50,12 +55,21 @@ const PARK_WAIT: Duration = Duration::from_micros(100);
 /// of hot-spinning; the producer's `unpark` ends any nap early.
 const PARK_WAIT_MAX: Duration = Duration::from_millis(5);
 
-/// In-flight batches each worker's hand-off may hold before the ingress
-/// thread backpressures. Enough to ride out scheduling hiccups (at the
-/// default 4Ki-entry batches this is ≤ 2 MiB per worker), small enough that
-/// a continuously slower worker bounds memory instead of growing a
-/// backlog.
-pub(crate) const QUEUE_BATCHES: usize = 16;
+/// Packets a worker's hand-off may stand for in flight — the queued
+/// batches plus the one being flushed, each sample standing for `V/(H·r)`
+/// packets — before the ingress thread backpressures. A fresh answer
+/// waits for the worker to flush all of them, so this bounds the wait,
+/// while deeper rings absorb scheduling jitter when each batch is short.
+/// It is what 16 batches of 4096 packets bounded before sampling moved to
+/// the ingress.
+const QUEUE_PACKETS: u64 = 65_536;
+
+/// Ring slots for hand-offs of `batch` samples at `V = v_scale·H` and `r`
+/// draws per packet: [`QUEUE_PACKETS`] worth, at least one and at most 16.
+pub(crate) fn ring_slots(batch: usize, v_scale: u64, r: u32) -> usize {
+    let per_batch = batch as u64 * v_scale;
+    (QUEUE_PACKETS * u64::from(r) / per_batch).clamp(1, 16) as usize
+}
 
 /// Spawn-time knobs for the flat shard fleet, beyond the required
 /// lattice/config/shards/batch arguments.
@@ -191,6 +205,15 @@ impl HandoffStats {
 #[derive(Debug)]
 struct RingCore<T> {
     queue: ArrayQueue<T>,
+    /// Batches in flight the producer may leave, counting the one the
+    /// worker is flushing (the queue itself rounds its capacity up to a
+    /// power of two, at least 2).
+    slots: usize,
+    /// Consumer raises while it works on a popped batch.
+    busy: AtomicBool,
+    /// The producer while it naps on a full ring; the worker wakes it as
+    /// soon as it finishes a batch and frees a slot.
+    waiting: Mutex<Option<Thread>>,
     /// Producer raised: no further batches will arrive; drain and exit.
     closed: AtomicBool,
     /// Consumer holds this up; cleared in [`ShardRx`]'s `Drop` (which also
@@ -203,13 +226,20 @@ struct RingCore<T> {
 }
 
 impl<T> RingCore<T> {
-    fn new(capacity: usize) -> Self {
+    fn new(slots: usize) -> Self {
         Self {
-            queue: ArrayQueue::new(capacity),
+            queue: ArrayQueue::new(slots),
+            slots,
+            busy: AtomicBool::new(false),
+            waiting: Mutex::new(None),
             closed: AtomicBool::new(false),
             alive: AtomicBool::new(true),
             parked: AtomicBool::new(false),
         }
+    }
+
+    fn is_full(&self) -> bool {
+        self.queue.len() + usize::from(self.busy.load(Ordering::Acquire)) >= self.slots
     }
 }
 
@@ -229,9 +259,15 @@ impl<T> ShardRx<T> {
     /// spinning — and the producer's `unpark` on push means a long park
     /// never delays a batch by more than the wake-up itself.
     pub(crate) fn recv(&self) -> Option<T> {
+        // The previous batch is done: its slot is free.
+        self.core.busy.store(false, Ordering::Release);
+        if let Some(producer) = &*self.core.waiting.lock().expect("no code panics holding it") {
+            producer.unpark();
+        }
         let mut idle_parks: u32 = 0;
         loop {
             if let Some(msg) = self.core.queue.pop() {
+                self.core.busy.store(true, Ordering::Release);
                 return Some(msg);
             }
             if self.core.closed.load(Ordering::Acquire) {
@@ -299,20 +335,20 @@ impl<T> ShardTx<T> {
                 stats.dropped += 1;
                 return false;
             }
-            match core.queue.push(msg) {
-                Ok(()) => {
-                    if core.parked.load(Ordering::Acquire) {
-                        self.worker.unpark();
+            if !core.is_full() {
+                match core.queue.push(msg) {
+                    Ok(()) => {
+                        if core.parked.load(Ordering::Acquire) {
+                            self.worker.unpark();
+                        }
+                        return true;
                     }
-                    return true;
+                    Err(back) => msg = back,
                 }
-                Err(back) => {
-                    msg = back;
-                    if !was_full {
-                        was_full = true;
-                        stats.full_events += 1;
-                    }
-                }
+            }
+            if !was_full {
+                was_full = true;
+                stats.full_events += 1;
             }
             // Full: yield a bounded number of times (the worker usually
             // drains a slot quickly), then nap. Each lap re-checks
@@ -321,14 +357,21 @@ impl<T> ShardTx<T> {
             let mut drained = false;
             for _ in 0..SPIN_YIELDS {
                 std::thread::yield_now();
-                if !core.queue.is_full() {
+                if !core.is_full() {
                     drained = true;
                     break;
                 }
             }
             if !drained {
                 stats.park_events += 1;
-                std::thread::park_timeout(PARK_WAIT);
+                *core.waiting.lock().expect("no code panics holding it") =
+                    Some(std::thread::current());
+                // Re-check after registering: a slot freed in between
+                // would otherwise cost the whole nap.
+                if core.is_full() {
+                    std::thread::park_timeout(PARK_WAIT);
+                }
+                *core.waiting.lock().expect("no code panics holding it") = None;
             }
         }
     }
@@ -343,12 +386,12 @@ impl<T> Drop for ShardTx<T> {
     }
 }
 
-/// Builds one shard's ring of `capacity` batches. The consumer must be
+/// Builds one shard's ring of `slots` batches in flight. The consumer must be
 /// moved into the worker before the producer half can be finalized (it
 /// needs the worker's [`Thread`] for unparking), so this returns the
 /// pieces rather than a finished [`ShardTx`].
-pub(crate) fn conduit<T>(capacity: usize) -> (ConduitTx<T>, ShardRx<T>) {
-    let core = Arc::new(RingCore::new(capacity));
+pub(crate) fn conduit<T>(slots: usize) -> (ConduitTx<T>, ShardRx<T>) {
+    let core = Arc::new(RingCore::new(slots));
     let rx = ShardRx {
         core: Arc::clone(&core),
     };

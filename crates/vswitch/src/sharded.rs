@@ -1,114 +1,208 @@
-//! Shard-parallel RHHH: RSS-style hash partitioning across worker threads,
-//! lock-free batch hand-off, merge-on-harvest, and a non-blocking
-//! snapshot query plane — one fleet for flat and sliding-window
+//! Shard-parallel RHHH, the paper's §5.2 integration: sample at ingress,
+//! route the samples by key hash to worker threads that only flush, and
+//! K-way merge on query — one fleet for flat, windowed and distributed
 //! deployments.
 //!
-//! Modern NICs spread flows across receive queues by hashing the packet
-//! header (RSS), and each queue is polled by its own core. The inline
-//! monitors in [`crate::monitor`] assume one measurement instance sees the
-//! whole stream; this module drops that assumption: every worker thread
-//! runs its *own* RHHH instance over its own sub-stream through the
-//! geometric-skip batch path, shares nothing while packets flow, and the
-//! harvest combines the per-shard summaries with [`Rhhh::merge_many`].
+//! Section 5.2: "HHH measurement can be performed in a separate virtual
+//! machine … When RHHH operates with V > H, we only forward the sampled
+//! packets and thus reduce overheads." The fleet works that way at any
+//! shard count K:
 //!
-//! Partitioning is by **key hash**, so a flow (and every prefix of it, per
-//! shard) lands wholly in one shard. Accuracy-wise the merge analysis
-//! applies: per-node counter errors add across shards (`Σᵢ nᵢ/m = n/m` —
-//! the same ε_a class as one instance), and the shards' independent
-//! sampling errors add in variance, which is exactly what the merged
-//! instance's `slack()` over the summed `N` charges. Convergence needs the
-//! *total* stream length to pass ψ, which the merged packet count reflects.
+//! 1. **Sample.** The ingress thread holds one [`Sampler`], the
+//!    draw/mask/scatter half of the batch pipeline, seeded with
+//!    `config.seed`. Every feed call (split at pane boundaries) is one
+//!    sampler call; its output is the call's per-node groups of masked
+//!    samples, only the `H/V` selected fraction of the packets.
+//! 2. **Route.** Each sampled entry goes to shard
+//!    [`shard_of`]`(masked key)`, so every masked key lands wholly in one
+//!    shard, and each shard holds a key-partitioned slice of every node's
+//!    summary. A shard's outbox keeps the node groups of every call
+//!    apart, in call order.
+//! 3. **Flush.** Once an outbox holds `batch` samples the ingress hands
+//!    every shard its outbox, in lockstep, over the shard's ring
+//!    ([`crate::handoff`]). Each send is **stamped** with the packets and
+//!    weight fed into the current pane so far. A worker flushes each
+//!    call's node groups with [`Rhhh::absorb`] into the active pane of its
+//!    [`PaneRing`] and takes the stamp as that pane's `N` and `W`.
 //!
-//! **Every worker owns a [`PaneRing`].** The flat fleet
-//! ([`ShardedMonitor::spawn`]) is a ring that is never rotated: snapshots
-//! and the harvest use the active panes. The windowed fleet
-//! ([`ShardedMonitor::spawn_windowed`]) rotates every `⌈W/G⌉` *global*
-//! packets: the ingress thread flushes every partial buffer and broadcasts
-//! a rotation marker down each shard's ordered hand-off, so each shard's
-//! pane `i` summarizes exactly its sub-stream of global pane `i`, and the
-//! harvest answers the window with one K·G-way combine over all retained
-//! panes. Shard merge and pane merge are the same K-way combine — per-part
-//! bounds add — so the end-to-end bound is the same summed per-pane bound a
-//! single-threaded [`hhh_core::WindowedRhhh`] earns.
+//! At K = 1 this is exactly [`Rhhh::update_batch`] over the same calls:
+//! the same draws, the same groups, the same flush order. Figure 8's
+//! single measurement VM is this fleet at K = 1.
 //!
-//! The hand-off carries whole batches (one `Vec` per `batch` packets), not
-//! packets, so the per-packet cost on the ingress thread is a hash, a
-//! buffer push and an amortized hand-off — and the workers spend their
-//! time in `update_batch`, not on synchronization. The hand-off is a
-//! fixed-capacity lock-free SPSC ring per shard ([`crate::handoff`]): the
-//! uncontended crossing is two atomic read-modify-writes, with
-//! spin-then-park backpressure when a worker falls behind (a fixed
-//! number of in-flight batches bounds the backlog).
+//! **Windows.** The flat fleet ([`ShardedMonitor::spawn`]) never rotates.
+//! The windowed fleet ([`ShardedMonitor::spawn_windowed`]) rotates every
+//! `⌈W/G⌉` *global* packets: the ingress hands off every outbox, sends a
+//! rotation marker down each ring, and reseeds its sampler exactly as
+//! [`PaneRing::rotate`] seeds a fresh pane. So at K = 1 the fleet's panes
+//! are a [`hhh_core::WindowedRhhh`]'s panes.
+//!
+//! **One combine.** [`ShardedMonitor::query`],
+//! [`ShardedMonitor::query_coverage`] and [`ShardedMonitor::harvest`]
+//! merge the same way: every shard's slices of the panes all shards have
+//! reached (the retained completed panes, or the active pane before the
+//! first rotation) go into one K·G-way [`Rhhh::merge_many`] in shard order.
+//! A pane's `N` and `W` are the smallest stamp among its slices, the
+//! totals every slice has absorbed, and they are summed over panes, never
+//! over shards. Per-slice counter errors add, which is the
+//! Mitzenmacher–Steinke–Thaler Space Saving merge: `Σᵢ nᵢ/m = n/m`, the
+//! same ε_a class as one instance.
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
-//! publishes an epoch-stamped [`ShardSnapshot`] — a clone of its current
-//! answer — through an atomically swappable pointer (`arc-swap`): every
-//! `publish_every` batches for the flat fleet, at every pane rotation for
-//! the windowed one, on [`ShardedMonitor::publish_now`] markers, and once
-//! at exit. A live `query(θ)` loads the latest snapshot from every shard
-//! and K-way-merges them via [`Rhhh::merge_many`], caching the merged
-//! instance keyed by the epoch vector (the cross-thread generalization of
-//! the pane-ring query cache in [`hhh_core::WindowedRhhh`]): repeated
-//! queries between publications cost one `Output(θ)` scan, not a re-merge.
-//! Snapshots are clones, so publication never perturbs the worker's state
-//! and the harvest stays bit-identical whether or when queries ran.
+//! publishes an epoch-stamped [`ShardSnapshot`] — clones of the slices its
+//! answer covers — through an atomically swappable pointer (`arc-swap`):
+//! every `publish_every` batches for the flat fleet, at every pane
+//! rotation for the windowed one, on [`ShardedMonitor::publish_now`]
+//! markers, and once at exit. A live `query(θ)` combines the latest
+//! snapshots and caches the result keyed by the epoch vector, so repeated
+//! queries between publications cost one `Output(θ)` scan. Snapshots are
+//! clones, so publication never perturbs a worker's state and the harvest
+//! is the same whether or when queries ran.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use arc_swap::ArcSwap;
-use hhh_core::{HeavyHitter, HhhAlgorithm, MergeError, PaneRing, Rhhh, RhhhConfig};
+use hhh_core::{
+    pane_seed, HeavyHitter, HhhAlgorithm, Lane, MergeError, PaneRing, Rhhh, RhhhConfig, Sampler,
+};
 use hhh_counters::{FrequencyEstimator, SpaceSaving};
-use hhh_hierarchy::{KeyBits, Lattice};
+use hhh_hierarchy::{KeyBits, Lattice, NodeId};
 
 use crate::datapath::DataplaneMonitor;
 use crate::handoff::{
-    conduit, join_shards, spawn_named, HandoffStats, ShardTx, SpawnError, SpawnOptions,
-    QUEUE_BATCHES,
+    conduit, join_shards, ring_slots, spawn_named, HandoffStats, ShardTx, SpawnError, SpawnOptions,
 };
 
-/// The canonical key-hash routing and the per-shard seed derivation,
-/// re-exported so pipeline users (and replays of the fleet) need not
-/// reach into `hhh-hierarchy` for them.
-pub use hhh_hierarchy::{shard_of, shard_seed};
+/// The canonical key-hash routing, re-exported so fleet users (and
+/// replays of the fleet) need not reach into `hhh-hierarchy` for it.
+pub use hhh_hierarchy::shard_of;
 
-/// [`shard_of`] over any lattice key (hashes the low 64 bits; for the
-/// packed IPv4 keys this is the whole key).
-#[inline]
-fn shard_of_key<K: KeyBits>(key: K, shards: usize) -> usize {
-    shard_of(key.low_u64(), shards)
-}
+/// Packets the per-packet feed ([`ShardedMonitor::update`]) buffers into
+/// one sampler call.
+const PACKET_CALL: usize = 4_096;
 
 /// One worker's published view of its sub-stream, swapped atomically into
 /// the monitor-visible slot so readers never block the worker.
 ///
 /// `epoch` increments with every publication (the initial empty snapshot
 /// is epoch 0), so the query cache can detect staleness by comparing
-/// epoch vectors. `batches` counts the hand-off units folded into
-/// `summary` — a query made after this snapshot reflects every batch the
-/// worker acknowledged before publishing it, and is stale by at most one
+/// epoch vectors. A query made after this snapshot reflects every batch
+/// the worker flushed before publishing it, and is stale by at most one
 /// publication interval.
 #[derive(Debug)]
 pub struct ShardSnapshot<K: KeyBits, E: FrequencyEstimator<K>> {
     /// Publication sequence number (0 = the pre-feed empty snapshot).
     pub epoch: u64,
-    /// Batches folded into `summary` at publication time.
-    pub batches: u64,
-    /// The worker's current answer: the merged completed panes, or the
-    /// active pane before any rotation (always, in the flat fleet) —
-    /// the same coverage rule [`ShardedMonitor::harvest`] applies.
-    pub summary: Rhhh<K, E>,
+    /// Global index of the first pane in `panes`.
+    pub first_pane: u64,
+    /// The worker's slices of the panes its answer covers, oldest first:
+    /// the retained completed panes, or the active pane before the first
+    /// rotation. Each slice's `N` and `W` are the last stamp it absorbed.
+    pub panes: Vec<Rhhh<K, E>>,
 }
 
-/// One hand-off unit on a shard's ring, drained in arrival order. Unit and
-/// weighted batches may interleave; the markers ride the same FIFO ring,
-/// so each takes effect after every batch sent before it.
+/// Where a shard's sampled entries wait for the next hand-off: the node
+/// groups of every sampler call, in call order, over both lanes.
+#[derive(Debug)]
+struct Outbox<K> {
+    keys: Vec<K>,
+    pairs: Vec<(K, u64)>,
+    /// One run per non-empty node group: its node, its lane, and the end
+    /// of its entries in that lane's store.
+    runs: Vec<Run>,
+}
+
+impl<K> Default for Outbox<K> {
+    fn default() -> Self {
+        Self {
+            keys: Vec::new(),
+            pairs: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    node: u16,
+    weighted: bool,
+    end: u32,
+}
+
+/// A lane the fleet routes: names its entry store in an [`Outbox`].
+trait Routed<K: KeyBits>: Lane<K> {
+    const WEIGHTED: bool;
+    fn store(out: &mut Outbox<K>) -> &mut Vec<Self>;
+}
+
+impl<K: KeyBits> Routed<K> for K {
+    const WEIGHTED: bool = false;
+    fn store(out: &mut Outbox<K>) -> &mut Vec<K> {
+        &mut out.keys
+    }
+}
+
+impl<K: KeyBits> Routed<K> for (K, u64) {
+    const WEIGHTED: bool = true;
+    fn store(out: &mut Outbox<K>) -> &mut Vec<(K, u64)> {
+        &mut out.pairs
+    }
+}
+
+impl<K: KeyBits> Outbox<K> {
+    fn len(&self) -> usize {
+        self.keys.len() + self.pairs.len()
+    }
+
+    /// Closes `node`'s group of the current call: records a run if
+    /// entries of `T`'s lane arrived since that lane's last run.
+    fn close_run<T: Routed<K>>(&mut self, node: usize) {
+        let end = T::store(self).len() as u32;
+        let start = self
+            .runs
+            .iter()
+            .rev()
+            .find(|r| r.weighted == T::WEIGHTED)
+            .map_or(0, |r| r.end);
+        if end > start {
+            self.runs.push(Run {
+                node: node as u16,
+                weighted: T::WEIGHTED,
+                end,
+            });
+        }
+    }
+
+    /// Flushes every run into `pane`, in call order.
+    fn flush_into<E: FrequencyEstimator<K>>(mut self, pane: &mut Rhhh<K, E>) {
+        let (mut keys, mut pairs) = (0, 0);
+        for run in &self.runs {
+            let (node, end) = (NodeId(run.node), run.end as usize);
+            if run.weighted {
+                pane.absorb(node, &mut self.pairs[pairs..end]);
+                pairs = end;
+            } else {
+                pane.absorb(node, &mut self.keys[keys..end]);
+                keys = end;
+            }
+        }
+    }
+}
+
+/// The ingress totals of the current pane.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    packets: u64,
+    weight: u64,
+}
+
+/// One hand-off unit on a shard's ring, drained in arrival order. The
+/// markers ride the same FIFO ring, so each takes effect after every
+/// batch sent before it.
 #[derive(Debug)]
 enum ShardMsg<K> {
-    /// A batch of unit-weight keys (the packet-count feed).
-    Unit(Vec<K>),
-    /// A batch of `(key, weight)` pairs (the volume feed).
-    Weighted(Vec<(K, u64)>),
+    /// Sampled node groups, stamped with the pane's totals at the send.
+    Samples(Outbox<K>, Stamp),
     /// Global pane boundary: complete the active pane, then publish.
     Rotate,
     /// Publication marker: the worker publishes a fresh snapshot now.
@@ -118,34 +212,68 @@ enum ShardMsg<K> {
     Poison,
 }
 
-/// Stores a fresh epoch-stamped snapshot of the ring's current answer:
-/// the merged completed panes, or the active pane before the first
-/// rotation — the coverage rule [`ShardedMonitor::harvest`] applies, so
+/// Stores a fresh epoch-stamped snapshot of the slices the ring's answer
+/// covers — the coverage rule [`ShardedMonitor::harvest`] applies, so
 /// live queries and the harvest agree on semantics.
 fn publish<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     slot: &ArcSwap<ShardSnapshot<K, E>>,
     epoch: &mut u64,
-    batches: u64,
     ring: &PaneRing<K, E>,
 ) {
     *epoch += 1;
-    let summary = ring
-        .merged_window()
-        .unwrap_or_else(|| ring.active().clone());
+    let rotations = ring.rotations();
+    let (first_pane, panes) = if rotations == 0 {
+        (0, vec![ring.active().clone()])
+    } else {
+        let first = rotations - ring.completed_len() as u64;
+        (first, ring.completed().cloned().collect())
+    };
     slot.store(Arc::new(ShardSnapshot {
         epoch: *epoch,
-        batches,
-        summary,
+        first_pane,
+        panes,
     }));
 }
 
-/// K-way-merges one summary clone per snapshot (the read side of the
-/// query plane; never touches the workers).
-fn merge_snapshots<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    snaps: &[Arc<ShardSnapshot<K, E>>],
-) -> Rhhh<K, E> {
-    let mut merged = snaps[0].summary.clone();
-    merged.merge_many(snaps[1..].iter().map(|s| s.summary.clone()).collect());
+/// One shard's slices, oldest first, with the global index of the first.
+type Slices<K, E> = (u64, Vec<Rhhh<K, E>>);
+
+/// The one combine behind every answer: merges every shard's slices of
+/// the panes all shards have reached, shard by shard, in one
+/// [`Rhhh::merge_many`]. Each pane's `N` and `W` are the smallest stamp
+/// among its slices; they are summed over panes, never over shards.
+fn combine<K: KeyBits, E: FrequencyEstimator<K> + Clone>(shards: Vec<Slices<K, E>>) -> Rhhh<K, E> {
+    let lo = shards.iter().map(|(first, _)| *first).max().unwrap_or(0);
+    let hi = shards
+        .iter()
+        .map(|(first, panes)| first + panes.len() as u64)
+        .min()
+        .unwrap_or(0);
+    let (mut packets, mut weight) = (0, 0);
+    for pane in lo..hi {
+        let slices = || shards.iter().map(|(first, p)| &p[(pane - first) as usize]);
+        packets += slices().map(HhhAlgorithm::packets).min().unwrap_or(0);
+        weight += slices().map(Rhhh::total_weight).min().unwrap_or(0);
+    }
+    if lo >= hi {
+        // The shards share no pane yet: an empty answer.
+        let mut empty = shards
+            .into_iter()
+            .flat_map(|(_, panes)| panes)
+            .next()
+            .expect("every shard covers a pane");
+        empty.reset();
+        return empty;
+    }
+    let mut slices = shards.into_iter().flat_map(|(first, panes)| {
+        panes
+            .into_iter()
+            .skip((lo - first) as usize)
+            .take((hi - lo) as usize)
+    });
+    let mut merged = slices.next().expect("the shards share a pane");
+    merged.merge_many(slices.collect());
+    merged.note_totals(packets, weight);
     merged
 }
 
@@ -161,44 +289,45 @@ struct Cadence {
     publish_every: u64,
 }
 
-/// Shard-parallel RHHH monitor: `N` worker threads, each owning one
-/// [`PaneRing`] fed through the batch path, combined by merge at harvest.
+/// Shard-parallel RHHH monitor: an ingress sampler plus `K` worker
+/// threads, each owning one [`PaneRing`] that flushes the samples routed
+/// to it, combined by merge at query and harvest time.
 ///
 /// Create with [`ShardedMonitor::spawn`] (or [`ShardedMonitor::spawn_with`]
 /// for the publication interval) for the whole-stream answer, or with
 /// [`ShardedMonitor::spawn_windowed`] for the sliding-window answer over
-/// the last `W` packets. Feed packets via [`ShardedMonitor::update`],
-/// [`ShardedMonitor::update_batch`] or their weighted twins (or as a
-/// [`DataplaneMonitor`]), query the live snapshot plane with
-/// [`ShardedMonitor::query`] at any time, then [`ShardedMonitor::harvest`]
-/// to join the workers and obtain the merged, queryable instance.
+/// the last `W` packets. Feed packets via [`ShardedMonitor::update_batch`],
+/// [`ShardedMonitor::update_batch_weighted`] or one at a time with
+/// [`ShardedMonitor::update`] (or as a [`DataplaneMonitor`]), query the
+/// live snapshot plane with [`ShardedMonitor::query`] at any time, then
+/// [`ShardedMonitor::harvest`] to join the workers and obtain the merged,
+/// queryable instance.
 ///
-/// Generic over the per-node counter like [`Rhhh`] itself; the flat-arena
-/// layout ([`crate::monitor::CompactBatchingMonitor`]'s counter) pairs well
-/// with the batch flush the workers run.
+/// Generic over the per-node counter like [`Rhhh`] itself.
 #[derive(Debug)]
 pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     senders: Vec<ShardTx<ShardMsg<K>>>,
     handles: Vec<JoinHandle<PaneRing<K, E>>>,
     snapshots: Vec<Arc<ArcSwap<ShardSnapshot<K, E>>>>,
     stats: Vec<HandoffStats>,
-    bufs: Vec<Vec<K>>,
-    /// Per-shard `(key, weight)` buffers of the volume feed; allocated
-    /// lazily on the first weighted packet so packet-count pipelines pay
-    /// nothing for the second path.
-    wbufs: Vec<Vec<(K, u64)>>,
+    sampler: Sampler<K>,
+    outs: Vec<Outbox<K>>,
+    /// Packets of the per-packet feed not yet sampled.
+    pending: Vec<K>,
     batch: usize,
     packets: u64,
     /// Total recorded weight (equals `packets` when only the unit feed is
     /// used).
     weight: u64,
-    per_shard: Vec<u64>,
     /// Global rotation period `⌈W/G⌉` in packets; `u64::MAX` (never) for
     /// the flat fleet.
     pane_len: u64,
-    /// Packets fed since the last rotation.
-    pane_fill: u64,
+    /// The current pane's ingress totals, the stamp of the next send.
+    pane: Stamp,
+    /// Whether the current pane took packets since the last send.
+    unsent: bool,
     rotations: u64,
+    seed: u64,
     /// Live-query merge cache keyed by the snapshot epoch vector; stays
     /// valid until any shard publishes again.
     query_cache: Option<(Vec<u64>, Rhhh<K, E>)>,
@@ -206,10 +335,10 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
 }
 
 impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
-    /// Spawns `shards` worker threads over copies of `lattice`/`config`
-    /// (worker `i` runs under [`shard_seed`]`(config.seed, i)`), buffering
-    /// `batch` packets per shard before handing a batch over. Uses the
-    /// default [`SpawnOptions`] (snapshot every 8 batches).
+    /// Spawns `shards` worker threads behind an ingress sampler seeded
+    /// with `config.seed`, handing each shard its sampled entries once
+    /// some shard has `batch` samples waiting. Uses the default
+    /// [`SpawnOptions`] (snapshot every 8 batches).
     ///
     /// # Errors
     ///
@@ -309,16 +438,18 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         let mut handles = Vec::with_capacity(shards);
         let mut snapshots = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let seed = shard_seed(config.seed, shard);
-            let ring =
-                PaneRing::<K, E>::new(lattice.clone(), RhhhConfig { seed, ..config }, cadence.keep);
+            let ring = PaneRing::<K, E>::new(lattice.clone(), config, cadence.keep);
             let slot = Arc::new(ArcSwap::from_pointee(ShardSnapshot {
                 epoch: 0,
-                batches: 0,
-                summary: ring.active().clone(),
+                first_pane: 0,
+                panes: vec![ring.active().clone()],
             }));
             snapshots.push(Arc::clone(&slot));
-            let (tx, rx) = conduit::<ShardMsg<K>>(QUEUE_BATCHES);
+            let (tx, rx) = conduit::<ShardMsg<K>>(ring_slots(
+                batch,
+                config.v_scale,
+                config.updates_per_packet,
+            ));
             let handle = spawn_named(format!("shard-{shard}"), move || {
                 let mut ring = ring;
                 let mut batches = 0u64;
@@ -327,29 +458,30 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
                     // Batches publish every `publish_every`; markers
                     // always publish.
                     match msg {
-                        ShardMsg::Unit(keys) => ring.active_mut().update_batch(&keys),
-                        ShardMsg::Weighted(packets) => {
-                            ring.active_mut().update_batch_weighted(&packets);
+                        ShardMsg::Samples(out, stamp) => {
+                            let pane = ring.active_mut();
+                            out.flush_into(pane);
+                            pane.note_totals(stamp.packets, stamp.weight);
                         }
                         ShardMsg::Rotate => {
                             ring.rotate();
-                            publish(&slot, &mut epoch, batches, &ring);
+                            publish(&slot, &mut epoch, &ring);
                             continue;
                         }
                         ShardMsg::Publish => {
-                            publish(&slot, &mut epoch, batches, &ring);
+                            publish(&slot, &mut epoch, &ring);
                             continue;
                         }
                         ShardMsg::Poison => panic!("injected shard failure"),
                     }
                     batches += 1;
                     if batches.is_multiple_of(cadence.publish_every) {
-                        publish(&slot, &mut epoch, batches, &ring);
+                        publish(&slot, &mut epoch, &ring);
                     }
                 }
                 // Final publication so late readers see the full
                 // sub-stream even without harvesting.
-                publish(&slot, &mut epoch, batches, &ring);
+                publish(&slot, &mut epoch, &ring);
                 ring
             })?;
             senders.push(tx.bind(handle.thread().clone()));
@@ -360,15 +492,17 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             handles,
             snapshots,
             stats: vec![HandoffStats::default(); shards],
-            bufs: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
-            wbufs: (0..shards).map(|_| Vec::new()).collect(),
+            sampler: Sampler::new(&lattice, &config),
+            outs: (0..shards).map(|_| Outbox::default()).collect(),
+            pending: Vec::with_capacity(PACKET_CALL),
             batch,
             packets: 0,
             weight: 0,
-            per_shard: vec![0; shards],
             pane_len: cadence.pane_len,
-            pane_fill: 0,
+            pane: Stamp::default(),
+            unsent: false,
             rotations: 0,
+            seed: config.seed,
             query_cache: None,
             label,
         })
@@ -383,20 +517,14 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// Packets fed so far (across all shards).
     #[must_use]
     pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Packets routed to each shard so far — the hash-balance diagnostic.
-    #[must_use]
-    pub fn shard_packets(&self) -> &[u64] {
-        &self.per_shard
+        self.packets + self.pending.len() as u64
     }
 
     /// Total recorded weight so far (equals [`ShardedMonitor::packets`]
     /// when only the unit feed is used).
     #[must_use]
     pub fn weight(&self) -> u64 {
-        self.weight
+        self.weight + self.pending.len() as u64
     }
 
     /// The global rotation period `⌈W/G⌉` in packets (`u64::MAX` for the
@@ -427,113 +555,110 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         self.snapshots.iter().map(|s| s.load_full().epoch).collect()
     }
 
-    /// Routes one packet to its shard, handing off a full batch when the
-    /// shard's buffer fills, and rotates at a global pane boundary.
+    /// Feeds one packet. Packets are buffered and sampled as one call
+    /// every 4096 packets (or at a pane boundary, or when another feed,
+    /// [`ShardedMonitor::flush`] or a marker comes first).
     #[inline]
     pub fn update(&mut self, key2: K) {
-        self.route(key2);
-        self.advance(1);
+        self.pending.push(key2);
+        if self.pending.len() == PACKET_CALL
+            || self.pane.packets + self.pending.len() as u64 == self.pane_len
+        {
+            self.sample_pending();
+        }
     }
 
-    /// Routes one packet carrying `weight` units (e.g. bytes) to its
-    /// shard — the volume-measurement twin of [`ShardedMonitor::update`].
-    /// The shard is still chosen by key hash, so a flow's whole volume
-    /// lands in one shard and the per-shard weighted batch path
-    /// ([`Rhhh::update_batch_weighted`]) records it; the harvest-time
-    /// merge then conserves total weight exactly (pinned by the
-    /// `sharded_weighted` property suite). Pane boundaries still count
-    /// packets, not weight.
-    #[inline]
-    pub fn update_weighted(&mut self, key2: K, weight: u64) {
-        self.route_weighted(key2, weight);
-        self.advance(1);
-    }
-
-    /// Feeds a slice of packets — the burst entry point. The slice is
-    /// split once at each pane boundary it straddles, so the per-packet
-    /// route loop carries no pane check.
+    /// Feeds a slice of packets: one sampler call per pane the slice
+    /// touches.
     pub fn update_batch(&mut self, keys: &[K]) {
-        self.feed(keys, Self::route);
+        self.sample_pending();
+        self.feed(keys);
     }
 
-    /// Feeds a slice of weighted packets — the bulk entry point of the
-    /// volume feed, split at pane boundaries like
-    /// [`ShardedMonitor::update_batch`].
+    /// Feeds a slice of packets each carrying `weight` units (e.g. bytes)
+    /// — the volume feed. Selection stays per packet, and pane boundaries
+    /// still count packets, not weight.
     pub fn update_batch_weighted(&mut self, packets: &[(K, u64)]) {
-        self.feed(packets, |mon, (key, weight)| {
-            mon.route_weighted(key, weight)
-        });
+        self.sample_pending();
+        self.feed(packets);
     }
 
-    /// Routes a slice pane by pane: splits it once at each pane boundary
-    /// it straddles and advances the pane count once per piece.
-    #[inline]
-    fn feed<T: Copy>(&mut self, items: &[T], mut route: impl FnMut(&mut Self, T)) {
+    /// Samples the per-packet feed's buffer as one call.
+    fn sample_pending(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        self.feed(&pending);
+        self.pending = pending;
+        self.pending.clear();
+    }
+
+    /// Splits a slice at each pane boundary it straddles and routes each
+    /// piece as one sampler call.
+    fn feed<T: Routed<K>>(&mut self, items: &[T]) {
         let mut rest = items;
         while !rest.is_empty() {
-            let room = (rest.len() as u64).min(self.pane_len - self.pane_fill);
-            let (pane, later) = rest.split_at(room as usize);
-            for &item in pane {
-                route(self, item);
-            }
-            self.advance(pane.len() as u64);
+            let room = (rest.len() as u64).min(self.pane_len - self.pane.packets);
+            let (piece, later) = rest.split_at(room as usize);
+            self.route(piece);
             rest = later;
         }
     }
 
-    /// Buffers one unit packet for its shard; hands off a full batch.
-    #[inline]
-    fn route(&mut self, key2: K) {
-        self.packets += 1;
-        self.weight += 1;
-        let shard = shard_of_key(key2, self.senders.len());
-        self.per_shard[shard] += 1;
-        let buf = &mut self.bufs[shard];
-        buf.push(key2);
-        if buf.len() >= self.batch {
-            let full = std::mem::replace(buf, Vec::with_capacity(self.batch));
+    /// One sampler call over `piece`: routes every sampled entry to its
+    /// shard's outbox by masked key, hands the outboxes off once one holds
+    /// `batch` samples, and rotates at the pane boundary.
+    fn route<T: Routed<K>>(&mut self, piece: &[T]) {
+        let n = piece.len() as u64;
+        let weight: u64 = piece.iter().map(|&e| e.weight()).sum();
+        self.packets += n;
+        self.weight += weight;
+        self.pane.packets += n;
+        self.pane.weight += weight;
+        self.unsent = true;
+        let shards = self.outs.len();
+        let groups = self.sampler.sample(piece.len(), |i| piece[i]);
+        for (node, group) in groups.iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            if let [out] = &mut self.outs[..] {
+                T::store(out).extend_from_slice(group);
+            } else {
+                for &entry in group.iter() {
+                    let shard = shard_of(entry.key().low_u64(), shards);
+                    T::store(&mut self.outs[shard]).push(entry);
+                }
+            }
+            for out in &mut self.outs {
+                out.close_run::<T>(node);
+            }
+        }
+        if self.outs.iter().any(|out| out.len() >= self.batch) {
+            self.send_all();
+        }
+        if self.pane.packets == self.pane_len {
+            self.broadcast(|| ShardMsg::Rotate);
+            self.sampler.reseed(pane_seed(self.seed, self.rotations));
+            self.rotations += 1;
+            self.pane = Stamp::default();
+        }
+    }
+
+    /// Hands every shard its outbox, stamped with the current pane's
+    /// totals: all shards in lockstep, so every slice of a pane reaches
+    /// the same stamps.
+    fn send_all(&mut self) {
+        for ((tx, stats), out) in self.senders.iter().zip(&mut self.stats).zip(&mut self.outs) {
             // A send only fails when the worker died (panicked). The feed
-            // stays alive — packets for the dead shard are lost and
+            // stays alive — samples for the dead shard are lost and
             // counted in its `HandoffStats::dropped` — and harvest
             // reports the failure as a `MergeError::ShardFailed` instead
             // of poisoning the ingress.
-            let _ = self.senders[shard].send(ShardMsg::Unit(full), &mut self.stats[shard]);
+            let _ = tx.send(ShardMsg::Samples(std::mem::take(out), self.pane), stats);
         }
+        self.unsent = false;
     }
 
-    /// Buffers one weighted packet for its shard; hands off a full batch.
-    #[inline]
-    fn route_weighted(&mut self, key2: K, weight: u64) {
-        self.packets += 1;
-        self.weight += weight;
-        let shard = shard_of_key(key2, self.senders.len());
-        self.per_shard[shard] += 1;
-        let buf = &mut self.wbufs[shard];
-        if buf.capacity() == 0 {
-            buf.reserve(self.batch);
-        }
-        buf.push((key2, weight));
-        if buf.len() >= self.batch {
-            let full = std::mem::replace(buf, Vec::with_capacity(self.batch));
-            let _ = self.senders[shard].send(ShardMsg::Weighted(full), &mut self.stats[shard]);
-        }
-    }
-
-    /// Accounts `n` routed packets to the current pane; at the boundary,
-    /// flushes every partial buffer (so the boundary packet reaches its
-    /// worker first) and broadcasts the rotation marker.
-    #[inline]
-    fn advance(&mut self, n: u64) {
-        self.pane_fill += n;
-        if self.pane_fill == self.pane_len {
-            self.broadcast(|| ShardMsg::Rotate);
-            self.rotations += 1;
-            self.pane_fill = 0;
-        }
-    }
-
-    /// Flushes every partial buffer, then sends one marker to every
-    /// shard behind it.
+    /// Flushes, then sends one marker to every shard behind it.
     fn broadcast(&mut self, marker: fn() -> ShardMsg<K>) {
         self.flush();
         for (tx, stats) in self.senders.iter().zip(&mut self.stats) {
@@ -541,73 +666,73 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         }
     }
 
-    /// Sends every partially filled buffer (both feeds) to its worker.
-    /// Called by [`ShardedMonitor::harvest`]; useful on its own before a
-    /// progress report.
+    /// Samples the per-packet feed's buffer and hands every shard its
+    /// outbox and the current stamp. Called by
+    /// [`ShardedMonitor::harvest`]; useful on its own before a progress
+    /// report.
     pub fn flush(&mut self) {
-        for (shard, buf) in self.bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let part = std::mem::take(buf);
-                let _ = self.senders[shard].send(ShardMsg::Unit(part), &mut self.stats[shard]);
-            }
-        }
-        for (shard, buf) in self.wbufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let part = std::mem::take(buf);
-                let _ = self.senders[shard].send(ShardMsg::Weighted(part), &mut self.stats[shard]);
-            }
+        self.sample_pending();
+        if self.unsent {
+            self.send_all();
         }
     }
 
-    /// Flushes all partial buffers and asks every worker to publish a
-    /// fresh snapshot (without rotating). The marker rides the FIFO
-    /// hand-off behind the flushed batches, so once each shard's epoch
-    /// advances past its value at call time, [`ShardedMonitor::query`]
-    /// reflects **every** packet fed before this call that its coverage
-    /// rule admits — the deterministic freshness hook the property suite
-    /// pins.
+    /// Flushes and asks every worker to publish a fresh snapshot (without
+    /// rotating). The marker rides the FIFO hand-off behind the flushed
+    /// batches, so once each shard's epoch advances past its value at
+    /// call time, [`ShardedMonitor::query`] reflects **every** packet fed
+    /// before this call that its coverage rule admits — the deterministic
+    /// freshness hook the property suite pins.
     pub fn publish_now(&mut self) {
         self.broadcast(|| ShardMsg::Publish);
     }
 
-    /// Ensures the query cache holds the merge of the latest snapshots.
+    /// The latest snapshots' slices, ready for [`combine`].
+    fn snapshot_slices(&self) -> (Vec<u64>, Vec<Slices<K, E>>) {
+        self.snapshots
+            .iter()
+            .map(|s| {
+                let snap = s.load_full();
+                (snap.epoch, (snap.first_pane, snap.panes.clone()))
+            })
+            .unzip()
+    }
+
+    /// Ensures the query cache holds the combine of the latest snapshots.
     fn refresh_query_cache(&mut self) -> &Rhhh<K, E> {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        let epochs: Vec<u64> = snaps.iter().map(|s| s.epoch).collect();
+        let epochs = self.snapshot_epochs();
         if self
             .query_cache
             .as_ref()
             .is_none_or(|(cached, _)| *cached != epochs)
         {
-            self.query_cache = Some((epochs, merge_snapshots(&snaps)));
+            let (epochs, slices) = self.snapshot_slices();
+            self.query_cache = Some((epochs, combine(slices)));
         }
         &self.query_cache.as_ref().expect("cache refreshed above").1
     }
 
     /// Live `Output(θ)` over the latest published snapshots — never
-    /// joins, blocks, or slows the workers. The K-way merge is cached
-    /// keyed by the snapshot epoch vector, so repeated queries between
-    /// publications cost one output scan (the cross-thread analogue of
-    /// [`hhh_core::WindowedRhhh::query`]'s cache). Staleness is bounded
-    /// by one publication interval per shard (one pane for the windowed
-    /// fleet) plus whatever sits in the monitor's partial buffers; call
+    /// joins, blocks, or slows the workers. The combine is cached keyed by
+    /// the snapshot epoch vector, so repeated queries between publications
+    /// cost one output scan (the cross-thread analogue of
+    /// [`hhh_core::WindowedRhhh::query`]'s cache). Staleness is bounded by
+    /// one publication interval per shard (one pane for the windowed
+    /// fleet) plus whatever waits in the ingress; call
     /// [`ShardedMonitor::publish_now`] first for an up-to-the-call answer.
     pub fn query(&mut self, theta: f64) -> Vec<HeavyHitter<K>> {
         self.refresh_query_cache().output(theta)
     }
 
-    /// [`ShardedMonitor::query`] without the epoch cache: re-merges the
+    /// [`ShardedMonitor::query`] without the epoch cache: re-combines the
     /// latest snapshots on every call. The differential baseline the
     /// bench races the cached path against.
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        merge_snapshots(&snaps).output(theta)
+        combine(self.snapshot_slices().1).output(theta)
     }
 
-    /// Packets covered by the current snapshot merge — how much of the
+    /// Packets covered by the current snapshot combine — how much of the
     /// fed stream a live query reflects right now.
     pub fn query_coverage(&mut self) -> u64 {
         self.refresh_query_cache().packets()
@@ -615,7 +740,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
 
     /// Failure-injection hook for chaos tests: kills the given shard's
     /// worker thread (it panics on the poison message). Subsequent feeds
-    /// keep running — packets routed to the dead shard are dropped — and
+    /// keep running — samples routed to the dead shard are dropped — and
     /// [`ShardedMonitor::harvest`] reports the death as
     /// [`MergeError::ShardFailed`]. Live queries keep answering from the
     /// dead shard's last published snapshot.
@@ -624,45 +749,36 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         let _ = self.senders[shard].send(ShardMsg::Poison, &mut self.stats[shard]);
     }
 
-    /// Flushes, joins every worker and merges the per-shard answers into
-    /// one queryable instance in a single [`Rhhh::merge_many`] pass. The
-    /// flat fleet merges the K active panes: the totals cover the whole
-    /// stream. The windowed fleet merges all shards' retained completed
-    /// panes (K·G ways): the totals cover exactly the window (at least `W`
-    /// once `G` global panes have completed). Before its first rotation
-    /// there are no completed panes anywhere, and the K active panes merge
-    /// instead — a partial answer over everything fed so far.
+    /// Flushes, joins every worker and combines their slices into one
+    /// queryable instance. The flat fleet's totals cover the whole
+    /// stream. The windowed fleet's cover exactly the retained completed
+    /// panes (at least `W` once `G` global panes have completed); before
+    /// its first rotation the active panes answer instead — a partial
+    /// answer over everything fed so far.
     ///
     /// # Errors
     ///
     /// [`MergeError::ShardFailed`] when any worker thread died (panicked)
-    /// mid-feed: its sub-stream's summary is gone, so a merged answer
+    /// mid-feed: its slice of the summary is gone, so a merged answer
     /// would silently under-count. The error names the first dead shard.
     pub fn harvest(mut self) -> Result<Rhhh<K, E>, MergeError> {
         self.flush();
         self.senders.clear(); // closes every hand-off; workers drain & exit
         let rings = join_shards(std::mem::take(&mut self.handles))?;
-        let mut panes = Vec::with_capacity(rings.len());
-        for ring in rings {
-            let (active, completed) = ring.into_parts();
-            if self.rotations == 0 {
-                panes.push(active);
-            } else {
-                panes.extend(completed);
-            }
-        }
-        let mut merged = panes.remove(0);
-        merged.merge_many(panes);
-        Ok(merged)
-    }
-
-    /// Convenience: harvest and immediately run `Output(θ)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ShardedMonitor::harvest`]'s `ShardFailed`.
-    pub fn finish_and_query(self, theta: f64) -> Result<Vec<HeavyHitter<K>>, MergeError> {
-        Ok(self.harvest()?.output(theta))
+        Ok(combine(
+            rings
+                .into_iter()
+                .map(|ring| {
+                    let rotations = ring.rotations();
+                    let (active, completed) = ring.into_parts();
+                    if rotations == 0 {
+                        (0, vec![active])
+                    } else {
+                        (rotations - completed.len() as u64, completed)
+                    }
+                })
+                .collect(),
+        ))
     }
 }
 
@@ -742,8 +858,6 @@ mod tests {
                 mon.update(k);
             }
             assert_eq!(mon.packets(), n);
-            let total: u64 = mon.shard_packets().iter().sum();
-            assert_eq!(total, n, "per-shard routing must account every packet");
             let merged = mon.harvest().expect("healthy pipeline");
             assert_eq!(merged.packets(), n, "merged N covers the whole stream");
             assert_eq!(merged.total_weight(), n);
@@ -772,7 +886,7 @@ mod tests {
             mon.on_packet(k);
         }
         assert_eq!(mon.label(), "Sharded3-RHHH");
-        let out = mon.finish_and_query(0.1).expect("healthy pipeline");
+        let out = mon.harvest().expect("healthy pipeline").output(0.1);
         assert!(out
             .iter()
             .map(|h| h.prefix.display(&lat))
@@ -961,7 +1075,7 @@ mod tests {
             if i % 2 == 0 {
                 mon.update(i);
             } else {
-                mon.update_weighted(i, 10);
+                mon.update_batch_weighted(&[(i, 10)]);
             }
         }
         assert_eq!(mon.packets(), 1_000);
@@ -1085,7 +1199,7 @@ mod tests {
             for _ in 0..150_000 {
                 mon.update(pack2(rng.next() as u32, rng.next() as u32));
             }
-            let out = mon.finish_and_query(0.1).expect("healthy pipeline");
+            let out = mon.harvest().expect("healthy pipeline").output(0.1);
             assert!(
                 !out.iter()
                     .any(|h| h.prefix.display(&lat).contains("10.20.0.0/16")),
@@ -1108,7 +1222,7 @@ mod tests {
             for &k in &attack_stream(120_000, 33) {
                 mon.update(k);
             }
-            let out = mon.finish_and_query(0.1).expect("healthy pipeline");
+            let out = mon.harvest().expect("healthy pipeline").output(0.1);
             assert!(
                 out.iter()
                     .any(|h| h.prefix.display(&lat).contains("10.20.0.0/16")),

@@ -1,217 +1,324 @@
-//! Bit-identity oracle for the shard fleet: threads, the ring hand-off and
-//! the snapshot plane are *transport*, not *semantics*. For any stream,
-//! shard count, batch grain, slice chunking and seed, unwindowed or
-//! windowed, unit or weighted feed, the fleet's harvest must equal an
-//! in-thread replay of what the fleet promises to do: route each key with
-//! `shard_of`, cut each shard's sub-stream at the batch grain and at every
-//! global pane boundary, feed per-shard `PaneRing`s seeded with
-//! `shard_seed`, and combine the retained panes (or, before the first
-//! rotation, the active ones) with one `merge_many` in shard order.
+//! Replay oracle for the shard fleet: threads, outboxes, the ring
+//! hand-off and the snapshot plane are *transport*, not *semantics*.
+//!
+//! The fleet promises to sample every feed call once at ingress with one
+//! `Sampler` seeded from `config.seed` (reseeded at each rotation as a
+//! fresh `PaneRing` pane is), route each sampled entry with
+//! `shard_of(masked key)`, flush each call's node groups separately into
+//! the shard's active pane, and answer with one `merge_many` in shard
+//! order whose `N` and `W` are what was fed into the covered panes. So:
+//!
+//! * at one shard the harvest equals inline `Rhhh::update_batch` /
+//!   `update_batch_weighted` at the same call chunking, and the windowed
+//!   harvest equals `WindowedRhhh::merged_window`;
+//! * at two to four shards it equals an in-thread replay of that promise.
+//!
+//! Equal means bit for bit on `N`, `W`, the total and per-node update
+//! counts, every node's counters and `Output(θ)`. The counters are small
+//! (40 per node), so evictions make the flush grouping observable.
 
-use hhh_core::{HeavyHitter, HhhAlgorithm, PaneRing, RhhhConfig};
-use hhh_counters::SpaceSaving;
-use hhh_hierarchy::Lattice;
-use hhh_vswitch::{shard_of, shard_seed, ShardedMonitor};
-use proptest::collection::vec;
+use hhh_core::{
+    HeavyHitter, HhhAlgorithm, Lane, NodeEstimates, PaneRing, Rhhh, RhhhConfig, Sampler,
+    WindowedRhhh,
+};
+use hhh_counters::Candidate;
+use hhh_hierarchy::{Lattice, NodeId};
+use hhh_vswitch::{shard_of, ShardedMonitor};
 use proptest::prelude::*;
 use proptest::sample::select;
 
-fn config(seed: u64) -> RhhhConfig {
-    RhhhConfig {
-        epsilon_a: 0.01,
-        epsilon_s: 0.05,
-        delta_s: 0.05,
-        seed,
-        ..RhhhConfig::default()
-    }
-}
+/// The harvest's observable state.
+type Summary = (
+    u64,
+    u64,
+    u64,
+    Vec<(u64, Vec<Candidate<u64>>)>,
+    Vec<HeavyHitter<u64>>,
+);
 
-/// Harvest summary: the ledgers plus the full output table at θ = 0.05.
-type Harvest = (u64, u64, u64, Vec<HeavyHitter<u64>>);
+fn summarize(m: &Rhhh<u64>) -> Summary {
+    let nodes = m
+        .lattice()
+        .node_ids()
+        .map(|node| (m.node_updates(node), m.node_candidates(node)))
+        .collect();
+    (
+        m.packets(),
+        m.total_weight(),
+        m.total_updates(),
+        nodes,
+        m.output(0.5),
+    )
+}
 
 /// One generated scenario.
 #[derive(Debug, Clone)]
 struct Case {
-    packets: Vec<(u64, u64)>,
+    seed: u64,
+    packets: usize,
     shards: usize,
     batch: usize,
-    /// Packets per `update_batch*` call on the fleet.
+    /// Packets per `update_batch*` call.
     chunk: usize,
     /// `Some((W, G))` for the windowed fleet.
     window: Option<(u64, usize)>,
     weighted: bool,
-    seed: u64,
+    v_scale: u64,
+    r: u32,
 }
 
-fn summarize(merged: &hhh_core::Rhhh<u64, SpaceSaving<u64>>) -> Harvest {
-    (
-        merged.packets(),
-        merged.total_updates(),
-        merged.total_weight(),
-        merged.output(0.05),
-    )
-}
-
-/// Feeds the case through a spawned fleet in `chunk`-sized slices and
-/// harvests it.
-macro_rules! feed_and_harvest {
-    ($mon:expr, $case:expr) => {{
-        let mut mon = $mon.expect("spawn workers");
-        if $case.weighted {
-            for part in $case.packets.chunks($case.chunk) {
-                mon.update_batch_weighted(part);
-            }
-        } else {
-            let keys: Vec<u64> = $case.packets.iter().map(|&(k, _)| k).collect();
-            for part in keys.chunks($case.chunk) {
-                mon.update_batch(part);
-            }
+impl Case {
+    /// `ε_s = 1` keeps ψ below the windows (`WindowedRhhh` checks it in
+    /// debug builds); `ε_a = 0.05` gives 40 counters per node.
+    fn config(&self) -> RhhhConfig {
+        RhhhConfig {
+            epsilon_a: 0.05,
+            epsilon_s: 1.0,
+            delta_s: 0.05,
+            v_scale: self.v_scale,
+            updates_per_packet: self.r,
+            seed: self.seed,
         }
-        summarize(&mon.harvest().expect("healthy fleet"))
-    }};
+    }
+
+    /// `(key, wire length)` per packet: 30% under one heavy /16 → /32
+    /// pair, the rest spread out.
+    fn stream(&self) -> Vec<(u64, u64)> {
+        let mut x = self.seed | 1;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 16
+        };
+        (0..self.packets)
+            .map(|i| {
+                let k = next();
+                let key = if i % 10 < 3 {
+                    0x0A14_0000_0808_0808 | ((k & 0xFFFF) << 32)
+                } else {
+                    k ^ (next() << 32)
+                };
+                (key, 64 + k % 1_400)
+            })
+            .collect()
+    }
 }
 
-fn fleet_harvest(case: &Case) -> Harvest {
+/// Feeds the case through a spawned fleet and harvests it.
+fn fleet(case: &Case) -> Rhhh<u64> {
     let lat = Lattice::ipv4_src_dst_bytes();
-    let cfg = config(case.seed);
-    match case.window {
-        None => feed_and_harvest!(
-            ShardedMonitor::<u64, SpaceSaving<u64>>::spawn(lat, cfg, case.shards, case.batch),
-            case
-        ),
-        Some((window, panes)) => feed_and_harvest!(
-            ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(
-                lat,
-                cfg,
-                case.shards,
-                case.batch,
-                window,
-                panes
-            ),
-            case
-        ),
+    let cfg = case.config();
+    let mut mon = match case.window {
+        None => ShardedMonitor::<u64>::spawn(lat, cfg, case.shards, case.batch),
+        Some((w, g)) => {
+            ShardedMonitor::<u64>::spawn_windowed(lat, cfg, case.shards, case.batch, w, g)
+        }
+    }
+    .expect("spawn workers");
+    for part in case.stream().chunks(case.chunk) {
+        if case.weighted {
+            mon.update_batch_weighted(part);
+        } else {
+            let keys: Vec<u64> = part.iter().map(|&(k, _)| k).collect();
+            mon.update_batch(&keys);
+        }
+    }
+    mon.harvest().expect("healthy fleet")
+}
+
+/// One shard, flat: inline `Rhhh` at the same call chunking.
+fn inline(case: &Case) -> Rhhh<u64> {
+    let mut algo = Rhhh::<u64>::new(Lattice::ipv4_src_dst_bytes(), case.config());
+    for part in case.stream().chunks(case.chunk) {
+        if case.weighted {
+            algo.update_batch_weighted(part);
+        } else {
+            let keys: Vec<u64> = part.iter().map(|&(k, _)| k).collect();
+            algo.update_batch(&keys);
+        }
+    }
+    algo
+}
+
+/// One shard, windowed (unit feed): the single-thread pane ring. Before
+/// its first rotation the ring's answer is its active pane, which is the
+/// flat instance.
+fn inline_windowed(case: &Case) -> Rhhh<u64> {
+    let (w, g) = case.window.expect("a windowed case");
+    let mut win = WindowedRhhh::<u64>::new(Lattice::ipv4_src_dst_bytes(), case.config(), w, g);
+    for part in case.stream().chunks(case.chunk) {
+        let keys: Vec<u64> = part.iter().map(|&(k, _)| k).collect();
+        win.update_batch(&keys);
+    }
+    win.merged_window().unwrap_or_else(|| inline(case))
+}
+
+/// Routes one sampler call's groups by masked key and flushes each
+/// shard's part of each group into that shard's active pane.
+fn route_and_flush<T: Lane<u64>>(rings: &mut [PaneRing<u64>], groups: &[Vec<T>]) {
+    for (node, group) in groups.iter().enumerate() {
+        let mut parts = vec![Vec::new(); rings.len()];
+        for &entry in group {
+            parts[shard_of(entry.key(), rings.len())].push(entry);
+        }
+        for (ring, part) in rings.iter_mut().zip(&mut parts) {
+            ring.active_mut().absorb(NodeId(node as u16), part);
+        }
     }
 }
 
-/// Hands one shard's buffered sub-stream slice to its ring's active pane.
-fn cut(ring: &mut PaneRing<u64, SpaceSaving<u64>>, buf: &mut Vec<(u64, u64)>, weighted: bool) {
-    if buf.is_empty() {
-        return;
-    }
-    if weighted {
-        ring.active_mut().update_batch_weighted(buf);
-    } else {
-        let keys: Vec<u64> = buf.iter().map(|&(k, _)| k).collect();
-        ring.active_mut().update_batch(&keys);
-    }
-    buf.clear();
-}
-
-fn replay_harvest(case: &Case) -> Harvest {
+/// Any shard count: the fleet's promise replayed on this thread.
+fn replay(case: &Case) -> Rhhh<u64> {
     let lat = Lattice::ipv4_src_dst_bytes();
+    let cfg = case.config();
     let (pane_len, keep) = match case.window {
-        Some((window, panes)) => (window.div_ceil(panes as u64), panes),
+        Some((w, g)) => (w.div_ceil(g as u64), g),
         None => (u64::MAX, 1),
     };
-    let mut rings: Vec<PaneRing<u64, SpaceSaving<u64>>> = (0..case.shards)
-        .map(|shard| {
-            let seeded = RhhhConfig {
-                seed: shard_seed(case.seed, shard),
-                ..config(case.seed)
-            };
-            PaneRing::new(lat.clone(), seeded, keep)
-        })
+    let mut sampler = Sampler::new(&lat, &cfg);
+    let mut rings: Vec<PaneRing<u64>> = (0..case.shards)
+        .map(|_| PaneRing::new(lat.clone(), cfg, keep))
         .collect();
-    let mut bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); case.shards];
-    let mut fill = 0u64;
-    let mut rotations = 0u64;
-    for &(key, weight) in &case.packets {
-        let shard = shard_of(key, case.shards);
-        bufs[shard].push((key, if case.weighted { weight } else { 1 }));
-        if bufs[shard].len() == case.batch {
-            cut(&mut rings[shard], &mut bufs[shard], case.weighted);
-        }
-        fill += 1;
-        if fill == pane_len {
-            for (ring, buf) in rings.iter_mut().zip(&mut bufs) {
-                cut(ring, buf, case.weighted);
-                ring.rotate();
+    // Packets and weight fed per pane, the active pane last.
+    let mut fed = vec![(0u64, 0u64)];
+    for part in case.stream().chunks(case.chunk) {
+        let mut rest = part;
+        while !rest.is_empty() {
+            let fill = fed.last().expect("an active pane").0;
+            let (piece, later) = rest.split_at((rest.len() as u64).min(pane_len - fill) as usize);
+            if case.weighted {
+                route_and_flush(&mut rings, sampler.sample(piece.len(), |i| piece[i]));
+            } else {
+                route_and_flush(&mut rings, sampler.sample(piece.len(), |i| piece[i].0));
             }
-            fill = 0;
-            rotations += 1;
+            let pane = fed.last_mut().expect("an active pane");
+            pane.0 += piece.len() as u64;
+            pane.1 += piece
+                .iter()
+                .map(|&(_, w)| if case.weighted { w } else { 1 })
+                .sum::<u64>();
+            if pane.0 == pane_len {
+                for ring in &mut rings {
+                    ring.rotate();
+                }
+                sampler.reseed(rings[0].active().config().seed);
+                fed.push((0, 0));
+            }
+            rest = later;
         }
     }
-    for (ring, buf) in rings.iter_mut().zip(&mut bufs) {
-        cut(ring, buf, case.weighted);
-    }
-    let mut panes = Vec::new();
+    let rotations = fed.len() - 1;
+    let covered = if rotations == 0 {
+        &fed[..]
+    } else {
+        &fed[rotations.saturating_sub(keep)..rotations]
+    };
+    let packets = covered.iter().map(|p| p.0).sum();
+    let weight = covered.iter().map(|p| p.1).sum();
+    let mut slices = Vec::new();
     for ring in rings {
         let (active, completed) = ring.into_parts();
         if rotations == 0 {
-            panes.push(active);
+            slices.push(active);
         } else {
-            panes.extend(completed);
+            slices.extend(completed);
         }
     }
-    let mut merged = panes.remove(0);
-    merged.merge_many(panes);
-    summarize(&merged)
+    let mut merged = slices.remove(0);
+    merged.merge_many(slices);
+    merged.note_totals(packets, weight);
+    merged
 }
 
-/// Fails the case, naming its shape, when the fleet and the replay differ.
-fn check(case: &Case) -> Result<(), TestCaseError> {
+/// Fails the case, naming its shape, when the fleet and `want` differ.
+fn check(case: &Case, want: &Rhhh<u64>) -> Result<(), TestCaseError> {
     prop_assert_eq!(
-        fleet_harvest(case),
-        replay_harvest(case),
-        "fleet diverged from replay: shards={} batch={} chunk={} window={:?} weighted={}",
-        case.shards,
-        case.batch,
-        case.chunk,
-        case.window,
-        case.weighted
+        summarize(&fleet(case)),
+        summarize(want),
+        "fleet diverged: {:?}",
+        case
     );
     Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The unwindowed fleet harvests exactly the in-thread replay.
+    /// One shard, flat: inline `update_batch` / `update_batch_weighted`
+    /// at the same chunking, for V ∈ {H, 10H} and r ∈ {1, 4}.
     #[test]
-    fn flat_fleet_matches_in_thread_replay(
-        packets in vec((0u64..50_000, 1u64..1_500), 1..3_000),
-        shards in 1usize..5,
-        batch in select(vec![1usize, 16, 256]),
-        chunk in 1usize..700,
-        weighted in any::<bool>(),
+    fn one_shard_fleet_matches_inline_rhhh(
         seed in any::<u64>(),
-    ) {
-        let case = Case { packets, shards, batch, chunk, window: None, weighted, seed };
-        check(&case)?;
-    }
-
-    /// The windowed fleet does too, across pane rotations: the rotation
-    /// markers ride the same hand-off as the batches and cut every shard
-    /// at the same global packet index.
-    #[test]
-    fn windowed_fleet_matches_in_thread_replay(
-        packets in vec((0u64..50_000, 1u64..1_500), 1..3_000),
-        shards in 1usize..5,
-        batch in select(vec![1usize, 16, 256]),
-        chunk in 1usize..700,
-        panes in 2usize..5,
+        packets in 1usize..4_000,
+        batch in select(vec![1usize, 64, 4_096]),
+        chunk in 1usize..1_500,
         weighted in any::<bool>(),
-        seed in any::<u64>(),
+        v_scale in select(vec![1u64, 10]),
+        r in select(vec![1u32, 4]),
     ) {
         let case = Case {
-            packets,
-            shards,
-            batch,
-            chunk,
-            window: Some((1_000, panes)),
-            weighted,
-            seed,
+            seed, packets, shards: 1, batch, chunk, window: None, weighted, v_scale, r,
         };
-        check(&case)?;
+        check(&case, &inline(&case))?;
+        check(&case, &replay(&case))?;
+    }
+
+    /// One shard, windowed: `WindowedRhhh::merged_window` at the same
+    /// chunking, across rotations.
+    #[test]
+    fn one_shard_windowed_fleet_matches_windowed_rhhh(
+        seed in any::<u64>(),
+        packets in 1usize..4_000,
+        batch in select(vec![1usize, 64, 4_096]),
+        chunk in 1usize..1_500,
+        window in select(vec![600u64, 1_200]),
+        panes in 1usize..5,
+        v_scale in select(vec![1u64, 10]),
+    ) {
+        let case = Case {
+            seed, packets, shards: 1, batch, chunk, window: Some((window, panes)),
+            weighted: false, v_scale, r: 1,
+        };
+        check(&case, &inline_windowed(&case))?;
+    }
+
+    /// Two to four shards, flat: the in-thread replay.
+    #[test]
+    fn flat_fleet_matches_in_thread_replay(
+        seed in any::<u64>(),
+        packets in 1usize..4_000,
+        shards in 2usize..5,
+        batch in select(vec![1usize, 64, 4_096]),
+        chunk in 1usize..1_500,
+        weighted in any::<bool>(),
+        v_scale in select(vec![1u64, 10]),
+        r in select(vec![1u32, 4]),
+    ) {
+        let case = Case {
+            seed, packets, shards, batch, chunk, window: None, weighted, v_scale, r,
+        };
+        check(&case, &replay(&case))?;
+    }
+
+    /// Two to four shards, windowed: the replay across rotations, whose
+    /// markers ride the same hand-off as the samples.
+    #[test]
+    fn windowed_fleet_matches_in_thread_replay(
+        seed in any::<u64>(),
+        packets in 1usize..4_000,
+        shards in 2usize..5,
+        batch in select(vec![1usize, 64, 4_096]),
+        chunk in 1usize..1_500,
+        window in select(vec![600u64, 1_200]),
+        panes in 1usize..5,
+        weighted in any::<bool>(),
+        v_scale in select(vec![1u64, 10]),
+    ) {
+        let case = Case {
+            seed, packets, shards, batch, chunk, window: Some((window, panes)), weighted,
+            v_scale, r: 1,
+        };
+        check(&case, &replay(&case))?;
     }
 }

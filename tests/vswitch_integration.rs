@@ -1,10 +1,11 @@
 //! Datapath integration: raw frames through the switch with measurement
-//! attached, inline vs distributed equivalence, malformed-input robustness.
+//! attached, inline vs sample-and-forward fleet equivalence,
+//! malformed-input robustness.
 
 use hhh_core::{HhhAlgorithm, Rhhh, RhhhConfig};
 use hhh_hierarchy::Lattice;
 use hhh_traces::{AttackConfig, TraceConfig, TraceGenerator};
-use hhh_vswitch::{build_udp_frame, Action, AlgoMonitor, Datapath, DistributedRhhh, NoOpMonitor};
+use hhh_vswitch::{build_udp_frame, Action, AlgoMonitor, Datapath, NoOpMonitor, ShardedMonitor};
 
 fn attack_trace() -> TraceConfig {
     TraceConfig::chicago16().with_attack(AttackConfig {
@@ -55,16 +56,18 @@ fn distributed_agrees_with_inline_on_attack() {
     let lattice = Lattice::ipv4_src_dst_bytes();
 
     let mut inline = Rhhh::<u64>::new(lattice.clone(), loose_config(2));
-    let mut dist = DistributedRhhh::spawn(lattice.clone(), loose_config(2), 1).expect("spawn VM");
+    let mut fleet = ShardedMonitor::<u64>::spawn(lattice.clone(), loose_config(2), 1, 4_096)
+        .expect("spawn measurement shard");
 
     let mut gen = TraceGenerator::new(&attack_trace());
-    for _ in 0..250_000 {
-        let key = gen.generate().key2();
-        inline.update(key);
-        dist.update(key);
+    let keys: Vec<u64> = (0..250_000).map(|_| gen.generate().key2()).collect();
+    for chunk in keys.chunks(4_096) {
+        inline.update_batch(chunk);
+        fleet.update_batch(chunk);
     }
-    let (dist_out, stats) = dist.finish_and_query(0.1).expect("VM alive");
-    assert_eq!(stats.dropped, 0);
+    fleet.flush();
+    assert_eq!(fleet.handoff_stats()[0].dropped, 0);
+    let fleet_out = fleet.harvest().expect("shard alive").output(0.1);
 
     let inline_found: Vec<String> = inline
         .output(0.1)
@@ -72,15 +75,16 @@ fn distributed_agrees_with_inline_on_attack() {
         .map(|h| h.prefix.display(&lattice))
         .filter(|s| s.contains("10.20.0.0/16"))
         .collect();
-    let dist_found: Vec<String> = dist_out
+    let fleet_found: Vec<String> = fleet_out
         .iter()
         .map(|h| h.prefix.display(&lattice))
         .filter(|s| s.contains("10.20.0.0/16"))
         .collect();
     assert!(!inline_found.is_empty(), "inline missed the attack");
-    assert!(!dist_found.is_empty(), "distributed missed the attack");
-    // One VM on the inline seed replays inline `update` draw for draw.
-    assert_eq!(dist_out, inline.output(0.1));
+    assert!(!fleet_found.is_empty(), "fleet missed the attack");
+    // One shard on the inline seed replays inline `update_batch` draw for
+    // draw and flush for flush.
+    assert_eq!(fleet_out, inline.output(0.1));
 }
 
 #[test]
