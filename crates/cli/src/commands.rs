@@ -4,7 +4,9 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 use std::time::Instant;
 
-use hhh_core::{CounterKind, HeavyHitter, HhhAlgorithm, Rhhh, RhhhConfig, WindowedRhhh};
+use hhh_core::{
+    CounterKind, FrozenRhhh, HeavyHitter, HhhAlgorithm, Rhhh, RhhhConfig, WindowedRhhh,
+};
 use hhh_counters::{
     CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator,
     HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
@@ -439,15 +441,25 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// The `# UNCONVERGED` warning for an answering instance that has not
-/// passed ψ yet (`N ≤ ψ`), so Theorem 6.17's guarantee does not hold.
-fn convergence_note<K: KeyBits, E: FrequencyEstimator<K>>(algo: &Rhhh<K, E>) -> Option<String> {
-    (!algo.converged()).then(|| {
+/// The `# UNCONVERGED` warning for an answer whose view has not passed ψ
+/// yet (`N ≤ ψ`), so Theorem 6.17's guarantee does not hold.
+fn convergence_note<K: KeyBits>(view: &FrozenRhhh<K>) -> Option<String> {
+    (!view.converged()).then(|| {
         format!(
             "# UNCONVERGED (N/ψ = {:.2}%)",
-            100.0 * HhhAlgorithm::packets(algo) as f64 / algo.psi()
+            100.0 * view.packets() as f64 / view.psi()
         )
     })
+}
+
+/// `Output(θ)` and the convergence note of one live instance, both read
+/// from its view.
+fn answer_of<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+    algo: &Rhhh<K, E>,
+    theta: f64,
+) -> (Vec<HeavyHitter<K>>, Option<String>) {
+    let view = Rhhh::merged_view(&[algo]);
+    (view.output(theta), convergence_note(&view))
 }
 
 /// What an RHHH run hands the report: the answer, the weight or packet
@@ -456,7 +468,7 @@ type Answer<K> = (Vec<HeavyHitter<K>>, u64, f64, Option<String>);
 
 /// Drives one concrete `Rhhh<K, E>` through the requested update path with
 /// the clock running.
-fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K>>(
+fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     lattice: &Lattice<K>,
     config: RhhhConfig,
     volume: bool,
@@ -491,7 +503,8 @@ fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K>>(
     } else {
         algo.packets()
     };
-    (algo.output(theta), total, elapsed, convergence_note(&algo))
+    let (output, note) = answer_of(&algo, theta);
+    (output, total, elapsed, note)
 }
 
 /// Drives the shard fleet with the clock running: sample every key
@@ -547,12 +560,8 @@ fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
     } else {
         merged.packets()
     };
-    Ok((
-        merged.output(theta),
-        total,
-        elapsed,
-        convergence_note(&merged),
-    ))
+    let (output, note) = answer_of(&merged, theta);
+    Ok((output, total, elapsed, note))
 }
 
 /// Publishes fresh snapshots, waits (bounded) until they cover what the
@@ -614,14 +623,17 @@ fn run_windowed_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
             mon.update(k);
         }
     }
-    let (output, covered) = match mon.query(theta) {
-        Some(out) => (out, mon.covered_packets()),
-        None => (mon.query_current(theta), mon.current_fill()),
+    let current;
+    let view = match mon.view() {
+        Some(view) => view,
+        None => {
+            current = mon.current_view();
+            &current
+        }
     };
+    let output = view.output(theta);
     let elapsed = start.elapsed().as_secs_f64();
-    let mut probe = Rhhh::<K, E>::new(lattice.clone(), config);
-    probe.note_packets(covered);
-    (output, covered, elapsed, convergence_note(&probe))
+    (output, view.packets(), elapsed, convergence_note(view))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -859,14 +871,8 @@ fn run_wire_analysis(
         } else {
             algo.packets()
         };
-        (
-            algo.output(theta),
-            frames,
-            (non_ipv4, truncated),
-            total,
-            elapsed,
-            convergence_note(&algo),
-        )
+        let (output, note) = answer_of(&algo, theta);
+        (output, frames, (non_ipv4, truncated), total, elapsed, note)
     });
     println!(
         "# wire ingest: {frames} IPv4 frames of {records} records sketched from raw bytes \

@@ -22,6 +22,9 @@
 //!   baselines: conditioned-frequency estimation with `calcPred` in one
 //!   dimension (Algorithm 2) and the glb inclusion–exclusion in two
 //!   (Algorithm 3).
+//! * [`FrozenRhhh`] — a read-only merged view ([`Rhhh::merged_view`]) that
+//!   answers `Output(θ)` over borrowed instances; every live window and
+//!   fleet query reads one.
 //! * [`exact`] — exact HHH per Definitions 6–8, used as ground truth by the
 //!   evaluation metrics.
 //! * [`HhhAlgorithm`] — the interface the evaluation harness uses to drive
@@ -62,6 +65,7 @@ pub mod output;
 pub mod radix;
 pub mod rhhh;
 pub mod sampling;
+pub mod view;
 pub mod windowed;
 
 pub use batch::{Lane, Sampler};
@@ -69,6 +73,7 @@ pub use counter::CounterKind;
 pub use exact::ExactHhh;
 pub use output::{HeavyHitter, NodeEstimates};
 pub use rhhh::{Rhhh, RhhhConfig};
+pub use view::FrozenRhhh;
 pub use windowed::{pane_seed, PaneRing, WindowedRhhh};
 
 use hhh_hierarchy::KeyBits;

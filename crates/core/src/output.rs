@@ -95,6 +95,14 @@ fn calc_pred<K: KeyBits, E: NodeEstimates<K>>(
     p: &Prefix<K>,
     selected: &[HeavyHitter<K>],
 ) -> f64 {
+    // Most candidates generalize no selected prefix: answer those with
+    // one scan, without building G(p|P).
+    if !selected
+        .iter()
+        .any(|h| p.strictly_generalizes(&h.prefix, lattice))
+    {
+        return 0.0;
+    }
     let g = best_generalized(lattice, p, selected);
     let mut r = 0.0;
 

@@ -12,6 +12,7 @@ use hhh_stats::{psi, sampling_slack};
 
 use crate::batch::Sampler;
 use crate::output::{extract_hhh, HeavyHitter, NodeEstimates};
+use crate::view::FrozenRhhh;
 use crate::{HhhAlgorithm, MergeError};
 
 /// Configuration of an RHHH instance.
@@ -75,6 +76,30 @@ impl RhhhConfig {
     pub fn delta(&self) -> f64 {
         2.0 * self.delta_s
     }
+}
+
+/// ψ of Theorem 6.3 at performance parameter `v`, divided by `r`
+/// (Corollary 6.8) — shared by [`Rhhh::psi`] and the frozen view's.
+pub(crate) fn psi_of(v: u64, config: &RhhhConfig) -> f64 {
+    psi(v, config.epsilon_s, config.delta_s) / f64::from(config.updates_per_packet)
+}
+
+/// Frequency units per recorded update, `V/r`.
+pub(crate) fn scale_of(v: u64, config: &RhhhConfig) -> f64 {
+    v as f64 / f64::from(config.updates_per_packet)
+}
+
+/// The sampling slack `2·Z_{1-δ}·√(W·V/r)` over total weight `weight`.
+pub(crate) fn slack_of(v: u64, config: &RhhhConfig, weight: u64) -> f64 {
+    if weight == 0 {
+        return 0.0;
+    }
+    let delta = config.delta().min(0.5);
+    sampling_slack(
+        weight,
+        v / u64::from(config.updates_per_packet).max(1),
+        delta,
+    )
 }
 
 /// The RHHH algorithm, generic over key type and per-node counter
@@ -147,8 +172,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// (δ, ε, θ)-approximate HHH guarantee of Theorem 6.17 holds.
     #[must_use]
     pub fn psi(&self) -> f64 {
-        psi(self.v(), self.config.epsilon_s, self.config.delta_s)
-            / f64::from(self.config.updates_per_packet)
+        psi_of(self.v(), &self.config)
     }
 
     /// Whether the stream is long enough for the formal guarantee.
@@ -245,6 +269,18 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// any accuracy/performance field of the configuration differs; `self`
     /// is unchanged in that case.
     pub fn try_merge(&mut self, other: Self) -> Result<(), MergeError> {
+        self.check_mergeable(&other)?;
+        self.packets += other.packets;
+        self.weight += other.weight;
+        for (mine, theirs) in self.instances.iter_mut().zip(other.instances) {
+            mine.merge(theirs);
+        }
+        Ok(())
+    }
+
+    /// Whether `other` may merge into `self`: the same lattice masks and
+    /// the same accuracy and performance configuration (seeds may differ).
+    fn check_mergeable(&self, other: &Self) -> Result<(), MergeError> {
         if self.sampler.masks != other.sampler.masks {
             return Err(MergeError::ConfigMismatch(format!(
                 "lattice `{}` vs `{}`",
@@ -260,11 +296,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
             return Err(MergeError::ConfigMismatch(format!(
                 "config {a:?} vs {b:?} (seed may differ, everything else must match)"
             )));
-        }
-        self.packets += other.packets;
-        self.weight += other.weight;
-        for (mine, theirs) in self.instances.iter_mut().zip(other.instances) {
-            mine.merge(theirs);
         }
         Ok(())
     }
@@ -299,22 +330,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     pub fn try_merge_many(&mut self, others: Vec<Self>) -> Result<(), MergeError> {
         // Validate every input before mutating anything.
         for other in &others {
-            if self.sampler.masks != other.sampler.masks {
-                return Err(MergeError::ConfigMismatch(format!(
-                    "lattice `{}` vs `{}`",
-                    self.lattice.name(),
-                    other.lattice.name()
-                )));
-            }
-            let (a, b) = (&self.config, &other.config);
-            if (a.epsilon_a, a.epsilon_s, a.delta_s) != (b.epsilon_a, b.epsilon_s, b.delta_s)
-                || a.v_scale != b.v_scale
-                || a.updates_per_packet != b.updates_per_packet
-            {
-                return Err(MergeError::ConfigMismatch(format!(
-                    "config {a:?} vs {b:?} (seed may differ, everything else must match)"
-                )));
-            }
+            self.check_mergeable(other)?;
         }
         // Transpose: node i's estimators from every shard, handed to one
         // K-way counter combine each.
@@ -363,22 +379,14 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     /// (Definition 11 with the Corollary 6.8 adjustment).
     #[must_use]
     pub fn scale(&self) -> f64 {
-        self.v() as f64 / f64::from(self.config.updates_per_packet)
+        scale_of(self.v(), &self.config)
     }
 
     /// The sampling slack added to every conditioned-frequency estimate
     /// (Algorithm 1 line 13): `2·Z_{1-δ}·√(N·V/r)`.
     #[must_use]
     pub fn slack(&self) -> f64 {
-        if self.weight == 0 {
-            return 0.0;
-        }
-        let delta = self.config.delta().min(0.5);
-        sampling_slack(
-            self.weight,
-            self.v() / u64::from(self.config.updates_per_packet).max(1),
-            delta,
-        )
+        slack_of(self.v(), &self.config, self.weight)
     }
 
     /// Algorithm 1 `Output(θ)`.
@@ -414,6 +422,58 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     #[must_use]
     pub fn node_instances(&self) -> &[E] {
         &self.instances
+    }
+}
+
+impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> Rhhh<K, E> {
+    /// A read-only view of the merge of `parts`: every node holds the
+    /// candidates and bounds of `parts[0]` after [`Rhhh::try_merge_many`]
+    /// of the rest, with the same validation and the same summed `N` and
+    /// `W`, but every part is borrowed. Each node's view comes from
+    /// [`FrequencyEstimator::merged_view`], so the Space Saving layouts
+    /// combine their borrowed candidates without cloning or rebuilding
+    /// anything. This is what the window ring and the shard fleet answer
+    /// live queries from.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeError::ConfigMismatch`] when any part's lattice or
+    /// accuracy/performance configuration differs from the first's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts` is empty.
+    pub fn try_merged_view(parts: &[&Self]) -> Result<FrozenRhhh<K>, MergeError> {
+        let (first, rest) = parts
+            .split_first()
+            .expect("a merged view needs at least one part");
+        for other in rest {
+            first.check_mergeable(other)?;
+        }
+        let nodes = (0..first.instances.len())
+            .map(|node| {
+                let column: Vec<&E> = parts.iter().map(|p| &p.instances[node]).collect();
+                E::merged_view(&column)
+            })
+            .collect();
+        Ok(FrozenRhhh {
+            lattice: first.lattice.clone(),
+            nodes,
+            packets: parts.iter().map(|p| p.packets).sum(),
+            weight: parts.iter().map(|p| p.weight).sum(),
+            config: first.config,
+            v: first.v(),
+        })
+    }
+
+    /// [`Rhhh::try_merged_view`] for callers that construct every part.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts` is empty or any part is incompatible.
+    #[must_use]
+    pub fn merged_view(parts: &[&Self]) -> FrozenRhhh<K> {
+        Self::try_merged_view(parts).unwrap_or_else(|e| panic!("Rhhh::merged_view: {e}"))
     }
 }
 

@@ -20,7 +20,8 @@
 //!   completed set, the oldest completed pane beyond `G` is dropped, and a
 //!   fresh pane (fresh deterministic seed) starts absorbing;
 //! * a **query** combines the last `G` completed panes in a single K-way
-//!   [`Rhhh::merge_many`] pass and runs `Output(θ)` on the result.
+//!   pass into a read-only [`FrozenRhhh`] view ([`Rhhh::merged_view`])
+//!   and runs `Output(θ)` on it.
 //!
 //! # Coverage and staleness
 //!
@@ -43,20 +44,30 @@
 //! Convergence of the merged answer needs the covered window to pass ψ,
 //! which [`WindowedRhhh::new`] checks in debug builds.
 //!
-//! # Query cost and the cached in-flight merge
+//! # Query cost and the cached merged view
 //!
-//! The K-way combine costs ≈ 40–115 µs per node instance — ~1.1 ms per
-//! 100k-packet pane for the 25-node 2D byte lattice at ε = 0.001, ~4.4 ms
-//! for a G = 4 ring over W = 400k, scaling ≈ linearly in G (measured:
-//! `windowed_throughput` bench group and the `window_accuracy` eval; see
-//! ROADMAP "Performance"). [`WindowedRhhh::query`] therefore keeps a
-//! **cached merged snapshot**: the merge runs at most once per pane
-//! (rebuilt lazily after each rotation invalidates it), so a steady query
-//! cadence pays the combine once per `⌈W/G⌉` packets instead of per query;
-//! between rotations a query is just `Output(θ)` on the snapshot — 0.11 ms
-//! vs 4.4 ms per query in the measured G = 4 configuration, a ~40× saving.
+//! `Output(θ)` only reads bounds, so a windowed answer never builds a
+//! live summary. [`WindowedRhhh::query`] combines the borrowed completed
+//! panes into a [`FrozenRhhh`]: per node, the G panes' candidates go
+//! through one hash combine with min-count padding, a linear-time select
+//! drops the union beyond capacity, and only the kept entries are sorted.
+//! No pane is cloned and no stream summary or arena is rebuilt; the live
+//! [`WindowedRhhh::merged_window`] remains for callers that need an
+//! updatable instance. Both give the same answer: the same prefixes with
+//! the same bounds, in the same order for the stream summary (a rebuilt
+//! arena lists one level's prefixes in its slot order).
+//!
+//! The view is **cached**: it is built at most once per pane (lazily, after
+//! the rotation that invalidated it), so a steady query cadence pays the
+//! combine once per `⌈W/G⌉` packets and every other query is one
+//! `Output(θ)` scan of the cached view. Measured with perfbench
+//! `window-v1` (G = 4 panes of 2¹⁹ packets, ε = 0.001, V = H, on a 2-CPU
+//! x86-64 host, medians of ten interleaved 30 s pairs; see ROADMAP
+//! "Performance"): a post-rotation query (combine plus `Output`) takes
+//! 2.9 ms against 6.7 ms for the clone, combine and rebuild of a live
+//! merged instance, and a cached query 0.14 ms.
 //! [`WindowedRhhh::query_fresh`] bypasses the cache for callers that want
-//! the merge-per-query cost model (and for differential tests).
+//! the combine-per-query cost model (and for differential tests).
 
 use std::collections::VecDeque;
 
@@ -65,6 +76,7 @@ use hhh_hierarchy::{KeyBits, Lattice};
 
 use crate::output::HeavyHitter;
 use crate::rhhh::{Rhhh, RhhhConfig};
+use crate::view::FrozenRhhh;
 use crate::HhhAlgorithm;
 
 /// Derives the seed of pane `rotation + 1` from the base seed: panes stay
@@ -168,16 +180,26 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> PaneRing<K, E> {
 }
 
 impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> PaneRing<K, E> {
-    /// Combines the retained completed panes into one queryable instance
-    /// via a single K-way [`Rhhh::merge_many`] pass. `None` while no pane
-    /// has completed. The merged instance's packet/weight totals cover
-    /// exactly the retained panes — the window the answer speaks for.
+    /// Combines the retained completed panes into one live, updatable
+    /// instance via a single K-way [`Rhhh::merge_many`] pass. `None` while
+    /// no pane has completed. The merged instance's packet/weight totals
+    /// cover exactly the retained panes — the window the answer speaks
+    /// for.
     #[must_use]
     pub fn merged_window(&self) -> Option<Rhhh<K, E>> {
         let mut panes = self.completed.iter().cloned();
         let mut merged = panes.next()?;
         merged.merge_many(panes.collect());
         Some(merged)
+    }
+
+    /// The read-only view of [`PaneRing::merged_window`]: the same
+    /// answers, built from the borrowed completed panes with
+    /// [`Rhhh::merged_view`]. `None` while no pane has completed.
+    #[must_use]
+    pub fn merged_view(&self) -> Option<FrozenRhhh<K>> {
+        let panes: Vec<&Rhhh<K, E>> = self.completed.iter().collect();
+        (!panes.is_empty()).then(|| Rhhh::merged_view(&panes))
     }
 }
 
@@ -191,10 +213,10 @@ pub struct WindowedRhhh<K: KeyBits, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     window: u64,
     /// Rotation period `⌈W/G⌉`.
     pane_len: u64,
-    /// Cached merged snapshot of the retained completed panes; refreshed
+    /// Cached merged view of the retained completed panes; rebuilt
     /// lazily after a rotation invalidates it, so steady query cadences
     /// pay the K-way combine once per pane.
-    cached: Option<Rhhh<K, E>>,
+    cached: Option<FrozenRhhh<K>>,
 }
 
 impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
@@ -325,34 +347,49 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
         (end - self.covered_packets(), end)
     }
 
-    /// The merged instance over the covered window, built fresh (one K-way
-    /// combine per call, no cache). Useful when the caller wants the full
-    /// instance — node estimates, slack, packet totals — rather than just
-    /// `Output(θ)`. `None` until the first rotation.
+    /// The merged live instance over the covered window, built fresh (one
+    /// K-way combine per call, no cache), for callers that want to keep
+    /// updating or merging the result. Queries read
+    /// [`WindowedRhhh::view`] instead. `None` until the first rotation.
     #[must_use]
     pub fn merged_window(&self) -> Option<Rhhh<K, E>> {
         self.ring.merged_window()
     }
 
-    /// HHHs over the covered window, served from the cached in-flight
-    /// merge: the K-way combine runs at most once per pane (after the
-    /// rotation that invalidated the snapshot), every other call is just
-    /// `Output(θ)` on the snapshot. `None` until the first rotation.
-    #[must_use]
-    pub fn query(&mut self, theta: f64) -> Option<Vec<HeavyHitter<K>>> {
+    /// The cached merged view over the covered window — node estimates,
+    /// `N`, slack, ψ and convergence of the answer [`WindowedRhhh::query`]
+    /// gives — built if a rotation invalidated it. `None` until the first
+    /// rotation.
+    pub fn view(&mut self) -> Option<&FrozenRhhh<K>> {
         if self.cached.is_none() {
-            self.cached = self.ring.merged_window();
+            self.cached = self.ring.merged_view();
         }
-        self.cached.as_ref().map(|m| m.output(theta))
+        self.cached.as_ref()
     }
 
-    /// HHHs over the covered window with a fresh merge per call — the
-    /// merge-per-query cost model [`WindowedRhhh::query`]'s cache exists to
-    /// avoid; kept for callers that must not observe a snapshot (and as
-    /// the reference side of the cache-coherence property tests).
+    /// HHHs over the covered window, served from the cached merged view:
+    /// the K-way combine runs at most once per pane (after the rotation
+    /// that invalidated the view), every other call is just `Output(θ)`
+    /// on the view. `None` until the first rotation.
+    #[must_use]
+    pub fn query(&mut self, theta: f64) -> Option<Vec<HeavyHitter<K>>> {
+        self.view().map(|v| v.output(theta))
+    }
+
+    /// HHHs over the covered window with a fresh combine per call — the
+    /// combine-per-query cost model [`WindowedRhhh::query`]'s cache exists
+    /// to avoid; kept for callers that must not observe a cached view (and
+    /// as the reference side of the cache-coherence property tests).
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Option<Vec<HeavyHitter<K>>> {
-        self.ring.merged_window().map(|m| m.output(theta))
+        self.ring.merged_view().map(|v| v.output(theta))
+    }
+
+    /// The view of the in-progress pane alone (partial; noisier early in
+    /// the pane).
+    #[must_use]
+    pub fn current_view(&self) -> FrozenRhhh<K> {
+        Rhhh::merged_view(&[self.ring.active()])
     }
 
     /// HHHs of the in-progress pane (partial; noisier early in the pane).

@@ -118,7 +118,7 @@ use crate::fast_hash::IntHashBuilder;
 /// rescan traffic drops by the same factor.
 const LEVELS: usize = 8;
 use crate::tagged_table::{Probe, TaggedTable};
-use crate::{for_each_run, merge_entries_many, Candidate, CounterKey, FrequencyEstimator};
+use crate::{for_each_run, Candidate, CounterKey, FrequencyEstimator, Frozen};
 
 /// Space Saving over a tagged SoA arena.
 ///
@@ -915,30 +915,15 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
         // per-side min-count padding over all K inputs at once, then
         // re-eviction to capacity. The arena is rebuilt from scratch —
         // merge runs at harvest time, off the per-packet path.
-        let mut updates = self.updates;
-        let mut discarded = self.discarded;
-        let mut sides = Vec::with_capacity(others.len() + 1);
-        sides.push((self.candidates(), self.min_count()));
-        for other in &others {
-            assert_eq!(
-                self.capacity, other.capacity,
-                "merge requires equal capacities"
-            );
-            updates += other.updates;
-            discarded += other.discarded;
-            sides.push((other.candidates(), other.min_count()));
-        }
-        let (entries, dropped) = merge_entries_many(&sides, self.capacity);
-        let mut merged = Self::with_capacity(self.capacity);
-        merged.updates = updates;
-        merged.discarded = discarded + dropped;
-        for &(key, count, error) in &entries {
-            merged.insert_entry(key, count, error);
-        }
-        if merged.len > 0 {
-            merged.rescan_window();
-        }
-        *self = merged;
+        let parts: Vec<&Self> = std::iter::once(&*self).chain(&others).collect();
+        let (entries, dropped) = crate::combine_parts(&parts);
+        let updates = parts.iter().map(|p| p.updates).sum();
+        let discarded = parts.iter().map(|p| p.discarded).sum::<u64>() + dropped;
+        *self = Self::rebuild_from_entries(self.capacity, updates, discarded, &entries);
+    }
+
+    fn merged_view(parts: &[&Self]) -> Frozen<K> {
+        crate::frozen::space_saving_view(parts)
     }
 
     #[inline]
@@ -1006,6 +991,10 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
             Some(i) => self.table.hot[i].count - self.table.errors[i],
             None => 0,
         }
+    }
+
+    fn unmonitored_upper(&self) -> u64 {
+        self.min_count()
     }
 
     fn candidates(&self) -> Vec<Candidate<K>> {

@@ -548,6 +548,10 @@ impl<K: CounterKey> FrequencyEstimator<K> for CuckooHeavyKeeper<K> {
         self.lookup(key).map_or(0, |i| self.slots[i].count)
     }
 
+    fn unmonitored_upper(&self) -> u64 {
+        self.deficit()
+    }
+
     fn candidates(&self) -> Vec<Candidate<K>> {
         let deficit = self.deficit();
         self.slots

@@ -516,6 +516,10 @@ impl<K: CounterKey> FrequencyEstimator<K> for DispatchedEstimator<K> {
         each_inner!(&self.inner, e => e.lower(key))
     }
 
+    fn unmonitored_upper(&self) -> u64 {
+        each_inner!(&self.inner, e => e.unmonitored_upper())
+    }
+
     fn candidates(&self) -> Vec<Candidate<K>> {
         each_inner!(&self.inner, e => e.candidates())
     }

@@ -8,7 +8,7 @@
 //! needs the stream-summary structure.
 
 use crate::fast_hash::FastMap;
-use crate::{Candidate, CounterKey, FrequencyEstimator};
+use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 
 #[derive(Debug, Clone)]
 struct Entry<K> {
@@ -98,33 +98,23 @@ impl<K: CounterKey> FrequencyEstimator<K> for HeapSpaceSaving<K> {
         }
     }
 
-    /// Same combine rule as the stream-summary merge (additive count+error
-    /// pairing with min-count padding, re-eviction to capacity), so the
-    /// merged bound is the documented sum of the two inputs' bounds. The
-    /// count-ascending entry list is already a valid min-heap (every parent
-    /// index precedes — hence bounds — its children), so the rebuild is one
-    /// pass with no sifting.
     fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "merge requires equal capacities"
-        );
-        let min_self = match self.pos.len() < self.capacity {
-            true => 0,
-            false => self.heap.first().map_or(0, |e| e.count),
-        };
-        let min_other = match other.pos.len() < other.capacity {
-            true => 0,
-            false => other.heap.first().map_or(0, |e| e.count),
-        };
-        let (entries, _) = crate::merge_entries_many(
-            &[
-                (self.candidates(), min_self),
-                (other.candidates(), min_other),
-            ],
-            self.capacity,
-        );
-        self.updates += other.updates;
+        self.merge_many(vec![other]);
+    }
+
+    /// Same K-way combine as the stream-summary merge (additive
+    /// count+error pairing with per-input min-count padding, re-eviction
+    /// to capacity), so the merged bound is the documented sum of the
+    /// inputs' bounds. The count-ascending entry list is already a valid
+    /// min-heap (every parent index precedes — hence bounds — its
+    /// children), so the rebuild is one pass with no sifting.
+    fn merge_many(&mut self, others: Vec<Self>) {
+        if others.is_empty() {
+            return;
+        }
+        let parts: Vec<&Self> = std::iter::once(&*self).chain(&others).collect();
+        let (entries, _) = crate::combine_parts(&parts);
+        self.updates = parts.iter().map(|p| p.updates).sum();
         self.heap = entries
             .iter()
             .map(|&(key, count, error)| Entry { key, count, error })
@@ -133,6 +123,10 @@ impl<K: CounterKey> FrequencyEstimator<K> for HeapSpaceSaving<K> {
         for (i, &(key, _, _)) in entries.iter().enumerate() {
             self.pos.insert(key, i);
         }
+    }
+
+    fn merged_view(parts: &[&Self]) -> Frozen<K> {
+        crate::frozen::space_saving_view(parts)
     }
 
     fn increment(&mut self, key: K) {
@@ -210,8 +204,14 @@ impl<K: CounterKey> FrequencyEstimator<K> for HeapSpaceSaving<K> {
     fn upper(&self, key: &K) -> u64 {
         match self.pos.get(key) {
             Some(&i) => self.heap[i].count,
-            None if self.heap.len() < self.capacity => 0,
-            None => self.heap.first().map_or(0, |e| e.count),
+            None => self.unmonitored_upper(),
+        }
+    }
+
+    fn unmonitored_upper(&self) -> u64 {
+        match self.heap.first() {
+            Some(root) if self.heap.len() == self.capacity => root.count,
+            _ => 0,
         }
     }
 

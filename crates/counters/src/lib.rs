@@ -84,6 +84,7 @@ mod compact_space_saving;
 mod cuckoo_heavy_keeper;
 mod dispatch;
 mod fast_hash;
+mod frozen;
 mod heap_space_saving;
 mod lossy_counting;
 mod misra_gries;
@@ -95,6 +96,7 @@ pub use compact_space_saving::CompactSpaceSaving;
 pub use cuckoo_heavy_keeper::CuckooHeavyKeeper;
 pub use dispatch::{DispatchLayout, DispatchedEstimator};
 pub use fast_hash::{FastHasher, IntHashBuilder};
+pub use frozen::Frozen;
 pub use heap_space_saving::HeapSpaceSaving;
 pub use lossy_counting::LossyCounting;
 pub use misra_gries::MisraGries;
@@ -245,6 +247,38 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
         }
     }
 
+    /// A read-only view of the merge of `parts`: the same candidates and
+    /// the same `upper`/`lower` for every key as [`Self::merge_many`] of
+    /// the parts (`parts[0]` absorbing the rest), without modifying or
+    /// consuming any part. Only the candidate order may differ from a
+    /// rebuilt instance's. This is the query
+    /// plane's combine: `Output(θ)` only reads bounds, so nothing needs a
+    /// live, updatable result.
+    ///
+    /// The default clones the first part, runs [`Self::merge_many`] on
+    /// clones of the rest and freezes the result, so every structure keeps
+    /// its own merge rule. The Space Saving layouts override it with the
+    /// K-way combine over their borrowed candidates, with no clone and no
+    /// rebuild. A single part is frozen as is.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts` is empty or the capacities differ.
+    fn merged_view(parts: &[&Self]) -> Frozen<K>
+    where
+        Self: Sized + Clone,
+    {
+        let (first, rest) = parts
+            .split_first()
+            .expect("a merged view needs at least one part");
+        if rest.is_empty() {
+            return Frozen::freeze(*first);
+        }
+        let mut merged = (*first).clone();
+        merged.merge_many(rest.iter().map(|&p| p.clone()).collect());
+        Frozen::freeze(&merged)
+    }
+
     /// Total number of updates processed (the per-instance `X_i`).
     fn updates(&self) -> u64;
 
@@ -254,6 +288,13 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
 
     /// Lower bound `X̂⁻_x`; must satisfy `lower(x) ≤ X_x`.
     fn lower(&self, key: &K) -> u64;
+
+    /// The `upper` of any key the instance does not monitor: the Space
+    /// Saving min-count (0 while the instance is not full), the Misra–Gries
+    /// or Cuckoo Heavy Keeper deficit, or Lossy Counting's `bucket − 1`.
+    /// [`Frozen`] views carry it so they answer unmonitored keys as the
+    /// live instance does.
+    fn unmonitored_upper(&self) -> u64;
 
     /// All currently monitored candidates with their bounds. Every key whose
     /// update count exceeds `updates()/capacity` is guaranteed to appear
@@ -301,8 +342,9 @@ pub fn counters_for(epsilon_a: f64, epsilon_s: f64) -> usize {
 }
 
 /// Combines any number of Space-Saving-style summaries in one pass — the
-/// shared engine of [`FrequencyEstimator::merge`] (two sides) and
-/// [`FrequencyEstimator::merge_many`] (K sides): counts and errors pair up
+/// shared engine of [`FrequencyEstimator::merge`] (two sides),
+/// [`FrequencyEstimator::merge_many`] (K sides) and the Space Saving
+/// layouts' [`FrequencyEstimator::merged_view`]: counts and errors pair up
 /// additively — a key absent from a side contributes that side's min-count
 /// to *both* its count and its error (the absent side may have seen it up
 /// to `min` times, all of which must stay deniable) — then the union is
@@ -314,47 +356,85 @@ pub fn counters_for(epsilon_a: f64, epsilon_s: f64) -> usize {
 /// intermediate merged minima.
 ///
 /// `sides` pairs each input's candidate list with its min-count. Returns
-/// the kept `(key, count, error)` entries sorted ascending by count (the
-/// order both rebuild paths want: the stream summary appends buckets
-/// tail-ward, and a count-sorted array is already a valid min-heap), plus
-/// the guaranteed mass (`count − error`) that re-eviction discarded — the
-/// mass ledger the debug validators audit needs it, because discarded
-/// guaranteed units leave the summary without becoming error.
-pub(crate) fn merge_entries_many<K: CounterKey>(
+/// the kept `(key, count, error)` entries sorted ascending by
+/// `(count, key)` (the order both rebuild paths want: the stream summary
+/// appends buckets tail-ward, and a count-sorted array is already a valid
+/// min-heap), plus the guaranteed mass (`count − error`) that re-eviction
+/// discarded — the mass ledger the debug validators audit needs it,
+/// because discarded guaranteed units leave the summary without becoming
+/// error.
+///
+/// Keys are distinct after the combine, so `(count, key)` is a total order
+/// on the union: selecting the dropped prefix with a linear-time select
+/// and sorting only the kept entries returns exactly what a full sort of
+/// the union would.
+#[doc(hidden)]
+#[must_use]
+pub fn merge_entries_many<K: CounterKey>(
     sides: &[(Vec<Candidate<K>>, u64)],
     capacity: usize,
 ) -> (Vec<(K, u64, u64)>, u64) {
     let total_min: u64 = sides.iter().map(|(_, min)| min).sum();
+    let union = sides.iter().map(|(c, _)| c.len()).sum();
     // Per key: summed counts and errors over the sides that monitor it,
     // plus the summed min-counts of those sides — the complement against
-    // `total_min` is the padding the absent sides owe.
-    let mut combined: std::collections::HashMap<K, (u64, u64, u64), fast_hash::IntHashBuilder> =
-        std::collections::HashMap::with_capacity_and_hasher(
-            sides.iter().map(|(c, _)| c.len()).sum(),
-            fast_hash::IntHashBuilder,
-        );
+    // `total_min` is the padding the absent sides owe. The map only holds
+    // each key's position, so the sums stay in one dense array.
+    let mut slot: fast_hash::FastMap<K, u32> =
+        fast_hash::FastMap::with_capacity_and_hasher(union, fast_hash::IntHashBuilder);
+    let mut entries: Vec<(K, u64, u64)> = Vec::with_capacity(union);
+    let mut present_min: Vec<u64> = Vec::with_capacity(union);
     for (cands, min) in sides {
         for c in cands {
-            let e = combined.entry(c.key).or_insert((0, 0, 0));
-            e.0 += c.upper;
-            e.1 += c.upper - c.lower;
-            e.2 += min;
+            let i = *slot.entry(c.key).or_insert_with(|| {
+                entries.push((c.key, 0, 0));
+                present_min.push(0);
+                (entries.len() - 1) as u32
+            }) as usize;
+            entries[i].1 += c.upper;
+            entries[i].2 += c.upper - c.lower;
+            present_min[i] += min;
         }
     }
-    let mut entries: Vec<(K, u64, u64)> = combined
-        .into_iter()
-        .map(|(key, (count, error, present_min))| {
-            let pad = total_min - present_min;
-            (key, count + pad, error + pad)
-        })
-        .collect();
+    for (e, present) in entries.iter_mut().zip(present_min) {
+        let pad = total_min - present;
+        e.1 += pad;
+        e.2 += pad;
+    }
     // Deterministic re-eviction: order by (count, key) so ties among equal
     // minimal counters break the same way on every run.
-    entries.sort_unstable_by_key(|&(key, count, _)| (count, key));
+    let order = |&(key, count, _): &(K, u64, u64)| (count, key);
     let keep_from = entries.len().saturating_sub(capacity);
-    let discarded = entries[..keep_from].iter().map(|e| e.1 - e.2).sum();
-    entries.drain(..keep_from);
+    let mut discarded = 0;
+    if keep_from > 0 {
+        entries.select_nth_unstable_by_key(keep_from, order);
+        discarded = entries[..keep_from].iter().map(|e| e.1 - e.2).sum();
+        entries.drain(..keep_from);
+    }
+    entries.sort_unstable_by_key(order);
     (entries, discarded)
+}
+
+/// [`merge_entries_many`] over borrowed Space-Saving-style parts, each
+/// side being a part's candidates and its unmonitored-key bound (its
+/// min-count): the one combine behind the Space Saving layouts' live
+/// `merge_many` and their [`FrequencyEstimator::merged_view`].
+///
+/// # Panics
+///
+/// Panics when the capacities differ.
+pub(crate) fn combine_parts<K: CounterKey, E: FrequencyEstimator<K>>(
+    parts: &[&E],
+) -> (Vec<(K, u64, u64)>, u64) {
+    let capacity = parts[0].capacity();
+    let sides: Vec<(Vec<Candidate<K>>, u64)> = parts
+        .iter()
+        .map(|p| {
+            assert_eq!(p.capacity(), capacity, "merge requires equal capacities");
+            (p.candidates(), p.unmonitored_upper())
+        })
+        .collect();
+    merge_entries_many(&sides, capacity)
 }
 
 /// Run-length encodes a key slice: invokes `f(key, run_length)` once per

@@ -160,10 +160,14 @@ impl<K: CounterKey> FrequencyEstimator<K> for LossyCounting<K> {
     fn upper(&self, key: &K) -> u64 {
         match self.entries.get(key) {
             Some(e) => e.count + e.delta,
-            // An absent key may have been pruned with count+Δ ≤ b−1 … but
-            // conservatively it could have up to b−1 missed occurrences.
-            None => self.bucket.saturating_sub(1),
+            None => self.unmonitored_upper(),
         }
+    }
+
+    fn unmonitored_upper(&self) -> u64 {
+        // An absent key may have been pruned with count+Δ ≤ b−1 … but
+        // conservatively it could have up to b−1 missed occurrences.
+        self.bucket.saturating_sub(1)
     }
 
     fn lower(&self, key: &K) -> u64 {

@@ -139,11 +139,15 @@ impl<K: CounterKey> FrequencyEstimator<K> for MisraGries<K> {
     }
 
     fn upper(&self, key: &K) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0) + self.deficit_bound()
+        self.lower(key) + self.deficit_bound()
     }
 
     fn lower(&self, key: &K) -> u64 {
         self.counts.get(key).copied().unwrap_or(0)
+    }
+
+    fn unmonitored_upper(&self) -> u64 {
+        self.deficit_bound()
     }
 
     fn candidates(&self) -> Vec<Candidate<K>> {

@@ -13,7 +13,7 @@
 //! `X ≤ min-count ≤ N/m`.
 
 use crate::fast_hash::FastMap;
-use crate::{Candidate, CounterKey, FrequencyEstimator};
+use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 
 const NIL: u32 = u32::MAX;
 
@@ -387,21 +387,15 @@ impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
         // minimal counters; see `merge_entries_many`. The single combine
         // pads tighter than a pairwise fold, whose padding grows with the
         // intermediate merged minima.
-        let mut updates = self.updates;
-        let mut discarded = self.discarded;
-        let mut sides = Vec::with_capacity(others.len() + 1);
-        sides.push((self.candidates(), self.min_count()));
-        for other in &others {
-            assert_eq!(
-                self.capacity, other.capacity,
-                "merge requires equal capacities"
-            );
-            updates += other.updates;
-            discarded += other.discarded;
-            sides.push((other.candidates(), other.min_count()));
-        }
-        let (entries, dropped) = crate::merge_entries_many(&sides, self.capacity);
-        *self = Self::rebuild(self.capacity, updates, discarded + dropped, &entries);
+        let parts: Vec<&Self> = std::iter::once(&*self).chain(&others).collect();
+        let (entries, dropped) = crate::combine_parts(&parts);
+        let updates = parts.iter().map(|p| p.updates).sum();
+        let discarded = parts.iter().map(|p| p.discarded).sum::<u64>() + dropped;
+        *self = Self::rebuild(self.capacity, updates, discarded, &entries);
+    }
+
+    fn merged_view(parts: &[&Self]) -> Frozen<K> {
+        crate::frozen::space_saving_view(parts)
     }
 
     #[inline]
@@ -526,6 +520,10 @@ impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
             }
             None => 0,
         }
+    }
+
+    fn unmonitored_upper(&self) -> u64 {
+        self.min_count()
     }
 
     fn candidates(&self) -> Vec<Candidate<K>> {

@@ -5,7 +5,8 @@
 //! Zipf, phase-change and adversarial streams.
 
 use hhh_counters::{
-    CompactSpaceSaving, FrequencyEstimator, HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    merge_entries_many, Candidate, CompactSpaceSaving, FrequencyEstimator, HeapSpaceSaving,
+    LossyCounting, MisraGries, SpaceSaving,
 };
 use hhh_hierarchy::shard_of;
 use proptest::collection::vec;
@@ -358,8 +359,76 @@ fn merge_rejects_capacity_mismatch() {
     a.merge(b);
 }
 
+/// The full-sort combine the select-based engine replaced, kept as its
+/// oracle: hash-combine with min-count padding, sort the whole union by
+/// `(count, key)`, drop the prefix beyond `capacity`.
+fn full_sort_merge_entries(
+    sides: &[(Vec<Candidate<u64>>, u64)],
+    capacity: usize,
+) -> (Vec<(u64, u64, u64)>, u64) {
+    let total_min: u64 = sides.iter().map(|(_, min)| min).sum();
+    let mut combined: HashMap<u64, (u64, u64, u64)> = HashMap::new();
+    for (cands, min) in sides {
+        for c in cands {
+            let e = combined.entry(c.key).or_insert((0, 0, 0));
+            e.0 += c.upper;
+            e.1 += c.upper - c.lower;
+            e.2 += min;
+        }
+    }
+    let mut entries: Vec<(u64, u64, u64)> = combined
+        .into_iter()
+        .map(|(key, (count, error, present_min))| {
+            let pad = total_min - present_min;
+            (key, count + pad, error + pad)
+        })
+        .collect();
+    entries.sort_unstable_by_key(|&(key, count, _)| (count, key));
+    let keep_from = entries.len().saturating_sub(capacity);
+    let discarded = entries[..keep_from].iter().map(|e| e.1 - e.2).sum();
+    entries.drain(..keep_from);
+    (entries, discarded)
+}
+
+/// One side of a combine: distinct keys from a small space (so sides
+/// overlap), counts from a narrow range (so counts tie), errors up to the
+/// count, and a min-count no larger than the side's smallest count.
+fn side() -> impl Strategy<Value = (Vec<Candidate<u64>>, u64)> {
+    (vec((0u64..48, 1u64..6, 0u64..6), 0..24), any::<bool>()).prop_map(|(raw, full)| {
+        let mut seen = std::collections::HashSet::new();
+        let cands: Vec<Candidate<u64>> = raw
+            .into_iter()
+            .filter(|&(key, _, _)| seen.insert(key))
+            .map(|(key, upper, error)| Candidate {
+                key,
+                upper,
+                lower: upper - error.min(upper),
+            })
+            .collect();
+        let min = match cands.iter().map(|c| c.upper).min() {
+            Some(min) if full => min,
+            _ => 0,
+        };
+        (cands, min)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The select-based engine returns exactly the full sort's kept
+    /// entries, in the same order, with the same discarded mass — for
+    /// K = 1..=8 sides, unions smaller and larger than the capacity, and
+    /// counts that tie.
+    #[test]
+    fn select_engine_matches_full_sort_oracle(
+        sides in vec(side(), 1..9),
+        capacity in 1usize..40,
+    ) {
+        let got = merge_entries_many(&sides, capacity);
+        let want = full_sort_merge_entries(&sides, capacity);
+        prop_assert_eq!(got, want);
+    }
 
     /// Random streams, random shard counts: the merged Space Saving
     /// summaries keep the sandwich and their internal invariants.

@@ -40,30 +40,36 @@
 //! [`ShardedMonitor::query_coverage`] and [`ShardedMonitor::harvest`]
 //! merge the same way: every shard's slices of the panes all shards have
 //! reached (the retained completed panes, or the active pane before the
-//! first rotation) go into one K·G-way [`Rhhh::merge_many`] in shard order.
-//! A pane's `N` and `W` are the smallest stamp among its slices, the
-//! totals every slice has absorbed, and they are summed over panes, never
-//! over shards. Per-slice counter errors add, which is the
-//! Mitzenmacher–Steinke–Thaler Space Saving merge: `Σᵢ nᵢ/m = n/m`, the
-//! same ε_a class as one instance.
+//! first rotation) go into one K·G-way combine in shard order. A pane's
+//! `N` and `W` are the smallest stamp among its slices, the totals every
+//! slice has absorbed, and they are summed over panes, never over shards.
+//! Per-slice counter errors add, which is the Mitzenmacher–Steinke–Thaler
+//! Space Saving merge: `Σᵢ nᵢ/m = n/m`, the same ε_a class as one
+//! instance. The harvest owns the joined rings and merges them into a
+//! live [`Rhhh`] with [`Rhhh::merge_many`]; live queries read the same
+//! combine as a [`FrozenRhhh`] built by [`Rhhh::merged_view`] from
+//! borrowed slices.
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
 //! publishes an epoch-stamped [`ShardSnapshot`] — clones of the slices its
 //! answer covers — through an atomically swappable pointer (`arc-swap`):
 //! every `publish_every` batches for the flat fleet, at every pane
 //! rotation for the windowed one, on [`ShardedMonitor::publish_now`]
-//! markers, and once at exit. A live `query(θ)` combines the latest
-//! snapshots and caches the result keyed by the epoch vector, so repeated
-//! queries between publications cost one `Output(θ)` scan. Snapshots are
-//! clones, so publication never perturbs a worker's state and the harvest
-//! is the same whether or when queries ran.
+//! markers, and once at exit. Publication is the one clone: the worker
+//! copies its slices once, so publishing never perturbs its state and the
+//! harvest is the same whether or when queries ran. A live `query(θ)`
+//! holds the latest snapshots' `Arc`s and builds the merged view straight
+//! from their slices — no second clone, no rebuilt summary — then caches
+//! the view keyed by the epoch vector, so repeated queries between
+//! publications cost one `Output(θ)` scan.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use arc_swap::ArcSwap;
 use hhh_core::{
-    pane_seed, HeavyHitter, HhhAlgorithm, Lane, MergeError, PaneRing, Rhhh, RhhhConfig, Sampler,
+    pane_seed, FrozenRhhh, HeavyHitter, HhhAlgorithm, Lane, MergeError, PaneRing, Rhhh, RhhhConfig,
+    Sampler,
 };
 use hhh_counters::{FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
@@ -238,11 +244,12 @@ fn publish<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
 /// One shard's slices, oldest first, with the global index of the first.
 type Slices<K, E> = (u64, Vec<Rhhh<K, E>>);
 
-/// The one combine behind every answer: merges every shard's slices of
-/// the panes all shards have reached, shard by shard, in one
-/// [`Rhhh::merge_many`]. Each pane's `N` and `W` are the smallest stamp
-/// among its slices; they are summed over panes, never over shards.
-fn combine<K: KeyBits, E: FrequencyEstimator<K> + Clone>(shards: Vec<Slices<K, E>>) -> Rhhh<K, E> {
+/// The panes every shard has reached, `lo..hi`, and their summed totals:
+/// each pane's `N` and `W` are the smallest stamp among its slices (what
+/// every slice has absorbed), summed over panes, never over shards.
+fn shared_panes<K: KeyBits, E: FrequencyEstimator<K>>(
+    shards: &[(u64, &[Rhhh<K, E>])],
+) -> (std::ops::Range<u64>, u64, u64) {
     let lo = shards.iter().map(|(first, _)| *first).max().unwrap_or(0);
     let hi = shards
         .iter()
@@ -255,7 +262,17 @@ fn combine<K: KeyBits, E: FrequencyEstimator<K> + Clone>(shards: Vec<Slices<K, E
         packets += slices().map(HhhAlgorithm::packets).min().unwrap_or(0);
         weight += slices().map(Rhhh::total_weight).min().unwrap_or(0);
     }
-    if lo >= hi {
+    (lo..hi, packets, weight)
+}
+
+/// The live combine behind the harvest: merges every shard's slices of
+/// the panes all shards have reached, shard by shard, in one
+/// [`Rhhh::merge_many`], with the totals of [`shared_panes`].
+fn combine<K: KeyBits, E: FrequencyEstimator<K> + Clone>(shards: Vec<Slices<K, E>>) -> Rhhh<K, E> {
+    let borrowed: Vec<(u64, &[Rhhh<K, E>])> =
+        shards.iter().map(|(first, p)| (*first, &p[..])).collect();
+    let (span, packets, weight) = shared_panes(&borrowed);
+    if span.is_empty() {
         // The shards share no pane yet: an empty answer.
         let mut empty = shards
             .into_iter()
@@ -268,13 +285,41 @@ fn combine<K: KeyBits, E: FrequencyEstimator<K> + Clone>(shards: Vec<Slices<K, E
     let mut slices = shards.into_iter().flat_map(|(first, panes)| {
         panes
             .into_iter()
-            .skip((lo - first) as usize)
-            .take((hi - lo) as usize)
+            .skip((span.start - first) as usize)
+            .take((span.end - span.start) as usize)
     });
     let mut merged = slices.next().expect("the shards share a pane");
     merged.merge_many(slices.collect());
     merged.note_totals(packets, weight);
     merged
+}
+
+/// The read-only combine behind every live answer: the view of
+/// [`combine`] over the borrowed slices of the latest snapshots — the
+/// same slices in the same shard order, the same totals — with no slice
+/// cloned and no live summary rebuilt.
+fn view<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+    snaps: &[Arc<ShardSnapshot<K, E>>],
+) -> FrozenRhhh<K> {
+    let borrowed: Vec<(u64, &[Rhhh<K, E>])> = snaps
+        .iter()
+        .map(|snap| (snap.first_pane, &snap.panes[..]))
+        .collect();
+    let (span, packets, weight) = shared_panes(&borrowed);
+    if span.is_empty() {
+        // The shards share no pane yet: an empty answer.
+        let any = &snaps[0].panes[0];
+        return Rhhh::merged_view(&[&Rhhh::<K, E>::new(any.lattice().clone(), *any.config())]);
+    }
+    let slices: Vec<&Rhhh<K, E>> = borrowed
+        .iter()
+        .flat_map(|(first, panes)| {
+            panes[(span.start - first) as usize..(span.end - first) as usize].iter()
+        })
+        .collect();
+    let mut view = Rhhh::merged_view(&slices);
+    view.note_totals(packets, weight);
+    view
 }
 
 /// How a fleet's worker rings turn over and publish.
@@ -328,9 +373,9 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
     unsent: bool,
     rotations: u64,
     seed: u64,
-    /// Live-query merge cache keyed by the snapshot epoch vector; stays
+    /// Live-query view cache keyed by the snapshot epoch vector; stays
     /// valid until any shard publishes again.
-    query_cache: Option<(Vec<u64>, Rhhh<K, E>)>,
+    query_cache: Option<(Vec<u64>, FrozenRhhh<K>)>,
     label: String,
 }
 
@@ -687,35 +732,37 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         self.broadcast(|| ShardMsg::Publish);
     }
 
-    /// The latest snapshots' slices, ready for [`combine`].
-    fn snapshot_slices(&self) -> (Vec<u64>, Vec<Slices<K, E>>) {
+    /// The latest snapshots and their epochs. Holding the `Arc`s keeps
+    /// the published slices alive for a borrowed [`view`], so nothing is
+    /// cloned.
+    fn latest_snapshots(&self) -> (Vec<u64>, Vec<Arc<ShardSnapshot<K, E>>>) {
         self.snapshots
             .iter()
             .map(|s| {
                 let snap = s.load_full();
-                (snap.epoch, (snap.first_pane, snap.panes.clone()))
+                (snap.epoch, snap)
             })
             .unzip()
     }
 
-    /// Ensures the query cache holds the combine of the latest snapshots.
-    fn refresh_query_cache(&mut self) -> &Rhhh<K, E> {
+    /// Ensures the query cache holds the view of the latest snapshots.
+    fn refresh_query_cache(&mut self) -> &FrozenRhhh<K> {
         let epochs = self.snapshot_epochs();
         if self
             .query_cache
             .as_ref()
             .is_none_or(|(cached, _)| *cached != epochs)
         {
-            let (epochs, slices) = self.snapshot_slices();
-            self.query_cache = Some((epochs, combine(slices)));
+            let (epochs, snaps) = self.latest_snapshots();
+            self.query_cache = Some((epochs, view(&snaps)));
         }
         &self.query_cache.as_ref().expect("cache refreshed above").1
     }
 
     /// Live `Output(θ)` over the latest published snapshots — never
-    /// joins, blocks, or slows the workers. The combine is cached keyed by
-    /// the snapshot epoch vector, so repeated queries between publications
-    /// cost one output scan (the cross-thread analogue of
+    /// joins, blocks, or slows the workers. The merged view is cached
+    /// keyed by the snapshot epoch vector, so repeated queries between
+    /// publications cost one output scan (the cross-thread analogue of
     /// [`hhh_core::WindowedRhhh::query`]'s cache). Staleness is bounded by
     /// one publication interval per shard (one pane for the windowed
     /// fleet) plus whatever waits in the ingress; call
@@ -729,11 +776,11 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// bench races the cached path against.
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        combine(self.snapshot_slices().1).output(theta)
+        view(&self.latest_snapshots().1).output(theta)
     }
 
-    /// Packets covered by the current snapshot combine — how much of the
-    /// fed stream a live query reflects right now.
+    /// Packets covered by the current snapshot view — how much of the fed
+    /// stream a live query reflects right now.
     pub fn query_coverage(&mut self) -> u64 {
         self.refresh_query_cache().packets()
     }
@@ -1144,6 +1191,42 @@ mod tests {
             30_000,
             "windowed harvest covers exactly the completed global panes"
         );
+    }
+
+    #[test]
+    fn live_view_answers_as_the_harvested_merge() {
+        // Once the snapshots cover what the harvest will, the query
+        // plane's borrowed view and the harvest's live merge read the same
+        // slices, so they must give the same answer, entry for entry.
+        for shards in 1usize..=4 {
+            for (window, covered) in [(None, 50_000), (Some((40_000, 4)), 40_000)] {
+                let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
+                let mut mon = match window {
+                    None => {
+                        ShardedMonitor::<u64, SpaceSaving<u64>>::spawn(lat, config(), shards, 256)
+                    }
+                    Some((w, g)) => ShardedMonitor::<u64, SpaceSaving<u64>>::spawn_windowed(
+                        lat,
+                        config(),
+                        shards,
+                        256,
+                        w,
+                        g,
+                    ),
+                }
+                .expect("spawn workers");
+                for chunk in attack_stream(50_000, 31).chunks(1_000) {
+                    mon.update_batch(chunk);
+                }
+                mon.publish_now();
+                wait_until(|| mon.query_coverage() == covered);
+                let live = mon.query(0.1);
+                assert_eq!(live, mon.query_fresh(0.1));
+                let merged = mon.harvest().expect("healthy pipeline");
+                assert_eq!(merged.packets(), covered, "K={shards} {window:?}");
+                assert_eq!(live, merged.output(0.1), "K={shards} {window:?}");
+            }
+        }
     }
 
     #[test]
