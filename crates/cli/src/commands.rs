@@ -11,12 +11,12 @@ use hhh_counters::{
     CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator,
     HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
 };
-use hhh_eval::AlgoKind;
+use hhh_eval::{rhhh_config, AlgoKind};
 use hhh_hierarchy::{KeyBits, Lattice};
 use hhh_traces::io::{write_trace, TraceReader};
 use hhh_traces::{
-    parse_ipv4_frame, AttackConfig, FrameBlock, Packet, PcapReader, ScenarioConfig,
-    ScenarioGenerator, ScenarioKind, TraceConfig, TraceGenerator,
+    AttackConfig, FrameBlock, Packet, PcapReader, ScenarioConfig, ScenarioGenerator, ScenarioKind,
+    TraceConfig, TraceGenerator,
 };
 use hhh_vswitch::{ShardedMonitor, WireBlockView};
 
@@ -30,15 +30,10 @@ fn preset(name: &str) -> Result<TraceConfig, String> {
 }
 
 fn algo_kind(name: &str, counter: CounterKind) -> Result<AlgoKind, String> {
+    let rhhh = |v_scale| AlgoKind::Rhhh { v_scale, counter };
     Ok(match name {
-        "rhhh" => AlgoKind::Rhhh {
-            v_scale: 1,
-            counter,
-        },
-        "10-rhhh" => AlgoKind::Rhhh {
-            v_scale: 10,
-            counter,
-        },
+        "rhhh" => rhhh(1),
+        "10-rhhh" => rhhh(10),
         "mst" => AlgoKind::Mst,
         "full-ancestry" => AlgoKind::FullAncestry,
         "partial-ancestry" => AlgoKind::PartialAncestry,
@@ -52,12 +47,15 @@ fn counter_kind(flags: &Flags) -> Result<CounterKind, String> {
         .map_or(Ok(CounterKind::default()), CounterKind::parse)
 }
 
+/// Seed of every algorithm the CLI builds, so reruns print the same table.
+const SEED: u64 = 0xC11;
+
 /// Frames per [`FrameBlock`] when reading a pcap in block mode: sized like
 /// an rx burst ring so each block's validation prepass and lane sweep stay
 /// cache-resident.
 const PCAP_BLOCK_FRAMES: usize = 8_192;
 
-/// Chunk size for the CLI's batch update paths. Larger chunks give the
+/// Chunk size for feeding materialized keys. Larger chunks give the
 /// per-node flush better dedup and cache locality; 64Ki keys ≈ 512 KiB of
 /// input is still insignificant next to the counter state.
 const BATCH_CHUNK: usize = 65_536;
@@ -137,8 +135,7 @@ fn shards_flag(flags: &Flags) -> Result<Option<usize>, String> {
 
 /// Monomorphizes one expression over the selected [`CounterKind`]: inside
 /// `$body`, `$est` is a type alias for the concrete estimator. The single
-/// place this crate maps the counter roster to types — the analyze and
-/// speed dispatches all expand through it.
+/// place this crate maps the counter roster to types.
 macro_rules! with_counter_type {
     ($kind:expr, $est:ident, $body:expr) => {
         match $kind {
@@ -174,6 +171,29 @@ macro_rules! with_counter_type {
     };
 }
 
+/// Monomorphizes one expression over the `--hierarchy` name: inside
+/// `$body`, `$lattice` is the selected lattice. The single place this
+/// crate maps hierarchy names to lattices and key types.
+macro_rules! with_lattice {
+    ($name:expr, $lattice:ident, $body:expr) => {
+        match $name {
+            "2d-bytes" => {
+                let $lattice = Lattice::ipv4_src_dst_bytes();
+                $body
+            }
+            "1d-bytes" => {
+                let $lattice = Lattice::ipv4_src_bytes();
+                $body
+            }
+            "1d-bits" => {
+                let $lattice = Lattice::ipv4_src_bits();
+                $body
+            }
+            other => Err(format!("unknown hierarchy `{other}`")),
+        }
+    };
+}
+
 /// Parses `10.20.0.0/16->8.8.8.8@0.3`.
 fn parse_attack(spec: &str) -> Result<AttackConfig, String> {
     let err = || format!("bad attack spec `{spec}` (want subnet/bits->victim@fraction)");
@@ -188,15 +208,20 @@ fn parse_attack(spec: &str) -> Result<AttackConfig, String> {
     })
 }
 
-/// `rhhh generate` — materialize a trace file.
-pub fn generate(argv: &[String]) -> i32 {
-    match generate_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
+/// A subcommand's exit status: 0, or 2 after printing its error.
+fn exit_code(result: Result<(), String>) -> i32 {
+    result.map_or_else(
+        |e| {
             eprintln!("error: {e}");
             2
-        }
-    }
+        },
+        |()| 0,
+    )
+}
+
+/// `rhhh generate` — materialize a trace file.
+pub fn generate(argv: &[String]) -> i32 {
+    exit_code(generate_inner(argv))
 }
 
 fn generate_inner(argv: &[String]) -> Result<(), String> {
@@ -239,17 +264,79 @@ fn generate_inner(argv: &[String]) -> Result<(), String> {
 
 /// `rhhh analyze` — run an algorithm over a trace and print the HHH table.
 pub fn analyze(argv: &[String]) -> i32 {
-    match analyze_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
+    exit_code(analyze_inner(argv))
+}
+
+/// Where RHHH runs: one inline instance, a pane-ring window, or a shard
+/// fleet (flat, or windowed when `window` is set).
+#[derive(Debug, Clone, Copy, Default)]
+struct Deploy {
+    shards: Option<usize>,
+    /// `(W, G)`: the last W packets over a G-pane ring.
+    window: Option<(u64, usize)>,
+    /// Print a live snapshot query before a fleet is harvested.
+    live_query: bool,
+}
+
+/// One `analyze` invocation, parsed once before anything runs.
+struct Request {
+    algo: AlgoKind,
+    hierarchy: String,
+    epsilon: f64,
+    theta: f64,
+    volume: bool,
+    deploy: Deploy,
+    top: usize,
+    filter: Option<String>,
+}
+
+impl Request {
+    /// Parses and cross-checks the flags: volume weighting, shards,
+    /// windows and counter layouts are RHHH-side extensions.
+    fn parse(flags: &Flags) -> Result<Self, String> {
+        let counter = counter_kind(flags)?;
+        let request = Self {
+            algo: algo_kind(flags.get("algorithm").unwrap_or("rhhh"), counter)?,
+            hierarchy: flags.get("hierarchy").unwrap_or("2d-bytes").to_string(),
+            theta: flags.fraction("theta", 0.03)?,
+            epsilon: flags.fraction("epsilon", 0.005)?,
+            volume: flags.switch("volume"),
+            deploy: Deploy {
+                shards: shards_flag(flags)?,
+                window: window_flags(flags)?,
+                live_query: true,
+            },
+            top: flags.count("top", 50, MAX_TOP)? as usize,
+            filter: flags.get("filter").map(ToString::to_string),
+        };
+        if !matches!(request.algo, AlgoKind::Rhhh { .. }) {
+            let extensions = [
+                ("--volume", request.volume),
+                ("--shards", request.deploy.shards.is_some()),
+                ("--window", request.deploy.window.is_some()),
+                ("--counter", counter != CounterKind::default()),
+            ];
+            if let Some((flag, _)) = extensions.into_iter().find(|&(_, on)| on) {
+                return Err(format!("{flag} supports rhhh/10-rhhh only"));
+            }
         }
+        Ok(request)
     }
 }
 
-/// Rejects `analyze` invocations naming more than one input source.
-fn check_one_source(flags: &Flags) -> Result<(), String> {
+/// The input as loaded, before the hierarchy picks a key type.
+enum Source {
+    Packets(Vec<Packet>),
+    Pcap {
+        path: String,
+        blocks: Vec<FrameBlock>,
+        records: u64,
+    },
+}
+
+/// Loads the one input source the flags name: a pcap as rx-burst-sized
+/// [`FrameBlock`]s, anything else as packets.
+fn load_source(flags: &Flags) -> Result<Source, String> {
     let named: Vec<&str> = ["trace", "pcap", "scenario", "preset"]
         .into_iter()
         .filter(|s| flags.get(s).is_some())
@@ -260,58 +347,43 @@ fn check_one_source(flags: &Flags) -> Result<(), String> {
             named.join(" and --")
         ));
     }
-    Ok(())
-}
-
-fn load_packets(flags: &Flags) -> Result<Vec<Packet>, String> {
+    if let Some(path) = flags.get("pcap") {
+        let mut reader =
+            PcapReader::open(Path::new(path)).map_err(|e| format!("opening {path}: {e}"))?;
+        let mut blocks = Vec::new();
+        loop {
+            let mut block = FrameBlock::new();
+            let n = reader
+                .read_block(&mut block, PCAP_BLOCK_FRAMES)
+                .map_err(|e| format!("reading {path}: {e}"))?;
+            if n == 0 {
+                break;
+            }
+            blocks.push(block);
+        }
+        let (path, records) = (path.to_string(), reader.records());
+        return Ok(Source::Pcap {
+            path,
+            blocks,
+            records,
+        });
+    }
     if let Some(path) = flags.get("trace") {
         let reader =
             TraceReader::open(Path::new(path)).map_err(|e| format!("opening {path}: {e}"))?;
         return reader
             .collect::<Result<Vec<_>, _>>()
+            .map(Source::Packets)
             .map_err(|e| format!("reading {path}: {e}"));
     }
     let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
-    if let Some(name) = flags.get("scenario") {
+    Ok(Source::Packets(if let Some(name) = flags.get("scenario") {
         let kind = ScenarioKind::parse(name)?;
-        return Ok(ScenarioGenerator::new(&ScenarioConfig::new(kind)).take_packets(packets));
-    }
-    let config = preset(flags.get("preset").unwrap_or("chicago16"))?;
-    Ok(TraceGenerator::new(&config).take_packets(packets))
-}
-
-/// Reads a whole pcap into rx-burst-sized [`FrameBlock`]s. Returns the
-/// blocks plus the reader's record count.
-fn load_pcap_blocks(path: &str) -> Result<(Vec<FrameBlock>, u64), String> {
-    let mut reader =
-        PcapReader::open(Path::new(path)).map_err(|e| format!("opening {path}: {e}"))?;
-    let mut blocks = Vec::new();
-    loop {
-        let mut block = FrameBlock::new();
-        let n = reader
-            .read_block(&mut block, PCAP_BLOCK_FRAMES)
-            .map_err(|e| format!("reading {path}: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        blocks.push(block);
-    }
-    Ok((blocks, reader.records()))
-}
-
-/// Materializes [`Packet`] structs from raw frame blocks — the fallback
-/// when the requested analysis cannot run on the zero-copy wire plane
-/// (non-RHHH algorithm, 1D hierarchy, shards, scalar updates).
-fn packets_from_blocks(blocks: &[FrameBlock]) -> Vec<Packet> {
-    let mut out = Vec::new();
-    for block in blocks {
-        for (frame, orig) in block.frames() {
-            if let Some(p) = parse_ipv4_frame(frame, orig) {
-                out.push(p);
-            }
-        }
-    }
-    out
+        ScenarioGenerator::new(&ScenarioConfig::new(kind)).take_packets(packets)
+    } else {
+        let config = preset(flags.get("preset").unwrap_or("chicago16"))?;
+        TraceGenerator::new(&config).take_packets(packets)
+    }))
 }
 
 fn analyze_inner(argv: &[String]) -> Result<(), String> {
@@ -334,469 +406,398 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
             "top",
             "filter",
         ],
-        &["volume", "batch"],
+        &["volume"],
     )?;
-    let theta = flags.fraction("theta", 0.03)?;
-    let epsilon = flags.fraction("epsilon", 0.005)?;
-    let top = flags.count("top", 50, MAX_TOP)? as usize;
-    let algo_name = flags.get("algorithm").unwrap_or("rhhh");
-    let hierarchy = flags.get("hierarchy").unwrap_or("2d-bytes");
-    let volume = flags.switch("volume");
-    let batch = flags.switch("batch");
-    let counter = counter_kind(&flags)?;
-    let shards = shards_flag(&flags)?;
-    let window = window_flags(&flags)?;
-    let filter = flags.get("filter").map(ToString::to_string);
-    check_one_source(&flags)?;
-
-    let packets;
-    if let Some(path) = flags.get("pcap") {
-        if window.is_some() {
-            return Err(
-                "--pcap streams raw frames; --window needs a materialized trace (use \
-                 --trace, --scenario or --preset)"
-                    .into(),
-            );
-        }
-        let (blocks, records) = load_pcap_blocks(path)?;
-        // The zero-copy wire plane covers exactly the single-instance
-        // RHHH batch path over the 2D hierarchy — raw frame bytes feed
-        // `update_batch_wire` with no Packet structs in between. Anything
-        // else (other algorithms, 1D keys, shards, scalar updates)
-        // materializes structs and takes the regular path below.
-        if hierarchy == "2d-bytes"
-            && matches!(algo_name, "rhhh" | "10-rhhh")
-            && batch
-            && shards.is_none()
-        {
-            return run_wire_analysis(
-                &blocks,
-                records,
-                algo_name,
-                epsilon,
-                theta,
-                volume,
-                counter,
-                top,
-                filter.as_deref(),
-            );
-        }
-        packets = packets_from_blocks(&blocks);
-        println!(
-            "# pcap {path}: {} of {records} records materialized (wire fast path needs \
-             2d-bytes + rhhh/10-rhhh + --batch, no --shards)",
-            packets.len()
-        );
-    } else {
-        packets = load_packets(&flags)?;
-    }
-
-    match hierarchy {
-        "2d-bytes" => run_analysis::<u64>(
-            &Lattice::ipv4_src_dst_bytes(),
-            &packets,
-            Packet::key2,
-            algo_name,
-            epsilon,
-            theta,
-            volume,
-            batch,
-            counter,
-            shards,
-            window,
-            top,
-            filter.as_deref(),
-        ),
-        "1d-bytes" => run_analysis::<u32>(
-            &Lattice::ipv4_src_bytes(),
-            &packets,
-            Packet::key1,
-            algo_name,
-            epsilon,
-            theta,
-            volume,
-            batch,
-            counter,
-            shards,
-            window,
-            top,
-            filter.as_deref(),
-        ),
-        "1d-bits" => run_analysis::<u32>(
-            &Lattice::ipv4_src_bits(),
-            &packets,
-            Packet::key1,
-            algo_name,
-            epsilon,
-            theta,
-            volume,
-            batch,
-            counter,
-            shards,
-            window,
-            top,
-            filter.as_deref(),
-        ),
-        other => Err(format!("unknown hierarchy `{other}`")),
-    }
-}
-
-/// The `# UNCONVERGED` warning for an answer whose view has not passed ψ
-/// yet (`N ≤ ψ`), so Theorem 6.17's guarantee does not hold.
-fn convergence_note<K: KeyBits>(view: &FrozenRhhh<K>) -> Option<String> {
-    (!view.converged()).then(|| {
-        format!(
-            "# UNCONVERGED (N/ψ = {:.2}%)",
-            100.0 * view.packets() as f64 / view.psi()
-        )
+    let request = Request::parse(&flags)?;
+    let source = load_source(&flags)?;
+    with_lattice!(request.hierarchy.as_str(), lattice, {
+        analyze_on(&lattice, &request, &source)
     })
 }
 
-/// `Output(θ)` and the convergence note of one live instance, both read
-/// from its view.
-fn answer_of<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    algo: &Rhhh<K, E>,
-    theta: f64,
-) -> (Vec<HeavyHitter<K>>, Option<String>) {
-    let view = Rhhh::merged_view(&[algo]);
-    (view.output(theta), convergence_note(&view))
+/// A hierarchy's key type as the CLI reads it: out of a packet, or out of
+/// the accepted frames of a pcap block.
+trait StreamKey: KeyBits {
+    fn of(packet: &Packet) -> Self;
+
+    fn keys_into(view: &WireBlockView<'_>, out: &mut Vec<Self>);
+
+    /// Feeds a block to an inline instance straight from its frame bytes;
+    /// `false` when this key has no zero-copy path.
+    fn ingest<E: FrequencyEstimator<Self>>(
+        _view: &WireBlockView<'_>,
+        _algo: &mut Rhhh<Self, E>,
+        _volume: bool,
+    ) -> bool {
+        false
+    }
 }
 
-/// What an RHHH run hands the report: the answer, the weight or packet
-/// count it covers, the elapsed seconds and its convergence note.
-type Answer<K> = (Vec<HeavyHitter<K>>, u64, f64, Option<String>);
-
-/// Drives one concrete `Rhhh<K, E>` through the requested update path with
-/// the clock running.
-fn run_rhhh_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    lattice: &Lattice<K>,
-    config: RhhhConfig,
-    volume: bool,
-    batch: bool,
-    weighted: &[(K, u64)],
-    keys: &[K],
-    theta: f64,
-) -> Answer<K> {
-    let mut algo = Rhhh::<K, E>::new(lattice.clone(), config);
-    let start = Instant::now();
-    match (volume, batch) {
-        (true, true) => {
-            for chunk in weighted.chunks(BATCH_CHUNK) {
-                algo.update_batch_weighted(chunk);
-            }
-        }
-        (true, false) => {
-            for &(k, w) in weighted {
-                algo.update_weighted(k, w);
-            }
-        }
-        (false, true) => {
-            for chunk in keys.chunks(BATCH_CHUNK) {
-                algo.update_batch(chunk);
-            }
-        }
-        (false, false) => unreachable!("guarded by the caller"),
+impl StreamKey for u64 {
+    fn of(packet: &Packet) -> Self {
+        packet.key2()
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let total = if volume {
-        algo.total_weight()
-    } else {
-        algo.packets()
-    };
-    let (output, note) = answer_of(&algo, theta);
-    (output, total, elapsed, note)
+
+    fn keys_into(view: &WireBlockView<'_>, out: &mut Vec<Self>) {
+        view.keys2_into(out);
+    }
+
+    fn ingest<E: FrequencyEstimator<u64>>(
+        view: &WireBlockView<'_>,
+        algo: &mut Rhhh<u64, E>,
+        volume: bool,
+    ) -> bool {
+        if volume {
+            view.ingest_weighted(algo);
+        } else {
+            view.ingest(algo);
+        }
+        true
+    }
 }
 
-/// Drives the shard fleet with the clock running: sample every key
-/// (`keys`, or `weighted` when `volume`) at ingress in [`BATCH_CHUNK`]
-/// calls, route the samples across `shards` worker threads, each flushing
-/// into its own pane ring — a sliding window over the last W packets with
-/// globally aligned panes when `window` is `Some((W, G))` — then
-/// merge-on-harvest. The elapsed time covers feed, drain and merge, the
-/// end-to-end pipeline cost a deployment pays. The answer's `N` is the
-/// harvested instance's.
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
-    lattice: &Lattice<K>,
-    config: RhhhConfig,
-    shards: usize,
-    window: Option<(u64, usize)>,
-    volume: bool,
-    weighted: &[(K, u64)],
-    keys: &[K],
-    live_query: bool,
+impl StreamKey for u32 {
+    fn of(packet: &Packet) -> Self {
+        packet.key1()
+    }
+
+    fn keys_into(view: &WireBlockView<'_>, out: &mut Vec<Self>) {
+        view.keys1_into(out);
+    }
+}
+
+/// What the runner feeds, prepared before the clock starts: materialized
+/// keys in the unit or the weighted lane, or pcap blocks (weighted by
+/// their wire lengths when the flag is set).
+enum Input<'a, K> {
+    Unit(&'a [K]),
+    Weighted(&'a [(K, u64)]),
+    Wire(&'a [FrameBlock], bool),
+}
+
+/// The answer a run leaves behind, read off the clock.
+enum Answer<K: KeyBits> {
+    /// Every RHHH deployment answers from one merged view.
+    Rhhh(FrozenRhhh<K>),
+    Baseline(Box<dyn HhhAlgorithm<K>>),
+}
+
+impl<K: KeyBits> Answer<K> {
+    /// `Output(θ)`, the packets (or bytes) it covers, and for RHHH the
+    /// `# UNCONVERGED` note while the view has not passed ψ (`N ≤ ψ`), so
+    /// Theorem 6.17's guarantee does not hold yet.
+    fn read(&self, theta: f64, volume: bool) -> (Vec<HeavyHitter<K>>, u64, Option<String>) {
+        match self {
+            Answer::Rhhh(view) => {
+                let (n, w) = (view.packets(), view.total_weight());
+                let note = (!view.converged()).then(|| {
+                    format!(
+                        "# UNCONVERGED (N/ψ = {:.2}%)",
+                        100.0 * n as f64 / view.psi()
+                    )
+                });
+                (view.output(theta), if volume { w } else { n }, note)
+            }
+            Answer::Baseline(algo) => (algo.query(theta), algo.packets(), None),
+        }
+    }
+}
+
+/// One way to run an algorithm over the input.
+trait Deployment<K: StreamKey> {
+    fn feed(&mut self, keys: &[K]);
+
+    fn feed_weighted(&mut self, packets: &[(K, u64)]);
+
+    /// Feeds a pcap block straight from its frame bytes; `false` asks the
+    /// runner to resolve the block's keys and feed those.
+    fn feed_wire(&mut self, _view: &WireBlockView<'_>, _volume: bool) -> bool {
+        false
+    }
+
+    /// Runs between feed and finish, off the clock.
+    fn report(&mut self, _theta: f64) {}
+
+    /// Drains and merges whatever is in flight.
+    fn finish(self) -> Result<Answer<K>, String>;
+}
+
+impl<K: StreamKey, E: FrequencyEstimator<K> + Clone> Deployment<K> for Rhhh<K, E> {
+    fn feed(&mut self, keys: &[K]) {
+        self.update_batch(keys);
+    }
+
+    fn feed_weighted(&mut self, packets: &[(K, u64)]) {
+        self.update_batch_weighted(packets);
+    }
+
+    fn feed_wire(&mut self, view: &WireBlockView<'_>, volume: bool) -> bool {
+        K::ingest(view, self, volume)
+    }
+
+    fn finish(self) -> Result<Answer<K>, String> {
+        Ok(Answer::Rhhh(Rhhh::merged_view(&[&self])))
+    }
+}
+
+impl<K: StreamKey, E: FrequencyEstimator<K> + Clone> Deployment<K> for WindowedRhhh<K, E> {
+    fn feed(&mut self, keys: &[K]) {
+        self.update_batch(keys);
+    }
+
+    fn feed_weighted(&mut self, packets: &[(K, u64)]) {
+        self.update_batch_weighted(packets);
+    }
+
+    /// The last G completed panes; a stream shorter than one pane answers
+    /// from the partial active pane.
+    fn finish(mut self) -> Result<Answer<K>, String> {
+        let view = match self.view() {
+            Some(view) => view.clone(),
+            None => self.current_view(),
+        };
+        Ok(Answer::Rhhh(view))
+    }
+}
+
+/// The shard fleet and the deployment it was spawned for.
+struct Fleet<K: KeyBits, E: FrequencyEstimator<K>> {
+    mon: ShardedMonitor<K, E>,
+    deploy: Deploy,
+}
+
+impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fleet<K, E> {
+    fn feed(&mut self, keys: &[K]) {
+        self.mon.update_batch(keys);
+    }
+
+    fn feed_weighted(&mut self, packets: &[(K, u64)]) {
+        self.mon.update_batch_weighted(packets);
+    }
+
+    /// Publishes fresh snapshots, waits (bounded) until they cover what
+    /// the answer should (every packet fed, or the last G completed panes
+    /// of a window), and prints the live query's answer size, coverage and
+    /// latency — while the workers keep running.
+    fn report(&mut self, theta: f64) {
+        if !self.deploy.live_query {
+            return;
+        }
+        let mon = &mut self.mon;
+        mon.publish_now();
+        let fed = mon.packets();
+        let want = match self.deploy.window {
+            Some((_, g)) if mon.panes_completed() > 0 => {
+                mon.panes_completed().min(g as u64) * mon.pane_len()
+            }
+            _ => fed,
+        };
+        let deadline = Instant::now() + std::time::Duration::from_millis(500);
+        while Instant::now() < deadline && mon.query_coverage() < want {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        let hhhs = mon.query(theta).len();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let covered = mon.query_coverage();
+        println!(
+            "# live snapshot query: {hhhs} HHHs over {covered}/{fed} packets in {ms:.3} ms \
+             (workers not joined)"
+        );
+    }
+
+    fn finish(self) -> Result<Answer<K>, String> {
+        let merged = self.mon.harvest().map_err(|e| e.to_string())?;
+        Ok(Answer::Rhhh(Rhhh::merged_view(&[&merged])))
+    }
+}
+
+impl<K: StreamKey> Deployment<K> for Box<dyn HhhAlgorithm<K>> {
+    fn feed(&mut self, keys: &[K]) {
+        self.insert_batch(keys);
+    }
+
+    fn feed_weighted(&mut self, _packets: &[(K, u64)]) {
+        unreachable!("Request::parse rejects --volume for the baselines");
+    }
+
+    fn finish(self) -> Result<Answer<K>, String> {
+        Ok(Answer::Baseline(self))
+    }
+}
+
+/// What one run hands the report.
+struct Outcome<K: KeyBits> {
+    answer: Answer<K>,
+    /// Packets fed (accepted frames for a pcap).
+    packets: usize,
+    /// Non-IPv4 and truncated frames a pcap skipped.
+    skipped: (u64, u64),
+    /// Seconds spent feeding, draining and merging.
+    elapsed: f64,
+}
+
+/// The one runner behind every analysis: feeds `input` to `deployment`
+/// with the clock running (materialized keys in [`BATCH_CHUNK`] slices, a
+/// pcap one block per call), runs its report off the clock, then times
+/// its drain and merge. `Output(θ)` is left to the caller, off the clock.
+fn run<K: StreamKey, D: Deployment<K>>(
+    mut deployment: D,
+    input: &Input<'_, K>,
     theta: f64,
-) -> Result<Answer<K>, String> {
+) -> Result<Outcome<K>, String> {
+    let mut packets = 0;
+    let mut skipped = (0, 0);
     let start = Instant::now();
-    let mut mon = match window {
-        Some((win, panes)) => ShardedMonitor::<K, E>::spawn_windowed(
-            lattice.clone(),
-            config,
-            shards,
-            SHARD_BATCH,
-            win,
-            panes,
-        ),
-        None => ShardedMonitor::<K, E>::spawn(lattice.clone(), config, shards, SHARD_BATCH),
-    }
-    .map_err(|e| e.to_string())?;
-    for chunk in weighted.chunks(BATCH_CHUNK) {
-        mon.update_batch_weighted(chunk);
-    }
-    for chunk in keys.chunks(BATCH_CHUNK) {
-        mon.update_batch(chunk);
+    match *input {
+        Input::Unit(keys) => {
+            keys.chunks(BATCH_CHUNK).for_each(|c| deployment.feed(c));
+            packets = keys.len();
+        }
+        Input::Weighted(weighted) => {
+            weighted
+                .chunks(BATCH_CHUNK)
+                .for_each(|c| deployment.feed_weighted(c));
+            packets = weighted.len();
+        }
+        Input::Wire(blocks, volume) => {
+            let (mut keys, mut weighted) = (Vec::new(), Vec::new());
+            for block in blocks {
+                let view = WireBlockView::new(block);
+                packets += view.len();
+                skipped.0 += view.skipped_non_ipv4();
+                skipped.1 += view.skipped_truncated();
+                if deployment.feed_wire(&view, volume) {
+                    continue;
+                }
+                keys.clear();
+                K::keys_into(&view, &mut keys);
+                if volume {
+                    weighted.clear();
+                    let lens = view.wire_lens().iter().map(|&w| u64::from(w));
+                    weighted.extend(keys.iter().copied().zip(lens));
+                    deployment.feed_weighted(&weighted);
+                } else {
+                    deployment.feed(&keys);
+                }
+            }
+        }
     }
     let fed = start.elapsed();
-    if live_query {
-        // Demonstrate the snapshot query plane off the clock: the workers
-        // keep running while we merge their latest published snapshots.
-        report_live_query(&mut mon, window.map(|(_, g)| g), theta);
-    }
+    deployment.report(theta);
     let drain = Instant::now();
-    let merged = mon.harvest().map_err(|e| e.to_string())?;
-    let elapsed = (fed + drain.elapsed()).as_secs_f64();
-    let total = if volume {
-        merged.total_weight()
-    } else {
-        merged.packets()
-    };
-    let (output, note) = answer_of(&merged, theta);
-    Ok((output, total, elapsed, note))
+    let answer = deployment.finish()?;
+    Ok(Outcome {
+        answer,
+        packets,
+        skipped,
+        elapsed: (fed + drain.elapsed()).as_secs_f64(),
+    })
 }
 
-/// Publishes fresh snapshots, waits (bounded) until they cover what the
-/// answer should (every packet fed, or the last `panes` completed panes of
-/// a window), and prints the live query's answer size, coverage and
-/// latency — without joining or stopping the workers.
-fn report_live_query<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync>(
-    mon: &mut ShardedMonitor<K, E>,
-    panes: Option<usize>,
-    theta: f64,
-) {
-    mon.publish_now();
-    let fed = mon.packets();
-    let want = match panes {
-        Some(g) if mon.panes_completed() > 0 => {
-            mon.panes_completed().min(g as u64) * mon.pane_len()
-        }
-        _ => fed,
-    };
-    let deadline = Instant::now() + std::time::Duration::from_millis(500);
-    while Instant::now() < deadline && mon.query_coverage() < want {
-        std::thread::yield_now();
-    }
-    let start = Instant::now();
-    let live = mon.query(theta);
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "# live snapshot query: {} HHHs over {}/{} packets in {:.3} ms (workers not joined)",
-        live.len(),
-        mon.query_coverage(),
-        fed,
-        ms
-    );
-}
-
-/// Drives a pane-ring sliding window with the clock running: feed every
-/// key (scalar or geometric-skip batch per `batch`), then answer the
-/// windowed query over the last G completed panes. Streams shorter than
-/// one pane fall back to the partial active-pane answer. The answer's
-/// total is the packets it covers, the denominator of the printed shares,
-/// and its `N` for the convergence note.
-fn run_windowed_timed<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+/// Runs RHHH with `counter` per node where `deploy` says. The crate's one
+/// expansion of [`with_counter_type!`].
+fn run_rhhh<K: StreamKey>(
     lattice: &Lattice<K>,
     config: RhhhConfig,
-    window: u64,
-    panes: usize,
-    batch: bool,
-    keys: &[K],
+    counter: CounterKind,
+    deploy: Deploy,
+    input: &Input<'_, K>,
     theta: f64,
-) -> Answer<K> {
-    let mut mon = WindowedRhhh::<K, E>::new(lattice.clone(), config, window, panes);
-    let start = Instant::now();
-    if batch {
-        for chunk in keys.chunks(BATCH_CHUNK) {
-            mon.update_batch(chunk);
+) -> Result<Outcome<K>, String> {
+    let (lat, b) = (lattice.clone(), SHARD_BATCH);
+    with_counter_type!(counter, Est, {
+        match (deploy.shards, deploy.window) {
+            (Some(shards), window) => {
+                let mon = match window {
+                    Some((w, g)) => ShardedMonitor::spawn_windowed(lat, config, shards, b, w, g),
+                    None => ShardedMonitor::<K, Est<K>>::spawn(lat, config, shards, b),
+                };
+                let mon = mon.map_err(|e| e.to_string())?;
+                run(Fleet { mon, deploy }, input, theta)
+            }
+            (None, Some((w, g))) => run(
+                WindowedRhhh::<K, Est<K>>::new(lat, config, w, g),
+                input,
+                theta,
+            ),
+            (None, None) => run(Rhhh::<K, Est<K>>::new(lat, config), input, theta),
         }
-    } else {
-        for &k in keys {
-            mon.update(k);
-        }
-    }
-    let current;
-    let view = match mon.view() {
-        Some(view) => view,
-        None => {
-            current = mon.current_view();
-            &current
-        }
-    };
-    let output = view.output(theta);
-    let elapsed = start.elapsed().as_secs_f64();
-    (output, view.packets(), elapsed, convergence_note(view))
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_analysis<K: KeyBits>(
+/// Runs the request over `source` with `lattice`'s key type and prints
+/// the HHH table.
+fn analyze_on<K: StreamKey>(
     lattice: &Lattice<K>,
-    packets: &[Packet],
-    key_of: impl Fn(&Packet) -> K,
-    algo_name: &str,
-    epsilon: f64,
-    theta: f64,
-    volume: bool,
-    batch: bool,
-    counter: CounterKind,
-    shards: Option<usize>,
-    window: Option<(u64, usize)>,
-    top: usize,
-    filter: Option<&str>,
+    request: &Request,
+    source: &Source,
 ) -> Result<(), String> {
-    let filter_prefix = filter
-        .map(|f| {
+    let filter = match request.filter.as_deref() {
+        Some(f) => Some(
             lattice
                 .parse_prefix(f)
-                .map_err(|e| format!("--filter: {e}"))
-        })
-        .transpose()?;
-    let output: Vec<HeavyHitter<K>>;
-    let total: u64;
-    let elapsed: f64;
-    let mut note = None;
-
-    if volume || batch || shards.is_some() || window.is_some() {
-        // Volume weighting, the batch update path, shard parallelism and
-        // the pane-ring sliding window are RHHH-side extensions; run the
-        // concrete algorithm directly, monomorphized over the selected
-        // per-node counter.
-        if !algo_name.starts_with("rhhh") && algo_name != "10-rhhh" {
-            let flag = if volume {
-                "--volume"
-            } else if batch {
-                "--batch"
-            } else if shards.is_some() {
-                "--shards"
-            } else {
-                "--window"
-            };
-            return Err(format!("{flag} supports rhhh/10-rhhh only"));
-        }
-        if volume && window.is_some() && shards.is_none() {
-            return Err(
-                "--window --volume needs --shards (the single-thread window takes no \
-                        weighted feed); add --shards N or drop --volume"
-                    .into(),
-            );
-        }
-        let v_scale = if algo_name == "10-rhhh" { 10 } else { 1 };
-        let config = RhhhConfig {
-            epsilon_a: epsilon,
-            epsilon_s: epsilon,
-            delta_s: 0.001,
-            v_scale,
-            updates_per_packet: 1,
-            seed: 0xC11,
-        };
-        // Materialize inputs before starting the clock — for the scalar
-        // and batch arms alike — so the printed throughput measures the
-        // update path, not key extraction, and the two stay comparable.
-        let weighted: Vec<(K, u64)> = if volume {
-            packets
+                .map_err(|e| format!("--filter: {e}"))?,
+        ),
+        None => None,
+    };
+    // Keys are materialized before the clock starts, so the printed
+    // throughput measures the update path, not key extraction.
+    let (keys, weighted): (Vec<K>, Vec<(K, u64)>);
+    let input = match source {
+        Source::Packets(packets) if request.volume => {
+            weighted = packets
                 .iter()
-                .map(|p| (key_of(p), u64::from(p.wire_len)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let keys: Vec<K> = if volume {
-            Vec::new()
-        } else {
-            packets.iter().map(&key_of).collect()
-        };
-        (output, total, elapsed, note) = if let Some(shards) = shards {
-            with_counter_type!(counter, Est, {
-                run_fleet_timed::<K, Est<K>>(
-                    lattice, config, shards, window, volume, &weighted, &keys, true, theta,
-                )?
-            })
-        } else if let Some((win, panes)) = window {
-            with_counter_type!(counter, Est, {
-                run_windowed_timed::<K, Est<K>>(lattice, config, win, panes, batch, &keys, theta)
-            })
-        } else {
-            with_counter_type!(counter, Est, {
-                run_rhhh_timed::<K, Est<K>>(lattice, config, volume, batch, &weighted, &keys, theta)
-            })
-        };
-    } else {
-        let kind = algo_kind(algo_name, counter)?;
-        if counter != CounterKind::default() && !matches!(kind, AlgoKind::Rhhh { .. }) {
-            return Err("--counter supports rhhh/10-rhhh only".into());
+                .map(|p| (K::of(p), u64::from(p.wire_len)))
+                .collect();
+            Input::Weighted(&weighted)
         }
-        let mut algo = kind.build(lattice.clone(), epsilon, 0xC11);
-        let keys: Vec<K> = packets.iter().map(&key_of).collect();
-        let start = Instant::now();
-        for &k in &keys {
-            algo.insert(k);
+        Source::Packets(packets) => {
+            keys = packets.iter().map(K::of).collect();
+            Input::Unit(&keys)
         }
-        elapsed = start.elapsed().as_secs_f64();
-        total = algo.packets();
-        output = algo.query(theta);
-    }
+        Source::Pcap { blocks, .. } => Input::Wire(blocks, request.volume),
+    };
+    let theta = request.theta;
+    let outcome = match request.algo {
+        AlgoKind::Rhhh { v_scale, counter } => {
+            let config = rhhh_config(v_scale, request.epsilon, SEED);
+            run_rhhh(lattice, config, counter, request.deploy, &input, theta)?
+        }
+        kind => {
+            let baseline = kind.build(lattice.clone(), request.epsilon, SEED);
+            run(baseline, &input, theta)?
+        }
+    };
 
-    if let Some((win, panes)) = window {
-        let unit = if volume { "bytes" } else { "packets" };
+    if let Source::Pcap { path, records, .. } = source {
+        let (non_ipv4, truncated) = outcome.skipped;
+        println!(
+            "# pcap {path}: {} IPv4 frames of {records} records ({non_ipv4} non-IPv4, \
+             {truncated} truncated skipped)",
+            outcome.packets
+        );
+    }
+    let (mut output, total, note) = outcome.answer.read(theta, request.volume);
+    let unit = if request.volume { "bytes" } else { "packets" };
+    if let Some((win, panes)) = request.deploy.window {
         println!(
             "# sliding window: {total} {unit} covered ({panes}-pane ring over W={win} packets, \
              pane={} packets)",
             win.div_ceil(panes as u64)
         );
     }
-    print_report(
-        lattice,
-        output,
-        filter_prefix,
-        algo_name,
-        packets.len(),
-        total,
-        elapsed,
-        theta,
-        epsilon,
-        volume,
-        top,
-        note,
-    );
-    Ok(())
-}
-
-/// Filters, sorts and prints the HHH table — shared by the struct-fed and
-/// wire-fed analysis paths.
-#[allow(clippy::too_many_arguments)]
-fn print_report<K: KeyBits>(
-    lattice: &Lattice<K>,
-    mut output: Vec<HeavyHitter<K>>,
-    filter: Option<hhh_hierarchy::Prefix<K>>,
-    algo_name: &str,
-    stream_len: usize,
-    total: u64,
-    elapsed: f64,
-    theta: f64,
-    epsilon: f64,
-    volume: bool,
-    top: usize,
-    note: Option<String>,
-) {
     if let Some(filter) = filter {
         output.retain(|h| filter.generalizes(&h.prefix, lattice));
     }
     output.sort_by(|a, b| b.freq_upper.total_cmp(&a.freq_upper));
-    let unit = if volume { "bytes" } else { "packets" };
     println!(
-        "# {} on {} packets ({total} {unit}), theta={theta}, epsilon={epsilon}, {:.2}s ({:.2} Mpps)",
-        algo_name,
-        stream_len,
-        elapsed,
-        stream_len as f64 / elapsed / 1e6,
+        "# {} on {} packets ({total} {unit}), theta={theta}, epsilon={}, {:.2}s ({:.2} Mpps)",
+        request.algo.label(),
+        outcome.packets,
+        request.epsilon,
+        outcome.elapsed,
+        outcome.packets as f64 / outcome.elapsed / 1e6,
     );
     if let Some(note) = note {
         println!("{note}");
@@ -805,7 +806,7 @@ fn print_report<K: KeyBits>(
         "{:<46} {:>14} {:>14} {:>8}",
         "prefix", "lower", "upper", "share"
     );
-    for h in output.iter().take(top) {
+    for h in output.iter().take(request.top) {
         println!(
             "{:<46} {:>14.0} {:>14.0} {:>7.2}%",
             h.prefix.display(lattice),
@@ -814,97 +815,12 @@ fn print_report<K: KeyBits>(
             100.0 * h.freq_upper / total as f64
         );
     }
-}
-
-/// The zero-copy pcap analysis: every block resolves to key lanes through
-/// [`WireBlockView`] and feeds `update_batch_wire` — no `Packet` structs
-/// exist anywhere on the hot path, and the clock covers parse + sketch
-/// together (the quantity the `wire_ingest` benchmark gates).
-#[allow(clippy::too_many_arguments)]
-fn run_wire_analysis(
-    blocks: &[FrameBlock],
-    records: u64,
-    algo_name: &str,
-    epsilon: f64,
-    theta: f64,
-    volume: bool,
-    counter: CounterKind,
-    top: usize,
-    filter: Option<&str>,
-) -> Result<(), String> {
-    let lattice = Lattice::ipv4_src_dst_bytes();
-    let filter_prefix = filter
-        .map(|f| {
-            lattice
-                .parse_prefix(f)
-                .map_err(|e| format!("--filter: {e}"))
-        })
-        .transpose()?;
-    let config = RhhhConfig {
-        epsilon_a: epsilon,
-        epsilon_s: epsilon,
-        delta_s: 0.001,
-        v_scale: if algo_name == "10-rhhh" { 10 } else { 1 },
-        updates_per_packet: 1,
-        seed: 0xC11,
-    };
-    let (output, frames, skipped, total, elapsed, note) = with_counter_type!(counter, Est, {
-        let mut algo = Rhhh::<u64, Est<u64>>::new(lattice.clone(), config);
-        let mut frames = 0u64;
-        let mut non_ipv4 = 0u64;
-        let mut truncated = 0u64;
-        let start = Instant::now();
-        for block in blocks {
-            let view = WireBlockView::new(block);
-            if volume {
-                view.ingest_weighted(&mut algo);
-            } else {
-                view.ingest(&mut algo);
-            }
-            frames += view.len() as u64;
-            non_ipv4 += view.skipped_non_ipv4();
-            truncated += view.skipped_truncated();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let total = if volume {
-            algo.total_weight()
-        } else {
-            algo.packets()
-        };
-        let (output, note) = answer_of(&algo, theta);
-        (output, frames, (non_ipv4, truncated), total, elapsed, note)
-    });
-    println!(
-        "# wire ingest: {frames} IPv4 frames of {records} records sketched from raw bytes \
-         ({} non-IPv4, {} truncated skipped)",
-        skipped.0, skipped.1
-    );
-    print_report(
-        &lattice,
-        output,
-        filter_prefix,
-        &format!("{algo_name}(wire)"),
-        frames as usize,
-        total,
-        elapsed,
-        theta,
-        epsilon,
-        volume,
-        top,
-        note,
-    );
     Ok(())
 }
 
 /// `rhhh speed` — quick Mpps comparison of all algorithms.
 pub fn speed(argv: &[String]) -> i32 {
-    match speed_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
+    exit_code(speed_inner(argv))
 }
 
 fn speed_inner(argv: &[String]) -> Result<(), String> {
@@ -923,123 +839,56 @@ fn speed_inner(argv: &[String]) -> Result<(), String> {
     let config = preset(flags.get("preset").unwrap_or("chicago16"))?;
     let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
     let epsilon = flags.fraction("epsilon", 0.001)?;
-    let hierarchy = flags.get("hierarchy").unwrap_or("2d-bytes");
     let batch = flags.switch("batch");
     let counter = counter_kind(&flags)?;
     let shards = shards_flag(&flags)?;
     let data = TraceGenerator::new(&config).take_packets(packets);
 
-    println!(
-        "# {} packets of {}, epsilon={epsilon}",
-        packets, config.name
-    );
+    println!("# {packets} packets of {}, epsilon={epsilon}", config.name);
     println!("{:<26} {:>10}", "algorithm", "Mpps");
-    match hierarchy {
-        "2d-bytes" => {
-            let keys: Vec<u64> = data.iter().map(Packet::key2).collect();
-            speed_table(
-                &Lattice::ipv4_src_dst_bytes(),
-                &keys,
-                epsilon,
-                batch,
-                counter,
-                shards,
-            );
-        }
-        "1d-bytes" => {
-            let keys: Vec<u32> = data.iter().map(Packet::key1).collect();
-            speed_table(
-                &Lattice::ipv4_src_bytes(),
-                &keys,
-                epsilon,
-                batch,
-                counter,
-                shards,
-            );
-        }
-        "1d-bits" => {
-            let keys: Vec<u32> = data.iter().map(Packet::key1).collect();
-            speed_table(
-                &Lattice::ipv4_src_bits(),
-                &keys,
-                epsilon,
-                batch,
-                counter,
-                shards,
-            );
-        }
-        other => return Err(format!("unknown hierarchy `{other}`")),
-    }
-    Ok(())
-}
-
-/// Measures the shard-parallel pipeline end to end (feed + drain + merge),
-/// monomorphized over the selected counter kind.
-fn measure_sharded_mpps<K: KeyBits>(
-    counter: CounterKind,
-    lattice: &Lattice<K>,
-    keys: &[K],
-    epsilon: f64,
-    v_scale: u64,
-    shards: usize,
-) -> f64 {
-    let config = RhhhConfig {
-        epsilon_a: epsilon,
-        epsilon_s: epsilon,
-        delta_s: 0.001,
-        v_scale,
-        updates_per_packet: 1,
-        seed: 1,
-    };
-    let (_, total, elapsed, _) = with_counter_type!(counter, Est, {
-        run_fleet_timed::<K, Est<K>>(lattice, config, shards, None, false, &[], keys, false, 1.0)
+    with_lattice!(flags.get("hierarchy").unwrap_or("2d-bytes"), lattice, {
+        let keys: Vec<_> = data.iter().map(StreamKey::of).collect();
+        speed_table(&lattice, &keys, epsilon, batch, counter, shards)
     })
-    .expect("healthy pipeline");
-    total as f64 / elapsed / 1e6
 }
 
-fn speed_table<K: KeyBits>(
+fn speed_table<K: StreamKey>(
     lattice: &Lattice<K>,
     keys: &[K],
     epsilon: f64,
     batch: bool,
     counter: CounterKind,
     shards: Option<usize>,
-) {
+) -> Result<(), String> {
     let mut kinds = AlgoKind::roster();
     if counter != CounterKind::default() {
         // A non-default counter adds its RHHH rows next to the roster's,
         // so the layouts read side by side.
-        kinds.push(AlgoKind::Rhhh {
-            v_scale: 1,
-            counter,
-        });
-        kinds.push(AlgoKind::Rhhh {
-            v_scale: 10,
-            counter,
-        });
+        kinds.extend([1, 10].map(|v_scale| AlgoKind::Rhhh { v_scale, counter }));
     }
     for kind in &kinds {
-        let mut algo = kind.build(lattice.clone(), epsilon, 1);
+        let mut algo = kind.build(lattice.clone(), epsilon, SEED);
         let mpps = hhh_eval::measure_mpps(algo.as_mut(), keys);
         println!("{:<26} {:>10.2}", kind.label(), mpps);
     }
-    if batch {
-        for kind in &kinds {
-            let AlgoKind::Rhhh { .. } = kind else {
-                continue;
-            };
-            let mut algo = kind.build(lattice.clone(), epsilon, 1);
+    for kind in &kinds {
+        let &AlgoKind::Rhhh { v_scale, counter } = kind else {
+            continue;
+        };
+        if batch {
+            let mut algo = kind.build(lattice.clone(), epsilon, SEED);
             let mpps = hhh_eval::measure_mpps_batch(algo.as_mut(), keys, BATCH_CHUNK);
             println!("{:<26} {:>10.2}", format!("{}(batch)", kind.label()), mpps);
         }
-    }
-    if let Some(shards) = shards {
-        for kind in &kinds {
-            let AlgoKind::Rhhh { v_scale, counter } = kind else {
-                continue;
+        if let Some(shards) = shards {
+            // The shard pipeline end to end: feed, drain and merge.
+            let config = rhhh_config(v_scale, epsilon, SEED);
+            let deploy = Deploy {
+                shards: Some(shards),
+                ..Deploy::default()
             };
-            let mpps = measure_sharded_mpps(*counter, lattice, keys, epsilon, *v_scale, shards);
+            let fleet = run_rhhh(lattice, config, counter, deploy, &Input::Unit(keys), 1.0)?;
+            let mpps = fleet.packets as f64 / fleet.elapsed / 1e6;
             println!(
                 "{:<26} {:>10.2}",
                 format!("{}(x{shards} shards)", kind.label()),
@@ -1047,6 +896,7 @@ fn speed_table<K: KeyBits>(
             );
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1122,18 +972,49 @@ mod tests {
         assert!(shards_flag(&huge).is_err(), "absurd shard counts rejected");
     }
 
+    /// Runs stream-summary RHHH where `deploy` says over `input`.
+    fn run_2d(
+        config: RhhhConfig,
+        deploy: Deploy,
+        input: &Input<'_, u64>,
+        theta: f64,
+    ) -> Outcome<u64> {
+        let lat = Lattice::ipv4_src_dst_bytes();
+        run_rhhh(
+            &lat,
+            config,
+            CounterKind::StreamSummary,
+            deploy,
+            input,
+            theta,
+        )
+        .expect("healthy run")
+    }
+
+    fn fleet(shards: usize, window: Option<(u64, usize)>) -> Deploy {
+        Deploy {
+            shards: Some(shards),
+            window,
+            live_query: true,
+        }
+    }
+
+    fn window(w: u64, g: usize) -> Deploy {
+        Deploy {
+            window: Some((w, g)),
+            ..Deploy::default()
+        }
+    }
+
     #[test]
     fn sharded_analysis_runs_end_to_end() {
         // A small in-process run through the full --shards path: generate,
         // analyze sharded, find the planted attack in the output table.
         let lat = Lattice::ipv4_src_dst_bytes();
         let config = RhhhConfig {
-            epsilon_a: 0.005,
             epsilon_s: 0.02,
             delta_s: 0.05,
-            v_scale: 1,
-            updates_per_packet: 1,
-            seed: 0xC11,
+            ..rhhh_config(1, 0.005, SEED)
         };
         let trace = preset("chicago16")
             .expect("preset")
@@ -1143,20 +1024,10 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, total, elapsed, _) = run_fleet_timed::<u64, SpaceSaving<u64>>(
-            &lat,
-            config,
-            3,
-            None,
-            false,
-            &[],
-            &keys,
-            true,
-            0.1,
-        )
-        .expect("healthy pipeline");
+        let outcome = run_2d(config, fleet(3, None), &Input::Unit(&keys), 0.1);
+        assert!(outcome.elapsed > 0.0);
+        let (output, total, _) = outcome.answer.read(0.1, false);
         assert_eq!(total, 200_000);
-        assert!(elapsed > 0.0);
         assert!(
             output
                 .iter()
@@ -1171,12 +1042,9 @@ mod tests {
         // shard-parallel pipeline, weight conserved end to end.
         let lat = Lattice::ipv4_src_dst_bytes();
         let config = RhhhConfig {
-            epsilon_a: 0.005,
             epsilon_s: 0.02,
             delta_s: 0.05,
-            v_scale: 1,
-            updates_per_packet: 1,
-            seed: 0xC11,
+            ..rhhh_config(1, 0.005, SEED)
         };
         // Plant a volume-heavy flow: 10% of packets at 1400 B against a
         // 64 B background — ~70% of bytes, no packet-count dominance.
@@ -1198,20 +1066,10 @@ mod tests {
             })
             .collect();
         let volume: u64 = weighted.iter().map(|&(_, w)| w).sum();
-        let (output, total, elapsed, _) = run_fleet_timed::<u64, SpaceSaving<u64>>(
-            &lat,
-            config,
-            3,
-            None,
-            true,
-            &weighted,
-            &[],
-            true,
-            0.3,
-        )
-        .expect("healthy pipeline");
+        let outcome = run_2d(config, fleet(3, None), &Input::Weighted(&weighted), 0.3);
+        assert!(outcome.elapsed > 0.0);
+        let (output, total, _) = outcome.answer.read(0.3, true);
         assert_eq!(total, volume, "sharded volume must be conserved");
-        assert!(elapsed > 0.0);
         assert!(
             output
                 .iter()
@@ -1249,16 +1107,13 @@ mod tests {
     #[test]
     fn windowed_analysis_covers_the_recent_window_only() {
         // Old attack traffic followed by a clean window: the windowed
-        // analysis (batch path, both counter layouts) must answer from the
-        // recent window and drop the aged-out attack.
+        // analysis (both counter layouts) must answer from the recent
+        // window and drop the aged-out attack.
         let lat = Lattice::ipv4_src_dst_bytes();
         let config = RhhhConfig {
-            epsilon_a: 0.005,
             epsilon_s: 0.05,
             delta_s: 0.05,
-            v_scale: 1,
-            updates_per_packet: 1,
-            seed: 0xC11,
+            ..rhhh_config(1, 0.005, SEED)
         };
         let attacked = preset("chicago16")
             .expect("preset")
@@ -1274,52 +1129,46 @@ mod tests {
                 .iter()
                 .map(Packet::key2),
         );
-        for batch in [false, true] {
-            let (output, covered, _, _) = run_windowed_timed::<u64, SpaceSaving<u64>>(
-                &lat, config, 100_000, 4, batch, &keys, 0.1,
-            );
-            assert_eq!(covered, 100_000, "4 panes of 25k cover the window");
-            assert!(
-                !output
-                    .iter()
-                    .any(|h| h.prefix.display(&lat).contains("10.20.0.0/16")),
-                "batch={batch}: attack older than the window must age out"
-            );
-        }
-        // Compact layout, attack inside the window: must be found.
         let attacked_keys: Vec<u64> = TraceGenerator::new(&attacked)
             .take_packets(240_000)
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, covered, _, _) = run_windowed_timed::<u64, CompactSpaceSaving<u64>>(
-            &lat,
-            config,
-            100_000,
-            4,
-            true,
-            &attacked_keys,
-            0.1,
-        );
-        assert_eq!(covered, 100_000);
-        assert!(
-            output
-                .iter()
-                .any(|h| h.prefix.display(&lat).contains("10.20.0.0/16")),
-            "attack inside the window must be reported"
-        );
+        for counter in [CounterKind::StreamSummary, CounterKind::Compact] {
+            let answer = |keys: &[u64]| {
+                let outcome = run_rhhh(
+                    &lat,
+                    config,
+                    counter,
+                    window(100_000, 4),
+                    &Input::Unit(keys),
+                    0.1,
+                )
+                .expect("healthy run");
+                let (output, covered, _) = outcome.answer.read(0.1, false);
+                assert_eq!(covered, 100_000, "4 panes of 25k cover the window");
+                output
+                    .iter()
+                    .any(|h| h.prefix.display(&lat).contains("10.20.0.0/16"))
+            };
+            assert!(
+                !answer(&keys),
+                "{counter:?}: attack older than the window must age out"
+            );
+            assert!(
+                answer(&attacked_keys),
+                "{counter:?}: attack inside the window must be reported"
+            );
+        }
     }
 
     #[test]
     fn windowed_sharded_analysis_runs_end_to_end() {
         let lat = Lattice::ipv4_src_dst_bytes();
         let config = RhhhConfig {
-            epsilon_a: 0.005,
             epsilon_s: 0.05,
             delta_s: 0.05,
-            v_scale: 1,
-            updates_per_packet: 1,
-            seed: 0xC11,
+            ..rhhh_config(1, 0.005, SEED)
         };
         let attacked = preset("chicago16")
             .expect("preset")
@@ -1329,20 +1178,15 @@ mod tests {
             .iter()
             .map(Packet::key2)
             .collect();
-        let (output, covered, elapsed, _) = run_fleet_timed::<u64, SpaceSaving<u64>>(
-            &lat,
+        let outcome = run_2d(
             config,
-            3,
-            Some((100_000, 4)),
-            false,
-            &[],
-            &keys,
-            true,
+            fleet(3, Some((100_000, 4))),
+            &Input::Unit(&keys),
             0.1,
-        )
-        .expect("healthy pipeline");
+        );
+        assert!(outcome.elapsed > 0.0);
+        let (output, covered, _) = outcome.answer.read(0.1, false);
         assert_eq!(covered, 100_000);
-        assert!(elapsed > 0.0);
         assert!(
             output
                 .iter()
@@ -1356,66 +1200,81 @@ mod tests {
     }
 
     #[test]
-    fn window_volume_runs_on_the_fleet_only() {
-        // The fleet takes a weighted feed into packet-count panes.
-        analyze_inner(&argv(&[
-            "--packets",
-            "60000",
-            "--shards",
-            "2",
-            "--window",
-            "20000",
-            "--volume",
-        ]))
-        .expect("--shards --window --volume runs");
-        // The single-thread window has no weighted feed: a typed error.
-        let err =
-            analyze_inner(&argv(&["--packets", "100", "--window", "50", "--volume"])).unwrap_err();
-        assert!(
-            err.contains("--shards") && err.contains("--volume"),
-            "{err}"
-        );
+    fn window_volume_runs_inline_and_on_the_fleet() {
+        // Both windows take a weighted feed into packet-count panes. ε is
+        // loose so the inline window passes its debug-build ψ check.
+        for shards in [None, Some("2")] {
+            let mut args = vec![
+                "--packets",
+                "60000",
+                "--epsilon",
+                "0.5",
+                "--window",
+                "20000",
+                "--volume",
+            ];
+            args.extend(shards.map(|n| ["--shards", n]).into_iter().flatten());
+            analyze_inner(&argv(&args)).expect("--window --volume runs");
+        }
+    }
+
+    /// The convergence note of a stream-summary RHHH run over `keys` in
+    /// each deployment: inline, a 4-pane window over `window` packets, and
+    /// a two-shard fleet.
+    fn notes(config: RhhhConfig, keys: &[u64], window_len: u64) -> Vec<Option<String>> {
+        [Deploy::default(), window(window_len, 4), fleet(2, None)]
+            .into_iter()
+            .map(|deploy| {
+                run_2d(config, deploy, &Input::Unit(keys), 0.1)
+                    .answer
+                    .read(0.1, false)
+                    .2
+            })
+            .collect()
     }
 
     #[test]
     fn short_run_is_reported_unconverged() {
-        // 10-RHHH at ε = 0.005 needs ψ ≈ 8e7 packets; 20k are far short.
-        let lat = Lattice::ipv4_src_dst_bytes();
-        let config = RhhhConfig {
-            epsilon_a: 0.005,
-            epsilon_s: 0.005,
-            delta_s: 0.001,
-            v_scale: 10,
-            updates_per_packet: 1,
-            seed: 0xC11,
-        };
         let keys: Vec<u64> = (0..20_000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
             .collect();
-        let (_, _, _, note) =
-            run_rhhh_timed::<u64, SpaceSaving<u64>>(&lat, config, false, true, &[], &keys, 0.1);
-        let note = note.expect("N ≤ ψ must be reported");
-        assert!(note.starts_with("# UNCONVERGED (N/ψ = 0.0"), "{note}");
+        // Inline and fleet: 10-RHHH at ε = 0.005 needs ψ ≈ 8e7 packets;
+        // 20k are far short.
+        let tight = rhhh_config(10, 0.005, SEED);
+        let lat = Lattice::ipv4_src_dst_bytes();
+        for deploy in [Deploy::default(), fleet(2, None)] {
+            let outcome = run_rhhh(
+                &lat,
+                tight,
+                CounterKind::StreamSummary,
+                deploy,
+                &Input::Unit(&keys),
+                0.1,
+            )
+            .expect("healthy run");
+            let note = outcome.answer.read(0.1, false).2;
+            let note = note.expect("N ≤ ψ must be reported");
+            assert!(note.starts_with("# UNCONVERGED (N/ψ = 0.0"), "{note}");
+        }
+        // Every deployment, at ε = 0.5 (10-RHHH: ψ ≈ 3.3k, below the
+        // 20k window the debug build checks): 1,000 packets are short.
+        for note in notes(rhhh_config(10, 0.5, SEED), &keys[..1_000], 20_000) {
+            let note = note.expect("N ≤ ψ must be reported");
+            assert!(note.starts_with("# UNCONVERGED (N/ψ = "), "{note}");
+        }
     }
 
     #[test]
     fn run_past_psi_is_not_reported_unconverged() {
-        // ε_s = 0.5 puts ψ near 330 packets; 20k are well past it.
-        let lat = Lattice::ipv4_src_dst_bytes();
-        let config = RhhhConfig {
-            epsilon_a: 0.5,
-            epsilon_s: 0.5,
-            delta_s: 0.001,
-            v_scale: 1,
-            updates_per_packet: 1,
-            seed: 0xC11,
-        };
+        // ε = 0.5 puts ψ near 330 packets (RHHH) or 3.3k (10-RHHH); 20k
+        // packets, and a 10k window, are well past it.
         let keys: Vec<u64> = (0..20_000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
             .collect();
-        let (_, _, _, note) =
-            run_rhhh_timed::<u64, SpaceSaving<u64>>(&lat, config, false, true, &[], &keys, 0.1);
-        assert_eq!(note, None);
+        for v_scale in [1, 10] {
+            let config = rhhh_config(v_scale, 0.5, SEED);
+            assert_eq!(notes(config, &keys, 10_000), [None, None, None]);
+        }
     }
 
     #[test]
@@ -1425,14 +1284,6 @@ mod tests {
         let err = analyze_inner(&argv(&["--scenario", "ddos-ramp", "--preset", "chicago16"]))
             .unwrap_err();
         assert!(err.contains("one input source"), "{err}");
-    }
-
-    #[test]
-    fn pcap_rejects_window() {
-        // Validated before the file is touched, so no fixture needed.
-        let err =
-            analyze_inner(&argv(&["--pcap", "missing.pcap", "--window", "1000"])).unwrap_err();
-        assert!(err.contains("--window"), "{err}");
     }
 
     #[test]
@@ -1446,8 +1297,9 @@ mod tests {
 
     #[test]
     fn pcap_wire_and_materialized_paths_run_end_to_end() {
-        // generate --scenario → .pcap → analyze --pcap through both the
-        // zero-copy wire fast path and the struct-materializing fallback.
+        // generate --scenario → .pcap → analyze --pcap: the zero-copy wire
+        // feed (inline 2D RHHH) and the keys every other deployment, the
+        // 1D hierarchy and the baselines resolve from the same blocks.
         let dir = std::env::temp_dir().join(format!("rhhh-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let pcap = dir.join("ramp.pcap");
@@ -1461,28 +1313,33 @@ mod tests {
             path,
         ]))
         .expect("generate pcap");
-        // Wire fast path: 2d-bytes + rhhh + --batch, with a filter.
+        // Wire feed with a filter.
         analyze_inner(&argv(&[
             "--pcap",
             path,
-            "--batch",
             "--theta",
             "0.05",
             "--filter",
             "8.8.8.8/32,*",
         ]))
         .expect("wire-plane analyze");
-        // Fallback: 1d hierarchy materializes structs from the same blocks.
-        analyze_inner(&argv(&[
-            "--pcap",
-            path,
-            "--batch",
-            "--hierarchy",
-            "1d-bytes",
-            "--theta",
-            "0.05",
-        ]))
-        .expect("materialized analyze");
+        // Every deployment × window × lane × hierarchy; ε is loose so the
+        // inline window passes its debug-build ψ check.
+        for hierarchy in ["2d-bytes", "1d-bytes"] {
+            for shards in [None, Some("2")] {
+                for window in [None, Some("10000")] {
+                    for volume in [false, true] {
+                        let mut args = vec!["--pcap", path, "--epsilon", "0.5"];
+                        args.extend(["--hierarchy", hierarchy]);
+                        args.extend(shards.map(|n| ["--shards", n]).into_iter().flatten());
+                        args.extend(window.map(|w| ["--window", w]).into_iter().flatten());
+                        args.extend(volume.then_some("--volume"));
+                        analyze_inner(&argv(&args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+                    }
+                }
+            }
+        }
+        analyze_inner(&argv(&["--pcap", path, "--algorithm", "mst"])).expect("baseline");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1498,6 +1355,28 @@ mod tests {
         }
         let err = generate_inner(&argv(&["--out", "x.trc", "--window", "10"])).unwrap_err();
         assert!(err.contains("--window"), "{err}");
+        // Every RHHH deployment feeds slices, so analyze has no --batch.
+        let err = analyze_inner(&argv(&["--preset", "chicago16", "--batch"])).unwrap_err();
+        assert!(err.contains("--batch"), "{err}");
+        // The algorithm name is parsed before anything runs.
+        let bogus = ["--packets", "20000", "--algorithm", "rhhhbogus"];
+        let err = analyze_inner(&argv(&bogus)).unwrap_err();
+        assert_eq!(err, "unknown algorithm `rhhhbogus`");
+    }
+
+    #[test]
+    fn baselines_reject_rhhh_only_flags() {
+        for extra in [
+            &["--volume"][..],
+            &["--shards", "2"],
+            &["--window", "1000"],
+            &["--counter", "compact"],
+        ] {
+            let mut args = vec!["--packets", "100", "--algorithm", "mst"];
+            args.extend(extra);
+            let err = analyze_inner(&argv(&args)).unwrap_err();
+            assert_eq!(err, format!("{} supports rhhh/10-rhhh only", extra[0]));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! rhhh generate --preset chicago16 --packets 1000000 --out trace.trc
 //! rhhh generate --scenario ddos-ramp --packets 1000000 --out ramp.pcap
 //! rhhh analyze  --trace trace.trc --algorithm rhhh --hierarchy 2d-bytes --theta 0.03
-//! rhhh analyze  --pcap ramp.pcap --algorithm 10-rhhh --batch
+//! rhhh analyze  --pcap ramp.pcap --algorithm 10-rhhh --window 500000 --shards 2
 //! rhhh analyze  --preset sanjose14 --packets 2000000 --volume
 //! rhhh speed    --hierarchy 1d-bits --packets 1000000
 //! ```
@@ -43,18 +43,16 @@ USAGE:
                    | --preset <name> --packets <n>) \\
                   [--algorithm rhhh|10-rhhh|mst|full-ancestry|partial-ancestry] \\
                   [--hierarchy 1d-bytes|1d-bits|2d-bytes] \\
-                  [--counter stream-summary|compact|heap|misra-gries|lossy-counting] \\
-                  [--theta <t>] [--epsilon <e>] [--volume] [--batch] \\
+                  [--counter stream-summary|compact|heap|misra-gries|lossy-counting|chk|dispatch] \\
+                  [--theta <t>] [--epsilon <e>] [--volume] \\
                   [--shards <n>]           (hash-partition across n worker threads) \\
                   [--window <w> [--panes <g>]]  (sliding window: last w packets, g-pane ring) \\
                   [--top <k>] [--filter <prefix>]   (e.g. --filter 10.0.0.0/8,*)
     rhhh speed    [--hierarchy <h>] [--packets <n>] [--preset <name>] [--batch] \\
                   [--counter <kind>] [--shards <n>] [--epsilon <e>]
 
---pcap feeds the zero-copy wire plane (raw frame bytes straight into the
-sketch) when the analysis is 2d-bytes + rhhh/10-rhhh + --batch without
---shards; other combinations materialize packet structs first. --window
-needs a materialized trace and composes with --shards. ε (--epsilon) and
+--volume, --shards, --window and --counter apply to rhhh/10-rhhh; they
+compose with each other and with every input source. ε (--epsilon) and
 θ (--theta) must lie in (0, 1]; unknown flags are errors.
 
 PRESETS:   chicago15 chicago16 sanjose13 sanjose14

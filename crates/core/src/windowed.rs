@@ -13,9 +13,9 @@
 //! `⌈W/G⌉` packets:
 //!
 //! * the **active** pane absorbs updates — through the scalar path or the
-//!   geometric-skip [`Rhhh::update_batch`] path (batches that straddle a
-//!   pane boundary are split at the boundary, so pane attribution is
-//!   exact);
+//!   geometric-skip [`Rhhh::update_batch`] / [`Rhhh::update_batch_weighted`]
+//!   paths (batches that straddle a pane boundary are split at the
+//!   boundary, so pane attribution is exact);
 //! * every `⌈W/G⌉` packets the ring **rotates**: the active pane joins the
 //!   completed set, the oldest completed pane beyond `G` is dropped, and a
 //!   fresh pane (fresh deterministic seed) starts absorbing;
@@ -290,15 +290,29 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
     /// feeding one straddling batch is bit-identical to feeding the
     /// boundary-aligned sub-batches separately.
     pub fn update_batch(&mut self, keys: &[K]) {
-        let mut rest = keys;
+        self.feed(keys, Rhhh::update_batch);
+    }
+
+    /// Processes a slice of packets each carrying `weight` units (e.g.
+    /// bytes) — the volume feed. Selection stays per packet, and pane
+    /// boundaries count packets, not weight, splitting straddling batches
+    /// exactly as [`WindowedRhhh::update_batch`] does.
+    pub fn update_batch_weighted(&mut self, packets: &[(K, u64)]) {
+        self.feed(packets, Rhhh::update_batch_weighted);
+    }
+
+    /// Splits `items` at every pane boundary it straddles and hands each
+    /// piece to the active pane through `update`.
+    fn feed<T>(&mut self, items: &[T], update: impl Fn(&mut Rhhh<K, E>, &[T])) {
+        let mut rest = items;
         while !rest.is_empty() {
             let room = self.pane_len - HhhAlgorithm::packets(self.ring.active());
-            let take = (rest.len() as u64).min(room) as usize;
-            self.ring.active_mut().update_batch(&rest[..take]);
+            let (piece, later) = rest.split_at((rest.len() as u64).min(room) as usize);
+            update(self.ring.active_mut(), piece);
             if HhhAlgorithm::packets(self.ring.active()) >= self.pane_len {
                 self.rotate();
             }
-            rest = &rest[take..];
+            rest = later;
         }
     }
 
@@ -390,12 +404,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
     #[must_use]
     pub fn current_view(&self) -> FrozenRhhh<K> {
         Rhhh::merged_view(&[self.ring.active()])
-    }
-
-    /// HHHs of the in-progress pane (partial; noisier early in the pane).
-    #[must_use]
-    pub fn query_current(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        self.ring.active().output(theta)
     }
 }
 

@@ -10,9 +10,9 @@
 //! * **Batch/scalar differential equivalence across pane boundaries** —
 //!   a batch straddling pane boundaries is bit-identical to feeding the
 //!   boundary-aligned sub-batches (the split is exact, both counter
-//!   layouts), and the batch feed matches the scalar feed structurally
-//!   (same boundaries) and statistically (same selection law, same
-//!   planted-HHH recall).
+//!   layouts, unit and weighted feeds), and the batch feed matches the
+//!   scalar feed structurally (same boundaries) and statistically (same
+//!   selection law, same planted-HHH recall).
 //! * **Query-coverage sandwich** — on random, Zipf-tailed and
 //!   phase-change streams, every windowed estimate stays within the
 //!   *summed per-pane* Space Saving + sampling bounds of an exact oracle
@@ -177,6 +177,8 @@ fn assert_bit_identical<E: FrequencyEstimator<u64> + Clone>(
 ) {
     assert_eq!(a.panes_completed(), b.panes_completed());
     assert_eq!(a.current_fill(), b.current_fill());
+    let weight = |w: &WindowedRhhh<u64, E>| w.merged_window().map(|m| m.total_weight());
+    assert_eq!(weight(a), weight(b), "covered weight diverged");
     let (oa, ob) = (a.query_fresh(0.05), b.query_fresh(0.05));
     match (oa, ob) {
         (None, None) => {}
@@ -190,7 +192,7 @@ fn assert_bit_identical<E: FrequencyEstimator<u64> + Clone>(
         }
         _ => panic!("one side has a window, the other does not"),
     }
-    let (ca, cb) = (a.query_current(0.05), b.query_current(0.05));
+    let (ca, cb) = (a.current_view().output(0.05), b.current_view().output(0.05));
     assert_eq!(ca.len(), cb.len(), "active panes diverged");
     for (p, q) in ca.iter().zip(&cb) {
         assert_eq!(p.prefix, q.prefix);
@@ -201,12 +203,28 @@ fn assert_bit_identical<E: FrequencyEstimator<u64> + Clone>(
 /// A batch straddling pane boundaries must be *bit-identical* to feeding
 /// the boundary-aligned sub-batches separately: the internal split is
 /// exact, so both sides hand the same sub-slices to the same panes and the
-/// RNG streams walk in lockstep.
-fn check_straddling_batch_splits_exactly<E: FrequencyEstimator<u64> + Clone>(v_scale: u64) {
+/// RNG streams walk in lockstep. `weighted` runs the volume feed, whose
+/// panes still turn over by packet count.
+fn check_straddling_batch_splits_exactly<E: FrequencyEstimator<u64> + Clone>(
+    v_scale: u64,
+    weighted: bool,
+) {
     let lat = Lattice::ipv4_src_dst_bytes();
     let (window, panes) = (160_000u64, 4usize);
     let pane_len = window / panes as u64; // 40k
-    let keys = zipf_stream(330_000, 21);
+    let mut rng = Lcg(22);
+    let packets: Vec<(u64, u64)> = zipf_stream(330_000, 21)
+        .into_iter()
+        .map(|k| (k, 64 + rng.next() % 1_437))
+        .collect();
+    let keys: Vec<u64> = packets.iter().map(|&(k, _)| k).collect();
+    let feed = |w: &mut WindowedRhhh<u64, E>, range: std::ops::Range<usize>| {
+        if weighted {
+            w.update_batch_weighted(&packets[range]);
+        } else {
+            w.update_batch(&keys[range]);
+        }
+    };
     // ε_s loose enough that the 160k window passes ψ even at V = 10H
     // (ψ = 1.96·250/0.06² ≈ 136k).
     let config = RhhhConfig {
@@ -217,26 +235,35 @@ fn check_straddling_batch_splits_exactly<E: FrequencyEstimator<u64> + Clone>(v_s
     let mut straddling = WindowedRhhh::<u64, E>::new(lat.clone(), config, window, panes);
     // Chunks chosen to straddle: 90k crosses two boundaries at once; the
     // rest land mid-pane.
-    for chunk in keys.chunks(90_000) {
-        straddling.update_batch(chunk);
+    for start in (0..keys.len()).step_by(90_000) {
+        feed(&mut straddling, start..keys.len().min(start + 90_000));
     }
 
     let mut aligned = WindowedRhhh::<u64, E>::new(lat, config, window, panes);
     // The same chunks pre-split by hand at each pane boundary, so no call
     // ever crosses one: the straddling side's internal split must hand the
     // panes exactly these sub-slices, making the two runs bit-identical.
-    for chunk in keys.chunks(90_000) {
-        let mut i = 0usize;
-        while i < chunk.len() {
+    for start in (0..keys.len()).step_by(90_000) {
+        let end = keys.len().min(start + 90_000);
+        let mut i = start;
+        while i < end {
             let fill = (aligned.total_packets() % pane_len) as usize;
-            let take = (pane_len as usize - fill).min(chunk.len() - i);
-            aligned.update_batch(&chunk[i..i + take]);
+            let take = (pane_len as usize - fill).min(end - i);
+            feed(&mut aligned, i..i + take);
             i += take;
         }
     }
 
     assert!(straddling.panes_completed() >= 8, "stream spans many panes");
     assert_bit_identical(&straddling, &aligned);
+    // The covered weight is the fed weight over exactly the covered range.
+    let (start, end) = straddling.covered_range();
+    let fed: u64 = packets[start as usize..end as usize]
+        .iter()
+        .map(|&(_, w)| if weighted { w } else { 1 })
+        .sum();
+    let merged = straddling.merged_window().expect("window complete");
+    assert_eq!(merged.total_weight(), fed);
 }
 
 #[test]
@@ -249,9 +276,12 @@ fn straddling_batches_split_exactly_compact() {
     check_straddling_batch_splitting_both_scales::<CompactSpaceSaving<u64>>();
 }
 
+/// Both scales on the unit feed; the weighted feed shares the pane split,
+/// so one scale pins it.
 fn check_straddling_batch_splitting_both_scales<E: FrequencyEstimator<u64> + Clone>() {
-    check_straddling_batch_splits_exactly::<E>(1);
-    check_straddling_batch_splits_exactly::<E>(10);
+    for (v_scale, weighted) in [(1, false), (10, false), (10, true)] {
+        check_straddling_batch_splits_exactly::<E>(v_scale, weighted);
+    }
 }
 
 /// The batch and scalar feeds realize the same per-packet selection law,

@@ -29,5 +29,6 @@ pub use hhh_core::CounterKind;
 pub use metrics::{accuracy_error_ratio, coverage_error_ratio, false_positive_ratio};
 pub use report::Report;
 pub use runner::{
-    checkpoints, measure_mpps, measure_mpps_batch, quality_sweep, AlgoKind, Args, QualityPoint,
+    checkpoints, measure_mpps, measure_mpps_batch, quality_sweep, rhhh_config, AlgoKind, Args,
+    QualityPoint,
 };

@@ -138,23 +138,29 @@ impl AlgoKind {
         seed: u64,
     ) -> Box<dyn HhhAlgorithm<K>> {
         match self {
-            AlgoKind::Rhhh { v_scale, counter } => counter.build_rhhh(
-                lattice,
-                RhhhConfig {
-                    epsilon_a: epsilon,
-                    epsilon_s: epsilon,
-                    delta_s: 0.001,
-                    v_scale: *v_scale,
-                    updates_per_packet: 1,
-                    seed,
-                },
-            ),
+            AlgoKind::Rhhh { v_scale, counter } => {
+                counter.build_rhhh(lattice, rhhh_config(*v_scale, epsilon, seed))
+            }
             AlgoKind::Mst => Box::new(Mst::<K>::new(lattice, epsilon)),
             AlgoKind::FullAncestry => Box::new(Ancestry::new(lattice, AncestryMode::Full, epsilon)),
             AlgoKind::PartialAncestry => {
                 Box::new(Ancestry::new(lattice, AncestryMode::Partial, epsilon))
             }
         }
+    }
+}
+
+/// The configuration every RHHH roster entry runs: `V = v_scale · H`,
+/// `ε_a = ε_s = epsilon`, `δ_s = 0.001` and one draw per packet.
+#[must_use]
+pub fn rhhh_config(v_scale: u64, epsilon: f64, seed: u64) -> RhhhConfig {
+    RhhhConfig {
+        epsilon_a: epsilon,
+        epsilon_s: epsilon,
+        delta_s: 0.001,
+        v_scale,
+        updates_per_packet: 1,
+        seed,
     }
 }
 

@@ -51,9 +51,7 @@ pub mod wire;
 pub use datapath::{Datapath, DatapathStats, DataplaneMonitor};
 pub use flow_table::{Action, FlowKey, MegaflowTable, MicroflowCache};
 pub use handoff::{HandoffStats, SpawnError, SpawnOptions};
-pub use monitor::{
-    AlgoMonitor, BatchingMonitor, CompactBatchingMonitor, DynBatchingMonitor, NoOpMonitor,
-};
+pub use monitor::{AlgoMonitor, BatchingMonitor, NoOpMonitor};
 pub use packet::{build_udp_frame, EthernetFrame, Ipv4View, ParseError, UdpView};
 pub use sharded::{shard_of, ShardSnapshot, ShardedMonitor};
 pub use wire::WireBlockView;

@@ -1,8 +1,7 @@
 //! Monitor adapters: plug any HHH algorithm into the datapath hook.
 
-use hhh_core::{CounterKind, HhhAlgorithm, Rhhh, RhhhConfig};
-use hhh_counters::{CompactSpaceSaving, SpaceSaving};
-use hhh_hierarchy::Lattice;
+use hhh_core::{HhhAlgorithm, Rhhh};
+use hhh_counters::SpaceSaving;
 
 use crate::datapath::DataplaneMonitor;
 
@@ -71,9 +70,6 @@ pub struct BatchingMonitor<A: HhhAlgorithm<u64> = Rhhh<u64, SpaceSaving<u64>>> {
     algo: A,
     buf: Vec<u64>,
     batch: usize,
-    /// Overrides the derived `label()` (used when the algorithm's own name
-    /// cannot distinguish the configuration, e.g. runtime counter kinds).
-    label: Option<String>,
 }
 
 impl<A: HhhAlgorithm<u64>> BatchingMonitor<A> {
@@ -89,7 +85,6 @@ impl<A: HhhAlgorithm<u64>> BatchingMonitor<A> {
             algo,
             buf: Vec::with_capacity(batch),
             batch,
-            label: None,
         }
     }
 
@@ -125,47 +120,7 @@ impl<A: HhhAlgorithm<u64>> DataplaneMonitor for BatchingMonitor<A> {
     }
 
     fn label(&self) -> String {
-        self.label
-            .clone()
-            .unwrap_or_else(|| format!("{}(batch)", self.algo.name()))
-    }
-}
-
-/// [`BatchingMonitor`] over the cache-packed flat-arena counter — the
-/// highest-throughput monitor configuration this workspace offers.
-pub type CompactBatchingMonitor = BatchingMonitor<Rhhh<u64, CompactSpaceSaving<u64>>>;
-
-/// The type-erased [`BatchingMonitor`]: the per-node counter layout is
-/// selected at runtime via [`CounterKind`] (e.g. from deployment
-/// configuration) instead of at the type level. Build with
-/// [`DynBatchingMonitor::with_counter`].
-pub type DynBatchingMonitor = BatchingMonitor<Box<dyn HhhAlgorithm<u64>>>;
-
-impl DynBatchingMonitor {
-    /// Builds a batching RHHH monitor over `lattice` with `kind` counters,
-    /// flushing every `batch` packets. The label carries the counter kind
-    /// (`"10-RHHH[compact](batch)"`-style, non-default kinds only) so rows
-    /// for different kinds stay distinguishable in reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch` is zero.
-    #[must_use]
-    pub fn with_counter(
-        kind: CounterKind,
-        lattice: Lattice<u64>,
-        config: RhhhConfig,
-        batch: usize,
-    ) -> Self {
-        let mut monitor = Self::new(kind.build_rhhh(lattice, config), batch);
-        let base = monitor.algo.name();
-        let tag = if kind == CounterKind::default() {
-            String::new()
-        } else {
-            format!("[{}]", kind.label())
-        };
-        monitor.label = Some(format!("{base}{tag}(batch)"));
-        monitor
+        format!("{}(batch)", self.algo.name())
     }
 }
 
@@ -174,7 +129,7 @@ mod tests {
     use super::*;
     use crate::datapath::Datapath;
     use crate::packet::build_udp_frame;
-    use hhh_core::{Rhhh, RhhhConfig};
+    use hhh_core::{CounterKind, Rhhh, RhhhConfig};
     use hhh_hierarchy::Lattice;
 
     #[test]
@@ -239,30 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn dyn_batching_monitor_labels_carry_the_counter_kind() {
-        let lat = Lattice::ipv4_src_dst_bytes();
-        let labels: Vec<String> = CounterKind::roster()
-            .iter()
-            .map(|&kind| {
-                DynBatchingMonitor::with_counter(kind, lat.clone(), RhhhConfig::ten_rhhh(), 64)
-                    .label()
-            })
-            .collect();
-        assert_eq!(labels[0], "10-RHHH(batch)");
-        assert!(labels.contains(&"10-RHHH[compact](batch)".to_string()));
-        let distinct: std::collections::HashSet<&String> = labels.iter().collect();
-        assert_eq!(distinct.len(), labels.len(), "label collision: {labels:?}");
-    }
-
-    #[test]
     fn dyn_batching_monitor_selects_counter_at_runtime() {
         let lat = Lattice::ipv4_src_dst_bytes();
         for kind in CounterKind::roster() {
-            let mut dp = Datapath::new(DynBatchingMonitor::with_counter(
-                kind,
-                lat.clone(),
-                RhhhConfig::default(),
-                256,
+            let mut dp = Datapath::new(BatchingMonitor::new(
+                kind.build_rhhh(lat.clone(), RhhhConfig::default()),
+                64,
             ));
             let frame = build_udp_frame(
                 u32::from_be_bytes([10, 20, 1, 1]),
@@ -278,19 +215,6 @@ mod tests {
             assert_eq!(algo.packets(), 3_000, "{}", kind.label());
             assert!(!algo.query(0.5).is_empty(), "{}", kind.label());
         }
-    }
-
-    #[test]
-    fn compact_batching_monitor_is_a_batching_monitor() {
-        let lat = Lattice::ipv4_src_dst_bytes();
-        let algo =
-            Rhhh::<u64, hhh_counters::CompactSpaceSaving<u64>>::new(lat, RhhhConfig::ten_rhhh());
-        let mut m: super::CompactBatchingMonitor = BatchingMonitor::new(algo, 128);
-        for i in 0..1_000u64 {
-            m.on_packet(i % 16);
-        }
-        let algo = m.into_algorithm();
-        assert_eq!(algo.packets(), 1_000);
     }
 
     #[test]

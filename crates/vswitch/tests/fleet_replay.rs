@@ -141,15 +141,19 @@ fn inline(case: &Case) -> Rhhh<u64> {
     algo
 }
 
-/// One shard, windowed (unit feed): the single-thread pane ring. Before
-/// its first rotation the ring's answer is its active pane, which is the
-/// flat instance.
+/// One shard, windowed: the single-thread pane ring. Before its first
+/// rotation the ring's answer is its active pane, which is the flat
+/// instance.
 fn inline_windowed(case: &Case) -> Rhhh<u64> {
     let (w, g) = case.window.expect("a windowed case");
     let mut win = WindowedRhhh::<u64>::new(Lattice::ipv4_src_dst_bytes(), case.config(), w, g);
     for part in case.stream().chunks(case.chunk) {
-        let keys: Vec<u64> = part.iter().map(|&(k, _)| k).collect();
-        win.update_batch(&keys);
+        if case.weighted {
+            win.update_batch_weighted(part);
+        } else {
+            let keys: Vec<u64> = part.iter().map(|&(k, _)| k).collect();
+            win.update_batch(&keys);
+        }
     }
     win.merged_window().unwrap_or_else(|| inline(case))
 }
@@ -265,7 +269,7 @@ proptest! {
     }
 
     /// One shard, windowed: `WindowedRhhh::merged_window` at the same
-    /// chunking, across rotations.
+    /// chunking, unit and weighted, across rotations.
     #[test]
     fn one_shard_windowed_fleet_matches_windowed_rhhh(
         seed in any::<u64>(),
@@ -274,11 +278,12 @@ proptest! {
         chunk in 1usize..1_500,
         window in select(vec![600u64, 1_200]),
         panes in 1usize..5,
+        weighted in any::<bool>(),
         v_scale in select(vec![1u64, 10]),
     ) {
         let case = Case {
             seed, packets, shards: 1, batch, chunk, window: Some((window, panes)),
-            weighted: false, v_scale, r: 1,
+            weighted, v_scale, r: 1,
         };
         check(&case, &inline_windowed(&case))?;
     }
