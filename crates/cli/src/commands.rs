@@ -1,5 +1,6 @@
 //! The `generate`, `analyze` and `speed` subcommands.
 
+use std::io::{self, Write};
 use std::net::Ipv4Addr;
 use std::path::Path;
 use std::time::Instant;
@@ -189,7 +190,7 @@ macro_rules! with_lattice {
                 let $lattice = Lattice::ipv4_src_bits();
                 $body
             }
-            other => Err(format!("unknown hierarchy `{other}`")),
+            other => Err(format!("unknown hierarchy `{other}`").into()),
         }
     };
 }
@@ -208,35 +209,60 @@ fn parse_attack(spec: &str) -> Result<AttackConfig, String> {
     })
 }
 
-/// A subcommand's exit status: 0, or 2 after printing its error.
-fn exit_code(result: Result<(), String>) -> i32 {
-    result.map_or_else(
-        |e| {
+/// Why a subcommand stopped before it finished.
+#[derive(Debug)]
+enum Stop {
+    /// Bad flags or input, or output that could not be written.
+    Error(String),
+    /// The reader of stdout went away (`rhhh analyze … | head -3`).
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Self::Error(e)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Self::Closed
+        } else {
+            Self::Error(format!("writing output: {e}"))
+        }
+    }
+}
+
+/// A subcommand's exit status: 0, also when stdout was closed early since
+/// nobody is left to read the rest, or 2 after printing its error.
+fn exit_code(result: Result<(), Stop>) -> i32 {
+    match result {
+        Ok(()) | Err(Stop::Closed) => 0,
+        Err(Stop::Error(e)) => {
             eprintln!("error: {e}");
             2
-        },
-        |()| 0,
-    )
+        }
+    }
 }
 
 /// `rhhh generate` — materialize a trace file.
 pub fn generate(argv: &[String]) -> i32 {
-    exit_code(generate_inner(argv))
+    exit_code(generate_inner(argv, &mut io::stdout().lock()))
 }
 
-fn generate_inner(argv: &[String]) -> Result<(), String> {
+fn generate_inner(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let flags = Flags::parse(
         argv,
         &["packets", "out", "scenario", "preset", "attack"],
         &[],
     )?;
     let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
-    let out = flags.require("out")?;
+    let path = flags.require("out")?;
     let (data, source) = if let Some(name) = flags.get("scenario") {
         if flags.get("preset").is_some() || flags.get("attack").is_some() {
-            return Err(
-                "--scenario replaces --preset/--attack (scenarios script their own mix)".into(),
-            );
+            let e = "--scenario replaces --preset/--attack (scenarios script their own mix)";
+            return Err(Stop::Error(e.into()));
         }
         let kind = ScenarioKind::parse(name)?;
         let data = ScenarioGenerator::new(&ScenarioConfig::new(kind)).take_packets(packets);
@@ -252,19 +278,19 @@ fn generate_inner(argv: &[String]) -> Result<(), String> {
     // `.pcap` destinations get raw canonical frames — the input the
     // zero-copy `analyze --pcap` plane consumes; anything else gets the
     // compact struct trace format.
-    let written = if out.ends_with(".pcap") {
-        hhh_traces::write_pcap(Path::new(out), &data)
+    let written = if path.ends_with(".pcap") {
+        hhh_traces::write_pcap(Path::new(path), &data)
     } else {
-        write_trace(Path::new(out), &data)
+        write_trace(Path::new(path), &data)
     }
-    .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {written} packets ({source}) to {out}");
+    .map_err(|e| format!("writing {path}: {e}"))?;
+    writeln!(out, "wrote {written} packets ({source}) to {path}")?;
     Ok(())
 }
 
 /// `rhhh analyze` — run an algorithm over a trace and print the HHH table.
 pub fn analyze(argv: &[String]) -> i32 {
-    exit_code(analyze_inner(argv))
+    exit_code(analyze_inner(argv, &mut io::stdout().lock()))
 }
 
 /// Where RHHH runs: one inline instance, a pane-ring window, or a shard
@@ -386,7 +412,7 @@ fn load_source(flags: &Flags) -> Result<Source, String> {
     }))
 }
 
-fn analyze_inner(argv: &[String]) -> Result<(), String> {
+fn analyze_inner(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let flags = Flags::parse(
         argv,
         &[
@@ -411,7 +437,7 @@ fn analyze_inner(argv: &[String]) -> Result<(), String> {
     let request = Request::parse(&flags)?;
     let source = load_source(&flags)?;
     with_lattice!(request.hierarchy.as_str(), lattice, {
-        analyze_on(&lattice, &request, &source)
+        analyze_on(&lattice, &request, &source, out)
     })
 }
 
@@ -515,8 +541,11 @@ trait Deployment<K: StreamKey> {
         false
     }
 
-    /// Runs between feed and finish, off the clock.
-    fn report(&mut self, _theta: f64) {}
+    /// Runs between feed and finish, off the clock; returns a line for
+    /// the report.
+    fn report(&mut self, _theta: f64) -> Option<String> {
+        None
+    }
 
     /// Drains and merges whatever is in flight.
     fn finish(self) -> Result<Answer<K>, String>;
@@ -577,11 +606,11 @@ impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fl
 
     /// Publishes fresh snapshots, waits (bounded) until they cover what
     /// the answer should (every packet fed, or the last G completed panes
-    /// of a window), and prints the live query's answer size, coverage and
-    /// latency — while the workers keep running.
-    fn report(&mut self, theta: f64) {
+    /// of a window), and reports the live query's answer size, coverage
+    /// and latency — while the workers keep running.
+    fn report(&mut self, theta: f64) -> Option<String> {
         if !self.deploy.live_query {
-            return;
+            return None;
         }
         let mon = &mut self.mon;
         mon.publish_now();
@@ -600,10 +629,10 @@ impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fl
         let hhhs = mon.query(theta).len();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let covered = mon.query_coverage();
-        println!(
+        Some(format!(
             "# live snapshot query: {hhhs} HHHs over {covered}/{fed} packets in {ms:.3} ms \
              (workers not joined)"
-        );
+        ))
     }
 
     fn finish(self) -> Result<Answer<K>, String> {
@@ -633,6 +662,8 @@ struct Outcome<K: KeyBits> {
     packets: usize,
     /// Non-IPv4 and truncated frames a pcap skipped.
     skipped: (u64, u64),
+    /// The deployment's report line, taken between feed and finish.
+    report: Option<String>,
     /// Seconds spent feeding, draining and merging.
     elapsed: f64,
 }
@@ -684,13 +715,14 @@ fn run<K: StreamKey, D: Deployment<K>>(
         }
     }
     let fed = start.elapsed();
-    deployment.report(theta);
+    let report = deployment.report(theta);
     let drain = Instant::now();
     let answer = deployment.finish()?;
     Ok(Outcome {
         answer,
         packets,
         skipped,
+        report,
         elapsed: (fed + drain.elapsed()).as_secs_f64(),
     })
 }
@@ -726,13 +758,14 @@ fn run_rhhh<K: StreamKey>(
     })
 }
 
-/// Runs the request over `source` with `lattice`'s key type and prints
-/// the HHH table.
+/// Runs the request over `source` with `lattice`'s key type and writes
+/// the HHH table to `out`.
 fn analyze_on<K: StreamKey>(
     lattice: &Lattice<K>,
     request: &Request,
     source: &Source,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let filter = match request.filter.as_deref() {
         Some(f) => Some(
             lattice
@@ -770,60 +803,68 @@ fn analyze_on<K: StreamKey>(
         }
     };
 
+    if let Some(line) = &outcome.report {
+        writeln!(out, "{line}")?;
+    }
     if let Source::Pcap { path, records, .. } = source {
         let (non_ipv4, truncated) = outcome.skipped;
-        println!(
+        writeln!(
+            out,
             "# pcap {path}: {} IPv4 frames of {records} records ({non_ipv4} non-IPv4, \
              {truncated} truncated skipped)",
             outcome.packets
-        );
+        )?;
     }
     let (mut output, total, note) = outcome.answer.read(theta, request.volume);
     let unit = if request.volume { "bytes" } else { "packets" };
     if let Some((win, panes)) = request.deploy.window {
-        println!(
+        writeln!(
+            out,
             "# sliding window: {total} {unit} covered ({panes}-pane ring over W={win} packets, \
              pane={} packets)",
             win.div_ceil(panes as u64)
-        );
+        )?;
     }
     if let Some(filter) = filter {
         output.retain(|h| filter.generalizes(&h.prefix, lattice));
     }
     output.sort_by(|a, b| b.freq_upper.total_cmp(&a.freq_upper));
-    println!(
+    writeln!(
+        out,
         "# {} on {} packets ({total} {unit}), theta={theta}, epsilon={}, {:.2}s ({:.2} Mpps)",
         request.algo.label(),
         outcome.packets,
         request.epsilon,
         outcome.elapsed,
         outcome.packets as f64 / outcome.elapsed / 1e6,
-    );
+    )?;
     if let Some(note) = note {
-        println!("{note}");
+        writeln!(out, "{note}")?;
     }
-    println!(
+    writeln!(
+        out,
         "{:<46} {:>14} {:>14} {:>8}",
         "prefix", "lower", "upper", "share"
-    );
+    )?;
     for h in output.iter().take(request.top) {
-        println!(
+        writeln!(
+            out,
             "{:<46} {:>14.0} {:>14.0} {:>7.2}%",
             h.prefix.display(lattice),
             h.freq_lower,
             h.freq_upper,
             100.0 * h.freq_upper / total as f64
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `rhhh speed` — quick Mpps comparison of all algorithms.
 pub fn speed(argv: &[String]) -> i32 {
-    exit_code(speed_inner(argv))
+    exit_code(speed_inner(argv, &mut io::stdout().lock()))
 }
 
-fn speed_inner(argv: &[String]) -> Result<(), String> {
+fn speed_inner(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let flags = Flags::parse(
         argv,
         &[
@@ -844,11 +885,15 @@ fn speed_inner(argv: &[String]) -> Result<(), String> {
     let shards = shards_flag(&flags)?;
     let data = TraceGenerator::new(&config).take_packets(packets);
 
-    println!("# {packets} packets of {}, epsilon={epsilon}", config.name);
-    println!("{:<26} {:>10}", "algorithm", "Mpps");
+    writeln!(
+        out,
+        "# {packets} packets of {}, epsilon={epsilon}",
+        config.name
+    )?;
+    writeln!(out, "{:<26} {:>10}", "algorithm", "Mpps")?;
     with_lattice!(flags.get("hierarchy").unwrap_or("2d-bytes"), lattice, {
         let keys: Vec<_> = data.iter().map(StreamKey::of).collect();
-        speed_table(&lattice, &keys, epsilon, batch, counter, shards)
+        speed_table(&lattice, &keys, epsilon, batch, counter, shards, out)
     })
 }
 
@@ -859,7 +904,8 @@ fn speed_table<K: StreamKey>(
     batch: bool,
     counter: CounterKind,
     shards: Option<usize>,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let mut kinds = AlgoKind::roster();
     if counter != CounterKind::default() {
         // A non-default counter adds its RHHH rows next to the roster's,
@@ -869,7 +915,7 @@ fn speed_table<K: StreamKey>(
     for kind in &kinds {
         let mut algo = kind.build(lattice.clone(), epsilon, SEED);
         let mpps = hhh_eval::measure_mpps(algo.as_mut(), keys);
-        println!("{:<26} {:>10.2}", kind.label(), mpps);
+        writeln!(out, "{:<26} {:>10.2}", kind.label(), mpps)?;
     }
     for kind in &kinds {
         let &AlgoKind::Rhhh { v_scale, counter } = kind else {
@@ -878,7 +924,12 @@ fn speed_table<K: StreamKey>(
         if batch {
             let mut algo = kind.build(lattice.clone(), epsilon, SEED);
             let mpps = hhh_eval::measure_mpps_batch(algo.as_mut(), keys, BATCH_CHUNK);
-            println!("{:<26} {:>10.2}", format!("{}(batch)", kind.label()), mpps);
+            writeln!(
+                out,
+                "{:<26} {:>10.2}",
+                format!("{}(batch)", kind.label()),
+                mpps
+            )?;
         }
         if let Some(shards) = shards {
             // The shard pipeline end to end: feed, drain and merge.
@@ -889,11 +940,12 @@ fn speed_table<K: StreamKey>(
             };
             let fleet = run_rhhh(lattice, config, counter, deploy, &Input::Unit(keys), 1.0)?;
             let mpps = fleet.packets as f64 / fleet.elapsed / 1e6;
-            println!(
+            writeln!(
+                out,
                 "{:<26} {:>10.2}",
                 format!("{}(x{shards} shards)", kind.label()),
                 mpps
-            );
+            )?;
         }
     }
     Ok(())
@@ -1199,10 +1251,57 @@ mod tests {
         parts.iter().map(ToString::to_string).collect()
     }
 
+    type Subcommand = fn(&[String], &mut dyn Write) -> Result<(), Stop>;
+
+    /// Runs a subcommand with its output discarded; `Err` carries the
+    /// message of an exit-2 error.
+    fn quiet(run: Subcommand, args: &[&str]) -> Result<(), String> {
+        match run(&argv(args), &mut io::sink()) {
+            Ok(()) => Ok(()),
+            Err(Stop::Error(e)) => Err(e),
+            Err(Stop::Closed) => unreachable!("a sink never closes"),
+        }
+    }
+
+    /// Takes one line, then fails every write the way a pipe whose reader
+    /// has exited does.
+    struct ClosesAfterOneLine {
+        open: bool,
+    }
+
+    impl Write for ClosesAfterOneLine {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.open {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    self.open = false;
+                    Ok(i + 1)
+                }
+                None => Ok(buf.len()),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn closed_stdout_stops_with_exit_zero() {
+        for run in [analyze_inner, speed_inner] as [Subcommand; 2] {
+            let mut out = ClosesAfterOneLine { open: true };
+            let result = run(&argv(&["--packets", "20000"]), &mut out);
+            assert!(matches!(result, Err(Stop::Closed)), "{result:?}");
+            assert_eq!(exit_code(result), 0);
+        }
+    }
+
     #[test]
     fn window_volume_runs_inline_and_on_the_fleet() {
         // Both windows take a weighted feed into packet-count panes. ε is
-        // loose so the inline window passes its debug-build ψ check.
+        // loose so the windows converge.
         for shards in [None, Some("2")] {
             let mut args = vec![
                 "--packets",
@@ -1214,7 +1313,7 @@ mod tests {
                 "--volume",
             ];
             args.extend(shards.map(|n| ["--shards", n]).into_iter().flatten());
-            analyze_inner(&argv(&args)).expect("--window --volume runs");
+            quiet(analyze_inner, &args).expect("--window --volume runs");
         }
     }
 
@@ -1256,8 +1355,8 @@ mod tests {
             let note = note.expect("N ≤ ψ must be reported");
             assert!(note.starts_with("# UNCONVERGED (N/ψ = 0.0"), "{note}");
         }
-        // Every deployment, at ε = 0.5 (10-RHHH: ψ ≈ 3.3k, below the
-        // 20k window the debug build checks): 1,000 packets are short.
+        // Every deployment, at ε = 0.5 (10-RHHH: ψ ≈ 3.3k, below the 20k
+        // window): 1,000 packets are short.
         for note in notes(rhhh_config(10, 0.5, SEED), &keys[..1_000], 20_000) {
             let note = note.expect("N ≤ ψ must be reported");
             assert!(note.starts_with("# UNCONVERGED (N/ψ = "), "{note}");
@@ -1279,10 +1378,13 @@ mod tests {
 
     #[test]
     fn analyze_rejects_conflicting_sources() {
-        let err = analyze_inner(&argv(&["--pcap", "x.pcap", "--trace", "y.trc"])).unwrap_err();
+        let err = quiet(analyze_inner, &["--pcap", "x.pcap", "--trace", "y.trc"]).unwrap_err();
         assert!(err.contains("one input source"), "{err}");
-        let err = analyze_inner(&argv(&["--scenario", "ddos-ramp", "--preset", "chicago16"]))
-            .unwrap_err();
+        let err = quiet(
+            analyze_inner,
+            &["--scenario", "ddos-ramp", "--preset", "chicago16"],
+        )
+        .unwrap_err();
         assert!(err.contains("one input source"), "{err}");
     }
 
@@ -1291,7 +1393,7 @@ mod tests {
         for kind in ScenarioKind::all() {
             assert_eq!(ScenarioKind::parse(kind.name()), Ok(kind));
         }
-        let err = analyze_inner(&argv(&["--scenario", "nope"])).unwrap_err();
+        let err = quiet(analyze_inner, &["--scenario", "nope"]).unwrap_err();
         assert!(err.contains("nope"), "{err}");
     }
 
@@ -1304,27 +1406,33 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let pcap = dir.join("ramp.pcap");
         let path = pcap.to_str().expect("utf-8 path");
-        generate_inner(&argv(&[
-            "--scenario",
-            "ddos-ramp",
-            "--packets",
-            "30000",
-            "--out",
-            path,
-        ]))
+        quiet(
+            generate_inner,
+            &[
+                "--scenario",
+                "ddos-ramp",
+                "--packets",
+                "30000",
+                "--out",
+                path,
+            ],
+        )
         .expect("generate pcap");
         // Wire feed with a filter.
-        analyze_inner(&argv(&[
-            "--pcap",
-            path,
-            "--theta",
-            "0.05",
-            "--filter",
-            "8.8.8.8/32,*",
-        ]))
+        quiet(
+            analyze_inner,
+            &[
+                "--pcap",
+                path,
+                "--theta",
+                "0.05",
+                "--filter",
+                "8.8.8.8/32,*",
+            ],
+        )
         .expect("wire-plane analyze");
         // Every deployment × window × lane × hierarchy; ε is loose so the
-        // inline window passes its debug-build ψ check.
+        // windows converge.
         for hierarchy in ["2d-bytes", "1d-bytes"] {
             for shards in [None, Some("2")] {
                 for window in [None, Some("10000")] {
@@ -1334,33 +1442,33 @@ mod tests {
                         args.extend(shards.map(|n| ["--shards", n]).into_iter().flatten());
                         args.extend(window.map(|w| ["--window", w]).into_iter().flatten());
                         args.extend(volume.then_some("--volume"));
-                        analyze_inner(&argv(&args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+                        quiet(analyze_inner, &args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
                     }
                 }
             }
         }
-        analyze_inner(&argv(&["--pcap", path, "--algorithm", "mst"])).expect("baseline");
+        quiet(analyze_inner, &["--pcap", path, "--algorithm", "mst"]).expect("baseline");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn subcommands_reject_unknown_flags() {
         // A typo must not silently run single-threaded.
-        let err = analyze_inner(&argv(&["--preset", "chicago16", "--shard", "4"])).unwrap_err();
+        let err = quiet(analyze_inner, &["--preset", "chicago16", "--shard", "4"]).unwrap_err();
         assert!(err.contains("--shard"), "{err}");
         // The removed hand-off selector must not silently run the ring.
         for run in [analyze_inner, speed_inner] {
-            let err = run(&argv(&["--shards", "2", "--handoff", "channel"])).unwrap_err();
+            let err = quiet(run, &["--shards", "2", "--handoff", "channel"]).unwrap_err();
             assert!(err.contains("--handoff"), "{err}");
         }
-        let err = generate_inner(&argv(&["--out", "x.trc", "--window", "10"])).unwrap_err();
+        let err = quiet(generate_inner, &["--out", "x.trc", "--window", "10"]).unwrap_err();
         assert!(err.contains("--window"), "{err}");
         // Every RHHH deployment feeds slices, so analyze has no --batch.
-        let err = analyze_inner(&argv(&["--preset", "chicago16", "--batch"])).unwrap_err();
+        let err = quiet(analyze_inner, &["--preset", "chicago16", "--batch"]).unwrap_err();
         assert!(err.contains("--batch"), "{err}");
         // The algorithm name is parsed before anything runs.
         let bogus = ["--packets", "20000", "--algorithm", "rhhhbogus"];
-        let err = analyze_inner(&argv(&bogus)).unwrap_err();
+        let err = quiet(analyze_inner, &bogus).unwrap_err();
         assert_eq!(err, "unknown algorithm `rhhhbogus`");
     }
 
@@ -1374,7 +1482,7 @@ mod tests {
         ] {
             let mut args = vec!["--packets", "100", "--algorithm", "mst"];
             args.extend(extra);
-            let err = analyze_inner(&argv(&args)).unwrap_err();
+            let err = quiet(analyze_inner, &args).unwrap_err();
             assert_eq!(err, format!("{} supports rhhh/10-rhhh only", extra[0]));
         }
     }
@@ -1382,13 +1490,13 @@ mod tests {
     #[test]
     fn epsilon_and_theta_outside_unit_interval_are_errors() {
         for eps in ["0", "1.5", "nan"] {
-            let err = analyze_inner(&argv(&["--epsilon", eps])).unwrap_err();
+            let err = quiet(analyze_inner, &["--epsilon", eps]).unwrap_err();
             assert!(err.contains("--epsilon"), "analyze --epsilon {eps}: {err}");
         }
-        let err = speed_inner(&argv(&["--epsilon", "0"])).unwrap_err();
+        let err = quiet(speed_inner, &["--epsilon", "0"]).unwrap_err();
         assert!(err.contains("--epsilon"), "speed --epsilon 0: {err}");
         for theta in ["0", "nan", "2"] {
-            let err = analyze_inner(&argv(&["--theta", theta])).unwrap_err();
+            let err = quiet(analyze_inner, &["--theta", theta]).unwrap_err();
             assert!(err.contains("--theta"), "analyze --theta {theta}: {err}");
         }
     }
@@ -1396,12 +1504,12 @@ mod tests {
     #[test]
     fn packet_and_row_counts_outside_range_are_errors() {
         for packets in ["1e30", "-5", "nan", "2.5"] {
-            let err = analyze_inner(&argv(&["--packets", packets])).unwrap_err();
+            let err = quiet(analyze_inner, &["--packets", packets]).unwrap_err();
             assert!(
                 err.contains("--packets"),
                 "analyze --packets {packets}: {err}"
             );
-            let err = speed_inner(&argv(&["--packets", packets])).unwrap_err();
+            let err = quiet(speed_inner, &["--packets", packets]).unwrap_err();
             assert!(
                 err.contains("--packets"),
                 "speed --packets {packets}: {err}"
@@ -1414,14 +1522,14 @@ mod tests {
                 "--packets",
                 packets,
             ];
-            let err = generate_inner(&argv(&gen)).unwrap_err();
+            let err = quiet(generate_inner, &gen).unwrap_err();
             assert!(
                 err.contains("--packets"),
                 "generate --packets {packets}: {err}"
             );
         }
         for top in ["-1", "nan", "0.5"] {
-            let err = analyze_inner(&argv(&["--top", top])).unwrap_err();
+            let err = quiet(analyze_inner, &["--top", top]).unwrap_err();
             assert!(err.contains("--top"), "analyze --top {top}: {err}");
         }
     }

@@ -82,7 +82,7 @@ fn phase_stream(n: usize, seed: u64) -> Vec<u64> {
 }
 
 /// ψ ≈ 1.96·25/4e-4 ≈ 122.5k for the 2D lattice at `v_scale = 1` — every
-/// window below is at least 160k so the debug ψ check binds honestly.
+/// window below is at least 160k, so its answers are past ψ.
 fn test_config(v_scale: u64, seed: u64) -> RhhhConfig {
     RhhhConfig {
         epsilon_a: 0.005,

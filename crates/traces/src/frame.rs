@@ -5,8 +5,8 @@
 //! block read delivers them. Two producers fill blocks:
 //!
 //! * the pcap reader's block mode ([`crate::PcapReader::read_block`]),
-//!   which copies record bodies straight from the file into the buffer,
-//!   and
+//!   which copies each record body once, out of the reader's read window
+//!   into the buffer, and
 //! * the trace generators (via [`FrameBlock::push_packet`]), which emit
 //!   the canonical 64-byte synthetic frame — the paper's OVS evaluation
 //!   feeds 64-byte MoonGen frames, and fixing the stride gives the wire
@@ -249,45 +249,13 @@ impl FrameBlock {
     ///
     /// Panics if the block would exceed `u32::MAX` bytes.
     pub fn push_frame(&mut self, frame: &[u8], orig_len: u32) {
-        self.push_frame_with::<std::convert::Infallible>(frame.len(), orig_len, |buf| {
-            buf.copy_from_slice(frame);
-            Ok(())
-        })
-        .unwrap_or_else(|e| match e {});
-    }
-
-    /// Appends a frame of `incl_len` bytes whose body is produced by
-    /// `fill` writing into the reserved tail slice — lets the pcap reader
-    /// `read_exact` straight into the block without a bounce buffer. On
-    /// error the reservation is rolled back and the block is unchanged.
-    ///
-    /// Clears the clean flag: externally sourced bytes are never trusted.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever `fill` returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block would exceed `u32::MAX` bytes.
-    pub fn push_frame_with<E>(
-        &mut self,
-        incl_len: usize,
-        orig_len: u32,
-        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
-    ) -> Result<(), E> {
         let start = self.data.len();
-        u32::try_from(start + incl_len).expect("frame block exceeds 4 GiB");
-        self.data.resize(start + incl_len, 0);
-        if let Err(e) = fill(&mut self.data[start..]) {
-            self.data.truncate(start);
-            return Err(e);
-        }
+        u32::try_from(start + frame.len()).expect("frame block exceeds 4 GiB");
+        self.data.extend_from_slice(frame);
         self.offsets.push(start as u32);
         self.wire.push(orig_len);
         self.clean = false;
-        self.uniform = self.uniform && incl_len == GEN_FRAME_LEN;
-        Ok(())
+        self.uniform = self.uniform && frame.len() == GEN_FRAME_LEN;
     }
 }
 
@@ -356,17 +324,6 @@ mod tests {
         block.clear();
         assert!(block.is_clean());
         assert!(block.is_empty());
-    }
-
-    #[test]
-    fn push_frame_with_rolls_back_on_error() {
-        let mut block = FrameBlock::new();
-        block.push_frame(&[1u8; 10], 10);
-        let before = block.data().len();
-        let r: Result<(), &str> = block.push_frame_with(20, 20, |_| Err("boom"));
-        assert!(r.is_err());
-        assert_eq!(block.len(), 1);
-        assert_eq!(block.data().len(), before);
     }
 
     #[test]

@@ -7,9 +7,20 @@
 //! either endianness), with Ethernet (DLT 1) link type and IPv4 payloads;
 //! non-IPv4 records are skipped, not errors — exactly how the paper's
 //! tooling treats the UDP/TCP/ICMP mix.
+//!
+//! The reader owns one byte window over the file: a 64 KiB buffer with an
+//! unread range `pos..end`, refilled by moving the unread tail to the
+//! front and reading behind it. Record headers are parsed in place and a
+//! record's body is handed out as a slice of the window, so a record costs
+//! one copy out of the window (into a [`FrameBlock`], or none at all for
+//! [`PcapReader::next_packet`]). A record longer than the window grows
+//! the window to fit it. A file that ends 1–3 bytes into a record header
+//! ends cleanly; a header or body cut any later is `UnexpectedEof`.
 
+use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::frame::{classify_frame, emit_canonical_frame, FrameBlock, FrameClass};
@@ -19,11 +30,23 @@ const MAGIC_USEC: u32 = 0xA1B2_C3D4;
 const MAGIC_NSEC: u32 = 0xA1B2_3C4D;
 /// Link type for Ethernet.
 const DLT_EN10MB: u32 = 1;
+/// Bytes of the global file header.
+const FILE_HEADER: usize = 24;
+/// Bytes of a record header: ts_sec, ts_frac, incl_len, orig_len.
+const RECORD_HEADER: usize = 16;
+/// Longest record body accepted; anything longer is corrupt input.
+const MAX_RECORD: usize = 256 * 1024;
+/// Size of the read window.
+const WINDOW: usize = 64 * 1024;
 
 /// Streaming pcap reader yielding [`Packet`] records for IPv4 frames.
-#[derive(Debug)]
 pub struct PcapReader {
-    inner: BufReader<File>,
+    file: File,
+    /// The read window; `buf[pos..end]` is read from the file but not yet
+    /// consumed.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
     /// Whether multi-byte header fields are byte-swapped relative to host.
     swapped: bool,
     /// Records read so far (including skipped non-IPv4).
@@ -36,19 +59,45 @@ pub struct PcapReader {
     skipped_truncated: u64,
 }
 
+impl fmt::Debug for PcapReader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PcapReader")
+            .field("buffered", &(self.end - self.pos))
+            .field("swapped", &self.swapped)
+            .field("records", &self.records)
+            .field("skipped_non_ipv4", &self.skipped_non_ipv4)
+            .field("skipped_truncated", &self.skipped_truncated)
+            .finish_non_exhaustive()
+    }
+}
+
 impl PcapReader {
     /// Opens a pcap file and validates its global header.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on bad magic or non-Ethernet link type; I/O errors
-    /// propagate.
+    /// `InvalidData` on bad magic or non-Ethernet link type,
+    /// `UnexpectedEof` on a file shorter than the global header; I/O
+    /// errors propagate.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut inner = BufReader::new(File::open(path)?);
-        let mut header = [0u8; 24];
-        inner.read_exact(&mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let swapped = match magic {
+        let mut reader = Self {
+            file: File::open(path)?,
+            buf: vec![0; WINDOW],
+            pos: 0,
+            end: 0,
+            swapped: false,
+            records: 0,
+            skipped_non_ipv4: 0,
+            skipped_truncated: 0,
+        };
+        if reader.fill(FILE_HEADER)? < FILE_HEADER {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "pcap file shorter than its global header",
+            ));
+        }
+        let magic = reader.field(0);
+        reader.swapped = match magic {
             MAGIC_USEC | MAGIC_NSEC => false,
             m if m.swap_bytes() == MAGIC_USEC || m.swap_bytes() == MAGIC_NSEC => true,
             _ => {
@@ -58,28 +107,15 @@ impl PcapReader {
                 ))
             }
         };
-        let read_u32 = |bytes: &[u8]| -> u32 {
-            let v = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-            if swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let linktype = read_u32(&header[20..24]);
+        let linktype = reader.field(20);
         if linktype != DLT_EN10MB {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unsupported pcap link type {linktype} (want Ethernet)"),
             ));
         }
-        Ok(Self {
-            inner,
-            swapped,
-            records: 0,
-            skipped_non_ipv4: 0,
-            skipped_truncated: 0,
-        })
+        reader.pos = FILE_HEADER;
+        Ok(reader)
     }
 
     /// Records skipped because they were not IPv4-over-Ethernet (the sum
@@ -109,16 +145,74 @@ impl PcapReader {
         self.records
     }
 
-    fn read_u32(&mut self) -> io::Result<Option<u32>> {
-        let mut buf = [0u8; 4];
-        match self.inner.read_exact(&mut buf) {
-            Ok(()) => {
-                let v = u32::from_le_bytes(buf);
-                Ok(Some(if self.swapped { v.swap_bytes() } else { v }))
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(e),
+    /// The 4-byte header field at `offset` past `pos`, in host order.
+    fn field(&self, offset: usize) -> u32 {
+        let at = self.pos + offset;
+        let v = u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("4 bytes"));
+        if self.swapped {
+            v.swap_bytes()
+        } else {
+            v
         }
+    }
+
+    /// Refills the window until `want` unread bytes are buffered or the
+    /// file ends, first moving the unread tail to the front and growing
+    /// the window if it is shorter than `want`. Returns the bytes
+    /// buffered, which is less than `want` only at end of file.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, want: usize) -> io::Result<usize> {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        while self.end < want {
+            match self.file.read(&mut self.buf[self.end..]) {
+                Ok(0) => break,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self.end)
+    }
+
+    /// Consumes the next record: its body's range in the window and its
+    /// `orig_len`, or `None` at a clean end of file.
+    ///
+    /// A file that ends with 1–3 bytes after the last record ends cleanly,
+    /// as a 4-byte `ts_sec` read that hits end of file always has; a record
+    /// header or body cut anywhere later is `UnexpectedEof`.
+    #[inline]
+    fn next_record(&mut self) -> io::Result<Option<(Range<usize>, u32)>> {
+        if self.end - self.pos < RECORD_HEADER {
+            let buffered = self.fill(RECORD_HEADER)?;
+            if buffered < 4 {
+                return Ok(None);
+            }
+            if buffered < RECORD_HEADER {
+                return Err(cut_short());
+            }
+        }
+        let incl_len = self.field(8) as usize;
+        let orig_len = self.field(12);
+        if incl_len > MAX_RECORD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "implausible pcap record length",
+            ));
+        }
+        let len = RECORD_HEADER + incl_len;
+        if self.end - self.pos < len && self.fill(len)? < len {
+            return Err(cut_short());
+        }
+        let body = self.pos + RECORD_HEADER..self.pos + len;
+        self.pos = body.end;
+        self.records += 1;
+        Ok(Some((body, orig_len)))
     }
 
     /// Reads the next IPv4 packet, skipping anything else. `Ok(None)` at
@@ -126,39 +220,26 @@ impl PcapReader {
     ///
     /// # Errors
     ///
-    /// I/O errors and truncated record bodies.
+    /// I/O errors, truncated records and implausible record lengths.
     pub fn next_packet(&mut self) -> io::Result<Option<Packet>> {
-        loop {
-            // Record header: ts_sec, ts_frac, incl_len, orig_len.
-            let Some(_ts_sec) = self.read_u32()? else {
-                return Ok(None);
-            };
-            let _ts_frac = self.read_u32()?.ok_or(io::ErrorKind::UnexpectedEof)?;
-            let incl_len = self.read_u32()?.ok_or(io::ErrorKind::UnexpectedEof)? as usize;
-            let orig_len = self.read_u32()?.ok_or(io::ErrorKind::UnexpectedEof)?;
-            if incl_len > 256 * 1024 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "implausible pcap record length",
-                ));
-            }
-            let mut frame = vec![0u8; incl_len];
-            self.inner.read_exact(&mut frame)?;
-            self.records += 1;
-            if let Some(p) = parse_ipv4_frame(&frame, orig_len) {
+        while let Some((body, orig_len)) = self.next_record()? {
+            let frame = &self.buf[body];
+            if let Some(p) = parse_ipv4_frame(frame, orig_len) {
                 return Ok(Some(p));
             }
-            match classify_frame(&frame) {
+            match classify_frame(frame) {
                 FrameClass::Truncated => self.skipped_truncated += 1,
                 _ => self.skipped_non_ipv4 += 1,
             }
         }
+        Ok(None)
     }
 
     /// Block-read mode: fills `block` (cleared first) with up to
-    /// `max_frames` raw records, copying each body straight from the
-    /// buffered file into the block's contiguous buffer. Returns the
-    /// number of frames read; `Ok(0)` at end of file.
+    /// `max_frames` raw records, copying each body out of the reader's
+    /// window into the block's contiguous buffer. Returns the number of
+    /// frames read; `Ok(0)` at end of file, where 1–3 trailing bytes
+    /// after the last record also count as end of file.
     ///
     /// All records land in the block regardless of content —
     /// classification and skip accounting belong to the parse plane that
@@ -167,28 +248,24 @@ impl PcapReader {
     ///
     /// # Errors
     ///
-    /// I/O errors, truncated record bodies and implausible record
-    /// lengths, as for [`Self::next_packet`].
+    /// I/O errors, truncated records and implausible record lengths, as
+    /// for [`Self::next_packet`]. The frames read before the bad record
+    /// stay in `block`.
     pub fn read_block(&mut self, block: &mut FrameBlock, max_frames: usize) -> io::Result<usize> {
         block.clear();
         while block.len() < max_frames {
-            let Some(_ts_sec) = self.read_u32()? else {
+            let Some((body, orig_len)) = self.next_record()? else {
                 break;
             };
-            let _ts_frac = self.read_u32()?.ok_or(io::ErrorKind::UnexpectedEof)?;
-            let incl_len = self.read_u32()?.ok_or(io::ErrorKind::UnexpectedEof)? as usize;
-            let orig_len = self.read_u32()?.ok_or(io::ErrorKind::UnexpectedEof)?;
-            if incl_len > 256 * 1024 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "implausible pcap record length",
-                ));
-            }
-            block.push_frame_with(incl_len, orig_len, |buf| self.inner.read_exact(buf))?;
-            self.records += 1;
+            block.push_frame(&self.buf[body], orig_len);
         }
         Ok(block.len())
     }
+}
+
+/// A record header or body that the end of the file cut short.
+fn cut_short() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "pcap record cut short")
 }
 
 impl Iterator for PcapReader {

@@ -68,8 +68,8 @@ struct Case {
 }
 
 impl Case {
-    /// `ε_s = 1` keeps ψ below the windows (`WindowedRhhh` checks it in
-    /// debug builds); `ε_a = 0.05` gives 40 counters per node.
+    /// `ε_s = 1` keeps ψ below the windows, so their answers converge;
+    /// `ε_a = 0.05` gives 40 counters per node.
     fn config(&self) -> RhhhConfig {
         RhhhConfig {
             epsilon_a: 0.05,
