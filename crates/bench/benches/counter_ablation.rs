@@ -16,12 +16,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hhh_bench::Workload;
-use hhh_core::{Rhhh, RhhhConfig};
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator,
-    HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
+    MisraGries, SpaceSaving,
 };
-use hhh_hierarchy::Lattice;
 use hhh_traces::{Packet, TraceConfig, TraceGenerator};
 
 const PACKETS: usize = 200_000;
@@ -285,107 +283,5 @@ fn miss_heavy(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR 7 acceptance pair at the monitor level: one warmed dispatched
-/// RHHH against the best *fixed* layout for the same config, measured
-/// with the interleaved-pair protocol so the within-run ratio is immune
-/// to clock drift. The fixed side is the measured PR 6 winner per
-/// regime: `compact` at V = 10H (miss-heavy batch flush), the
-/// stream-summary list at V = H (hit-heavy). During warm-up the
-/// dispatched lattice settles its per-node census, so the measured
-/// window prices steady state, not migrations.
-fn dispatch_vs_fixed(c: &mut Criterion) {
-    const STEADY_PACKETS: usize = 1_000_000;
-    const WARM_CHUNK: usize = 65_536;
-    let quick = std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0");
-    let warm_packets = if quick { 2_000_000 } else { 12_000_000 };
-    let lat = Lattice::ipv4_src_dst_bytes();
-    for v_scale in [1u64, 10] {
-        let group = format!("dispatch-vs-fixed/v{v_scale}");
-        let config = RhhhConfig {
-            epsilon_a: 0.001,
-            epsilon_s: 0.001,
-            delta_s: 0.001,
-            v_scale,
-            updates_per_packet: 1,
-            seed: 0xBE7C,
-        };
-        let mut gen = TraceGenerator::new(&TraceConfig::chicago16());
-        let keys2: Vec<u64> = (0..STEADY_PACKETS).map(|_| gen.generate().key2()).collect();
-        let mut warm_dispatch = Rhhh::<u64, DispatchedEstimator<u64>>::new(lat.clone(), config);
-        let mut warm_list = Rhhh::<u64, SpaceSaving<u64>>::new(lat.clone(), config);
-        let mut warm_compact = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat.clone(), config);
-        hhh_bench::warm_stream(&mut gen, warm_packets, WARM_CHUNK, Packet::key2, |chunk| {
-            warm_dispatch.update_batch(chunk);
-            warm_list.update_batch(chunk);
-            warm_compact.update_batch(chunk);
-        });
-
-        // Per-node chosen-layout census after warm-up (ROADMAP table).
-        let census: Vec<&'static str> = warm_dispatch
-            .node_instances()
-            .iter()
-            .map(FrequencyEstimator::layout_label)
-            .collect();
-        let compact_nodes = census.iter().filter(|l| **l == "compact").count();
-        eprintln!(
-            "dispatch-vs-fixed/v{v_scale} census: {compact_nodes}/{} compact, nodes: {census:?}",
-            census.len()
-        );
-
-        let mut g = c.benchmark_group(&group);
-        g.sample_size(10)
-            .warm_up_time(Duration::from_millis(300))
-            .measurement_time(Duration::from_secs(2))
-            .throughput(Throughput::Elements(keys2.len() as u64));
-        let fixed_label = if v_scale == 10 {
-            "fixed/compact"
-        } else {
-            "fixed/stream-summary"
-        };
-        g.bench_pair_interleaved(
-            "dispatch",
-            |b| {
-                b.iter_batched(
-                    || warm_dispatch.clone(),
-                    |mut algo| {
-                        algo.update_batch(&keys2);
-                        algo
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-            fixed_label,
-            |b| {
-                if v_scale == 10 {
-                    b.iter_batched(
-                        || warm_compact.clone(),
-                        |mut algo| {
-                            algo.update_batch(&keys2);
-                            algo
-                        },
-                        criterion::BatchSize::LargeInput,
-                    );
-                } else {
-                    b.iter_batched(
-                        || warm_list.clone(),
-                        |mut algo| {
-                            algo.update_batch(&keys2);
-                            algo
-                        },
-                        criterion::BatchSize::LargeInput,
-                    );
-                }
-            },
-        );
-        g.finish();
-    }
-}
-
-criterion_group!(
-    ablation,
-    benches,
-    compact_vs_stream_summary,
-    miss_heavy,
-    dispatch_vs_fixed
-);
+criterion_group!(ablation, benches, compact_vs_stream_summary, miss_heavy);
 criterion_main!(ablation);

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hhh_baselines::{Ancestry, AncestryMode, Mst};
 use hhh_bench::Workload;
 use hhh_core::{HhhAlgorithm, Rhhh, RhhhConfig, WindowedRhhh};
-use hhh_counters::{CompactSpaceSaving, DispatchedEstimator, FrequencyEstimator};
+use hhh_counters::CompactSpaceSaving;
 use hhh_hierarchy::{KeyBits, Lattice};
 
 const PACKETS: usize = 200_000;
@@ -177,8 +177,6 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
         let mut warm_list = Rhhh::<u64>::new(lat.clone(), rhhh_config(v_scale));
         let mut warm_compact =
             Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat.clone(), rhhh_config(v_scale));
-        let mut warm_dispatch =
-            Rhhh::<u64, DispatchedEstimator<u64>>::new(lat.clone(), rhhh_config(v_scale));
         hhh_bench::warm_stream(
             &mut gen,
             WARM_PACKETS,
@@ -187,21 +185,7 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
             |chunk| {
                 warm_list.update_batch(chunk);
                 warm_compact.update_batch(chunk);
-                warm_dispatch.update_batch(chunk);
             },
-        );
-
-        // Per-node chosen-layout census after warm-up: which layout each
-        // of the H lattice nodes settled on (the ROADMAP table).
-        let census: Vec<&'static str> = warm_dispatch
-            .node_instances()
-            .iter()
-            .map(FrequencyEstimator::layout_label)
-            .collect();
-        let compact_nodes = census.iter().filter(|l| **l == "compact").count();
-        eprintln!(
-            "{group} dispatch census: {compact_nodes}/{} nodes on compact: {census:?}",
-            census.len()
         );
 
         bench_algo(c, &group, "scalar/stream-summary", &keys2, || {
@@ -234,59 +218,6 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             );
         });
-        g.finish();
-
-        // PR 7 acceptance pair: the dispatched monitor against the
-        // measured best fixed layout for this V (compact at V = 10H,
-        // the stream-summary list at V = H), interleaved so the ratio is
-        // within-run. A longer window than the plain rows: the interleave
-        // needs each of its slices to hold several iterations even for the
-        // ~30 ms V=H rows.
-        let mut g = c.benchmark_group(&group);
-        g.sample_size(10)
-            .warm_up_time(Duration::from_millis(300))
-            .measurement_time(Duration::from_secs(2))
-            .throughput(Throughput::Elements(keys2.len() as u64));
-        let fixed_label = if v_scale == 10 {
-            "paired/compact"
-        } else {
-            "paired/stream-summary"
-        };
-        g.bench_pair_interleaved(
-            "paired/dispatch",
-            |b| {
-                b.iter_batched(
-                    || warm_dispatch.clone(),
-                    |mut algo| {
-                        algo.update_batch(&keys2);
-                        algo
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-            fixed_label,
-            |b| {
-                if v_scale == 10 {
-                    b.iter_batched(
-                        || warm_compact.clone(),
-                        |mut algo| {
-                            algo.update_batch(&keys2);
-                            algo
-                        },
-                        criterion::BatchSize::LargeInput,
-                    );
-                } else {
-                    b.iter_batched(
-                        || warm_list.clone(),
-                        |mut algo| {
-                            algo.update_batch(&keys2);
-                            algo
-                        },
-                        criterion::BatchSize::LargeInput,
-                    );
-                }
-            },
-        );
         g.finish();
     }
 }

@@ -9,8 +9,8 @@ use hhh_core::{
     CounterKind, FrozenRhhh, HeavyHitter, HhhAlgorithm, Rhhh, RhhhConfig, WindowedRhhh,
 };
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator,
-    HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
+    MisraGries, SpaceSaving,
 };
 use hhh_eval::{rhhh_config, AlgoKind};
 use hhh_hierarchy::{KeyBits, Lattice};
@@ -78,6 +78,11 @@ const MAX_PACKETS: u64 = 1 << 32;
 /// Upper bound for `--top`, the number of HHH rows printed.
 const MAX_TOP: u64 = 1 << 32;
 
+/// Upper bound on the counters per lattice node that `--epsilon` may ask
+/// for: every node allocates `counters_for(ε, ε)` of them up front, so a
+/// typo like `1e-9` must fail cleanly instead of reaching the allocator.
+const MAX_COUNTERS: usize = 1 << 17;
+
 /// Default pane count G for `--window` when `--panes` is absent: a good
 /// coverage/cost point per the `window_accuracy` eval (slop W/4, merge
 /// ~4 × per-pane cost, accuracy flat in G).
@@ -86,6 +91,23 @@ const DEFAULT_PANES: usize = 4;
 /// Upper bound for `--panes`: each pane is a full set of counter
 /// instances, and coverage slop shrinks only as 1/G.
 const MAX_PANES: usize = 64;
+
+/// Parses `--epsilon`: a fraction in `(0, 1]` that sizes every lattice
+/// node at no more than [`MAX_COUNTERS`] counters.
+fn epsilon_flag(flags: &Flags, default: f64) -> Result<f64, String> {
+    let epsilon = flags.fraction("epsilon", default)?;
+    let counters = hhh_counters::counters_for(epsilon, epsilon);
+    if counters > MAX_COUNTERS {
+        // ⌈(1 + ε)/ε⌉ ≤ MAX exactly when ε ≥ 1/(MAX − 1).
+        let floor = MAX_COUNTERS - 1;
+        return Err(format!(
+            "--epsilon {epsilon:e} needs {counters} counters per lattice node, more than the \
+             {MAX_COUNTERS} supported; the smallest accepted value is 1/{floor} ≈ {:.4e}",
+            1.0 / floor as f64
+        ));
+    }
+    Ok(epsilon)
+}
 
 /// Parses the optional `--window W [--panes G]` pair. `None` when
 /// `--window` is absent; `--panes` without `--window` is rejected.
@@ -162,10 +184,6 @@ macro_rules! with_counter_type {
             }
             CounterKind::CuckooHeavyKeeper => {
                 type $est<K> = CuckooHeavyKeeper<K>;
-                $body
-            }
-            CounterKind::Dispatch => {
-                type $est<K> = DispatchedEstimator<K>;
                 $body
             }
         }
@@ -325,7 +343,7 @@ impl Request {
             algo: algo_kind(flags.get("algorithm").unwrap_or("rhhh"), counter)?,
             hierarchy: flags.get("hierarchy").unwrap_or("2d-bytes").to_string(),
             theta: flags.fraction("theta", 0.03)?,
-            epsilon: flags.fraction("epsilon", 0.005)?,
+            epsilon: epsilon_flag(flags, 0.005)?,
             volume: flags.switch("volume"),
             deploy: Deploy {
                 shards: shards_flag(flags)?,
@@ -412,28 +430,27 @@ fn load_source(flags: &Flags) -> Result<Source, String> {
     }))
 }
 
+/// The value flags `analyze` accepts; `--volume` is its one switch.
+const ANALYZE_FLAGS: [&str; 15] = [
+    "trace",
+    "pcap",
+    "scenario",
+    "preset",
+    "packets",
+    "algorithm",
+    "hierarchy",
+    "counter",
+    "theta",
+    "epsilon",
+    "shards",
+    "window",
+    "panes",
+    "top",
+    "filter",
+];
+
 fn analyze_inner(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
-    let flags = Flags::parse(
-        argv,
-        &[
-            "trace",
-            "pcap",
-            "scenario",
-            "preset",
-            "packets",
-            "algorithm",
-            "hierarchy",
-            "counter",
-            "theta",
-            "epsilon",
-            "shards",
-            "window",
-            "panes",
-            "top",
-            "filter",
-        ],
-        &["volume"],
-    )?;
+    let flags = Flags::parse(argv, &ANALYZE_FLAGS, &["volume"])?;
     let request = Request::parse(&flags)?;
     let source = load_source(&flags)?;
     with_lattice!(request.hierarchy.as_str(), lattice, {
@@ -864,23 +881,21 @@ pub fn speed(argv: &[String]) -> i32 {
     exit_code(speed_inner(argv, &mut io::stdout().lock()))
 }
 
+/// The value flags `speed` accepts; it has no switches.
+const SPEED_FLAGS: [&str; 6] = [
+    "preset",
+    "packets",
+    "epsilon",
+    "hierarchy",
+    "counter",
+    "shards",
+];
+
 fn speed_inner(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
-    let flags = Flags::parse(
-        argv,
-        &[
-            "preset",
-            "packets",
-            "epsilon",
-            "hierarchy",
-            "counter",
-            "shards",
-        ],
-        &["batch"],
-    )?;
+    let flags = Flags::parse(argv, &SPEED_FLAGS, &[])?;
     let config = preset(flags.get("preset").unwrap_or("chicago16"))?;
     let packets = flags.count("packets", 1_000_000, MAX_PACKETS)? as usize;
-    let epsilon = flags.fraction("epsilon", 0.001)?;
-    let batch = flags.switch("batch");
+    let epsilon = epsilon_flag(&flags, 0.001)?;
     let counter = counter_kind(&flags)?;
     let shards = shards_flag(&flags)?;
     let data = TraceGenerator::new(&config).take_packets(packets);
@@ -893,7 +908,7 @@ fn speed_inner(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     writeln!(out, "{:<26} {:>10}", "algorithm", "Mpps")?;
     with_lattice!(flags.get("hierarchy").unwrap_or("2d-bytes"), lattice, {
         let keys: Vec<_> = data.iter().map(StreamKey::of).collect();
-        speed_table(&lattice, &keys, epsilon, batch, counter, shards, out)
+        speed_table(&lattice, &keys, epsilon, counter, shards, out)
     })
 }
 
@@ -901,7 +916,6 @@ fn speed_table<K: StreamKey>(
     lattice: &Lattice<K>,
     keys: &[K],
     epsilon: f64,
-    batch: bool,
     counter: CounterKind,
     shards: Option<usize>,
     out: &mut dyn Write,
@@ -921,16 +935,14 @@ fn speed_table<K: StreamKey>(
         let &AlgoKind::Rhhh { v_scale, counter } = kind else {
             continue;
         };
-        if batch {
-            let mut algo = kind.build(lattice.clone(), epsilon, SEED);
-            let mpps = hhh_eval::measure_mpps_batch(algo.as_mut(), keys, BATCH_CHUNK);
-            writeln!(
-                out,
-                "{:<26} {:>10.2}",
-                format!("{}(batch)", kind.label()),
-                mpps
-            )?;
-        }
+        let mut algo = kind.build(lattice.clone(), epsilon, SEED);
+        let mpps = hhh_eval::measure_mpps_batch(algo.as_mut(), keys, BATCH_CHUNK);
+        writeln!(
+            out,
+            "{:<26} {:>10.2}",
+            format!("{}(batch)", kind.label()),
+            mpps
+        )?;
         if let Some(shards) = shards {
             // The shard pipeline end to end: feed, drain and merge.
             let config = rhhh_config(v_scale, epsilon, SEED);
@@ -954,6 +966,8 @@ fn speed_table<K: StreamKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn attack_spec_roundtrip() {
@@ -1463,9 +1477,12 @@ mod tests {
         }
         let err = quiet(generate_inner, &["--out", "x.trc", "--window", "10"]).unwrap_err();
         assert!(err.contains("--window"), "{err}");
-        // Every RHHH deployment feeds slices, so analyze has no --batch.
-        let err = quiet(analyze_inner, &["--preset", "chicago16", "--batch"]).unwrap_err();
-        assert!(err.contains("--batch"), "{err}");
+        // Every RHHH deployment feeds slices and speed always prints its
+        // batch rows, so neither has a --batch switch.
+        for run in [analyze_inner, speed_inner] {
+            let err = quiet(run, &["--preset", "chicago16", "--batch"]).unwrap_err();
+            assert!(err.contains("--batch"), "{err}");
+        }
         // The algorithm name is parsed before anything runs.
         let bogus = ["--packets", "20000", "--algorithm", "rhhhbogus"];
         let err = quiet(analyze_inner, &bogus).unwrap_err();
@@ -1495,6 +1512,19 @@ mod tests {
         }
         let err = quiet(speed_inner, &["--epsilon", "0"]).unwrap_err();
         assert!(err.contains("--epsilon"), "speed --epsilon 0: {err}");
+        // The stated floor is accepted and anything below it is not; only
+        // the flag is parsed, since a run there allocates hundreds of MiB.
+        let eps = |value: &str| {
+            let flags = Flags::parse(&["--epsilon".into(), value.into()], &["epsilon"], &[])
+                .expect("parse");
+            epsilon_flag(&flags, 0.5)
+        };
+        let err = eps("7.6e-6").unwrap_err();
+        assert!(
+            err.contains("smallest accepted value is 1/131071 ≈ 7.6295e-6"),
+            "{err}"
+        );
+        assert_eq!(eps("7.6295e-6"), Ok(7.6295e-6));
         for theta in ["0", "nan", "2"] {
             let err = quiet(analyze_inner, &["--theta", theta]).unwrap_err();
             assert!(err.contains("--theta"), "analyze --theta {theta}: {err}");
@@ -1539,18 +1569,131 @@ mod tests {
         let f = Flags::parse(
             &["--counter".to_string(), "compact".to_string()],
             &["counter"],
-            &["batch"],
+            &[],
         )
         .expect("parse");
         assert_eq!(counter_kind(&f), Ok(CounterKind::Compact));
         let none = Flags::parse(&[], &[], &[]).expect("parse");
         assert_eq!(counter_kind(&none), Ok(CounterKind::StreamSummary));
-        let bad = Flags::parse(
-            &["--counter".to_string(), "nope".to_string()],
-            &["counter"],
-            &[],
-        )
-        .expect("parse");
-        assert!(counter_kind(&bad).is_err());
+        for name in ["nope", "dispatch"] {
+            let bad = Flags::parse(
+                &["--counter".to_string(), name.to_string()],
+                &["counter"],
+                &[],
+            )
+            .expect("parse");
+            assert_eq!(
+                counter_kind(&bad),
+                Err(format!(
+                    "unknown counter `{name}` (try stream-summary, compact, heap, misra-gries, \
+                     lossy-counting, chk)"
+                ))
+            );
+        }
+    }
+
+    /// Pieces that arbitrary flag values are spliced from: number, prefix
+    /// and attack-spec syntax, flag and counter names, and odd characters.
+    const PIECES: [&str; 30] = [
+        "--",
+        "-",
+        "0",
+        "1",
+        "9",
+        ".",
+        "e",
+        "E",
+        "+",
+        "inf",
+        "nan",
+        "1e30",
+        "1e-300",
+        "/",
+        ",",
+        "*",
+        "->",
+        "@",
+        "255",
+        "256",
+        "4294967296",
+        "10.0.0.0",
+        "/8",
+        "compact",
+        "dispatch",
+        "window",
+        "epsilon",
+        " ",
+        "\u{0}",
+        "é",
+    ];
+
+    /// An arbitrary string: each of up to 12 parts is a [`PIECES`] entry
+    /// or, half the time, any Unicode scalar value.
+    fn arbitrary_string() -> impl Strategy<Value = String> {
+        vec((0..2 * PIECES.len(), any::<u32>()), 0..12).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(i, c)| match PIECES.get(i) {
+                    Some(piece) => (*piece).to_string(),
+                    None => char::from_u32(c % 0x11_0000).unwrap_or('?').to_string(),
+                })
+                .collect()
+        })
+    }
+
+    /// An arbitrary argument vector: each token is an `analyze` flag name,
+    /// a switch, or an arbitrary string.
+    fn arbitrary_argv() -> impl Strategy<Value = Vec<String>> {
+        let names = ANALYZE_FLAGS.len();
+        vec((0..2 * names + 2, arbitrary_string()), 0..10).prop_map(move |tokens| {
+            tokens
+                .into_iter()
+                .map(|(i, text)| match i {
+                    i if i < names => format!("--{}", ANALYZE_FLAGS[i]),
+                    i if i == names => "--volume".to_string(),
+                    i if i == names + 1 => "--batch".to_string(),
+                    _ => text,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// The flag layer returns `Ok` or `Err` for any argument vector;
+        /// nothing here runs a workload.
+        #[test]
+        fn flag_parsing_never_panics(argv in arbitrary_argv()) {
+            for (values, switches) in [(&ANALYZE_FLAGS[..], &["volume"][..]), (&SPEED_FLAGS, &[])] {
+                if let Ok(flags) = Flags::parse(&argv, values, switches) {
+                    let _ = Request::parse(&flags);
+                    let _ = epsilon_flag(&flags, 0.001);
+                    let _ = flags.count("packets", 1_000_000, MAX_PACKETS);
+                    let _ = counter_kind(&flags);
+                    let _ = window_flags(&flags);
+                    let _ = shards_flag(&flags);
+                }
+            }
+        }
+
+        /// Every value parser returns `Ok` or `Err` for any value.
+        #[test]
+        fn flag_values_never_panic(value in arbitrary_string(), other in arbitrary_string()) {
+            let flags = |args: &[&str]| {
+                let argv: Vec<String> = args.iter().map(ToString::to_string).collect();
+                Flags::parse(&argv, &ANALYZE_FLAGS, &[]).expect("known flags")
+            };
+            let _ = flags(&["--packets", &value]).count("packets", 7, MAX_PACKETS);
+            let _ = flags(&["--top", &value]).count("top", 50, MAX_TOP);
+            let _ = flags(&["--theta", &value]).fraction("theta", 0.03);
+            let _ = epsilon_flag(&flags(&["--epsilon", &value]), 0.005);
+            let _ = counter_kind(&flags(&["--counter", &value]));
+            let _ = shards_flag(&flags(&["--shards", &value]));
+            let _ = window_flags(&flags(&["--window", &value, "--panes", &other]));
+            let _ = window_flags(&flags(&["--panes", &value]));
+            let _ = parse_attack(&value);
+            let _ = Lattice::ipv4_src_dst_bytes().parse_prefix(&value);
+            let _ = Lattice::ipv4_src_bytes().parse_prefix(&other);
+            let _ = Lattice::ipv4_src_bits().parse_prefix(&value);
+        }
     }
 }

@@ -43,17 +43,18 @@ USAGE:
                    | --preset <name> --packets <n>) \\
                   [--algorithm rhhh|10-rhhh|mst|full-ancestry|partial-ancestry] \\
                   [--hierarchy 1d-bytes|1d-bits|2d-bytes] \\
-                  [--counter stream-summary|compact|heap|misra-gries|lossy-counting|chk|dispatch] \\
+                  [--counter stream-summary|compact|heap|misra-gries|lossy-counting|chk] \\
                   [--theta <t>] [--epsilon <e>] [--volume] \\
                   [--shards <n>]           (hash-partition across n worker threads) \\
                   [--window <w> [--panes <g>]]  (sliding window: last w packets, g-pane ring) \\
                   [--top <k>] [--filter <prefix>]   (e.g. --filter 10.0.0.0/8,*)
-    rhhh speed    [--hierarchy <h>] [--packets <n>] [--preset <name>] [--batch] \\
+    rhhh speed    [--hierarchy <h>] [--packets <n>] [--preset <name>] \\
                   [--counter <kind>] [--shards <n>] [--epsilon <e>]
 
 --volume, --shards, --window and --counter apply to rhhh/10-rhhh; they
 compose with each other and with every input source. ε (--epsilon) and
-θ (--theta) must lie in (0, 1]; unknown flags are errors.
+θ (--theta) must lie in (0, 1], and ε at least 1/131071; unknown flags
+are errors.
 
 PRESETS:   chicago15 chicago16 sanjose13 sanjose14
 SCENARIOS: ddos-ramp flash-crowd scan-sweep diurnal-drift multi-tenant"

@@ -56,3 +56,32 @@ fn window_shorter_than_psi_runs_and_is_reported_unconverged() {
         "{stdout}"
     );
 }
+
+/// An ε too small to size the counters is a flag error (exit 2) naming
+/// the smallest accepted value, not a panic or an aborted allocation.
+#[test]
+fn epsilon_below_the_counter_floor_exits_two() {
+    for eps in ["1e-9", "1e-300"] {
+        for args in [
+            &["analyze", "--packets", "20000", "--epsilon", eps][..],
+            &[
+                "analyze",
+                "--packets",
+                "20000",
+                "--algorithm",
+                "mst",
+                "--epsilon",
+                eps,
+            ],
+            &["speed", "--packets", "20000", "--epsilon", eps],
+        ] {
+            let out = rhhh(args).output().expect("run rhhh");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("the smallest accepted value is 1/131071 ≈ 7.6295e-6"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}

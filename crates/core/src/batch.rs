@@ -76,11 +76,6 @@
 //!   of [`crate::radix`]. A weighted group is sorted by masked key and each
 //!   run becomes one [`FrequencyEstimator::add`].
 //!
-//! Each stage can be bracketed by the feature-gated cycle accounting in
-//! [`crate::hot_profile`] (`hot-profile` feature; compiled out by
-//! default), which is how the `hot_path_profile` bench attributes the
-//! batch path's time.
-//!
 //! The bit-identity oracle is test code: `crates/core/tests/batch_props.rs`
 //! re-implements the pre-block walk (per-selection dispatch, raw keys
 //! scattered first and masked per group at flush time) from public API
@@ -113,7 +108,6 @@
 use hhh_counters::FrequencyEstimator;
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
 
-use crate::hot_profile::{ProfTimer, Stage};
 use crate::radix::radix_sort_keys;
 use crate::rhhh::{Rhhh, RhhhConfig};
 use crate::sampling::{FastRng, GeometricSkip};
@@ -225,8 +219,7 @@ impl<K: KeyBits> Lane<K> for (K, u64) {
 }
 
 /// Draws consumed per refill of the selection walk's scratch blocks — the
-/// granularity at which the staged pipeline (and its profile brackets)
-/// operates.
+/// granularity at which the staged pipeline operates.
 const DRAW_BLOCK: usize = 256;
 
 /// Lane width of the masked-key gather: the gather runs in fixed blocks of
@@ -283,14 +276,12 @@ fn for_each_selected_blocks<S>(
         // V = H: every trial is selected; only node choices are needed.
         let mut cur = 0u64;
         while cur < draws {
-            let t = ProfTimer::start();
             let take = ((draws - cur) as usize).min(DRAW_BLOCK);
             rng.fill_block(&mut raw[..take]);
             for j in 0..take {
                 nodes[j] = node_from(raw[j], h, rng);
                 idx[j] = cur + j as u64;
             }
-            t.stop(Stage::Draw);
             on_block(&idx[..take], &nodes[..take]);
             cur += take as u64;
         }
@@ -300,7 +291,6 @@ fn for_each_selected_blocks<S>(
     let inv_p = (v / h).max(1); // expected draws per selection ≈ V/H
     let mut cur = 0u64;
     loop {
-        let t = ProfTimer::start();
         // Size the refill to the expected remaining selections (plus
         // slack) so a tail refill doesn't draw a full block for a handful
         // of survivors.
@@ -349,7 +339,6 @@ fn for_each_selected_blocks<S>(
             m += 1;
             cur += 1;
         }
-        t.stop(Stage::Draw);
         if m > 0 {
             on_block(&idx[..m], &nodes[..m]);
         }
@@ -467,14 +456,10 @@ impl<K: KeyBits> Sampler<K> {
             self.v,
             draws,
             |idx, nodes| {
-                let t = ProfTimer::start();
                 gather_masked(r, idx, nodes, masks, staged, &entry_at);
-                t.stop(Stage::MaskHash);
-                let t = ProfTimer::start();
                 for (&node, &entry) in nodes.iter().zip(staged.iter()) {
                     groups[node as usize].push(entry);
                 }
-                t.stop(Stage::Scatter);
             },
         );
         &mut groups[..h]
@@ -574,26 +559,18 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         added_weight: u64,
         entry_at: impl Fn(usize) -> T,
     ) {
-        let total = ProfTimer::start();
         self.packets += packets as u64;
         self.weight += added_weight;
         let groups = self.sampler.sample(packets, entry_at);
 
         // Flush node by node, so one instance's state stays cache-hot
         // while it drains its group.
-        let t = ProfTimer::start();
         for (instance, group) in self.instances.iter_mut().zip(groups) {
             if group.is_empty() {
                 continue;
             }
-            // Inner bracket feeds the per-layout side table only; the
-            // outer `t` still owns the `Stage::Flush` accounting.
-            let per_node = ProfTimer::start();
             T::flush(instance, group, &mut self.radix);
-            per_node.stop_layout(|| instance.layout_label());
         }
-        t.stop(Stage::Flush);
-        total.stop(Stage::Total);
     }
 }
 

@@ -8,8 +8,7 @@
 //! thread it through to [`Rhhh`] without hard-coding a concrete type.
 
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, HeapSpaceSaving, LossyCounting,
-    MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
 };
 use hhh_hierarchy::{KeyBits, Lattice};
 
@@ -36,21 +35,16 @@ pub enum CounterKind {
     /// decay counts; deterministic deficit bound instead of per-entry
     /// errors.
     CuckooHeavyKeeper,
-    /// Regime-adaptive dispatch: each node picks stream-summary or
-    /// compact by its observed flush miss ratio and migrates once when
-    /// the regime settles.
-    Dispatch,
 }
 
 impl CounterKind {
     /// Every kind, in ablation-roster order (the two production layouts
     /// first).
     #[must_use]
-    pub fn roster() -> [CounterKind; 7] {
+    pub fn roster() -> [CounterKind; 6] {
         [
             CounterKind::StreamSummary,
             CounterKind::Compact,
-            CounterKind::Dispatch,
             CounterKind::Heap,
             CounterKind::MisraGries,
             CounterKind::LossyCounting,
@@ -68,7 +62,6 @@ impl CounterKind {
             CounterKind::MisraGries => "misra-gries",
             CounterKind::LossyCounting => "lossy-counting",
             CounterKind::CuckooHeavyKeeper => "chk",
-            CounterKind::Dispatch => "dispatch",
         }
     }
 
@@ -86,10 +79,9 @@ impl CounterKind {
             "misra-gries" => CounterKind::MisraGries,
             "lossy-counting" => CounterKind::LossyCounting,
             "chk" | "cuckoo-heavy-keeper" => CounterKind::CuckooHeavyKeeper,
-            "dispatch" => CounterKind::Dispatch,
             other => {
                 return Err(format!(
-                    "unknown counter `{other}` (try stream-summary, compact, dispatch, heap, \
+                    "unknown counter `{other}` (try stream-summary, compact, heap, \
                      misra-gries, lossy-counting, chk)"
                 ))
             }
@@ -117,9 +109,6 @@ impl CounterKind {
             }
             CounterKind::CuckooHeavyKeeper => {
                 Box::new(Rhhh::<K, CuckooHeavyKeeper<K>>::new(lattice, config))
-            }
-            CounterKind::Dispatch => {
-                Box::new(Rhhh::<K, DispatchedEstimator<K>>::new(lattice, config))
             }
         }
     }

@@ -60,7 +60,6 @@
 pub mod batch;
 pub mod counter;
 pub mod exact;
-pub mod hot_profile;
 pub mod output;
 pub mod radix;
 pub mod rhhh;

@@ -416,8 +416,8 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     }
 
     /// The per-node counter instances in lattice-node order (diagnostic;
-    /// the dispatch census in the speed benches reads each instance's
-    /// [`FrequencyEstimator::layout_label`] through this).
+    /// the view tests pin each frozen node against its live instance
+    /// through this).
     #[doc(hidden)]
     #[must_use]
     pub fn node_instances(&self) -> &[E] {
@@ -736,8 +736,7 @@ mod tests {
     #[test]
     fn works_with_other_counter_algorithms() {
         use hhh_counters::{
-            CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, HeapSpaceSaving,
-            LossyCounting, MisraGries,
+            CompactSpaceSaving, CuckooHeavyKeeper, HeapSpaceSaving, LossyCounting, MisraGries,
         };
         let mut rng = Lcg(11);
         let mut keys = Vec::new();
@@ -775,7 +774,6 @@ mod tests {
         check!(MisraGries<u32>);
         check!(LossyCounting<u32>);
         check!(CuckooHeavyKeeper<u32>);
-        check!(DispatchedEstimator<u32>);
     }
 
     #[test]

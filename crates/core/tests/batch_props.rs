@@ -552,15 +552,14 @@ fn pin_against_oracle<E: FrequencyEstimator<u64>>(
 }
 
 /// Runs [`pin_against_oracle`] for every counter whose flush hook the
-/// pipeline can reach: the default (stream summary, CHK) and both
-/// overrides (compact, dispatched). Each sorts through the pipeline's radix
+/// pipeline can reach: the default (stream summary, CHK) and the
+/// override (compact). Each sorts through the pipeline's radix
 /// sorter on one side and `sort_unstable` on the other, so this also pins
 /// the "any ascending sorter leaves identical state" hook contract.
 fn pin_all_counters(label: &str, config: RhhhConfig, batches: &[Batch<'_>]) {
-    use hhh_counters::{CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, SpaceSaving};
+    use hhh_counters::{CompactSpaceSaving, CuckooHeavyKeeper, SpaceSaving};
     pin_against_oracle::<SpaceSaving<u64>>(&format!("{label}, list"), config, batches);
     pin_against_oracle::<CompactSpaceSaving<u64>>(&format!("{label}, compact"), config, batches);
-    pin_against_oracle::<DispatchedEstimator<u64>>(&format!("{label}, dispatch"), config, batches);
     pin_against_oracle::<CuckooHeavyKeeper<u64>>(&format!("{label}, chk"), config, batches);
 }
 

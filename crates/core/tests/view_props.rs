@@ -12,8 +12,8 @@
 
 use hhh_core::{FrozenRhhh, HeavyHitter, Rhhh, RhhhConfig, WindowedRhhh};
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator,
-    HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
+    MisraGries, SpaceSaving,
 };
 use hhh_hierarchy::{pack2, shard_of, Lattice};
 
@@ -188,11 +188,6 @@ fn stream_summary_views_match_entry_for_entry() {
 #[test]
 fn compact_views_match_live_merge() {
     check_counter::<CompactSpaceSaving<u64>>(false, 512);
-}
-
-#[test]
-fn dispatch_views_match_live_merge() {
-    check_counter::<DispatchedEstimator<u64>>(false, 512);
 }
 
 #[test]

@@ -206,35 +206,10 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
         self.len == 0
     }
 
-    /// Whether `key` is currently monitored. Read-only — the dispatch
-    /// wrapper's regime sampling relies on probes having no side effects.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn monitored(&self, key: &K) -> bool {
-        self.lookup(key).is_some()
-    }
-
-    /// The learned flush miss-ratio EWMA on the `0 ..= 255` scale
-    /// (255 = every recent flushed key missed; boots pessimistic at 255).
-    /// This is the per-instance regime signal the PR 4 adaptive flush
-    /// maintains; the dispatch wrapper bootstraps its layout decision from
-    /// it whenever this layout is the active one.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn miss_ratio_estimate(&self) -> u8 {
-        self.miss_ratio
-    }
-
-    /// Guaranteed mass dropped by merge re-evictions (the `discarded`
-    /// ledger); migration carries it across layout switches.
-    pub(crate) fn discarded(&self) -> u64 {
-        self.discarded
-    }
-
     /// Builds an arena directly from `(key, count, error)` entries
     /// (distinct keys, `count ≥ 1`, `error ≤ count`) with the ledgers
-    /// forced — the merge rebuild path, exposed for layout migration.
-    pub(crate) fn rebuild_from_entries(
+    /// forced — the merge rebuild path.
+    fn rebuild_from_entries(
         capacity: usize,
         updates: u64,
         discarded: u64,
@@ -1010,10 +985,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn layout_label(&self) -> &'static str {
-        "compact"
     }
 }
 

@@ -168,9 +168,8 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
         self.len == 0
     }
 
-    /// Whether `key` currently occupies a slot. Read-only (no decay, no
-    /// RNG advance) — the dispatch wrapper's regime sampling relies on
-    /// probes being free of side effects.
+    /// Whether `key` currently occupies a slot. Read-only: no decay and
+    /// no RNG advance.
     #[doc(hidden)]
     #[must_use]
     pub fn monitored(&self, key: &K) -> bool {
@@ -184,9 +183,8 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
     }
 
     /// `(key, count)` for every occupied slot, slot order. Raw counts —
-    /// the migration and merge paths want them without the deficit folded
-    /// in.
-    pub(crate) fn raw_entries(&self) -> Vec<(K, u64)> {
+    /// the merge wants them without the deficit folded in.
+    fn raw_entries(&self) -> Vec<(K, u64)> {
         self.slots
             .iter()
             .filter(|s| s.count > 0)
@@ -197,8 +195,8 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
     /// Builds an instance holding `entries` (distinct keys, descending
     /// insertion works best) with the update ledger forced to `updates`.
     /// Entries that find no slot are dropped — their mass lands in the
-    /// deficit, which is exactly the documented migration/merge bound.
-    pub(crate) fn from_entries(capacity: usize, updates: u64, entries: &[(K, u64)]) -> Self {
+    /// deficit, which is exactly the documented merge bound.
+    fn from_entries(capacity: usize, updates: u64, entries: &[(K, u64)]) -> Self {
         let mut fresh = Self::with_capacity(capacity);
         fresh.updates = updates;
         for &(key, count) in entries {
@@ -437,7 +435,7 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
         assert!(self.stored <= self.updates, "counts exceed updates");
     }
 
-    /// Inserts a distinct `(key, count)` during merge/migration rebuild;
+    /// Inserts a distinct `(key, count)` during the merge rebuild;
     /// returns whether a slot was found (drops are the caller's deficit).
     fn insert_entry(&mut self, key: K, count: u64) -> bool {
         debug_assert!(count > 0);
@@ -574,10 +572,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for CuckooHeavyKeeper<K> {
         // (see module docs); `updates/capacity` does not hold for decay
         // counters.
         self.deficit()
-    }
-
-    fn layout_label(&self) -> &'static str {
-        "chk"
     }
 }
 

@@ -236,10 +236,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for HeapSpaceSaving<K> {
     fn capacity(&self) -> usize {
         self.capacity
     }
-
-    fn layout_label(&self) -> &'static str {
-        "heap"
-    }
 }
 
 #[cfg(test)]

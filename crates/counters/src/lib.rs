@@ -33,10 +33,6 @@
 //!   underestimate-only counts sandwiched by an exact unattributed-mass
 //!   deficit, strongest in hit-light, eviction-heavy regimes (see the
 //!   [module docs](cuckoo_heavy_keeper)).
-//! * [`DispatchedEstimator`] — not a counter but a regime-adaptive
-//!   wrapper: each instance watches its own flush miss ratio and switches
-//!   between a hit-side and a miss-side layout with hysteresis, migrating
-//!   its state once per switch (see the [module docs](dispatch)).
 //!
 //! All of them implement [`FrequencyEstimator`], the crate's rendering of
 //! Definition 4 plus the candidate enumeration RHHH's `Output` needs.
@@ -82,7 +78,6 @@
 
 mod compact_space_saving;
 mod cuckoo_heavy_keeper;
-mod dispatch;
 mod fast_hash;
 mod frozen;
 mod heap_space_saving;
@@ -94,7 +89,6 @@ mod tagged_table;
 
 pub use compact_space_saving::CompactSpaceSaving;
 pub use cuckoo_heavy_keeper::CuckooHeavyKeeper;
-pub use dispatch::{DispatchLayout, DispatchedEstimator};
 pub use fast_hash::{FastHasher, IntHashBuilder};
 pub use frozen::Frozen;
 pub use heap_space_saving::HeapSpaceSaving;
@@ -308,15 +302,6 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
     /// `n / capacity` for the counter algorithms in this crate.
     fn error_bound(&self) -> u64 {
         self.updates() / self.capacity() as u64
-    }
-
-    /// Short display label for profile/report rows. For a fixed layout
-    /// this is a constant; [`DispatchedEstimator`] reports whichever
-    /// layout is currently active, which is what lets the hot-profile
-    /// flush split attribute dispatched nodes to the layout that actually
-    /// ran.
-    fn layout_label(&self) -> &'static str {
-        "counter"
     }
 }
 

@@ -188,10 +188,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for LossyCounting<K> {
     fn capacity(&self) -> usize {
         self.capacity
     }
-
-    fn layout_label(&self) -> &'static str {
-        "lossy-counting"
-    }
 }
 
 #[cfg(test)]

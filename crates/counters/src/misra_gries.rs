@@ -169,10 +169,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for MisraGries<K> {
     fn error_bound(&self) -> u64 {
         self.updates / (self.capacity as u64 + 1)
     }
-
-    fn layout_label(&self) -> &'static str {
-        "misra-gries"
-    }
 }
 
 #[cfg(test)]

@@ -81,20 +81,6 @@ impl<K: CounterKey> SpaceSaving<K> {
         self.counters.is_empty()
     }
 
-    /// Whether `key` is currently monitored. Read-only — the dispatch
-    /// wrapper's regime sampling relies on probes having no side effects.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn monitored(&self, key: &K) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// Guaranteed mass dropped by merge re-evictions (the `discarded`
-    /// ledger); migration carries it across layout switches.
-    pub(crate) fn discarded(&self) -> u64 {
-        self.discarded
-    }
-
     fn alloc_bucket(&mut self, count: u64) -> u32 {
         if let Some(b) = self.free_buckets.pop() {
             let slot = &mut self.buckets[b as usize];
@@ -312,12 +298,7 @@ impl<K: CounterKey> SpaceSaving<K> {
     /// Builds a structure directly from merged `(key, count, error)` entries
     /// sorted ascending by count: buckets are appended tail-ward in one
     /// pass, so rebuild costs O(entries) with no per-entry bucket walks.
-    pub(crate) fn rebuild(
-        capacity: usize,
-        updates: u64,
-        discarded: u64,
-        entries: &[(K, u64, u64)],
-    ) -> Self {
+    fn rebuild(capacity: usize, updates: u64, discarded: u64, entries: &[(K, u64, u64)]) -> Self {
         let mut s = Self::with_capacity(capacity);
         s.updates = updates;
         s.discarded = discarded;
@@ -539,10 +520,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn layout_label(&self) -> &'static str {
-        "stream-summary"
     }
 }
 

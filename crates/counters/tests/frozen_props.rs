@@ -4,8 +4,8 @@
 //! every counter structure, full or not yet full.
 
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator, Frozen,
-    HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, Frozen, HeapSpaceSaving,
+    LossyCounting, MisraGries, SpaceSaving,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -43,7 +43,6 @@ fn check_every_counter(stream: &[u64], capacity: usize) {
     check_single_part::<MisraGries<u64>>(stream, capacity);
     check_single_part::<LossyCounting<u64>>(stream, capacity);
     check_single_part::<CuckooHeavyKeeper<u64>>(stream, capacity);
-    check_single_part::<DispatchedEstimator<u64>>(stream, capacity);
 }
 
 #[test]

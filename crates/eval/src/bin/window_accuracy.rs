@@ -27,8 +27,8 @@ use std::time::Instant;
 
 use hhh_core::{CounterKind, ExactHhh, HhhAlgorithm, RhhhConfig, WindowedRhhh};
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, DispatchedEstimator, FrequencyEstimator,
-    HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
+    MisraGries, SpaceSaving,
 };
 use hhh_eval::{accuracy_error_ratio, coverage_error_ratio, false_positive_ratio, Args, Report};
 use hhh_hierarchy::Lattice;
@@ -131,10 +131,6 @@ macro_rules! with_counter_type {
             }
             CounterKind::Compact => {
                 type $est = CompactSpaceSaving<u64>;
-                $body
-            }
-            CounterKind::Dispatch => {
-                type $est = DispatchedEstimator<u64>;
                 $body
             }
             CounterKind::Heap => {

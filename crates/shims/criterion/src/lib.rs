@@ -246,8 +246,8 @@ impl BenchmarkGroup<'_> {
     /// remains. Each side reports the median of its per-round means, so a
     /// contention burst that lands inside a handful of slices is discarded
     /// rather than charged to one side. Use it for any row pair whose
-    /// *ratio* is the deliverable, e.g. the `dispatch-vs-fixed`
-    /// acceptance rows.
+    /// *ratio* is the deliverable, e.g. the `wire_ingest` raw-vs-struct
+    /// rows.
     pub fn bench_pair_interleaved<FA, FB>(
         &mut self,
         id_a: impl std::fmt::Display,
