@@ -199,15 +199,14 @@ impl<K: KeyBits> Ancestry<K> {
 }
 
 impl<K: KeyBits> NodeEstimates<K> for Ancestry<K> {
-    fn node_candidates(&self, node: NodeId) -> Vec<Candidate<K>> {
-        self.tables[node.index()]
-            .iter()
-            .map(|(&key, e)| Candidate {
+    fn for_each_candidate(&self, node: NodeId, mut f: impl FnMut(Candidate<K>)) {
+        for (&key, e) in &self.tables[node.index()] {
+            f(Candidate {
                 key,
                 upper: e.g + e.delta,
                 lower: e.g,
-            })
-            .collect()
+            });
+        }
     }
 
     fn node_upper(&self, node: NodeId, key: &K) -> u64 {

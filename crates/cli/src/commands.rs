@@ -544,6 +544,18 @@ impl<K: KeyBits> Answer<K> {
             Answer::Baseline(algo) => (algo.query(theta), algo.packets(), None),
         }
     }
+
+    /// For RHHH, the `# SLACK ≥ θN` note when the sampling slack of line 13
+    /// reaches the threshold: nearly every candidate then passes, so the
+    /// table lists candidates rather than heavy hitters.
+    fn slack_note(&self, theta: f64) -> Option<String> {
+        let Answer::Rhhh(view) = self else {
+            return None;
+        };
+        let threshold = theta * view.total_weight() as f64;
+        (view.slack() >= threshold)
+            .then(|| format!("# SLACK ≥ θN (slack/θN = {:.2})", view.slack() / threshold))
+    }
 }
 
 /// One way to run an algorithm over the input.
@@ -855,7 +867,7 @@ fn analyze_on<K: StreamKey>(
         outcome.elapsed,
         outcome.packets as f64 / outcome.elapsed / 1e6,
     )?;
-    if let Some(note) = note {
+    for note in note.into_iter().chain(outcome.answer.slack_note(theta)) {
         writeln!(out, "{note}")?;
     }
     writeln!(
@@ -1374,6 +1386,23 @@ mod tests {
         for note in notes(rhhh_config(10, 0.5, SEED), &keys[..1_000], 20_000) {
             let note = note.expect("N ≤ ψ must be reported");
             assert!(note.starts_with("# UNCONVERGED (N/ψ = "), "{note}");
+        }
+    }
+
+    #[test]
+    fn theta_below_slack_is_reported() {
+        // V = H at ε = 0.5: the slack 2·Z·√(N·V) is ≈ 0.20·N over 20k
+        // packets and ≈ 0.29·N over a 10k window, so θ = 0.1 sits below it
+        // and θ = 0.9 well above.
+        let keys: Vec<u64> = (0..20_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9))
+            .collect();
+        let config = rhhh_config(1, 0.5, SEED);
+        for deploy in [Deploy::default(), window(10_000, 4), fleet(2, None)] {
+            let answer = run_2d(config, deploy, &Input::Unit(&keys), 0.1).answer;
+            let note = answer.slack_note(0.1).expect("slack ≥ θN must be reported");
+            assert!(note.starts_with("# SLACK ≥ θN (slack/θN = 2."), "{note}");
+            assert_eq!(answer.slack_note(0.9), None);
         }
     }
 

@@ -478,8 +478,9 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> Rhhh<K, E> {
 }
 
 impl<K: KeyBits, E: FrequencyEstimator<K>> NodeEstimates<K> for Rhhh<K, E> {
-    fn node_candidates(&self, node: NodeId) -> Vec<Candidate<K>> {
-        self.instances[node.index()].candidates()
+    #[inline]
+    fn for_each_candidate(&self, node: NodeId, f: impl FnMut(Candidate<K>)) {
+        self.instances[node.index()].for_each_candidate(f);
     }
 
     fn node_upper(&self, node: NodeId, key: &K) -> u64 {

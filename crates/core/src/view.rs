@@ -99,8 +99,9 @@ impl<K: KeyBits> FrozenRhhh<K> {
 }
 
 impl<K: KeyBits> NodeEstimates<K> for FrozenRhhh<K> {
-    fn node_candidates(&self, node: NodeId) -> Vec<Candidate<K>> {
-        self.nodes[node.index()].candidates()
+    #[inline]
+    fn for_each_candidate(&self, node: NodeId, f: impl FnMut(Candidate<K>)) {
+        self.nodes[node.index()].for_each_candidate(f);
     }
 
     fn node_upper(&self, node: NodeId, key: &K) -> u64 {

@@ -853,6 +853,19 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
     }
 }
 
+impl<K: CounterKey> CompactSpaceSaving<K> {
+    /// The monitored candidates, in slot order.
+    fn candidate_iter(&self) -> impl Iterator<Item = Candidate<K>> + '_ {
+        (0..self.table.len())
+            .filter(|&i| self.table.occupied(i))
+            .map(|i| Candidate {
+                key: self.table.hot[i].key,
+                upper: self.table.hot[i].count,
+                lower: self.table.hot[i].count - self.table.errors[i],
+            })
+    }
+}
+
 impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
     fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
@@ -973,14 +986,12 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
     }
 
     fn candidates(&self) -> Vec<Candidate<K>> {
-        (0..self.table.len())
-            .filter(|&i| self.table.occupied(i))
-            .map(|i| Candidate {
-                key: self.table.hot[i].key,
-                upper: self.table.hot[i].count,
-                lower: self.table.hot[i].count - self.table.errors[i],
-            })
-            .collect()
+        self.candidate_iter().collect()
+    }
+
+    #[inline]
+    fn for_each_candidate(&self, f: impl FnMut(Candidate<K>)) {
+        self.candidate_iter().for_each(f);
     }
 
     fn capacity(&self) -> usize {

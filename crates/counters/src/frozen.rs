@@ -66,14 +66,21 @@ impl<K: CounterKey> Frozen<K> {
     /// All monitored candidates with their bounds, in entry order.
     #[must_use]
     pub fn candidates(&self) -> Vec<Candidate<K>> {
-        self.entries
-            .iter()
-            .map(|&(key, count, error)| Candidate {
-                key,
-                upper: count,
-                lower: count - error,
-            })
-            .collect()
+        self.candidate_iter().collect()
+    }
+
+    /// Visits [`Self::candidates`] in entry order without collecting them.
+    #[inline]
+    pub fn for_each_candidate(&self, f: impl FnMut(Candidate<K>)) {
+        self.candidate_iter().for_each(f);
+    }
+
+    fn candidate_iter(&self) -> impl Iterator<Item = Candidate<K>> + '_ {
+        self.entries.iter().map(|&(key, count, error)| Candidate {
+            key,
+            upper: count,
+            lower: count - error,
+        })
     }
 
     /// Upper bound on the number of updates of `key`.

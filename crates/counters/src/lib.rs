@@ -295,6 +295,19 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
     /// (the heavy-hitter property of Definition 5).
     fn candidates(&self) -> Vec<Candidate<K>>;
 
+    /// Visits [`Self::candidates`] in the same order without collecting
+    /// them — the walk `Output(θ)` makes over every node. The default
+    /// collects and replays; the Space Saving layouts walk their slots in
+    /// place.
+    fn for_each_candidate(&self, mut f: impl FnMut(Candidate<K>))
+    where
+        Self: Sized,
+    {
+        for c in self.candidates() {
+            f(c);
+        }
+    }
+
     /// Number of counters the instance was built with.
     fn capacity(&self) -> usize;
 

@@ -334,6 +334,17 @@ impl<K: CounterKey> SpaceSaving<K> {
     }
 }
 
+impl<K: CounterKey> SpaceSaving<K> {
+    /// The monitored candidates, in counter-slot order.
+    fn candidate_iter(&self) -> impl Iterator<Item = Candidate<K>> + '_ {
+        self.counters.iter().map(|c| Candidate {
+            key: c.key,
+            upper: c.count,
+            lower: c.count - c.error,
+        })
+    }
+}
+
 impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
     fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
@@ -508,14 +519,12 @@ impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
     }
 
     fn candidates(&self) -> Vec<Candidate<K>> {
-        self.counters
-            .iter()
-            .map(|c| Candidate {
-                key: c.key,
-                upper: c.count,
-                lower: c.count - c.error,
-            })
-            .collect()
+        self.candidate_iter().collect()
+    }
+
+    #[inline]
+    fn for_each_candidate(&self, f: impl FnMut(Candidate<K>)) {
+        self.candidate_iter().for_each(f);
     }
 
     fn capacity(&self) -> usize {

@@ -328,26 +328,27 @@ impl<K: KeyBits> Lattice<K> {
     /// maximum specificity. This is the node of Definition 12's glb.
     #[must_use]
     pub fn glb_node(&self, a: NodeId, b: NodeId) -> NodeId {
-        let spec: Vec<u32> = self.nodes[a.index()]
-            .spec
-            .iter()
-            .zip(&self.nodes[b.index()].spec)
-            .map(|(sa, sb)| *sa.max(sb))
-            .collect();
-        self.node_by_spec(&spec)
+        self.combine_specs(a, b, u32::max)
     }
 
     /// The join (least upper bound) of two node patterns: per-dimension
     /// minimum specificity.
     #[must_use]
     pub fn lub_node(&self, a: NodeId, b: NodeId) -> NodeId {
-        let spec: Vec<u32> = self.nodes[a.index()]
+        self.combine_specs(a, b, u32::min)
+    }
+
+    /// The node whose spec picks, per dimension, `pick` of the two nodes'
+    /// steps (both in range, so the result is too).
+    fn combine_specs(&self, a: NodeId, b: NodeId, pick: fn(u32, u32) -> u32) -> NodeId {
+        let id: usize = self.nodes[a.index()]
             .spec
             .iter()
             .zip(&self.nodes[b.index()].spec)
-            .map(|(sa, sb)| *sa.min(sb))
-            .collect();
-        self.node_by_spec(&spec)
+            .zip(&self.strides)
+            .map(|((&sa, &sb), stride)| pick(sa, sb) as usize * stride)
+            .sum();
+        NodeId(id as u16)
     }
 
     /// Formats a masked key at the given node in a human-readable way:
