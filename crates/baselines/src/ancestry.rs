@@ -228,13 +228,6 @@ impl<K: KeyBits> HhhAlgorithm<K> for Ancestry<K> {
         self.update(key);
     }
 
-    // Keeps the default `merge` (Unsupported): the ancestry tables carry
-    // per-key compensation state whose pairwise union is not a summary of
-    // the concatenated stream.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-
     fn packets(&self) -> u64 {
         self.packets
     }

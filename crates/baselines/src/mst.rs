@@ -10,7 +10,7 @@
 //! slowest dataplane in Figures 5–6.
 
 use hhh_core::output::{extract_hhh, HeavyHitter, NodeEstimates};
-use hhh_core::{HhhAlgorithm, MergeError};
+use hhh_core::HhhAlgorithm;
 use hhh_counters::{counters_for, Candidate, FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
 
@@ -81,46 +81,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Mst<K, E> {
     pub fn output(&self, theta: f64) -> Vec<HeavyHitter<K>> {
         extract_hhh(&self.lattice, self, theta, self.weight, 1.0, 0.0)
     }
-
-    /// Merges `other` — an instance over the same lattice with the same
-    /// per-node capacity — into `self`. MST shares RHHH's structure (one
-    /// counter instance per node), so the same per-node
-    /// [`FrequencyEstimator::merge`] combines two MST summaries with the
-    /// per-node error bounds summed; estimates stay deterministic.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::ConfigMismatch`] when the lattices or per-node
-    /// capacities differ; `self` is unchanged in that case.
-    pub fn try_merge(&mut self, other: Self) -> Result<(), MergeError> {
-        if self.masks != other.masks {
-            return Err(MergeError::ConfigMismatch(format!(
-                "lattice `{}` vs `{}`",
-                self.lattice.name(),
-                other.lattice.name()
-            )));
-        }
-        let (ca, cb) = (
-            self.instances
-                .first()
-                .map_or(0, FrequencyEstimator::capacity),
-            other
-                .instances
-                .first()
-                .map_or(0, FrequencyEstimator::capacity),
-        );
-        if ca != cb {
-            return Err(MergeError::ConfigMismatch(format!(
-                "per-node capacity {ca} vs {cb}"
-            )));
-        }
-        self.packets += other.packets;
-        self.weight += other.weight;
-        for (mine, theirs) in self.instances.iter_mut().zip(other.instances) {
-            mine.merge(theirs);
-        }
-        Ok(())
-    }
 }
 
 impl<K: KeyBits, E: FrequencyEstimator<K>> NodeEstimates<K> for Mst<K, E> {
@@ -141,21 +101,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> NodeEstimates<K> for Mst<K, E> {
 impl<K: KeyBits, E: FrequencyEstimator<K>> HhhAlgorithm<K> for Mst<K, E> {
     fn insert(&mut self, key: K) {
         self.update(key);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-
-    fn merge(&mut self, other: Box<dyn HhhAlgorithm<K>>) -> Result<(), MergeError> {
-        let right = other.name();
-        match other.into_any().downcast::<Self>() {
-            Ok(other) => self.try_merge(*other),
-            Err(_) => Err(MergeError::AlgorithmMismatch {
-                left: self.name(),
-                right,
-            }),
-        }
     }
 
     fn packets(&self) -> u64 {

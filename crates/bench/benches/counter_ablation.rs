@@ -1,9 +1,9 @@
 //! DESIGN.md ablation: the per-increment cost of the counter algorithms.
 //!
 //! The paper's O(1) worst-case update (Theorem 6.18) requires the
-//! stream-summary Space Saving; the heap variant pays O(log 1/ε) sifts.
-//! This bench quantifies the gap at the paper's ε = 0.001 (1001 counters)
-//! and a coarser ε = 0.01, plus the alternative algorithms for context.
+//! stream-summary Space Saving. This bench prices both Space Saving
+//! layouts at the paper's ε = 0.001 (1001 counters) and a coarser
+//! ε = 0.01, plus the alternative algorithms for context.
 //!
 //! The `compact-vs-stream-summary` groups isolate the tentpole layout
 //! question — hash index fused into a flat arena vs the pointer-based
@@ -17,8 +17,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hhh_bench::Workload;
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
-    MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, LossyCounting, MisraGries,
+    SpaceSaving,
 };
 use hhh_traces::{Packet, TraceConfig, TraceGenerator};
 
@@ -96,7 +96,6 @@ fn benches(c: &mut Criterion) {
             capacity,
             &w.keys1,
         );
-        bench_counter::<HeapSpaceSaving<u32>>(c, &group, "SpaceSaving(heap)", capacity, &w.keys1);
         bench_counter::<MisraGries<u32>>(c, &group, "MisraGries", capacity, &w.keys1);
         bench_counter::<LossyCounting<u32>>(c, &group, "LossyCounting", capacity, &w.keys1);
         bench_counter::<CuckooHeavyKeeper<u32>>(c, &group, "CuckooHeavyKeeper", capacity, &w.keys1);
@@ -136,14 +135,6 @@ fn compact_vs_stream_summary(c: &mut Criterion) {
             &chunks,
             total,
         );
-        bench_counter_batch::<HeapSpaceSaving<u32>>(
-            c,
-            &group,
-            "sorted-batch/heap",
-            capacity,
-            &chunks,
-            total,
-        );
         bench_counter_batch::<CuckooHeavyKeeper<u32>>(
             c,
             &group,
@@ -175,12 +166,10 @@ fn miss_heavy(c: &mut Criterion) {
     let mut gen = TraceGenerator::new(&TraceConfig::chicago16());
     let mut warm_list: SpaceSaving<u32> = SpaceSaving::with_capacity(CAPACITY);
     let mut warm_compact: CompactSpaceSaving<u32> = CompactSpaceSaving::with_capacity(CAPACITY);
-    let mut warm_heap: HeapSpaceSaving<u32> = HeapSpaceSaving::with_capacity(CAPACITY);
     let mut warm_chk: CuckooHeavyKeeper<u32> = CuckooHeavyKeeper::with_capacity(CAPACITY);
     hhh_bench::warm_stream(&mut gen, WARM_PACKETS, GROUP_KEYS, Packet::key1, |chunk| {
         warm_list.increment_batch(chunk);
         warm_compact.increment_batch(chunk);
-        warm_heap.increment_batch(chunk);
         warm_chk.increment_batch(chunk);
     });
 
@@ -247,18 +236,6 @@ fn miss_heavy(c: &mut Criterion) {
     g.bench_function(BenchmarkId::from_parameter("flush/compact"), |b| {
         b.iter_batched(
             || (warm_compact.clone(), chunks.clone()),
-            |(mut est, mut chunks)| {
-                for chunk in &mut chunks {
-                    est.flush_group(chunk, &mut <[u32]>::sort_unstable);
-                }
-                est
-            },
-            criterion::BatchSize::LargeInput,
-        );
-    });
-    g.bench_function(BenchmarkId::from_parameter("flush/heap"), |b| {
-        b.iter_batched(
-            || (warm_heap.clone(), chunks.clone()),
             |(mut est, mut chunks)| {
                 for chunk in &mut chunks {
                     est.flush_group(chunk, &mut <[u32]>::sort_unstable);

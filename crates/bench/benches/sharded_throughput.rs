@@ -1,15 +1,15 @@
-//! Shard fleet cost model: what sample-then-route and merge-on-query buy
-//! and cost.
+//! Shard fleet cost model: what sample-then-route and combine-on-query
+//! buy and cost.
 //!
-//! Three groups, plus a hand-off occupancy printout:
+//! Two groups, plus a hand-off occupancy printout:
 //!
 //! * `sharded_throughput/pipeline` — end-to-end packets/s of the
 //!   [`ShardedMonitor`] (ingress sample → route by masked key → per-shard
-//!   flush workers → harvest merge) for 1, 2 and 4 shards, both Space
+//!   flush workers → harvest) for 1, 2 and 4 shards, both Space
 //!   Saving layouts, at 10-RHHH fed one packet at a time. One shard is
 //!   Figure 8's single measurement VM; more shards are the multi-VM
 //!   deployment. On a box with fewer cores than threads the extra shards
-//!   measure the *coordination overhead* (route, hand-off, merge) rather
+//!   measure the *coordination overhead* (route, hand-off, combine) rather
 //!   than a speedup — the number a deployment needs to know before
 //!   reaching for threads.
 //! * hand-off occupancy — one instrumented feed per shard count at a
@@ -21,16 +21,14 @@
 //!   4-shard monitor: `cached` re-serves the epoch-keyed combine,
 //!   `per-merge` combines the latest snapshots from scratch. Row ids
 //!   mirror `windowed_throughput/query` in `update_speed` so CI can
-//!   compare the two caches directly.
-//! * `sharded_throughput/merge` — the harvest-time cost of one
-//!   [`Rhhh::merge`] of two steady-state instances (25 nodes × 1001
-//!   counters each); this is the per-query price of shard parallelism.
+//!   compare the two caches directly; `per-merge` is the per-query
+//!   price of shard parallelism.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hhh_bench::Workload;
-use hhh_core::{Rhhh, RhhhConfig};
+use hhh_core::RhhhConfig;
 use hhh_counters::{CompactSpaceSaving, SpaceSaving};
 use hhh_hierarchy::Lattice;
 use hhh_vswitch::ShardedMonitor;
@@ -165,53 +163,5 @@ fn query_plane(c: &mut Criterion) {
     mon.harvest().expect("healthy pipeline");
 }
 
-fn merge_cost(c: &mut Criterion) {
-    let w = Workload::chicago16(PACKETS);
-    let lat = Lattice::ipv4_src_dst_bytes();
-
-    // Two steady-state halves: each instance absorbed half the workload.
-    let half = w.keys2.len() / 2;
-    let mut left_list = Rhhh::<u64, SpaceSaving<u64>>::new(lat.clone(), config(1));
-    let mut right_list = Rhhh::<u64, SpaceSaving<u64>>::new(lat.clone(), config(1));
-    left_list.update_batch(&w.keys2[..half]);
-    right_list.update_batch(&w.keys2[half..]);
-    let mut left_flat = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat.clone(), config(1));
-    let mut right_flat = Rhhh::<u64, CompactSpaceSaving<u64>>::new(lat, config(1));
-    left_flat.update_batch(&w.keys2[..half]);
-    right_flat.update_batch(&w.keys2[half..]);
-
-    let mut g = c.benchmark_group("sharded_throughput/merge");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    g.bench_function(BenchmarkId::from_parameter("stream-summary"), |b| {
-        b.iter_batched(
-            || (left_list.clone(), right_list.clone()),
-            |(mut a, b)| {
-                a.merge(b);
-                a
-            },
-            criterion::BatchSize::LargeInput,
-        );
-    });
-    g.bench_function(BenchmarkId::from_parameter("compact"), |b| {
-        b.iter_batched(
-            || (left_flat.clone(), right_flat.clone()),
-            |(mut a, b)| {
-                a.merge(b);
-                a
-            },
-            criterion::BatchSize::LargeInput,
-        );
-    });
-    g.finish();
-}
-
-criterion_group!(
-    sharded,
-    pipeline,
-    handoff_occupancy,
-    query_plane,
-    merge_cost
-);
+criterion_group!(sharded, pipeline, handoff_occupancy, query_plane);
 criterion_main!(sharded);

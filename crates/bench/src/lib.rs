@@ -6,8 +6,8 @@
 //!   on each hierarchy.
 //! * `vswitch_throughput` — Figures 6/7: dataplane pipeline throughput per
 //!   monitor and per V.
-//! * `counter_ablation` — the DESIGN.md ablation: O(1) stream-summary
-//!   Space Saving vs the heap variant vs the other counter algorithms.
+//! * `counter_ablation` — the DESIGN.md ablation: the two Space Saving
+//!   layouts vs the other counter algorithms.
 //! * `output_latency` — `Output(θ)` query cost (off the per-packet path,
 //!   but relevant for monitoring cadence).
 

@@ -9,8 +9,8 @@ use hhh_core::{
     CounterKind, FrozenRhhh, HeavyHitter, HhhAlgorithm, Rhhh, RhhhConfig, WindowedRhhh,
 };
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
-    MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, LossyCounting, MisraGries,
+    SpaceSaving,
 };
 use hhh_eval::{rhhh_config, AlgoKind};
 use hhh_hierarchy::{KeyBits, Lattice};
@@ -168,10 +168,6 @@ macro_rules! with_counter_type {
             }
             CounterKind::Compact => {
                 type $est<K> = CompactSpaceSaving<K>;
-                $body
-            }
-            CounterKind::Heap => {
-                type $est<K> = HeapSpaceSaving<K>;
                 $body
             }
             CounterKind::MisraGries => {
@@ -576,11 +572,11 @@ trait Deployment<K: StreamKey> {
         None
     }
 
-    /// Drains and merges whatever is in flight.
+    /// Drains whatever is in flight and combines the answer.
     fn finish(self) -> Result<Answer<K>, String>;
 }
 
-impl<K: StreamKey, E: FrequencyEstimator<K> + Clone> Deployment<K> for Rhhh<K, E> {
+impl<K: StreamKey, E: FrequencyEstimator<K>> Deployment<K> for Rhhh<K, E> {
     fn feed(&mut self, keys: &[K]) {
         self.update_batch(keys);
     }
@@ -598,7 +594,7 @@ impl<K: StreamKey, E: FrequencyEstimator<K> + Clone> Deployment<K> for Rhhh<K, E
     }
 }
 
-impl<K: StreamKey, E: FrequencyEstimator<K> + Clone> Deployment<K> for WindowedRhhh<K, E> {
+impl<K: StreamKey, E: FrequencyEstimator<K>> Deployment<K> for WindowedRhhh<K, E> {
     fn feed(&mut self, keys: &[K]) {
         self.update_batch(keys);
     }
@@ -665,8 +661,10 @@ impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fl
     }
 
     fn finish(self) -> Result<Answer<K>, String> {
-        let merged = self.mon.harvest().map_err(|e| e.to_string())?;
-        Ok(Answer::Rhhh(Rhhh::merged_view(&[&merged])))
+        self.mon
+            .harvest()
+            .map(Answer::Rhhh)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -1604,7 +1602,7 @@ mod tests {
         assert_eq!(counter_kind(&f), Ok(CounterKind::Compact));
         let none = Flags::parse(&[], &[], &[]).expect("parse");
         assert_eq!(counter_kind(&none), Ok(CounterKind::StreamSummary));
-        for name in ["nope", "dispatch"] {
+        for name in ["nope", "dispatch", "heap"] {
             let bad = Flags::parse(
                 &["--counter".to_string(), name.to_string()],
                 &["counter"],
@@ -1614,7 +1612,7 @@ mod tests {
             assert_eq!(
                 counter_kind(&bad),
                 Err(format!(
-                    "unknown counter `{name}` (try stream-summary, compact, heap, misra-gries, \
+                    "unknown counter `{name}` (try stream-summary, compact, misra-gries, \
                      lossy-counting, chk)"
                 ))
             );

@@ -43,7 +43,7 @@ USAGE:
                    | --preset <name> --packets <n>) \\
                   [--algorithm rhhh|10-rhhh|mst|full-ancestry|partial-ancestry] \\
                   [--hierarchy 1d-bytes|1d-bits|2d-bytes] \\
-                  [--counter stream-summary|compact|heap|misra-gries|lossy-counting|chk] \\
+                  [--counter stream-summary|compact|misra-gries|lossy-counting|chk] \\
                   [--theta <t>] [--epsilon <e>] [--volume] \\
                   [--shards <n>]           (hash-partition across n worker threads) \\
                   [--window <w> [--panes <g>]]  (sliding window: last w packets, g-pane ring) \\

@@ -7,9 +7,7 @@
 //! (`--counter`), the evaluation harness and the vswitch monitors can all
 //! thread it through to [`Rhhh`] without hard-coding a concrete type.
 
-use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
-};
+use hhh_counters::{CompactSpaceSaving, CuckooHeavyKeeper, LossyCounting, MisraGries, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice};
 
 use crate::rhhh::{Rhhh, RhhhConfig};
@@ -25,8 +23,6 @@ pub enum CounterKind {
     /// Flat-arena Space Saving — the hash index fused into the counter
     /// storage; O(1) amortized with a lazily-maintained exact minimum.
     Compact,
-    /// Heap-based Space Saving — O(log 1/ε) sifts; ablation target.
-    Heap,
     /// Misra–Gries / Frequent — deterministic underestimates.
     MisraGries,
     /// Manku–Motwani Lossy Counting — deterministic, δ = 0.
@@ -41,11 +37,10 @@ impl CounterKind {
     /// Every kind, in ablation-roster order (the two production layouts
     /// first).
     #[must_use]
-    pub fn roster() -> [CounterKind; 6] {
+    pub fn roster() -> [CounterKind; 5] {
         [
             CounterKind::StreamSummary,
             CounterKind::Compact,
-            CounterKind::Heap,
             CounterKind::MisraGries,
             CounterKind::LossyCounting,
             CounterKind::CuckooHeavyKeeper,
@@ -58,7 +53,6 @@ impl CounterKind {
         match self {
             CounterKind::StreamSummary => "stream-summary",
             CounterKind::Compact => "compact",
-            CounterKind::Heap => "heap",
             CounterKind::MisraGries => "misra-gries",
             CounterKind::LossyCounting => "lossy-counting",
             CounterKind::CuckooHeavyKeeper => "chk",
@@ -75,13 +69,12 @@ impl CounterKind {
         Ok(match name {
             "stream-summary" | "space-saving" => CounterKind::StreamSummary,
             "compact" => CounterKind::Compact,
-            "heap" => CounterKind::Heap,
             "misra-gries" => CounterKind::MisraGries,
             "lossy-counting" => CounterKind::LossyCounting,
             "chk" | "cuckoo-heavy-keeper" => CounterKind::CuckooHeavyKeeper,
             other => {
                 return Err(format!(
-                    "unknown counter `{other}` (try stream-summary, compact, heap, \
+                    "unknown counter `{other}` (try stream-summary, compact, \
                      misra-gries, lossy-counting, chk)"
                 ))
             }
@@ -102,7 +95,6 @@ impl CounterKind {
             CounterKind::Compact => {
                 Box::new(Rhhh::<K, CompactSpaceSaving<K>>::new(lattice, config))
             }
-            CounterKind::Heap => Box::new(Rhhh::<K, HeapSpaceSaving<K>>::new(lattice, config)),
             CounterKind::MisraGries => Box::new(Rhhh::<K, MisraGries<K>>::new(lattice, config)),
             CounterKind::LossyCounting => {
                 Box::new(Rhhh::<K, LossyCounting<K>>::new(lattice, config))
@@ -132,6 +124,7 @@ mod tests {
             Ok(CounterKind::CuckooHeavyKeeper)
         );
         assert!(CounterKind::parse("bogus").is_err());
+        assert!(CounterKind::parse("heap").is_err(), "retired layout");
     }
 
     #[test]

@@ -77,23 +77,12 @@ pub use windowed::{pane_seed, PaneRing, WindowedRhhh};
 
 use hhh_hierarchy::KeyBits;
 
-/// Why two algorithm instances could not be merged.
+/// Why RHHH instances could not be combined into one view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
-    /// The two instances are different concrete algorithms (or the same
-    /// algorithm over different per-node counter types).
-    AlgorithmMismatch {
-        /// `name()` of the instance merged into.
-        left: String,
-        /// `name()` of the instance that was offered.
-        right: String,
-    },
-    /// Same concrete type, but the instances measure different hierarchies
-    /// or run incompatible configurations; the message names the field.
+    /// The instances measure different hierarchies or run incompatible
+    /// configurations; the message names the field.
     ConfigMismatch(String),
-    /// The algorithm has no merge support (the deterministic baselines
-    /// keep per-key state whose union is not a summary of the union).
-    Unsupported(String),
     /// A parallel pipeline could not produce one of the summaries the
     /// merge needed: a shard worker died (panicked) mid-feed, so its
     /// sub-stream's summary is lost and any merged answer would silently
@@ -105,11 +94,7 @@ pub enum MergeError {
 impl std::fmt::Display for MergeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::AlgorithmMismatch { left, right } => {
-                write!(f, "cannot merge `{right}` into `{left}`")
-            }
             Self::ConfigMismatch(what) => write!(f, "incompatible configurations: {what}"),
-            Self::Unsupported(name) => write!(f, "`{name}` does not support merging"),
             Self::ShardFailed(what) => write!(f, "shard worker failed before harvest: {what}"),
         }
     }
@@ -136,34 +121,6 @@ pub trait HhhAlgorithm<K: KeyBits>: Send {
         }
     }
 
-    /// Type-erases the instance for downcasting. This is the hook that
-    /// lets [`HhhAlgorithm::merge`] recover the concrete type behind a
-    /// `Box<dyn HhhAlgorithm>`; every implementation is the one-liner
-    /// `{ self }`.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-
-    /// Merges another instance — same concrete algorithm, same hierarchy,
-    /// same configuration — into `self`, so that `self` summarizes the
-    /// union of both input streams. Like [`Self::insert_batch`], this is on
-    /// the driver trait so it survives `dyn` dispatch: a shard-parallel
-    /// pipeline holding `Box<dyn HhhAlgorithm>` workers (built via
-    /// [`CounterKind::build_rhhh`]) can still harvest by merging.
-    ///
-    /// The default declines ([`MergeError::Unsupported`]); RHHH overrides
-    /// it with the per-node counter merge.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::AlgorithmMismatch`] when `other` is a different
-    /// concrete type, [`MergeError::ConfigMismatch`] when it measures a
-    /// different lattice or configuration, [`MergeError::Unsupported`]
-    /// when the algorithm cannot merge at all. On error `other` is
-    /// consumed but `self` is unchanged.
-    fn merge(&mut self, other: Box<dyn HhhAlgorithm<K>>) -> Result<(), MergeError> {
-        drop(other);
-        Err(MergeError::Unsupported(self.name()))
-    }
-
     /// Number of packets processed so far (the paper's `N`).
     fn packets(&self) -> u64;
 
@@ -181,16 +138,6 @@ impl<K: KeyBits> HhhAlgorithm<K> for Box<dyn HhhAlgorithm<K>> {
 
     fn insert_batch(&mut self, keys: &[K]) {
         (**self).insert_batch(keys);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        // Unwrap the outer box so the downcast target stays the concrete
-        // algorithm type, not `Box<dyn HhhAlgorithm>`.
-        (*self).into_any()
-    }
-
-    fn merge(&mut self, other: Box<dyn HhhAlgorithm<K>>) -> Result<(), MergeError> {
-        (**self).merge(other)
     }
 
     fn packets(&self) -> u64 {

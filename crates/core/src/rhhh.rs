@@ -240,46 +240,9 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         self.weight = 0;
     }
 
-    /// Merges `other` — an instance over the same lattice with the same
-    /// accuracy configuration — into `self`, so that `self` summarizes the
-    /// union of both input streams. This is the aggregation step of every
-    /// shard-parallel deployment: per-RSS-queue instances, per-VM backends
-    /// and per-device monitors each count their own sub-stream cheaply and
-    /// combine at query time.
-    ///
-    /// Mechanics: node `i`'s counter instance absorbs `other`'s node-`i`
-    /// instance via [`FrequencyEstimator::merge`] (exact Space Saving merge
-    /// semantics: count+error pairing, re-eviction to capacity), and the
-    /// packet and weight totals accumulate — so `N`, the ψ convergence
-    /// check and the sampling slack all recompute over the union.
-    ///
-    /// Accuracy: the per-node counter error bounds *add* (`ε_a` over the
-    /// summed updates, unchanged), and the sampling errors of the shards
-    /// are independent, so their variances add — the merged instance's
-    /// `slack() = 2·Z·√(N·V)` over the total `N` is exactly the standard
-    /// deviation bound of the summed estimators, the same guarantee a
-    /// single instance earns on the whole stream. Convergence still
-    /// requires the *total* `N > ψ`, which the accumulated packet count
-    /// reflects. Seeds may differ (shards should use distinct seeds);
-    /// `self` keeps its own RNG state.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::ConfigMismatch`] when the lattices (masks) differ or
-    /// any accuracy/performance field of the configuration differs; `self`
-    /// is unchanged in that case.
-    pub fn try_merge(&mut self, other: Self) -> Result<(), MergeError> {
-        self.check_mergeable(&other)?;
-        self.packets += other.packets;
-        self.weight += other.weight;
-        for (mine, theirs) in self.instances.iter_mut().zip(other.instances) {
-            mine.merge(theirs);
-        }
-        Ok(())
-    }
-
-    /// Whether `other` may merge into `self`: the same lattice masks and
-    /// the same accuracy and performance configuration (seeds may differ).
+    /// Whether `other` may be combined with `self`: the same lattice masks
+    /// and the same accuracy and performance configuration (seeds may
+    /// differ).
     fn check_mergeable(&self, other: &Self) -> Result<(), MergeError> {
         if self.sampler.masks != other.sampler.masks {
             return Err(MergeError::ConfigMismatch(format!(
@@ -298,66 +261,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
             )));
         }
         Ok(())
-    }
-
-    /// [`Rhhh::try_merge`] for callers that construct both sides — shard
-    /// pipelines built from one configuration — where a mismatch is a bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lattices or configurations are incompatible.
-    pub fn merge(&mut self, other: Self) {
-        if let Err(e) = self.try_merge(other) {
-            panic!("Rhhh::merge: {e}");
-        }
-    }
-
-    /// Merges `K` shard instances at once — the harvest path of
-    /// `hhh_vswitch::ShardedMonitor`-style pipelines. Each node's
-    /// estimator absorbs all K counterparts through
-    /// one [`FrequencyEstimator::merge_many`] combine instead of a
-    /// pairwise fold, which shaves the fold's accumulated min-count
-    /// padding (the K-way combine pads one-sided keys with the per-shard
-    /// minima, the fold with the growing intermediate merged minima).
-    /// Totals, convergence and slack accumulate exactly as in
-    /// [`Rhhh::try_merge`].
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::ConfigMismatch`] when any input's lattice or
-    /// accuracy/performance configuration differs from `self`'s; `self` is
-    /// unchanged in that case.
-    pub fn try_merge_many(&mut self, others: Vec<Self>) -> Result<(), MergeError> {
-        // Validate every input before mutating anything.
-        for other in &others {
-            self.check_mergeable(other)?;
-        }
-        // Transpose: node i's estimators from every shard, handed to one
-        // K-way counter combine each.
-        let h = self.instances.len();
-        let mut per_node: Vec<Vec<E>> = (0..h).map(|_| Vec::with_capacity(others.len())).collect();
-        for other in others {
-            self.packets += other.packets;
-            self.weight += other.weight;
-            for (node, instance) in other.instances.into_iter().enumerate() {
-                per_node[node].push(instance);
-            }
-        }
-        for (mine, theirs) in self.instances.iter_mut().zip(per_node) {
-            mine.merge_many(theirs);
-        }
-        Ok(())
-    }
-
-    /// [`Rhhh::try_merge_many`] for callers that construct every side.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any lattice or configuration is incompatible.
-    pub fn merge_many(&mut self, others: Vec<Self>) {
-        if let Err(e) = self.try_merge_many(others) {
-            panic!("Rhhh::merge_many: {e}");
-        }
     }
 
     /// Overrides the packet count `N` and the weight `W` with `n` each
@@ -423,17 +326,26 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     pub fn node_instances(&self) -> &[E] {
         &self.instances
     }
-}
 
-impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> Rhhh<K, E> {
-    /// A read-only view of the merge of `parts`: every node holds the
-    /// candidates and bounds of `parts[0]` after [`Rhhh::try_merge_many`]
-    /// of the rest, with the same validation and the same summed `N` and
-    /// `W`, but every part is borrowed. Each node's view comes from
-    /// [`FrequencyEstimator::merged_view`], so the Space Saving layouts
-    /// combine their borrowed candidates without cloning or rebuilding
-    /// anything. This is what the window ring and the shard fleet answer
-    /// live queries from.
+    /// A read-only view of the combine of `parts` — instances over the
+    /// same lattice with the same accuracy configuration, each counting
+    /// its own sub-stream — that summarizes the union of their streams.
+    /// This is the aggregation step of every shard-parallel and windowed
+    /// deployment: the window ring, the shard fleet's live queries and its
+    /// harvest all answer from one. Every part is borrowed; node `i`'s view
+    /// is [`FrequencyEstimator::merged_view`] of every part's node-`i`
+    /// instance, and the packet and weight totals sum — so `N`, the ψ
+    /// convergence check and the sampling slack all recompute over the
+    /// union.
+    ///
+    /// Accuracy: the per-node counter error bounds *add* (`ε_a` over the
+    /// summed updates, unchanged), and the sampling errors of the parts
+    /// are independent, so their variances add — the view's
+    /// `slack() = 2·Z·√(N·V)` over the total `N` is exactly the standard
+    /// deviation bound of the summed estimators, the same guarantee a
+    /// single instance earns on the whole stream. Convergence still
+    /// requires the *total* `N > ψ`. Seeds may differ (shards should use
+    /// distinct seeds).
     ///
     /// # Errors
     ///
@@ -499,23 +411,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> HhhAlgorithm<K> for Rhhh<K, E> {
 
     fn insert_batch(&mut self, keys: &[K]) {
         self.update_batch(keys);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-
-    fn merge(&mut self, other: Box<dyn HhhAlgorithm<K>>) -> Result<(), MergeError> {
-        let right = other.name();
-        match other.into_any().downcast::<Self>() {
-            Ok(other) => self.try_merge(*other),
-            // A different algorithm — or RHHH over a different per-node
-            // counter type, which erases to a different `Self`.
-            Err(_) => Err(MergeError::AlgorithmMismatch {
-                left: self.name(),
-                right,
-            }),
-        }
     }
 
     fn packets(&self) -> u64 {
@@ -736,9 +631,7 @@ mod tests {
 
     #[test]
     fn works_with_other_counter_algorithms() {
-        use hhh_counters::{
-            CompactSpaceSaving, CuckooHeavyKeeper, HeapSpaceSaving, LossyCounting, MisraGries,
-        };
+        use hhh_counters::{CompactSpaceSaving, CuckooHeavyKeeper, LossyCounting, MisraGries};
         let mut rng = Lcg(11);
         let mut keys = Vec::new();
         for i in 0..100_000u64 {
@@ -771,7 +664,6 @@ mod tests {
             }};
         }
         check!(CompactSpaceSaving<u32>);
-        check!(HeapSpaceSaving<u32>);
         check!(MisraGries<u32>);
         check!(LossyCounting<u32>);
         check!(CuckooHeavyKeeper<u32>);

@@ -1,13 +1,13 @@
-//! Read-only merged RHHH views: the query plane.
+//! Read-only combined RHHH views: the query plane.
 //!
 //! `Output(θ)` (Algorithm 1, lines 11–16) reads per-node bounds and the
 //! stream totals; it never updates. A [`FrozenRhhh`] is everything it
 //! reads — one [`Frozen`] node summary per lattice node, plus `N`, `W`
 //! and the configuration that fixes the scale, the slack and ψ — built by
 //! [`Rhhh::merged_view`] from *borrowed* instances. The window ring and
-//! the shard fleet answer every live query through one, so a query clones
-//! no pane and rebuilds no live summary; only [`Rhhh::merge_many`] and the
-//! harvest still produce an updatable instance.
+//! the shard fleet answer every query through one, the fleet's harvest
+//! included, so a query clones no pane and builds no live summary: no
+//! combined summary is ever updated.
 
 use hhh_counters::{Candidate, Frozen};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
@@ -17,10 +17,10 @@ use crate::rhhh::{psi_of, scale_of, slack_of, RhhhConfig};
 #[cfg(doc)]
 use crate::Rhhh;
 
-/// A read-only RHHH answer source: the merge of one or more [`Rhhh`]
-/// instances, frozen per node. Holds the candidates and bounds the live
-/// [`Rhhh::merge_many`] of the same instances would, so `Output(θ)` gives
-/// the same prefixes with the same bounds.
+/// A read-only RHHH answer source: the combine of one or more [`Rhhh`]
+/// instances, frozen per node by each counter family's one combine rule
+/// ([`hhh_counters::FrequencyEstimator::merged_view`]). A view of one
+/// instance answers `Output(θ)` exactly as the instance does.
 #[derive(Debug, Clone)]
 pub struct FrozenRhhh<K: KeyBits> {
     pub(crate) lattice: Lattice<K>,
@@ -43,6 +43,14 @@ impl<K: KeyBits> FrozenRhhh<K> {
     #[must_use]
     pub fn packets(&self) -> u64 {
         self.packets
+    }
+
+    /// The counter updates the view's nodes absorbed, summed over the
+    /// lattice: every sampled packet updates one node (`r` with the
+    /// multi-update extension).
+    #[must_use]
+    pub fn total_updates(&self) -> u64 {
+        self.nodes.iter().map(Frozen::updates).sum()
     }
 
     /// The total weight `W` the view covers; the `N` that `Output(θ)`
@@ -146,21 +154,31 @@ mod tests {
     }
 
     #[test]
-    fn view_answers_as_the_live_merge() {
+    fn view_combines_nodes_and_sums_totals() {
         let parts = [fed(1, 20_000), fed(2, 30_000), fed(3, 10_000)];
         let view = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
-        let mut live = parts[0].clone();
-        live.merge_many(parts[1..].to_vec());
         assert_eq!(view.packets(), 60_000);
-        assert_eq!(view.total_weight(), live.total_weight());
-        assert_eq!(view.slack(), live.slack());
-        assert_eq!(view.psi(), live.psi());
-        assert_eq!(view.output(0.05), live.output(0.05));
-        for node in live.lattice().node_ids() {
-            let inst: &SpaceSaving<u64> = &live.node_instances()[node.index()];
-            assert_eq!(view.node(node).candidates(), inst.candidates());
-            assert_eq!(view.node(node).updates(), inst.updates());
+        assert_eq!(view.total_weight(), 60_000);
+        // Slack and ψ are those of one instance that saw all 60k packets.
+        let mut whole = fed(1, 0);
+        whole.note_packets(60_000);
+        assert_eq!(view.slack(), whole.slack());
+        assert_eq!(view.psi(), whole.psi());
+        let updates: u64 = parts.iter().map(|p| p.total_updates()).sum();
+        assert_eq!(view.total_updates(), updates);
+        for node in parts[0].lattice().node_ids() {
+            let column: Vec<&SpaceSaving<u64>> = parts
+                .iter()
+                .map(|p| &p.node_instances()[node.index()])
+                .collect();
+            let want = SpaceSaving::merged_view(&column);
+            assert_eq!(view.node(node).candidates(), want.candidates());
+            assert_eq!(view.node(node).updates(), want.updates());
         }
+        // One part's view answers as the part itself.
+        let single = Rhhh::merged_view(&[&parts[1]]);
+        assert_eq!(single.output(0.05), parts[1].output(0.05));
+        assert_eq!(single.slack(), parts[1].slack());
     }
 
     #[test]

@@ -34,28 +34,26 @@
 //!
 //! # Accuracy
 //!
-//! Each pane is an independent RHHH instance, so the merge analysis of
-//! [`Rhhh::try_merge_many`] applies verbatim: per-pane counter errors add
+//! Each pane is an independent RHHH instance, so the combine analysis of
+//! [`Rhhh::try_merged_view`] applies verbatim: per-pane counter errors add
 //! (`Σᵢ ε·Nᵢ = ε·W` — the same class as one instance over the window) and
 //! the panes' independent sampling errors add in variance, which the
-//! merged instance's `slack()` over the covered `N` charges. The per-query
+//! view's `slack()` over the covered `N` charges. The per-query
 //! error is bounded by the *summed per-pane bounds*, pinned by the
 //! `windowed_props` suite against an exact oracle over the covered range.
-//! Convergence of the merged answer needs the covered window to pass ψ;
+//! Convergence of the combined answer needs the covered window to pass ψ;
 //! a shorter window answers with [`FrozenRhhh::converged`] false.
 //!
-//! # Query cost and the cached merged view
+//! # Query cost and the cached view
 //!
 //! `Output(θ)` only reads bounds, so a windowed answer never builds a
 //! live summary. [`WindowedRhhh::query`] combines the borrowed completed
-//! panes into a [`FrozenRhhh`]: per node, the G panes' candidates go
-//! through one hash combine with min-count padding, a linear-time select
-//! drops the union beyond capacity, and only the kept entries are sorted.
-//! No pane is cloned and no stream summary or arena is rebuilt; the live
-//! [`WindowedRhhh::merged_window`] remains for callers that need an
-//! updatable instance. Both give the same answer: the same prefixes with
-//! the same bounds, in the same order for the stream summary (a rebuilt
-//! arena lists one level's prefixes in its slot order).
+//! panes into a [`FrozenRhhh`]: per node, the counter family's one combine
+//! rule runs over the G panes (for Space Saving, one hash combine with
+//! min-count padding, a linear-time select that drops the union beyond
+//! capacity, and a sort of only the kept entries). No pane is cloned and
+//! no stream summary or arena is rebuilt. [`WindowedRhhh::merged_window`]
+//! builds the same view without the cache.
 //!
 //! The view is **cached**: it is built at most once per pane (lazily, after
 //! the rotation that invalidated it), so a steady query cadence pays the
@@ -64,8 +62,7 @@
 //! `window-v1` (G = 4 panes of 2¹⁹ packets, ε = 0.001, V = H, on a 2-CPU
 //! x86-64 host, medians of ten interleaved 30 s pairs; see ROADMAP
 //! "Performance"): a post-rotation query (combine plus `Output`) takes
-//! 2.9 ms against 6.7 ms for the clone, combine and rebuild of a live
-//! merged instance, and a cached query 0.14 ms.
+//! 2.9 ms, and a cached query 0.14 ms.
 //! [`WindowedRhhh::query_fresh`] bypasses the cache for callers that want
 //! the combine-per-query cost model (and for differential tests).
 
@@ -154,9 +151,8 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> PaneRing<K, E> {
     }
 
     /// Decomposes the ring into the active pane and the retained completed
-    /// panes (oldest first) — the consuming counterpart of
-    /// [`PaneRing::merged_window`], for harvest paths that own the ring
-    /// and want to merge many rings' panes in one combine without cloning.
+    /// panes (oldest first), for harvest paths that own the ring and
+    /// combine many rings' panes in one view.
     #[must_use]
     pub fn into_parts(self) -> (Rhhh<K, E>, Vec<Rhhh<K, E>>) {
         (self.active, self.completed.into())
@@ -177,25 +173,11 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> PaneRing<K, E> {
         }
         self.rotations += 1;
     }
-}
 
-impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> PaneRing<K, E> {
-    /// Combines the retained completed panes into one live, updatable
-    /// instance via a single K-way [`Rhhh::merge_many`] pass. `None` while
-    /// no pane has completed. The merged instance's packet/weight totals
-    /// cover exactly the retained panes — the window the answer speaks
-    /// for.
-    #[must_use]
-    pub fn merged_window(&self) -> Option<Rhhh<K, E>> {
-        let mut panes = self.completed.iter().cloned();
-        let mut merged = panes.next()?;
-        merged.merge_many(panes.collect());
-        Some(merged)
-    }
-
-    /// The read-only view of [`PaneRing::merged_window`]: the same
-    /// answers, built from the borrowed completed panes with
-    /// [`Rhhh::merged_view`]. `None` while no pane has completed.
+    /// The read-only view of the retained completed panes, combined in one
+    /// [`Rhhh::merged_view`] over borrowed panes. Its packet and weight
+    /// totals cover exactly the retained panes — the window the answer
+    /// speaks for. `None` while no pane has completed.
     #[must_use]
     pub fn merged_view(&self) -> Option<FrozenRhhh<K>> {
         let panes: Vec<&Rhhh<K, E>> = self.completed.iter().collect();
@@ -204,8 +186,8 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> PaneRing<K, E> {
 }
 
 /// Sliding-window RHHH over a [`PaneRing`]: rotates every `⌈W/G⌉` packets,
-/// answers queries over the last `G` completed panes with a cached K-way
-/// merge. See the [module docs](self) for coverage, accuracy and cost.
+/// answers queries over the last `G` completed panes from a cached
+/// combined view. See the [module docs](self) for coverage, accuracy and cost.
 #[derive(Debug, Clone)]
 pub struct WindowedRhhh<K: KeyBits, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     ring: PaneRing<K, E>,
@@ -219,7 +201,7 @@ pub struct WindowedRhhh<K: KeyBits, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     cached: Option<FrozenRhhh<K>>,
 }
 
-impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
+impl<K: KeyBits, E: FrequencyEstimator<K>> WindowedRhhh<K, E> {
     /// Creates a sliding-window instance over the last `window` packets,
     /// approximated by `panes` ring panes of `⌈window/panes⌉` packets each.
     ///
@@ -353,13 +335,12 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone> WindowedRhhh<K, E> {
         (end - self.covered_packets(), end)
     }
 
-    /// The merged live instance over the covered window, built fresh (one
-    /// K-way combine per call, no cache), for callers that want to keep
-    /// updating or merging the result. Queries read
-    /// [`WindowedRhhh::view`] instead. `None` until the first rotation.
+    /// The view over the covered window, built fresh (one combine per
+    /// call, no cache). Queries read the cached [`WindowedRhhh::view`]
+    /// instead. `None` until the first rotation.
     #[must_use]
-    pub fn merged_window(&self) -> Option<Rhhh<K, E>> {
-        self.ring.merged_window()
+    pub fn merged_window(&self) -> Option<FrozenRhhh<K>> {
+        self.ring.merged_view()
     }
 
     /// The cached merged view over the covered window — node estimates,

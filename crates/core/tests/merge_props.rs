@@ -1,23 +1,27 @@
-//! Shard-merge differential suite.
+//! Shard-combine differential suite.
 //!
 //! A K-shard pipeline partitions the stream by key hash, runs one RHHH
-//! instance per shard through the geometric-skip batch path, and merges at
-//! harvest. These tests pin the merge contract at the RHHH level:
+//! instance per shard through the geometric-skip batch path, and combines
+//! the shards into one read-only view (`Rhhh::merged_view`) at harvest.
+//! These tests pin the combine contract at the RHHH level:
 //!
-//! * the merged per-node summaries keep the Space Saving sandwich with the
+//! * the view's per-node summaries keep the Space Saving sandwich with the
 //!   error of the K per-shard summaries *summed* (the bound the merge
-//!   analysis promises — shard and merge costs no accuracy class, only a
+//!   analysis promises — shard and combine costs no accuracy class, only a
 //!   constant),
-//! * the merged `Output(θ)` finds the same planted hierarchical heavy
+//! * the view's `Output(θ)` finds the same planted hierarchical heavy
 //!   hitter a single instance over the whole stream finds — on random,
 //!   Zipf-tailed and phase-change streams, for both Space Saving layouts,
-//! * the `HhhAlgorithm`-level merge (through `Box<dyn …>`, the way a
-//!   runtime-configured pipeline holds its workers) succeeds exactly when
-//!   the two sides are the same algorithm over the same configuration.
+//! * `Rhhh::try_merged_view` combines exactly the parts that share a
+//!   lattice and configuration (seeds may differ), and sums their totals.
 
-use hhh_core::{CounterKind, HhhAlgorithm, MergeError, NodeEstimates, Rhhh, RhhhConfig};
-use hhh_counters::{CompactSpaceSaving, FrequencyEstimator, SpaceSaving};
-use hhh_hierarchy::{pack2, shard_of, Lattice, NodeId};
+use std::collections::HashMap;
+
+use hhh_core::{FrozenRhhh, HhhAlgorithm, MergeError, NodeEstimates, Rhhh, RhhhConfig};
+use hhh_counters::{
+    merge_entries_many, Candidate, CompactSpaceSaving, FrequencyEstimator, SpaceSaving,
+};
+use hhh_hierarchy::{pack2, shard_of, Lattice};
 use hhh_traces::{TraceConfig, TraceGenerator};
 
 struct Lcg(u64);
@@ -89,14 +93,14 @@ fn test_config(v_scale: u64, seed: u64) -> RhhhConfig {
     }
 }
 
-/// Partitions `keys` by key hash into `shards` instances (distinct seeds),
-/// drives each through the batch path, and merges them all.
-fn shard_and_merge<E: FrequencyEstimator<u64>>(
+/// Partitions `keys` by key hash into `shards` instances (distinct seeds)
+/// and drives each through the batch path.
+fn shard<E: FrequencyEstimator<u64>>(
     lat: &Lattice<u64>,
     config: RhhhConfig,
     keys: &[u64],
     shards: usize,
-) -> Rhhh<u64, E> {
+) -> Vec<Rhhh<u64, E>> {
     let mut parts: Vec<Rhhh<u64, E>> = (0..shards)
         .map(|i| {
             Rhhh::new(
@@ -117,11 +121,18 @@ fn shard_and_merge<E: FrequencyEstimator<u64>>(
             part.update_batch(chunk);
         }
     }
-    let mut merged = parts.remove(0);
-    for part in parts {
-        merged.merge(part);
-    }
-    merged
+    parts
+}
+
+/// [`shard`], then one view over every shard.
+fn shard_and_merge<E: FrequencyEstimator<u64>>(
+    lat: &Lattice<u64>,
+    config: RhhhConfig,
+    keys: &[u64],
+    shards: usize,
+) -> FrozenRhhh<u64> {
+    let parts = shard::<E>(lat, config, keys, shards);
+    Rhhh::merged_view(&parts.iter().collect::<Vec<_>>())
 }
 
 /// The merged per-node summaries keep the counter-level sandwich with the
@@ -144,9 +155,8 @@ fn check_merged_node_sandwich<E: FrequencyEstimator<u64>>(keys: &[u64], shards: 
         "weight totals must sum"
     );
     let cap = hhh_counters::counters_for(config.epsilon_a, config.epsilon_s) as u64;
-    for node in 0..merged.h() as u16 {
-        let node = NodeId(node);
-        let delivered = merged.node_updates(node);
+    for node in lat.node_ids() {
+        let delivered = merged.node(node).updates();
         let allow = delivered / cap + shards as u64;
         let mut guaranteed = 0u64;
         for c in merged.node_candidates(node) {
@@ -258,10 +268,16 @@ fn merged_update_totals_match_selection_law() {
 #[test]
 fn rhhh_merge_rejects_incompatible_configs() {
     let lat = Lattice::ipv4_src_dst_bytes();
-    let mut a = Rhhh::<u64>::new(lat.clone(), test_config(1, 1));
+    let a = Rhhh::<u64>::new(lat.clone(), test_config(1, 1));
+    let mismatch = |other: &Rhhh<u64>| {
+        matches!(
+            Rhhh::try_merged_view(&[&a, other]),
+            Err(MergeError::ConfigMismatch(_))
+        )
+    };
     // Different v_scale.
     let b = Rhhh::<u64>::new(lat.clone(), test_config(10, 2));
-    assert!(matches!(a.try_merge(b), Err(MergeError::ConfigMismatch(_))));
+    assert!(mismatch(&b));
     // Different lattice (coarser 16-bit granularity → different masks).
     let c = Rhhh::<u64>::new(
         Lattice::new(
@@ -273,137 +289,102 @@ fn rhhh_merge_rejects_incompatible_configs() {
         ),
         test_config(1, 3),
     );
-    assert!(matches!(a.try_merge(c), Err(MergeError::ConfigMismatch(_))));
+    assert!(mismatch(&c));
     // Different seed alone is fine — shards must use distinct seeds.
     let d = Rhhh::<u64>::new(lat, test_config(1, 99));
-    assert!(a.try_merge(d).is_ok());
+    assert!(Rhhh::try_merged_view(&[&a, &d]).is_ok());
 }
 
-/// The dyn-dispatch surface: a pipeline that holds `Box<dyn HhhAlgorithm>`
-/// workers (runtime counter selection via `CounterKind`) merges through the
-/// trait exactly like the concrete types do.
-#[test]
-fn boxed_merge_survives_dyn_dispatch() {
-    let lat = Lattice::ipv4_src_dst_bytes();
-    let keys = random_stream(100_000, 44);
-    for kind in [CounterKind::StreamSummary, CounterKind::Compact] {
-        let mut a = kind.build_rhhh::<u64>(lat.clone(), test_config(1, 10));
-        let mut b = kind.build_rhhh::<u64>(lat.clone(), test_config(1, 11));
-        a.insert_batch(&keys[..50_000]);
-        b.insert_batch(&keys[50_000..]);
-        a.merge(b).expect("same kind and config must merge");
-        assert_eq!(a.packets(), 100_000);
-        assert!(
-            !a.query(0.1).is_empty(),
-            "{}: merged dyn instance must answer queries",
-            kind.label()
-        );
-    }
-}
-
-#[test]
-fn boxed_merge_rejects_cross_kind() {
-    let lat = Lattice::ipv4_src_dst_bytes();
-    // RHHH[stream-summary] vs RHHH[compact]: different erased types.
-    let mut a = CounterKind::StreamSummary.build_rhhh::<u64>(lat.clone(), test_config(1, 1));
-    let b = CounterKind::Compact.build_rhhh::<u64>(lat, test_config(1, 2));
-    assert!(matches!(
-        a.merge(b),
-        Err(MergeError::AlgorithmMismatch { .. })
-    ));
-    // `self` must be untouched by the failed merge.
-    assert_eq!(a.packets(), 0);
-}
-
-/// `Rhhh::merge_many` (the K-way harvest combine) against the pairwise
-/// fold on the same shard set: totals agree exactly, and every node's
-/// per-key upper bound is no looser than the fold's — the K-way combine
-/// pads one-sided keys with per-shard minima instead of the fold's
-/// growing intermediate merged minima.
+/// The K-way view against a test-side pairwise fold of the same shards:
+/// at every node, the fold combines the running result (padded with its
+/// own merged min-count) with the next shard through the same engine.
+/// Every per-key upper bound of the view is no looser than the fold's —
+/// the K-way combine pads one-sided keys with per-shard minima instead of
+/// the fold's growing intermediate merged minima — and the view still
+/// finds the attack.
 #[test]
 fn rhhh_merge_many_no_looser_than_pairwise_fold() {
     let lat = Lattice::ipv4_src_dst_bytes();
     let keys = zipf_stream(200_000, 55);
     for shards in [2usize, 4, 8] {
-        let build = |seed_base: u64| -> Vec<Rhhh<u64, CompactSpaceSaving<u64>>> {
-            let mut parts: Vec<Rhhh<u64, CompactSpaceSaving<u64>>> = (0..shards)
-                .map(|i| {
-                    Rhhh::new(
-                        lat.clone(),
-                        RhhhConfig {
-                            seed: seed_base ^ (i as u64 * 0x9E37),
-                            ..test_config(1, 0)
-                        },
-                    )
-                })
-                .collect();
-            let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); shards];
-            for &k in &keys {
-                buckets[shard_of(k, shards)].push(k);
+        let parts = shard::<CompactSpaceSaving<u64>>(&lat, test_config(1, 0xF01D), &keys, shards);
+        let kway = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
+        assert_eq!(kway.packets(), keys.len() as u64, "{shards} shards");
+        for node in lat.node_ids() {
+            let instances = parts.iter().map(|p| &p.node_instances()[node.index()]);
+            let cap = parts[0].node_instances()[node.index()].capacity();
+            let mut fold: Option<(Vec<Candidate<u64>>, u64)> = None;
+            for inst in instances {
+                let side = (inst.candidates(), inst.unmonitored_upper());
+                let Some(acc) = fold.take() else {
+                    fold = Some(side);
+                    continue;
+                };
+                let entries = merge_entries_many(&[acc, side], cap);
+                let min = if entries.len() < cap { 0 } else { entries[0].1 };
+                let cands = entries
+                    .iter()
+                    .map(|&(key, count, error)| Candidate {
+                        key,
+                        upper: count,
+                        lower: count - error,
+                    })
+                    .collect();
+                fold = Some((cands, min));
             }
-            for (part, bucket) in parts.iter_mut().zip(&buckets) {
-                part.update_batch(bucket);
-            }
-            parts
-        };
-        let pairwise = {
-            let mut parts = build(0xF01D);
-            let mut merged = parts.remove(0);
-            for part in parts {
-                merged.merge(part);
-            }
-            merged
-        };
-        let kway = {
-            let mut parts = build(0xF01D);
-            let mut merged = parts.remove(0);
-            merged.merge_many(parts);
-            merged
-        };
-        assert_eq!(kway.packets(), pairwise.packets(), "{shards} shards");
-        assert_eq!(
-            kway.total_updates(),
-            pairwise.total_updates(),
-            "{shards} shards: same shard streams, same per-node updates"
-        );
-        for node in 0..25u16 {
-            let node = NodeId(node);
-            for c in kway.node_candidates(node) {
+            let (cands, min) = fold.expect("at least one shard");
+            let fold: HashMap<u64, u64> = cands.iter().map(|c| (c.key, c.upper)).collect();
+            let fold_upper = |key: &u64| fold.get(key).copied().unwrap_or(min);
+            for c in kway.node(node).candidates() {
                 assert!(
-                    c.upper <= pairwise.node_upper(node, &c.key),
-                    "{shards} shards, {node:?}: K-way upper {} looser than \
-                     fold's {} for {:?}",
+                    c.upper <= fold_upper(&c.key),
+                    "{shards} shards, {node:?}: K-way upper {} looser than fold's {} for {:?}",
                     c.upper,
-                    pairwise.node_upper(node, &c.key),
+                    fold_upper(&c.key),
                     c.key
                 );
             }
+            assert!(
+                kway.node(node).unmonitored_upper() <= min,
+                "{node:?} min-count"
+            );
         }
-        // The K-way result still answers the query and finds the attack.
-        let out = kway.output(0.1);
-        let rendered: Vec<String> = out.iter().map(|h| h.prefix.display(&lat)).collect();
+        let rendered: Vec<String> = kway
+            .output(0.1)
+            .iter()
+            .map(|h| h.prefix.display(&lat))
+            .collect();
         assert!(
             rendered
                 .iter()
                 .any(|s| s.contains("10.20.0.0/16") && s.contains("8.8.8.8/32")),
-            "{shards} shards: K-way merge lost the attack in {rendered:?}"
+            "{shards} shards: K-way view lost the attack in {rendered:?}"
         );
     }
 }
 
-/// `try_merge_many` validates every input before mutating: one bad shard
-/// in the middle leaves `self` untouched.
+/// `try_merged_view` validates every part against the first: one bad
+/// shard anywhere in the list fails the whole view; compatible parts
+/// combine with their packet, weight and update totals summed.
 #[test]
 fn rhhh_merge_many_rejects_any_incompatible_input() {
     let lat = Lattice::ipv4_src_dst_bytes();
     let mut a = Rhhh::<u64>::new(lat.clone(), test_config(1, 1));
     a.update_batch(&random_stream(10_000, 3));
-    let packets_before = a.packets();
-    let good = Rhhh::<u64>::new(lat.clone(), test_config(1, 2));
+    let mut good = Rhhh::<u64>::new(lat.clone(), test_config(1, 2));
+    good.update_weighted(pack2(0x0A00_0001, 0x0808_0808), 1_500);
     let bad = Rhhh::<u64>::new(lat, test_config(10, 3)); // wrong v_scale
-    assert!(matches!(
-        a.try_merge_many(vec![good, bad]),
-        Err(MergeError::ConfigMismatch(_))
-    ));
-    assert_eq!(a.packets(), packets_before, "failed merge must not mutate");
+    for parts in [[&a, &good, &bad], [&a, &bad, &good]] {
+        assert!(matches!(
+            Rhhh::try_merged_view(&parts),
+            Err(MergeError::ConfigMismatch(_))
+        ));
+    }
+    let view = Rhhh::try_merged_view(&[&a, &good]).expect("same lattice and config");
+    assert_eq!(view.packets(), a.packets() + good.packets());
+    assert_eq!(view.total_weight(), a.total_weight() + good.total_weight());
+    assert_eq!(
+        view.total_updates(),
+        a.total_updates() + good.total_updates()
+    );
 }

@@ -1,18 +1,29 @@
 //! Differential suite for the read-only query plane: a [`FrozenRhhh`]
-//! view must answer `Output(θ)` as the live `merge_many` + `output` of the
-//! same instances does — for every counter in the roster, over windows of
-//! G ∈ {1, 2, 4, 8} panes and over fleets of K ∈ 1..=4 shard instances.
+//! view over windows of G ∈ {1, 2, 4, 8} panes and over fleets of
+//! K ∈ 1..=4 shard instances must keep every counter's contract against
+//! exact truth, for every counter in the roster:
 //!
-//! Stream-summary Space Saving answers match entry for entry: the view
-//! keeps the combine's `(count, key)` order, which is the rebuilt stream
-//! summary's candidate order. The other layouts list a rebuilt summary's
-//! candidates in their own slot or map order, which only reorders
-//! prefixes within a lattice level, so their answers must hold the same
-//! prefixes with identical `freq_lower` and `freq_upper`.
+//! * the truth is an RHHH over an exact per-key counter, fed the same
+//!   packets with the same seeds. Sampling never reads the counter, so it
+//!   samples exactly the packets every other counter's instance samples,
+//!   and the view of its parts holds each node's true sampled counts;
+//! * every node of the view holds the same update count as the truth, and
+//!   `lower ≤ truth ≤ upper` for every key the truth or the view holds;
+//! * the cached window query, the fresh one and the fresh view's
+//!   `Output(θ)` agree entry for entry.
+//!
+//! The two Space Saving layouts keep identical count multisets on the same
+//! scalar feed, and report the same upper bound for every key: a key tied
+//! at the minimum is bounded by the min-count whether or not it holds a
+//! slot, so the layouts differ only in which of those keys they list. Their
+//! views of the same parts must therefore hold the same count multiset,
+//! unmonitored bound and update count at every node.
 
-use hhh_core::{FrozenRhhh, HeavyHitter, Rhhh, RhhhConfig, WindowedRhhh};
+use std::collections::HashMap;
+
+use hhh_core::{FrozenRhhh, Rhhh, RhhhConfig, WindowedRhhh};
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
+    Candidate, CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, Frozen, LossyCounting,
     MisraGries, SpaceSaving,
 };
 use hhh_hierarchy::{pack2, shard_of, Lattice};
@@ -56,118 +67,147 @@ fn stream(n: usize, seed: u64, tail: u32) -> Vec<u64> {
         .collect()
 }
 
-fn same_answers(
-    view: &[HeavyHitter<u64>],
-    live: &[HeavyHitter<u64>],
-    entry_for_entry: bool,
-    what: &str,
-) {
-    if entry_for_entry {
-        assert_eq!(view, live, "{what}: view and live merge disagree");
-        return;
-    }
-    let sorted = |answer: &[HeavyHitter<u64>]| {
-        let mut rows: Vec<_> = answer
-            .iter()
-            .map(|h| (h.prefix.node, h.prefix.key, h.freq_lower, h.freq_upper))
-            .collect();
-        rows.sort_by_key(|r| (r.0, r.1));
-        rows
-    };
-    assert_eq!(
-        sorted(view),
-        sorted(live),
-        "{what}: view and live merge disagree"
-    );
+/// Exact per-key counts: the oracle counter. Its "combine" sums counts.
+#[derive(Debug, Clone, Default)]
+struct Exact {
+    counts: HashMap<u64, u64>,
+    updates: u64,
 }
 
-/// The view's totals and every node's summary equal the live merge's:
-/// the same candidates with the same bounds, the same bound for an
-/// unmonitored key and the same update count.
-fn check_summaries<E: FrequencyEstimator<u64> + Clone>(
-    view: &FrozenRhhh<u64>,
-    live: &Rhhh<u64, E>,
-    entry_for_entry: bool,
-    what: &str,
-) {
-    assert_eq!(view.total_weight(), live.total_weight(), "{what}: W");
-    assert_eq!(view.slack(), live.slack(), "{what}: slack");
-    assert_eq!(view.converged(), live.converged(), "{what}: converged");
-    for node in live.lattice().node_ids() {
-        let (frozen, inst) = (view.node(node), &live.node_instances()[node.index()]);
-        let (mut got, mut want) = (frozen.candidates(), inst.candidates());
-        if !entry_for_entry {
-            got.sort_unstable_by_key(|c| c.key);
-            want.sort_unstable_by_key(|c| c.key);
+impl FrequencyEstimator<u64> for Exact {
+    fn with_capacity(_: usize) -> Self {
+        Self::default()
+    }
+
+    fn increment(&mut self, key: u64) {
+        self.add(key, 1);
+    }
+
+    fn add(&mut self, key: u64, weight: u64) {
+        *self.counts.entry(key).or_insert(0) += weight;
+        self.updates += weight;
+    }
+
+    fn merged_view(parts: &[&Self]) -> Frozen<u64> {
+        let mut sum = Exact::default();
+        for part in parts {
+            for (&key, &count) in &part.counts {
+                sum.add(key, count);
+            }
         }
-        assert_eq!(got, want, "{what}: node {node:?} candidates");
-        // No stream key sets every bit, so u64::MAX is never monitored.
-        assert_eq!(
-            frozen.unmonitored_upper(),
-            inst.upper(&u64::MAX),
-            "{what}: node {node:?} unmonitored bound"
-        );
-        assert_eq!(frozen.updates(), inst.updates(), "{what}: node {node:?}");
+        Frozen::freeze(&sum)
+    }
+
+    fn updates(&self) -> u64 {
+        self.updates
+    }
+
+    fn upper(&self, key: &u64) -> u64 {
+        self.lower(key)
+    }
+
+    fn lower(&self, key: &u64) -> u64 {
+        self.counts.get(key).copied().unwrap_or(0)
+    }
+
+    fn unmonitored_upper(&self) -> u64 {
+        0
+    }
+
+    fn candidates(&self) -> Vec<Candidate<u64>> {
+        self.counts
+            .iter()
+            .map(|(&key, &count)| Candidate {
+                key,
+                upper: count,
+                lower: count,
+            })
+            .collect()
+    }
+
+    fn capacity(&self) -> usize {
+        usize::MAX
     }
 }
 
-fn check_windows<E: FrequencyEstimator<u64> + Clone>(entry_for_entry: bool, tail: u32) {
+/// The view keeps the contract against the truth at every node: the same
+/// totals and update counts, and `lower ≤ truth ≤ upper` for every key
+/// either side holds.
+fn check_against_truth(view: &FrozenRhhh<u64>, truth: &FrozenRhhh<u64>, what: &str) {
+    assert_eq!(view.packets(), truth.packets(), "{what}: N");
+    assert_eq!(view.total_weight(), truth.total_weight(), "{what}: W");
+    assert_eq!(view.slack(), truth.slack(), "{what}: slack");
+    assert_eq!(view.converged(), truth.converged(), "{what}: converged");
+    for node in Lattice::<u64>::ipv4_src_dst_bytes().node_ids() {
+        let (got, exact) = (view.node(node), truth.node(node));
+        assert_eq!(
+            got.updates(),
+            exact.updates(),
+            "{what}: node {node:?} updates"
+        );
+        let keys = exact.candidates().into_iter().chain(got.candidates());
+        for key in keys.map(|c| c.key).chain([u64::MAX]) {
+            let f = exact.upper(&key);
+            assert!(
+                got.lower(&key) <= f && f <= got.upper(&key),
+                "{what}: node {node:?} key {key:#x}: truth {f} outside [{}, {}]",
+                got.lower(&key),
+                got.upper(&key)
+            );
+        }
+    }
+}
+
+fn window<E: FrequencyEstimator<u64>>(panes: usize) -> WindowedRhhh<u64, E> {
+    WindowedRhhh::new(Lattice::ipv4_src_dst_bytes(), config(5), 16_000, panes)
+}
+
+fn check_windows<E: FrequencyEstimator<u64>>(tail: u32) {
     let name = std::any::type_name::<E>();
     let keys = stream(40_000, 11, tail);
     for panes in [1usize, 2, 4, 8] {
-        let mut w =
-            WindowedRhhh::<u64, E>::new(Lattice::ipv4_src_dst_bytes(), config(5), 16_000, panes);
+        let (mut w, mut exact) = (window::<E>(panes), window::<Exact>(panes));
         // Three checkpoints: a partly filled ring, a full one, a slid one.
         for part in [&keys[..17_000], &keys[17_000..29_000], &keys[29_000..]] {
             for chunk in part.chunks(1_000) {
                 w.update_batch(chunk);
+                exact.update_batch(chunk);
             }
-            let live = w.merged_window().expect("a pane has completed");
             let what = format!("{name} G={panes} after {} packets", w.total_packets());
-            let view = w.view().expect("a pane has completed");
-            check_summaries(view, &live, entry_for_entry, &what);
+            let fresh = w.merged_window().expect("a pane has completed");
+            let truth = exact.merged_window().expect("a pane has completed");
+            check_against_truth(&fresh, &truth, &what);
+            check_against_truth(w.view().expect("a pane has completed"), &truth, &what);
             for theta in THETAS {
-                let answer = live.output(theta);
-                same_answers(
-                    &w.query_fresh(theta).expect("a pane has completed"),
-                    &answer,
-                    entry_for_entry,
-                    &what,
-                );
-                same_answers(
-                    &w.query(theta).expect("a pane has completed"),
-                    &answer,
-                    entry_for_entry,
-                    &what,
-                );
+                let answer = fresh.output(theta);
+                assert_eq!(w.query_fresh(theta), Some(answer.clone()), "{what}: fresh");
+                assert_eq!(w.query(theta), Some(answer), "{what}: cached");
             }
         }
     }
 }
 
-fn check_fleets<E: FrequencyEstimator<u64> + Clone>(entry_for_entry: bool, tail: u32) {
+fn fleet<E: FrequencyEstimator<u64>>(keys: &[u64], shards: usize) -> Vec<Rhhh<u64, E>> {
+    let mut parts: Vec<Rhhh<u64, E>> = (0..shards)
+        .map(|s| Rhhh::new(Lattice::ipv4_src_dst_bytes(), config(100 + s as u64)))
+        .collect();
+    for &k in keys {
+        parts[shard_of(k, shards)].update(k);
+    }
+    parts
+}
+
+fn view_of<E: FrequencyEstimator<u64>>(parts: &[Rhhh<u64, E>]) -> FrozenRhhh<u64> {
+    Rhhh::merged_view(&parts.iter().collect::<Vec<_>>())
+}
+
+fn check_fleets<E: FrequencyEstimator<u64>>(tail: u32) {
     let name = std::any::type_name::<E>();
     let keys = stream(24_000, 23, tail);
     for shards in 1usize..=4 {
-        let mut parts: Vec<Rhhh<u64, E>> = (0..shards)
-            .map(|s| Rhhh::new(Lattice::ipv4_src_dst_bytes(), config(100 + s as u64)))
-            .collect();
-        for &k in &keys {
-            parts[shard_of(k, shards)].update(k);
-        }
-        let view = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
-        let mut live = parts[0].clone();
-        live.merge_many(parts[1..].to_vec());
-        let what = format!("{name} K={shards}");
-        check_summaries(&view, &live, entry_for_entry, &what);
-        for theta in THETAS {
-            same_answers(
-                &view.output(theta),
-                &live.output(theta),
-                entry_for_entry,
-                &what,
-            );
-        }
+        let view = view_of(&fleet::<E>(&keys, shards));
+        let truth = view_of(&fleet::<Exact>(&keys, shards));
+        check_against_truth(&view, &truth, &format!("{name} K={shards}"));
     }
 }
 
@@ -176,38 +216,72 @@ fn check_fleets<E: FrequencyEstimator<u64> + Clone>(entry_for_entry: bool, tail:
 /// On the Cuckoo Heavy Keeper every upper bound carries the node's
 /// unattributed-mass deficit, which on this tail lifts every candidate
 /// over θ; `Output(θ)` costs one pass plus the answer, so that regime is
-/// compared too.
-fn check_counter<E: FrequencyEstimator<u64> + Clone>(entry_for_entry: bool, tail: u32) {
-    check_windows::<E>(entry_for_entry, tail);
-    check_fleets::<E>(entry_for_entry, tail);
+/// checked too.
+fn check_counter<E: FrequencyEstimator<u64>>(tail: u32) {
+    check_windows::<E>(tail);
+    check_fleets::<E>(tail);
+}
+
+/// Per node: the sorted counts, the unmonitored bound and the updates.
+fn count_multisets(view: &FrozenRhhh<u64>) -> Vec<(Vec<u64>, u64, u64)> {
+    Lattice::<u64>::ipv4_src_dst_bytes()
+        .node_ids()
+        .map(|node| {
+            let frozen = view.node(node);
+            let mut counts: Vec<u64> = frozen.candidates().iter().map(|c| c.upper).collect();
+            counts.sort_unstable();
+            (counts, frozen.unmonitored_upper(), frozen.updates())
+        })
+        .collect()
+}
+
+/// Scalar feeds: the batch flush lets the compact layout pick its own
+/// processing order, which changes its count multiset.
+#[test]
+fn stream_summary_views_match_compact_views() {
+    let keys = stream(40_000, 11, 512);
+    for panes in [1usize, 2, 4, 8] {
+        let mut ss = window::<SpaceSaving<u64>>(panes);
+        let mut compact = window::<CompactSpaceSaving<u64>>(panes);
+        for chunk in keys.chunks(1_000) {
+            for &k in chunk {
+                ss.update(k);
+                compact.update(k);
+            }
+            if let (Some(a), Some(b)) = (ss.merged_window(), compact.merged_window()) {
+                assert_eq!(count_multisets(&a), count_multisets(&b), "G={panes}");
+            }
+        }
+    }
+    let keys = stream(24_000, 23, 512);
+    for shards in 1usize..=4 {
+        let a = view_of(&fleet::<SpaceSaving<u64>>(&keys, shards));
+        let b = view_of(&fleet::<CompactSpaceSaving<u64>>(&keys, shards));
+        assert_eq!(count_multisets(&a), count_multisets(&b), "K={shards}");
+    }
 }
 
 #[test]
-fn stream_summary_views_match_entry_for_entry() {
-    check_counter::<SpaceSaving<u64>>(true, 512);
+fn stream_summary_views_match_exact_truth() {
+    check_counter::<SpaceSaving<u64>>(512);
 }
 
 #[test]
-fn compact_views_match_live_merge() {
-    check_counter::<CompactSpaceSaving<u64>>(false, 512);
+fn compact_views_match_exact_truth() {
+    check_counter::<CompactSpaceSaving<u64>>(512);
 }
 
 #[test]
-fn heap_views_match_live_merge() {
-    check_counter::<HeapSpaceSaving<u64>>(false, 512);
+fn misra_gries_views_match_exact_truth() {
+    check_counter::<MisraGries<u64>>(512);
 }
 
 #[test]
-fn misra_gries_views_match_live_merge() {
-    check_counter::<MisraGries<u64>>(false, 512);
+fn lossy_counting_views_match_exact_truth() {
+    check_counter::<LossyCounting<u64>>(512);
 }
 
 #[test]
-fn lossy_counting_views_match_live_merge() {
-    check_counter::<LossyCounting<u64>>(false, 512);
-}
-
-#[test]
-fn chk_views_match_live_merge() {
-    check_counter::<CuckooHeavyKeeper<u64>>(false, 512);
+fn chk_views_match_exact_truth() {
+    check_counter::<CuckooHeavyKeeper<u64>>(512);
 }

@@ -20,7 +20,7 @@
 //!   planted attack is always reported while out-of-window traffic ages
 //!   out.
 
-use hhh_core::{HhhAlgorithm, RhhhConfig, WindowedRhhh};
+use hhh_core::{RhhhConfig, WindowedRhhh};
 use hhh_counters::{CompactSpaceSaving, FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{pack2, Lattice};
 use hhh_traces::{TraceConfig, TraceGenerator};
@@ -101,7 +101,7 @@ fn test_config(v_scale: u64, seed: u64) -> RhhhConfig {
 /// Feeds `n` packets through an arbitrary mix of scalar and batch calls and
 /// checks that every piece of pane bookkeeping reconciles with the packet
 /// arithmetic — pane packet counts sum to the total fed.
-fn check_rotation_invariants<E: FrequencyEstimator<u64> + Clone>(
+fn check_rotation_invariants<E: FrequencyEstimator<u64>>(
     window: u64,
     panes: usize,
     chunks: &[usize],
@@ -171,7 +171,7 @@ fn rotation_invariants_hold_for_any_chunking() {
 
 /// Two windowed instances are bit-identical: same pane bookkeeping and
 /// identical outputs from both query paths.
-fn assert_bit_identical<E: FrequencyEstimator<u64> + Clone>(
+fn assert_bit_identical<E: FrequencyEstimator<u64>>(
     a: &WindowedRhhh<u64, E>,
     b: &WindowedRhhh<u64, E>,
 ) {
@@ -205,10 +205,7 @@ fn assert_bit_identical<E: FrequencyEstimator<u64> + Clone>(
 /// exact, so both sides hand the same sub-slices to the same panes and the
 /// RNG streams walk in lockstep. `weighted` runs the volume feed, whose
 /// panes still turn over by packet count.
-fn check_straddling_batch_splits_exactly<E: FrequencyEstimator<u64> + Clone>(
-    v_scale: u64,
-    weighted: bool,
-) {
+fn check_straddling_batch_splits_exactly<E: FrequencyEstimator<u64>>(v_scale: u64, weighted: bool) {
     let lat = Lattice::ipv4_src_dst_bytes();
     let (window, panes) = (160_000u64, 4usize);
     let pane_len = window / panes as u64; // 40k
@@ -278,7 +275,7 @@ fn straddling_batches_split_exactly_compact() {
 
 /// Both scales on the unit feed; the weighted feed shares the pane split,
 /// so one scale pins it.
-fn check_straddling_batch_splitting_both_scales<E: FrequencyEstimator<u64> + Clone>() {
+fn check_straddling_batch_splitting_both_scales<E: FrequencyEstimator<u64>>() {
     for (v_scale, weighted) in [(1, false), (10, false), (10, true)] {
         check_straddling_batch_splits_exactly::<E>(v_scale, weighted);
     }
@@ -288,7 +285,7 @@ fn check_straddling_batch_splitting_both_scales<E: FrequencyEstimator<u64> + Clo
 /// so across pane boundaries they must agree structurally (identical pane
 /// boundaries) and statistically (update rate ≈ H/V per pane, and the
 /// same planted attack recalled from the same covered window).
-fn check_batch_scalar_equivalence<E: FrequencyEstimator<u64> + Clone>(keys: &[u64]) {
+fn check_batch_scalar_equivalence<E: FrequencyEstimator<u64>>(keys: &[u64]) {
     let lat = Lattice::ipv4_src_dst_bytes();
     let (window, panes) = (160_000u64, 4usize);
     let config = test_config(1, 0xFACE);
@@ -349,7 +346,7 @@ fn batch_and_scalar_windowed_feeds_agree() {
 /// the exact frequency over precisely the covered packet range: counter
 /// errors add across panes to `ε·W_cov` and the G panes' independent
 /// sampling slacks add in quadrature to `√G ×` the merged slack.
-fn check_query_coverage_sandwich<E: FrequencyEstimator<u64> + Clone>(keys: &[u64], expect: bool) {
+fn check_query_coverage_sandwich<E: FrequencyEstimator<u64>>(keys: &[u64], expect: bool) {
     let lat = Lattice::ipv4_src_dst_bytes();
     let (window, panes) = (160_000u64, 4usize);
     let config = test_config(1, 0xB0B);

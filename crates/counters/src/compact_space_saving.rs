@@ -133,11 +133,6 @@ pub struct CompactSpaceSaving<K> {
     len: usize,
     capacity: usize,
     updates: u64,
-    /// Guaranteed mass (`count − error`) dropped by merge re-eviction;
-    /// zero until the first [`FrequencyEstimator::merge`]. Keeps the mass
-    /// ledger `Σ(count − error) + discarded ≤ updates` exact so
-    /// [`CompactSpaceSaving::debug_validate`] can audit merged instances.
-    discarded: u64,
     /// Exact minimum count over occupied slots (meaningful when `len > 0`;
     /// always inside the level window).
     min_val: u64,
@@ -204,28 +199,6 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Builds an arena directly from `(key, count, error)` entries
-    /// (distinct keys, `count ≥ 1`, `error ≤ count`) with the ledgers
-    /// forced — the merge rebuild path.
-    fn rebuild_from_entries(
-        capacity: usize,
-        updates: u64,
-        discarded: u64,
-        entries: &[(K, u64, u64)],
-    ) -> Self {
-        assert!(entries.len() <= capacity, "more entries than counters");
-        let mut fresh = Self::with_capacity(capacity);
-        fresh.updates = updates;
-        fresh.discarded = discarded;
-        for &(key, count, error) in entries {
-            fresh.insert_entry(key, count, error);
-        }
-        if fresh.len > 0 {
-            fresh.rescan_window();
-        }
-        fresh
     }
 
     /// The key's probe start and 7-bit fingerprint.
@@ -758,7 +731,7 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
         assert!(self.pending.is_empty(), "pending evictions outside a flush");
         if !self.table.is_init() {
             assert_eq!(self.len, 0, "len without an arena");
-            assert_eq!(self.updates, self.discarded, "mass without an arena");
+            assert_eq!(self.updates, 0, "mass without an arena");
             return;
         }
         self.table.debug_validate_tags(|key| self.home_and_tag(key));
@@ -825,31 +798,10 @@ impl<K: CounterKey> CompactSpaceSaving<K> {
             .iter()
             .map(|&i| self.table.hot[i].count - self.table.errors[i])
             .sum();
-        assert!(
-            guaranteed + self.discarded <= self.updates,
-            "counted mass exceeds updates"
-        );
+        assert!(guaranteed <= self.updates, "counted mass exceeds updates");
         if occupied.iter().all(|&i| self.table.errors[i] == 0) {
-            assert_eq!(
-                guaranteed + self.discarded,
-                self.updates,
-                "mass lost without evictions"
-            );
+            assert_eq!(guaranteed, self.updates, "mass lost without evictions");
         }
-    }
-
-    /// Inserts a merged entry into a rebuilt (not yet full) table: plain
-    /// tag scan to the first empty slot. The caller re-establishes the
-    /// lazy minimum with one `rescan_min` after the last insert.
-    fn insert_entry(&mut self, key: K, count: u64, error: u64) {
-        debug_assert!(count >= 1 && error <= count && self.len < self.capacity);
-        if !self.table.is_init() {
-            self.table.init(self.capacity, key);
-        }
-        let (home, tag) = self.home_and_tag(&key);
-        let i = self.table.first_empty_from(home);
-        self.table.install(i, tag, key, count, error);
-        self.len += 1;
     }
 }
 
@@ -874,7 +826,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
             len: 0,
             capacity,
             updates: 0,
-            discarded: 0,
             min_val: 0,
             level_base: 0,
             level_support: [0; LEVELS],
@@ -886,28 +837,6 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
             last_flush_sorted: true,
             hasher: IntHashBuilder,
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.merge_many(vec![other]);
-    }
-
-    fn merge_many(&mut self, others: Vec<Self>) {
-        if others.is_empty() {
-            // Nothing to absorb: skip the no-op rebuild (a single-shard
-            // harvest lands here for every node instance).
-            return;
-        }
-        // Same exact combine as the stream summary (the two layouts stay
-        // differentially pinned): additive count+error pairing with
-        // per-side min-count padding over all K inputs at once, then
-        // re-eviction to capacity. The arena is rebuilt from scratch —
-        // merge runs at harvest time, off the per-packet path.
-        let parts: Vec<&Self> = std::iter::once(&*self).chain(&others).collect();
-        let (entries, dropped) = crate::combine_parts(&parts);
-        let updates = parts.iter().map(|p| p.updates).sum();
-        let discarded = parts.iter().map(|p| p.discarded).sum::<u64>() + dropped;
-        *self = Self::rebuild_from_entries(self.capacity, updates, discarded, &entries);
     }
 
     fn merged_view(parts: &[&Self]) -> Frozen<K> {

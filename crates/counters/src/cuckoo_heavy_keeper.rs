@@ -53,16 +53,16 @@
 //! suite pins the sandwich (plus heavy-hitter retention) against an exact
 //! oracle on four stream shapes.
 //!
-//! # Merging
+//! # Combining
 //!
-//! Merge is supported with a *documented* (not Space-Saving-exact) bound:
-//! counts for the same key sum across shards (sums of underestimates
-//! underestimate the concatenated stream), the union is re-inserted in
-//! descending count order, and any entry that finds no slot — capacity or
-//! an unresolvable bucket conflict — returns its mass to the deficit. The
-//! merged deficit is therefore at most the sum of the shard deficits plus
-//! the dropped mass, and the sandwich above holds for the concatenated
-//! stream by the same ledger argument.
+//! [`FrequencyEstimator::merged_view`] combines parts with a *documented*
+//! (not Space-Saving-exact) bound: counts for the same key sum across
+//! shards (sums of underestimates underestimate the concatenated stream),
+//! the union is re-inserted in descending count order, and any entry that
+//! finds no slot — capacity or an unresolvable bucket conflict — returns
+//! its mass to the deficit. The combined deficit is therefore at most the
+//! sum of the shard deficits plus the dropped mass, and the sandwich above
+//! holds for the concatenated stream by the same ledger argument.
 //!
 //! # Determinism
 //!
@@ -78,7 +78,7 @@ use std::hash::BuildHasher;
 use crate::fast_hash::IntHashBuilder;
 use crate::mix::{hash_u64, wyrand_mix, WY_ADD};
 use crate::tagged_table::{zero_bytes, HotSlot, EMPTY};
-use crate::{for_each_run, Candidate, CounterKey, FrequencyEstimator};
+use crate::{for_each_run, Candidate, CounterKey, FrequencyEstimator, Frozen};
 
 /// Slots per bucket: one aligned tag word per bucket.
 const BUCKET: usize = 8;
@@ -183,7 +183,7 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
     }
 
     /// `(key, count)` for every occupied slot, slot order. Raw counts —
-    /// the merge wants them without the deficit folded in.
+    /// the combine wants them without the deficit folded in.
     fn raw_entries(&self) -> Vec<(K, u64)> {
         self.slots
             .iter()
@@ -195,7 +195,7 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
     /// Builds an instance holding `entries` (distinct keys, descending
     /// insertion works best) with the update ledger forced to `updates`.
     /// Entries that find no slot are dropped — their mass lands in the
-    /// deficit, which is exactly the documented merge bound.
+    /// deficit, which is exactly the documented combine bound.
     fn from_entries(capacity: usize, updates: u64, entries: &[(K, u64)]) -> Self {
         let mut fresh = Self::with_capacity(capacity);
         fresh.updates = updates;
@@ -435,7 +435,7 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
         assert!(self.stored <= self.updates, "counts exceed updates");
     }
 
-    /// Inserts a distinct `(key, count)` during the merge rebuild;
+    /// Inserts a distinct `(key, count)` during the combine;
     /// returns whether a slot was found (drops are the caller's deficit).
     fn insert_entry(&mut self, key: K, count: u64) -> bool {
         debug_assert!(count > 0);
@@ -495,27 +495,26 @@ impl<K: CounterKey> FrequencyEstimator<K> for CuckooHeavyKeeper<K> {
         for_each_run(keys, |key, run| self.apply(key, run));
     }
 
-    fn merge(&mut self, other: Self) {
-        self.merge_many(vec![other]);
-    }
-
-    fn merge_many(&mut self, others: Vec<Self>) {
-        if others.is_empty() {
-            return;
+    fn merged_view(parts: &[&Self]) -> Frozen<K> {
+        let (first, rest) = parts
+            .split_first()
+            .expect("a merged view needs at least one part");
+        if rest.is_empty() {
+            return Frozen::freeze(*first);
         }
-        // Documented-bound merge (module docs): per-key count sums stay
+        // Documented-bound combine (module docs): per-key count sums stay
         // underestimates of the concatenated stream; re-inserted largest
         // first so capacity/conflict drops hit the smallest counts; every
-        // drop returns to the deficit, which prices the merge.
-        let mut updates = self.updates;
-        let mut entries = self.raw_entries();
-        for other in &others {
+        // drop returns to the deficit, which prices the combine.
+        let mut updates = 0;
+        let mut entries = Vec::new();
+        for part in parts {
             assert_eq!(
-                self.capacity, other.capacity,
+                part.capacity, first.capacity,
                 "merge requires equal capacities"
             );
-            updates += other.updates;
-            entries.extend(other.raw_entries());
+            updates += part.updates;
+            entries.extend(part.raw_entries());
         }
         entries.sort_unstable_by_key(|a| a.0);
         let mut summed: Vec<(K, u64)> = Vec::with_capacity(entries.len());
@@ -527,10 +526,7 @@ impl<K: CounterKey> FrequencyEstimator<K> for CuckooHeavyKeeper<K> {
         }
         // Descending count, key tie-break: deterministic drop order.
         summed.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut fresh = Self::from_entries(self.capacity, updates, &summed);
-        // Continue self's decay stream rather than restarting the seed.
-        fresh.rng = self.rng;
-        *self = fresh;
+        Frozen::freeze(&Self::from_entries(first.capacity, updates, &summed))
     }
 
     fn updates(&self) -> u64 {
@@ -701,13 +697,18 @@ mod tests {
         for &k in &b_keys {
             b.increment(k);
         }
-        let before: u64 = a.updates() + b.updates();
-        a.merge(b);
-        a.debug_validate();
-        assert_eq!(a.updates(), before);
+        let view = CuckooHeavyKeeper::merged_view(&[&a, &b]);
+        assert_eq!(view.updates(), a.updates() + b.updates());
         let mut all = a_keys;
         all.extend(b_keys);
-        assert_sandwich(&a, &oracle(&all));
+        for (&k, &t) in &oracle(&all) {
+            assert!(view.lower(&k) <= t, "lower({k}) = {} > {t}", view.lower(&k));
+            assert!(view.upper(&k) >= t, "upper({k}) = {} < {t}", view.upper(&k));
+        }
+        // The combined deficit prices every dropped entry, and it is at
+        // least the parts' deficits summed.
+        assert_eq!(view.lower(&u64::MAX), 0);
+        assert!(view.unmonitored_upper() >= a.deficit() + b.deficit());
     }
 
     #[test]

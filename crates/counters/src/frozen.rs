@@ -4,23 +4,23 @@
 //! the monitored candidates, and `upper`/`lower` for the few keys its
 //! `calcPred` correction looks up. A [`Frozen`] holds exactly that — the
 //! `(key, count, error)` entries, the bound every unmonitored key obeys,
-//! and the update count — so a merged answer can be read without
-//! rebuilding a live, updatable summary (a hash index plus bucket lists,
-//! or an arena) that would only ever be read once.
+//! and the update count — so a combined answer is read without building a
+//! live, updatable summary (a hash index plus bucket lists, or an arena)
+//! that would only ever be read once.
 //!
-//! [`FrequencyEstimator::merged_view`] builds one from borrowed parts. The
-//! Space Saving layouts run the same K-way combine as their live
-//! `merge_many` ([`crate::merge_entries_many`]) over their borrowed candidates,
-//! so a view and a live merge answer identically without cloning either
-//! side.
+//! [`FrequencyEstimator::merged_view`] builds one from borrowed parts by
+//! the one combine rule of each counter family: the Space Saving layouts'
+//! K-way combine ([`crate::merge_entries_many`]) over their borrowed
+//! candidates, or a fold of the family's pairwise rule on a scratch copy
+//! of the first part.
 
 use std::sync::OnceLock;
 
 use crate::fast_hash::FastMap;
 use crate::{combine_parts, Candidate, CounterKey, FrequencyEstimator};
 
-/// One node's read-only summary: the answers of a live instance (or of a
-/// live merge of several), with nothing that updates.
+/// One node's read-only summary: the answers of a live instance, or of the
+/// combine of several, with nothing that updates.
 ///
 /// Entries are `(key, count, error)`: `upper = count` and
 /// `lower = count − error` for a monitored key. A key absent from the
@@ -30,8 +30,9 @@ use crate::{combine_parts, Candidate, CounterKey, FrequencyEstimator};
 /// instance is not full) and `lower = 0`.
 #[derive(Debug, Clone)]
 pub struct Frozen<K: CounterKey> {
-    /// In `(count, key)` order for a combine of several parts; in the
-    /// part's own [`FrequencyEstimator::candidates`] order for one part.
+    /// In `(count, key)` order for a Space Saving combine of several parts;
+    /// otherwise in the (scratch) instance's own
+    /// [`FrequencyEstimator::candidates`] order.
     entries: Vec<(K, u64, u64)>,
     unmonitored: u64,
     updates: u64,
@@ -121,11 +122,9 @@ impl<K: CounterKey> Frozen<K> {
 }
 
 /// The Space Saving layouts' [`FrequencyEstimator::merged_view`]: one part
-/// is frozen as is (a live `merge_many` with nothing to absorb leaves it
-/// untouched); several run the K-way combine of their live `merge_many`
-/// over borrowed candidates. The kept entries come back in `(count, key)`
-/// order, which is the candidate order of the rebuilt stream summary, and
-/// the first of them is the merged min-count once the union fills the
+/// is frozen as is; several run the K-way combine over borrowed
+/// candidates. The kept entries come back in `(count, key)` order, and the
+/// first of them is the merged min-count once the union fills the
 /// capacity.
 ///
 /// # Panics
@@ -140,7 +139,7 @@ pub(crate) fn space_saving_view<K: CounterKey, E: FrequencyEstimator<K>>(
     if rest.is_empty() {
         return Frozen::freeze(*first);
     }
-    let (entries, _) = combine_parts(parts);
+    let entries = combine_parts(parts);
     let unmonitored = if entries.len() < first.capacity() {
         0
     } else {
@@ -148,4 +147,34 @@ pub(crate) fn space_saving_view<K: CounterKey, E: FrequencyEstimator<K>>(
     };
     let updates = parts.iter().map(|p| p.updates()).sum();
     Frozen::from_entries(entries, unmonitored, updates)
+}
+
+/// The [`FrequencyEstimator::merged_view`] of the families whose rule
+/// combines two summaries at a time (Misra–Gries, Lossy Counting): a
+/// scratch copy of `parts[0]` absorbs the rest in order and is frozen. One
+/// part is frozen as is.
+///
+/// # Panics
+///
+/// Panics when `parts` is empty or the capacities differ.
+pub(crate) fn fold_view<K: CounterKey, E: FrequencyEstimator<K> + Clone>(
+    parts: &[&E],
+    absorb: impl Fn(&mut E, &E),
+) -> Frozen<K> {
+    let (first, rest) = parts
+        .split_first()
+        .expect("a merged view needs at least one part");
+    if rest.is_empty() {
+        return Frozen::freeze(*first);
+    }
+    let mut scratch = (*first).clone();
+    for part in rest {
+        assert_eq!(
+            part.capacity(),
+            scratch.capacity(),
+            "merge requires equal capacities"
+        );
+        absorb(&mut scratch, part);
+    }
+    Frozen::freeze(&scratch)
 }

@@ -23,8 +23,6 @@
 //!   minimum over a multi-level window of the dense hot lane replacing
 //!   the bucket lists (amortized O(1), see the
 //!   [module docs](compact_space_saving)).
-//! * [`HeapSpaceSaving`] — the same semantics on a binary heap
-//!   (O(log 1/ε) updates); kept as an ablation target.
 //! * [`MisraGries`] — the Frequent algorithm (deterministic underestimates,
 //!   amortized O(1)).
 //! * [`LossyCounting`] — Manku–Motwani buckets (deterministic, δ = 0).
@@ -80,7 +78,6 @@ mod compact_space_saving;
 mod cuckoo_heavy_keeper;
 mod fast_hash;
 mod frozen;
-mod heap_space_saving;
 mod lossy_counting;
 mod misra_gries;
 pub mod mix;
@@ -91,7 +88,6 @@ pub use compact_space_saving::CompactSpaceSaving;
 pub use cuckoo_heavy_keeper::CuckooHeavyKeeper;
 pub use fast_hash::{FastHasher, IntHashBuilder};
 pub use frozen::Frozen;
-pub use heap_space_saving::HeapSpaceSaving;
 pub use lossy_counting::LossyCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;
@@ -119,7 +115,8 @@ pub struct Candidate<K> {
 
 /// The (ε, δ)-Frequency Estimation interface of Definition 4, extended with
 /// the candidate enumeration that `Output` (Algorithm 1) requires and the
-/// summary merge that shard-parallel deployments need.
+/// one read-only combine ([`Self::merged_view`]) that shard-parallel and
+/// windowed deployments answer from.
 ///
 /// Implementations count *updates* (the paper's `X_p`); RHHH scales them by
 /// `V` to estimate frequencies (Definition 11).
@@ -190,88 +187,36 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
         self.increment_batch(keys);
     }
 
-    /// Merges `other` — a summary of a *different portion* of the same
-    /// logical stream, built with the same capacity — into `self`, so the
-    /// result summarizes the concatenated stream. This is what lets
-    /// shard-parallel pipelines (one instance per RSS queue or per
-    /// measurement VM) answer queries over their union.
+    /// A read-only view of the combine of `parts` — summaries of
+    /// *different portions* of one logical stream, built with the same
+    /// capacity — that summarizes the concatenated stream, without
+    /// modifying or consuming any part. This is each family's one combine
+    /// rule: `Output(θ)` only reads bounds, so no combined summary is ever
+    /// updated. A single part is frozen as is.
     ///
-    /// The contract every implementation keeps (following Mitzenmacher,
-    /// Steinke & Thaler's merge analysis for Space-Saving-style summaries):
+    /// The contract every rule keeps (following Mitzenmacher, Steinke &
+    /// Thaler's merge analysis for Space-Saving-style summaries):
     ///
-    /// * `updates()` becomes the sum of both inputs' update counts;
+    /// * the view's `updates()` is the sum of the parts' update counts;
     /// * the sandwich survives: for every key, `lower(x) ≤ X ≤ upper(x)`
     ///   where `X` is the key's count in the concatenated stream;
-    /// * the additive error is at most the *sum* of the two inputs'
-    ///   per-summary error bounds (`n₁/m + n₂/m = n/m`), so merging `k`
-    ///   shards of one stream costs no accuracy versus one instance of the
-    ///   same capacity — only the constant hidden in the per-shard bound.
+    /// * the additive error is at most the *sum* of the parts' per-summary
+    ///   error bounds (`n₁/m + … + n_K/m = n/m`), so combining `K` shards of
+    ///   one stream costs no accuracy versus one instance of the same
+    ///   capacity — only the constant hidden in the per-shard bound.
     ///
-    /// The Space Saving implementations merge *exactly*: counts and errors
-    /// pair up additively (an absent key contributes the other summary's
-    /// `min_count` to both), then the union is re-evicted to capacity by
-    /// dropping minimal counters. The sketch and deterministic structures
-    /// document their own (weaker or equal) merged bounds inline.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when the two capacities differ.
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
-
-    /// Merges `K` summaries at once. The default folds [`Self::merge`]
-    /// pairwise; the Space Saving implementations override it with a
-    /// single K-way combine, which is *tighter* than the fold: a key
-    /// absent from some shards is padded with those shards' own
-    /// min-counts, whereas the pairwise fold pads with the intermediate
-    /// *merged* min-counts, which only grow as the fold proceeds. The
-    /// merged `updates()` and the summed-error contract of [`Self::merge`]
-    /// are identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when any capacity differs from `self`'s.
-    fn merge_many(&mut self, others: Vec<Self>)
-    where
-        Self: Sized,
-    {
-        for other in others {
-            self.merge(other);
-        }
-    }
-
-    /// A read-only view of the merge of `parts`: the same candidates and
-    /// the same `upper`/`lower` for every key as [`Self::merge_many`] of
-    /// the parts (`parts[0]` absorbing the rest), without modifying or
-    /// consuming any part. Only the candidate order may differ from a
-    /// rebuilt instance's. This is the query
-    /// plane's combine: `Output(θ)` only reads bounds, so nothing needs a
-    /// live, updatable result.
-    ///
-    /// The default clones the first part, runs [`Self::merge_many`] on
-    /// clones of the rest and freezes the result, so every structure keeps
-    /// its own merge rule. The Space Saving layouts override it with the
-    /// K-way combine over their borrowed candidates, with no clone and no
-    /// rebuild. A single part is frozen as is.
+    /// The Space Saving layouts combine *exactly*, over all `K` parts at
+    /// once ([`merge_entries_many`]). Misra–Gries and Lossy Counting fold
+    /// their pairwise rules over the parts in order, and Cuckoo Heavy
+    /// Keeper re-inserts the summed counts largest first, charging every
+    /// drop to its deficit; each documents its bound inline.
     ///
     /// # Panics
     ///
     /// Panics when `parts` is empty or the capacities differ.
     fn merged_view(parts: &[&Self]) -> Frozen<K>
     where
-        Self: Sized + Clone,
-    {
-        let (first, rest) = parts
-            .split_first()
-            .expect("a merged view needs at least one part");
-        if rest.is_empty() {
-            return Frozen::freeze(*first);
-        }
-        let mut merged = (*first).clone();
-        merged.merge_many(rest.iter().map(|&p| p.clone()).collect());
-        Frozen::freeze(&merged)
-    }
+        Self: Sized;
 
     /// Total number of updates processed (the per-instance `X_i`).
     fn updates(&self) -> u64;
@@ -340,27 +285,22 @@ pub fn counters_for(epsilon_a: f64, epsilon_s: f64) -> usize {
 }
 
 /// Combines any number of Space-Saving-style summaries in one pass — the
-/// shared engine of [`FrequencyEstimator::merge`] (two sides),
-/// [`FrequencyEstimator::merge_many`] (K sides) and the Space Saving
-/// layouts' [`FrequencyEstimator::merged_view`]: counts and errors pair up
+/// engine of the Space Saving layouts'
+/// [`FrequencyEstimator::merged_view`]: counts and errors pair up
 /// additively — a key absent from a side contributes that side's min-count
 /// to *both* its count and its error (the absent side may have seen it up
 /// to `min` times, all of which must stay deniable) — then the union is
 /// re-evicted back to `capacity` by dropping minimal counters. Every
 /// dropped entry's merged count is bounded by every survivor's, so the
-/// merged structure's min-count still bounds any unmonitored key. Because
+/// merged min-count still bounds any unmonitored key. Because
 /// the padding uses each *input's* min-count, a K-way combine is pointwise
 /// tighter than folding pairwise merges, whose padding grows with the
 /// intermediate merged minima.
 ///
 /// `sides` pairs each input's candidate list with its min-count. Returns
 /// the kept `(key, count, error)` entries sorted ascending by
-/// `(count, key)` (the order both rebuild paths want: the stream summary
-/// appends buckets tail-ward, and a count-sorted array is already a valid
-/// min-heap), plus the guaranteed mass (`count − error`) that re-eviction
-/// discarded — the mass ledger the debug validators audit needs it,
-/// because discarded guaranteed units leave the summary without becoming
-/// error.
+/// `(count, key)`, so the first of them is the merged min-count once the
+/// union fills the capacity.
 ///
 /// Keys are distinct after the combine, so `(count, key)` is a total order
 /// on the union: selecting the dropped prefix with a linear-time select
@@ -371,7 +311,7 @@ pub fn counters_for(epsilon_a: f64, epsilon_s: f64) -> usize {
 pub fn merge_entries_many<K: CounterKey>(
     sides: &[(Vec<Candidate<K>>, u64)],
     capacity: usize,
-) -> (Vec<(K, u64, u64)>, u64) {
+) -> Vec<(K, u64, u64)> {
     let total_min: u64 = sides.iter().map(|(_, min)| min).sum();
     let union = sides.iter().map(|(c, _)| c.len()).sum();
     // Per key: summed counts and errors over the sides that monitor it,
@@ -403,27 +343,25 @@ pub fn merge_entries_many<K: CounterKey>(
     // minimal counters break the same way on every run.
     let order = |&(key, count, _): &(K, u64, u64)| (count, key);
     let keep_from = entries.len().saturating_sub(capacity);
-    let mut discarded = 0;
     if keep_from > 0 {
         entries.select_nth_unstable_by_key(keep_from, order);
-        discarded = entries[..keep_from].iter().map(|e| e.1 - e.2).sum();
         entries.drain(..keep_from);
     }
     entries.sort_unstable_by_key(order);
-    (entries, discarded)
+    entries
 }
 
 /// [`merge_entries_many`] over borrowed Space-Saving-style parts, each
 /// side being a part's candidates and its unmonitored-key bound (its
-/// min-count): the one combine behind the Space Saving layouts' live
-/// `merge_many` and their [`FrequencyEstimator::merged_view`].
+/// min-count): the combine behind the Space Saving layouts'
+/// [`FrequencyEstimator::merged_view`].
 ///
 /// # Panics
 ///
 /// Panics when the capacities differ.
 pub(crate) fn combine_parts<K: CounterKey, E: FrequencyEstimator<K>>(
     parts: &[&E],
-) -> (Vec<(K, u64, u64)>, u64) {
+) -> Vec<(K, u64, u64)> {
     let capacity = parts[0].capacity();
     let sides: Vec<(Vec<Candidate<K>>, u64)> = parts
         .iter()

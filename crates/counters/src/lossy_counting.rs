@@ -10,7 +10,7 @@
 //! algorithms that satisfy Definition 4 and can replace Space Saving.
 
 use crate::fast_hash::FastMap;
-use crate::{Candidate, CounterKey, FrequencyEstimator};
+use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -50,6 +50,43 @@ impl<K: CounterKey> LossyCounting<K> {
     fn prune(&mut self) {
         let b = self.bucket;
         self.entries.retain(|_, e| e.count + e.delta > b);
+    }
+
+    /// Documented-bound Lossy Counting combine: counts and deltas add for
+    /// keys tracked on both sides; a key tracked on only one side takes the
+    /// other side's `bucket − 1` as extra delta (the most occurrences that
+    /// side could have missed). The merged bucket is `b₁ + b₂ − 1`, so the
+    /// deterministic guarantee becomes `count ≤ f ≤ count + ε·(N₁+N₂)` —
+    /// the two inputs' bounds summed — and a final prune restores the
+    /// steady-state invariant `count + Δ > bucket − 1`.
+    fn absorb(&mut self, other: &Self) {
+        self.updates += other.updates;
+        let (b1, b2) = (self.bucket, other.bucket);
+        for e in self.entries.values_mut() {
+            e.delta += b2 - 1;
+        }
+        for (&key, &e2) in &other.entries {
+            match self.entries.get_mut(&key) {
+                Some(e1) => {
+                    // Tracked on both sides: replace the padding with the
+                    // other side's actual delta.
+                    e1.count += e2.count;
+                    e1.delta = e1.delta - (b2 - 1) + e2.delta;
+                }
+                None => {
+                    self.entries.insert(
+                        key,
+                        Entry {
+                            count: e2.count,
+                            delta: e2.delta + (b1 - 1),
+                        },
+                    );
+                }
+            }
+        }
+        self.bucket = b1 + b2 - 1;
+        let floor = self.bucket - 1;
+        self.entries.retain(|_, e| e.count + e.delta > floor);
     }
 }
 
@@ -112,45 +149,8 @@ impl<K: CounterKey> FrequencyEstimator<K> for LossyCounting<K> {
         crate::for_each_run(keys, |key, run| self.add(key, run));
     }
 
-    /// Documented-bound Lossy Counting merge: counts and deltas add for
-    /// keys tracked on both sides; a key tracked on only one side takes the
-    /// other side's `bucket − 1` as extra delta (the most occurrences that
-    /// side could have missed). The merged bucket is `b₁ + b₂ − 1`, so the
-    /// deterministic guarantee becomes `count ≤ f ≤ count + ε·(N₁+N₂)` —
-    /// the two inputs' bounds summed — and a final prune restores the
-    /// steady-state invariant `count + Δ > bucket − 1`.
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "merge requires equal capacities"
-        );
-        self.updates += other.updates;
-        let (b1, b2) = (self.bucket, other.bucket);
-        for e in self.entries.values_mut() {
-            e.delta += b2 - 1;
-        }
-        for (key, e2) in other.entries {
-            match self.entries.get_mut(&key) {
-                Some(e1) => {
-                    // Tracked on both sides: replace the padding with the
-                    // other side's actual delta.
-                    e1.count += e2.count;
-                    e1.delta = e1.delta - (b2 - 1) + e2.delta;
-                }
-                None => {
-                    self.entries.insert(
-                        key,
-                        Entry {
-                            count: e2.count,
-                            delta: e2.delta + (b1 - 1),
-                        },
-                    );
-                }
-            }
-        }
-        self.bucket = b1 + b2 - 1;
-        let floor = self.bucket - 1;
-        self.entries.retain(|_, e| e.count + e.delta > floor);
+    fn merged_view(parts: &[&Self]) -> Frozen<K> {
+        crate::frozen::fold_view(parts, Self::absorb)
     }
 
     fn updates(&self) -> u64 {

@@ -11,7 +11,7 @@
 //! algorithms ([17, 30]) that can replace Space Saving.
 
 use crate::fast_hash::FastMap;
-use crate::{Candidate, CounterKey, FrequencyEstimator};
+use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 
 /// Misra–Gries summary with deterministic underestimates.
 ///
@@ -33,6 +33,34 @@ impl<K: CounterKey> MisraGries<K> {
     #[must_use]
     pub fn deficit_bound(&self) -> u64 {
         (self.updates - self.stored) / (self.capacity as u64 + 1)
+    }
+
+    /// The Misra–Gries combine of Agarwal et al. (*Mergeable Summaries*,
+    /// PODS 2012): sum counts key-wise, then subtract the `(k+1)`-st
+    /// largest combined count from every entry and drop the non-positive
+    /// ones. Each key loses at most that subtrahend while at least `k+1`
+    /// entries lose it in full, so the data-dependent deficit invariant
+    /// `underestimate ≤ (N − Σcounts)/(k+1)` — and with it the documented
+    /// `N/(k+1)` bound over the concatenated stream — survives merging.
+    fn absorb(&mut self, other: &Self) {
+        self.updates += other.updates;
+        self.stored += other.stored;
+        for (&key, &c) in &other.counts {
+            *self.counts.entry(key).or_insert(0) += c;
+        }
+        if self.counts.len() > self.capacity {
+            let mut counts: Vec<u64> = self.counts.values().copied().collect();
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+            let sub = counts[self.capacity];
+            let mut removed = 0u64;
+            self.counts.retain(|_, c| {
+                let cut = (*c).min(sub);
+                removed += cut;
+                *c -= cut;
+                *c > 0
+            });
+            self.stored -= removed;
+        }
     }
 }
 
@@ -102,36 +130,8 @@ impl<K: CounterKey> FrequencyEstimator<K> for MisraGries<K> {
         crate::for_each_run(keys, |key, run| self.add(key, run));
     }
 
-    /// The Misra–Gries merge of Agarwal et al. (*Mergeable Summaries*,
-    /// PODS 2012): sum counts key-wise, then subtract the `(k+1)`-st
-    /// largest combined count from every entry and drop the non-positive
-    /// ones. Each key loses at most that subtrahend while at least `k+1`
-    /// entries lose it in full, so the data-dependent deficit invariant
-    /// `underestimate ≤ (N − Σcounts)/(k+1)` — and with it the documented
-    /// `N/(k+1)` bound over the concatenated stream — survives merging.
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "merge requires equal capacities"
-        );
-        self.updates += other.updates;
-        self.stored += other.stored;
-        for (key, c) in other.counts {
-            *self.counts.entry(key).or_insert(0) += c;
-        }
-        if self.counts.len() > self.capacity {
-            let mut counts: Vec<u64> = self.counts.values().copied().collect();
-            counts.sort_unstable_by(|a, b| b.cmp(a));
-            let sub = counts[self.capacity];
-            let mut removed = 0u64;
-            self.counts.retain(|_, c| {
-                let cut = (*c).min(sub);
-                removed += cut;
-                *c -= cut;
-                *c > 0
-            });
-            self.stored -= removed;
-        }
+    fn merged_view(parts: &[&Self]) -> Frozen<K> {
+        crate::frozen::fold_view(parts, Self::absorb)
     }
 
     fn updates(&self) -> u64 {

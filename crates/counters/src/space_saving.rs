@@ -49,11 +49,6 @@ pub struct SpaceSaving<K> {
     min_bucket: u32,
     index: FastMap<K, u32>,
     updates: u64,
-    /// Guaranteed mass (`count − error`) dropped by merge re-eviction;
-    /// zero until the first [`FrequencyEstimator::merge`]. Keeps the mass
-    /// ledger `Σ(count − error) + discarded ≤ updates` exact so
-    /// [`SpaceSaving::debug_validate`] can audit merged instances too.
-    discarded: u64,
     capacity: usize,
 }
 
@@ -275,62 +270,16 @@ impl<K: CounterKey> SpaceSaving<K> {
         }
         assert_eq!(seen_counters, self.counters.len(), "orphaned counters");
         assert_eq!(self.index.len(), self.counters.len(), "index size skew");
-        // Every increment raised exactly one guaranteed (count − error) unit;
-        // replace-min evictions convert guaranteed mass into error mass, and
-        // merge re-eviction drops guaranteed mass into `discarded` — so the
-        // live guaranteed mass plus the discarded mass never exceeds the
-        // number of updates, and when nothing was ever converted (all errors
-        // zero) the ledger balances exactly.
+        // Every increment raised exactly one guaranteed (count − error) unit
+        // and replace-min evictions convert guaranteed mass into error mass,
+        // so the guaranteed mass never exceeds the number of updates, and
+        // when nothing was ever converted (all errors zero) the ledger
+        // balances exactly.
         let guaranteed: u64 = self.counters.iter().map(|c| c.count - c.error).sum();
-        assert!(
-            guaranteed + self.discarded <= self.updates,
-            "counted mass exceeds updates"
-        );
+        assert!(guaranteed <= self.updates, "counted mass exceeds updates");
         if self.counters.iter().all(|c| c.error == 0) {
-            assert_eq!(
-                guaranteed + self.discarded,
-                self.updates,
-                "mass lost without evictions"
-            );
+            assert_eq!(guaranteed, self.updates, "mass lost without evictions");
         }
-    }
-
-    /// Builds a structure directly from merged `(key, count, error)` entries
-    /// sorted ascending by count: buckets are appended tail-ward in one
-    /// pass, so rebuild costs O(entries) with no per-entry bucket walks.
-    fn rebuild(capacity: usize, updates: u64, discarded: u64, entries: &[(K, u64, u64)]) -> Self {
-        let mut s = Self::with_capacity(capacity);
-        s.updates = updates;
-        s.discarded = discarded;
-        let mut tail = NIL;
-        for &(key, count, error) in entries {
-            debug_assert!(count >= 1 && error <= count);
-            let ci = s.counters.len() as u32;
-            s.counters.push(CounterSlot {
-                key,
-                count: 0, // set by attach
-                error,
-                bucket: NIL,
-                prev: NIL,
-                next: NIL,
-            });
-            s.index.insert(key, ci);
-            let b = if tail != NIL && s.buckets[tail as usize].count == count {
-                tail
-            } else {
-                let nb = s.alloc_bucket(count);
-                s.buckets[nb as usize].prev = tail;
-                if tail == NIL {
-                    s.min_bucket = nb;
-                } else {
-                    s.buckets[tail as usize].next = nb;
-                }
-                tail = nb;
-                nb
-            };
-            s.attach(ci, b);
-        }
-        s
     }
 }
 
@@ -358,32 +307,8 @@ impl<K: CounterKey> FrequencyEstimator<K> for SpaceSaving<K> {
             // avoided entirely.
             index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             updates: 0,
-            discarded: 0,
             capacity,
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.merge_many(vec![other]);
-    }
-
-    fn merge_many(&mut self, others: Vec<Self>) {
-        if others.is_empty() {
-            // Nothing to absorb: skip the no-op rebuild (a single-shard
-            // harvest lands here for every node instance).
-            return;
-        }
-        // Exact Space Saving merge over all K inputs at once: pair counts
-        // and errors additively (with per-input min-count padding for
-        // one-sided keys), then re-evict the union to capacity by dropping
-        // minimal counters; see `merge_entries_many`. The single combine
-        // pads tighter than a pairwise fold, whose padding grows with the
-        // intermediate merged minima.
-        let parts: Vec<&Self> = std::iter::once(&*self).chain(&others).collect();
-        let (entries, dropped) = crate::combine_parts(&parts);
-        let updates = parts.iter().map(|p| p.updates).sum();
-        let discarded = parts.iter().map(|p| p.discarded).sum::<u64>() + dropped;
-        *self = Self::rebuild(self.capacity, updates, discarded, &entries);
     }
 
     fn merged_view(parts: &[&Self]) -> Frozen<K> {

@@ -91,18 +91,19 @@ proptest! {
         for &k in &sa { a.increment(k); }
         for &k in &sb { b.increment(k); }
         let deficit_sum = a.error_bound() + b.error_bound();
-        a.merge(b);
-        // Documented merge bound: re-insertion only ever *returns* mass to
-        // the deficit, so the merged deficit is at least the shard sum
+        let merged = CuckooHeavyKeeper::merged_view(&[&a, &b]);
+        // Documented combine bound: re-insertion only ever *returns* mass
+        // to the deficit, so the merged deficit is at least the shard sum
         // (drops add to it) and the sandwich holds over the concatenation.
-        prop_assert!(a.error_bound() >= deficit_sum, "merged deficit below shard sum");
+        prop_assert_eq!(merged.updates(), a.updates() + b.updates());
+        prop_assert!(merged.unmonitored_upper() >= deficit_sum, "merged deficit below shard sum");
         let mut truth = exact_counts(&sa);
         for (k, f) in exact_counts(&sb) {
             *truth.entry(k).or_insert(0) += f;
         }
         for (key, &f) in &truth {
-            prop_assert!(a.lower(key) <= f, "merged chk lower({key}) > {f}");
-            prop_assert!(a.upper(key) >= f, "merged chk upper({key}) < {f}");
+            prop_assert!(merged.lower(key) <= f, "merged chk lower({key}) > {f}");
+            prop_assert!(merged.upper(key) >= f, "merged chk upper({key}) < {f}");
         }
     }
 }

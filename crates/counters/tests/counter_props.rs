@@ -5,7 +5,7 @@
 //! [`SpaceSaving`] on random and adversarial streams.
 
 use hhh_counters::{
-    CompactSpaceSaving, FrequencyEstimator, HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, FrequencyEstimator, LossyCounting, MisraGries, SpaceSaving,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -364,11 +364,6 @@ proptest! {
     }
 
     #[test]
-    fn heap_space_saving_contract(stream in arb_stream(), cap in 1usize..32) {
-        check_bounds::<HeapSpaceSaving<u64>>(&stream, cap, true)?;
-    }
-
-    #[test]
     fn misra_gries_contract(stream in arb_stream(), cap in 1usize..32) {
         check_bounds::<MisraGries<u64>>(&stream, cap, false)?;
     }
@@ -388,16 +383,6 @@ proptest! {
         ss.debug_validate();
     }
 
-    /// Heap internals stay consistent too.
-    #[test]
-    fn heap_structure_invariants(stream in arb_stream(), cap in 1usize..16) {
-        let mut ss: HeapSpaceSaving<u64> = HeapSpaceSaving::with_capacity(cap);
-        for &k in &stream {
-            ss.increment(k);
-        }
-        ss.debug_validate();
-    }
-
     /// Both Space Saving variants report identical upper bounds for keys
     /// they both monitor with the same count structure — and identical
     /// min-counts, since the count multiset evolution is deterministic.
@@ -406,7 +391,7 @@ proptest! {
         stream in arb_stream(), cap in 1usize..16,
     ) {
         let mut a: SpaceSaving<u64> = SpaceSaving::with_capacity(cap);
-        let mut b: HeapSpaceSaving<u64> = HeapSpaceSaving::with_capacity(cap);
+        let mut b: CompactSpaceSaving<u64> = CompactSpaceSaving::with_capacity(cap);
         for &k in &stream {
             a.increment(k);
             b.increment(k);

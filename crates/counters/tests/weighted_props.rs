@@ -3,7 +3,7 @@
 //! semantics are deterministic.
 
 use hhh_counters::{
-    CompactSpaceSaving, FrequencyEstimator, HeapSpaceSaving, LossyCounting, MisraGries, SpaceSaving,
+    CompactSpaceSaving, FrequencyEstimator, LossyCounting, MisraGries, SpaceSaving,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -68,11 +68,6 @@ proptest! {
     #[test]
     fn space_saving_weighted_contract(stream in arb_weighted_stream(), cap in 1usize..16) {
         check_weighted::<SpaceSaving<u64>>(&stream, cap, true)?;
-    }
-
-    #[test]
-    fn heap_space_saving_weighted_contract(stream in arb_weighted_stream(), cap in 1usize..16) {
-        check_weighted::<HeapSpaceSaving<u64>>(&stream, cap, true)?;
     }
 
     #[test]

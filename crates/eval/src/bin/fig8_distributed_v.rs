@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use hhh_core::{HhhAlgorithm, RhhhConfig};
+use hhh_core::RhhhConfig;
 use hhh_eval::{Args, Report};
 use hhh_hierarchy::Lattice;
 use hhh_stats::Summary;

@@ -1,34 +1,29 @@
 //! Merged-vs-single accuracy: what does shard-parallelism cost?
 //!
 //! A K-shard pipeline partitions the stream by key hash, counts each
-//! sub-stream on its own RHHH instance and merges at query time. The merge
-//! analysis says the per-node counter errors add (`Σᵢ nᵢ/m = n/m` — the
+//! sub-stream on its own RHHH instance and combines the shards into one
+//! read-only view at query time. The merge analysis says the per-node counter errors add (`Σᵢ nᵢ/m = n/m` — the
 //! same class as one instance) while the independent sampling errors add in
 //! variance, so accuracy should be *flat in K*. This experiment measures
 //! that claim with the paper's three quality metrics against exact ground
 //! truth, for K ∈ {1, 2, 4, 8} and **every counter in
-//! [`CounterKind::roster`]**, plus the wall-clock cost of the merge
-//! itself. (For the decay family the merged per-key bands widen by the
-//! summed shard deficits — its documented merge bound — so its accuracy
+//! [`CounterKind::roster`]**, plus the wall-clock cost of the combine
+//! itself. (For the decay family the combined per-key bands widen by the
+//! summed shard deficits — its documented combine bound — so its accuracy
 //! column is expected to drift with K rather than stay flat.)
 //!
-//! Two combine strategies are compared at every K > 1:
-//!
-//! * `pairwise` — the shards are held as `Box<dyn HhhAlgorithm>` and folded
-//!   through the driver trait's `merge`, the exact code path a
-//!   runtime-configured pipeline ran before PR 4; each fold step pads
-//!   one-sided keys with the growing intermediate merged min-counts.
-//! * `kway` — one `Rhhh::merge_many` combine over all K candidate lists at
-//!   once (the `ShardedMonitor::harvest` path), padding with the per-shard
-//!   minima only. The K-way estimates are pointwise no looser than the
-//!   fold's, so its accuracy column must be ≤ the pairwise row's.
+//! Every row is the one combine the fleet answers with (`kway`):
+//! `Rhhh::merged_view` over all K shards, each counter family's combine
+//! rule per node. The pairwise fold through the driver trait that earlier
+//! versions also measured is gone; its accuracy columns were identical to
+//! the K-way rows at every K.
 
 use std::time::Instant;
 
-use hhh_core::{CounterKind, ExactHhh, HeavyHitter, HhhAlgorithm, Rhhh, RhhhConfig};
+use hhh_core::{CounterKind, ExactHhh, HeavyHitter, Rhhh, RhhhConfig};
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
-    MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, LossyCounting, MisraGries,
+    SpaceSaving,
 };
 use hhh_eval::{accuracy_error_ratio, coverage_error_ratio, false_positive_ratio, Args, Report};
 use hhh_hierarchy::Lattice;
@@ -47,7 +42,8 @@ fn shard_config(epsilon: f64, i: usize) -> RhhhConfig {
 }
 
 /// K-way combine on concrete instances: partition, feed, one
-/// `merge_many` over all shards. Returns the output and the merge cost.
+/// `Rhhh::merged_view` over all shards. Returns the output and the
+/// combine cost.
 fn run_kway<E: FrequencyEstimator<u64>>(
     lattice: &Lattice<u64>,
     keys: &[u64],
@@ -65,11 +61,10 @@ fn run_kway<E: FrequencyEstimator<u64>>(
     for (part, bucket) in parts.iter_mut().zip(&buckets) {
         part.update_batch(bucket);
     }
-    let mut merged = parts.remove(0);
     let t0 = Instant::now();
-    merged.merge_many(parts);
+    let view = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
     let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (merged.output(theta), merge_ms)
+    (view.output(theta), merge_ms)
 }
 
 /// Monomorphizes `$body` over the roster: `$est` aliases the concrete
@@ -83,10 +78,6 @@ macro_rules! with_counter_type {
             }
             CounterKind::Compact => {
                 type $est = CompactSpaceSaving<u64>;
-                $body
-            }
-            CounterKind::Heap => {
-                type $est = HeapSpaceSaving<u64>;
                 $body
             }
             CounterKind::MisraGries => {
@@ -147,57 +138,20 @@ fn main() {
 
         for counter in CounterKind::roster() {
             for shards in [1usize, 2, 4, 8] {
-                // Pairwise fold through the dyn driver trait.
-                let mut parts: Vec<Box<dyn HhhAlgorithm<u64>>> = (0..shards)
-                    .map(|i| counter.build_rhhh(lattice.clone(), shard_config(args.epsilon, i)))
-                    .collect();
-                if shards == 1 {
-                    parts[0].insert_batch(&keys);
-                } else {
-                    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); shards];
-                    for &k in &keys {
-                        buckets[shard_of(k, shards)].push(k);
-                    }
-                    for (part, bucket) in parts.iter_mut().zip(&buckets) {
-                        part.insert_batch(bucket);
-                    }
-                }
-                let mut merged = parts.remove(0);
-                let t0 = Instant::now();
-                for part in parts {
-                    merged.merge(part).expect("same kind and config");
-                }
-                let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-                let out = merged.query(args.theta);
+                let (out, merge_ms) = with_counter_type!(counter, Est, {
+                    run_kway::<Est>(&lattice, &keys, args.epsilon, shards, args.theta)
+                });
                 let (acc, cov, fpr) = metrics(&out);
                 report.row(&[
                     trace.name.clone(),
                     counter.label().to_string(),
                     shards.to_string(),
-                    "pairwise".to_string(),
+                    "kway".to_string(),
                     format!("{acc:.4}"),
                     format!("{cov:.4}"),
                     format!("{fpr:.4}"),
                     format!("{merge_ms:.2}"),
                 ]);
-
-                // Single K-way combine (the harvest path).
-                if shards > 1 {
-                    let (out, merge_ms) = with_counter_type!(counter, Est, {
-                        run_kway::<Est>(&lattice, &keys, args.epsilon, shards, args.theta)
-                    });
-                    let (acc, cov, fpr) = metrics(&out);
-                    report.row(&[
-                        trace.name.clone(),
-                        counter.label().to_string(),
-                        shards.to_string(),
-                        "kway".to_string(),
-                        format!("{acc:.4}"),
-                        format!("{cov:.4}"),
-                        format!("{fpr:.4}"),
-                        format!("{merge_ms:.2}"),
-                    ]);
-                }
             }
         }
     }

@@ -25,10 +25,10 @@
 
 use std::time::Instant;
 
-use hhh_core::{CounterKind, ExactHhh, HhhAlgorithm, RhhhConfig, WindowedRhhh};
+use hhh_core::{CounterKind, ExactHhh, RhhhConfig, WindowedRhhh};
 use hhh_counters::{
-    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, HeapSpaceSaving, LossyCounting,
-    MisraGries, SpaceSaving,
+    CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, LossyCounting, MisraGries,
+    SpaceSaving,
 };
 use hhh_eval::{accuracy_error_ratio, coverage_error_ratio, false_positive_ratio, Args, Report};
 use hhh_hierarchy::Lattice;
@@ -46,7 +46,7 @@ struct Row {
 
 /// Runs one (trace, counter, G) cell: feed the whole stream through the
 /// batch path, build the oracle over the covered range, measure.
-fn run_one<E: FrequencyEstimator<u64> + Clone>(
+fn run_one<E: FrequencyEstimator<u64>>(
     lattice: &Lattice<u64>,
     keys: &[u64],
     window: u64,
@@ -131,10 +131,6 @@ macro_rules! with_counter_type {
             }
             CounterKind::Compact => {
                 type $est = CompactSpaceSaving<u64>;
-                $body
-            }
-            CounterKind::Heap => {
-                type $est = HeapSpaceSaving<u64>;
                 $body
             }
             CounterKind::MisraGries => {

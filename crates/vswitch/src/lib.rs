@@ -33,8 +33,8 @@
 //!   packet (`r` draws, `H/V` selected), routes the masked samples by key
 //!   hash to worker threads that only flush, each into its own pane ring
 //!   (never rotated for the whole-stream answer, rotated at global pane
-//!   boundaries for the sliding window); queries merge the per-shard
-//!   slices. Figure 8's measurement VM is this fleet with one shard.
+//!   boundaries for the sliding window); queries and the harvest combine
+//!   the per-shard slices into one read-only view. Figure 8's measurement VM is this fleet with one shard.
 //! * [`wire`] — the zero-copy wire ingest plane: resolves raw
 //!   [`hhh_traces::FrameBlock`]s into virtual key lanes and feeds
 //!   `Rhhh::update_batch_wire` without materializing packet structs,
@@ -64,7 +64,7 @@ pub use wire::WireBlockView;
 mod distributed {
     mod tests {
         use crate::ShardedMonitor;
-        use hhh_core::{HhhAlgorithm, MergeError, RhhhConfig};
+        use hhh_core::{MergeError, RhhhConfig};
         use hhh_counters::SpaceSaving;
         use hhh_hierarchy::{pack2, Lattice};
 

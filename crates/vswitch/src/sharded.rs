@@ -1,6 +1,6 @@
 //! Shard-parallel RHHH, the paper's §5.2 integration: sample at ingress,
 //! route the samples by key hash to worker threads that only flush, and
-//! K-way merge on query — one fleet for flat, windowed and distributed
+//! combine on query — one fleet for flat, windowed and distributed
 //! deployments.
 //!
 //! Section 5.2: "HHH measurement can be performed in a separate virtual
@@ -45,10 +45,9 @@
 //! slice has absorbed, and they are summed over panes, never over shards.
 //! Per-slice counter errors add, which is the Mitzenmacher–Steinke–Thaler
 //! Space Saving merge: `Σᵢ nᵢ/m = n/m`, the same ε_a class as one
-//! instance. The harvest owns the joined rings and merges them into a
-//! live [`Rhhh`] with [`Rhhh::merge_many`]; live queries read the same
-//! combine as a [`FrozenRhhh`] built by [`Rhhh::merged_view`] from
-//! borrowed slices.
+//! instance. Every answer is a read-only [`FrozenRhhh`] built by
+//! [`Rhhh::try_merged_view`] from borrowed slices: live queries borrow
+//! the latest snapshots, the harvest the joined rings.
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
 //! publishes an epoch-stamped [`ShardSnapshot`] — clones of the slices its
@@ -241,9 +240,6 @@ fn publish<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
     }));
 }
 
-/// One shard's slices, oldest first, with the global index of the first.
-type Slices<K, E> = (u64, Vec<Rhhh<K, E>>);
-
 /// The panes every shard has reached, `lo..hi`, and their summed totals:
 /// each pane's `N` and `W` are the smallest stamp among its slices (what
 /// every slice has absorbed), summed over panes, never over shards.
@@ -265,61 +261,43 @@ fn shared_panes<K: KeyBits, E: FrequencyEstimator<K>>(
     (lo..hi, packets, weight)
 }
 
-/// The live combine behind the harvest: merges every shard's slices of
-/// the panes all shards have reached, shard by shard, in one
-/// [`Rhhh::merge_many`], with the totals of [`shared_panes`].
-fn combine<K: KeyBits, E: FrequencyEstimator<K> + Clone>(shards: Vec<Slices<K, E>>) -> Rhhh<K, E> {
-    let borrowed: Vec<(u64, &[Rhhh<K, E>])> =
-        shards.iter().map(|(first, p)| (*first, &p[..])).collect();
-    let (span, packets, weight) = shared_panes(&borrowed);
+/// The one combine behind every answer — live queries over the latest
+/// snapshots and the harvest over the joined rings: every shard's slices
+/// (oldest first, with the global index of the first) of the panes all
+/// shards have reached, in shard order, in one [`Rhhh::try_merged_view`],
+/// with the totals of [`shared_panes`]. No slice is cloned and no live
+/// summary is built.
+fn view<K: KeyBits, E: FrequencyEstimator<K>>(
+    shards: &[(u64, &[Rhhh<K, E>])],
+) -> Result<FrozenRhhh<K>, MergeError> {
+    let (span, packets, weight) = shared_panes(shards);
     if span.is_empty() {
         // The shards share no pane yet: an empty answer.
-        let mut empty = shards
-            .into_iter()
-            .flat_map(|(_, panes)| panes)
-            .next()
-            .expect("every shard covers a pane");
-        empty.reset();
-        return empty;
+        let any = &shards[0].1[0];
+        let empty = Rhhh::<K, E>::new(any.lattice().clone(), *any.config());
+        return Rhhh::try_merged_view(&[&empty]);
     }
-    let mut slices = shards.into_iter().flat_map(|(first, panes)| {
-        panes
-            .into_iter()
-            .skip((span.start - first) as usize)
-            .take((span.end - span.start) as usize)
-    });
-    let mut merged = slices.next().expect("the shards share a pane");
-    merged.merge_many(slices.collect());
-    merged.note_totals(packets, weight);
-    merged
-}
-
-/// The read-only combine behind every live answer: the view of
-/// [`combine`] over the borrowed slices of the latest snapshots — the
-/// same slices in the same shard order, the same totals — with no slice
-/// cloned and no live summary rebuilt.
-fn view<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    snaps: &[Arc<ShardSnapshot<K, E>>],
-) -> FrozenRhhh<K> {
-    let borrowed: Vec<(u64, &[Rhhh<K, E>])> = snaps
-        .iter()
-        .map(|snap| (snap.first_pane, &snap.panes[..]))
-        .collect();
-    let (span, packets, weight) = shared_panes(&borrowed);
-    if span.is_empty() {
-        // The shards share no pane yet: an empty answer.
-        let any = &snaps[0].panes[0];
-        return Rhhh::merged_view(&[&Rhhh::<K, E>::new(any.lattice().clone(), *any.config())]);
-    }
-    let slices: Vec<&Rhhh<K, E>> = borrowed
+    let slices: Vec<&Rhhh<K, E>> = shards
         .iter()
         .flat_map(|(first, panes)| {
             panes[(span.start - first) as usize..(span.end - first) as usize].iter()
         })
         .collect();
-    let mut view = Rhhh::merged_view(&slices);
+    let mut view = Rhhh::try_merged_view(&slices)?;
     view.note_totals(packets, weight);
-    view
+    Ok(view)
+}
+
+/// [`view`] of the latest snapshots, whose slices one fleet built from one
+/// configuration.
+fn snapshot_view<K: KeyBits, E: FrequencyEstimator<K>>(
+    snaps: &[Arc<ShardSnapshot<K, E>>],
+) -> FrozenRhhh<K> {
+    let shards: Vec<(u64, &[Rhhh<K, E>])> = snaps
+        .iter()
+        .map(|snap| (snap.first_pane, &snap.panes[..]))
+        .collect();
+    view(&shards).expect("one fleet's slices share one configuration")
 }
 
 /// How a fleet's worker rings turn over and publish.
@@ -336,7 +314,7 @@ struct Cadence {
 
 /// Shard-parallel RHHH monitor: an ingress sampler plus `K` worker
 /// threads, each owning one [`PaneRing`] that flushes the samples routed
-/// to it, combined by merge at query and harvest time.
+/// to it, combined into one read-only view at query and harvest time.
 ///
 /// Create with [`ShardedMonitor::spawn`] (or [`ShardedMonitor::spawn_with`]
 /// for the publication interval) for the whole-stream answer, or with
@@ -345,8 +323,8 @@ struct Cadence {
 /// [`ShardedMonitor::update_batch_weighted`] or one at a time with
 /// [`ShardedMonitor::update`] (or as a [`DataplaneMonitor`]), query the
 /// live snapshot plane with [`ShardedMonitor::query`] at any time, then
-/// [`ShardedMonitor::harvest`] to join the workers and obtain the merged,
-/// queryable instance.
+/// [`ShardedMonitor::harvest`] to join the workers and obtain the final
+/// read-only view.
 ///
 /// Generic over the per-node counter like [`Rhhh`] itself.
 #[derive(Debug)]
@@ -754,7 +732,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             .is_none_or(|(cached, _)| *cached != epochs)
         {
             let (epochs, snaps) = self.latest_snapshots();
-            self.query_cache = Some((epochs, view(&snaps)));
+            self.query_cache = Some((epochs, snapshot_view(&snaps)));
         }
         &self.query_cache.as_ref().expect("cache refreshed above").1
     }
@@ -776,7 +754,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// bench races the cached path against.
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        view(&self.latest_snapshots().1).output(theta)
+        snapshot_view(&self.latest_snapshots().1).output(theta)
     }
 
     /// Packets covered by the current snapshot view — how much of the fed
@@ -797,35 +775,38 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     }
 
     /// Flushes, joins every worker and combines their slices into one
-    /// queryable instance. The flat fleet's totals cover the whole
-    /// stream. The windowed fleet's cover exactly the retained completed
-    /// panes (at least `W` once `G` global panes have completed); before
-    /// its first rotation the active panes answer instead — a partial
-    /// answer over everything fed so far.
+    /// read-only view, as a live query would. The flat fleet's totals
+    /// cover the whole stream. The windowed fleet's cover exactly the
+    /// retained completed panes (at least `W` once `G` global panes have
+    /// completed); before its first rotation the active panes answer
+    /// instead — a partial answer over everything fed so far.
     ///
     /// # Errors
     ///
     /// [`MergeError::ShardFailed`] when any worker thread died (panicked)
     /// mid-feed: its slice of the summary is gone, so a merged answer
     /// would silently under-count. The error names the first dead shard.
-    pub fn harvest(mut self) -> Result<Rhhh<K, E>, MergeError> {
+    pub fn harvest(mut self) -> Result<FrozenRhhh<K>, MergeError> {
         self.flush();
         self.senders.clear(); // closes every hand-off; workers drain & exit
         let rings = join_shards(std::mem::take(&mut self.handles))?;
-        Ok(combine(
-            rings
-                .into_iter()
-                .map(|ring| {
-                    let rotations = ring.rotations();
-                    let (active, completed) = ring.into_parts();
-                    if rotations == 0 {
-                        (0, vec![active])
-                    } else {
-                        (rotations - completed.len() as u64, completed)
-                    }
-                })
-                .collect(),
-        ))
+        let owned: Vec<(u64, Vec<Rhhh<K, E>>)> = rings
+            .into_iter()
+            .map(|ring| {
+                let rotations = ring.rotations();
+                let (active, completed) = ring.into_parts();
+                if rotations == 0 {
+                    (0, vec![active])
+                } else {
+                    (rotations - completed.len() as u64, completed)
+                }
+            })
+            .collect();
+        let shards: Vec<(u64, &[Rhhh<K, E>])> = owned
+            .iter()
+            .map(|(first, panes)| (*first, &panes[..]))
+            .collect();
+        view(&shards)
     }
 }
 
@@ -1196,8 +1177,8 @@ mod tests {
     #[test]
     fn live_view_answers_as_the_harvested_merge() {
         // Once the snapshots cover what the harvest will, the query
-        // plane's borrowed view and the harvest's live merge read the same
-        // slices, so they must give the same answer, entry for entry.
+        // plane's view and the harvest's view combine the same slices, so
+        // they must give the same answer, entry for entry.
         for shards in 1usize..=4 {
             for (window, covered) in [(None, 50_000), (Some((40_000, 4)), 40_000)] {
                 let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();

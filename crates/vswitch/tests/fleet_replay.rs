@@ -5,21 +5,21 @@
 //! `Sampler` seeded from `config.seed` (reseeded at each rotation as a
 //! fresh `PaneRing` pane is), route each sampled entry with
 //! `shard_of(masked key)`, flush each call's node groups separately into
-//! the shard's active pane, and answer with one `merge_many` in shard
-//! order whose `N` and `W` are what was fed into the covered panes. So:
+//! the shard's active pane, and answer with one `Rhhh::merged_view` in
+//! shard order whose `N` and `W` are what was fed into the covered panes.
+//! So:
 //!
 //! * at one shard the harvest equals inline `Rhhh::update_batch` /
 //!   `update_batch_weighted` at the same call chunking, and the windowed
 //!   harvest equals `WindowedRhhh::merged_window`;
 //! * at two to four shards it equals an in-thread replay of that promise.
 //!
-//! Equal means bit for bit on `N`, `W`, the total and per-node update
-//! counts, every node's counters and `Output(θ)`. The counters are small
+//! Equal means bit for bit on the harvested view's `N`, `W`, total and
+//! per-node update counts, every node's counters and `Output(θ)`. The counters are small
 //! (40 per node), so evictions make the flush grouping observable.
 
 use hhh_core::{
-    HeavyHitter, HhhAlgorithm, Lane, NodeEstimates, PaneRing, Rhhh, RhhhConfig, Sampler,
-    WindowedRhhh,
+    FrozenRhhh, HeavyHitter, Lane, NodeEstimates, PaneRing, Rhhh, RhhhConfig, Sampler, WindowedRhhh,
 };
 use hhh_counters::Candidate;
 use hhh_hierarchy::{Lattice, NodeId};
@@ -36,11 +36,10 @@ type Summary = (
     Vec<HeavyHitter<u64>>,
 );
 
-fn summarize(m: &Rhhh<u64>) -> Summary {
-    let nodes = m
-        .lattice()
+fn summarize(m: &FrozenRhhh<u64>) -> Summary {
+    let nodes = Lattice::<u64>::ipv4_src_dst_bytes()
         .node_ids()
-        .map(|node| (m.node_updates(node), m.node_candidates(node)))
+        .map(|node| (m.node(node).updates(), m.node_candidates(node)))
         .collect();
     (
         m.packets(),
@@ -106,7 +105,7 @@ impl Case {
 }
 
 /// Feeds the case through a spawned fleet and harvests it.
-fn fleet(case: &Case) -> Rhhh<u64> {
+fn fleet(case: &Case) -> FrozenRhhh<u64> {
     let lat = Lattice::ipv4_src_dst_bytes();
     let cfg = case.config();
     let mut mon = match case.window {
@@ -128,7 +127,7 @@ fn fleet(case: &Case) -> Rhhh<u64> {
 }
 
 /// One shard, flat: inline `Rhhh` at the same call chunking.
-fn inline(case: &Case) -> Rhhh<u64> {
+fn inline(case: &Case) -> FrozenRhhh<u64> {
     let mut algo = Rhhh::<u64>::new(Lattice::ipv4_src_dst_bytes(), case.config());
     for part in case.stream().chunks(case.chunk) {
         if case.weighted {
@@ -138,13 +137,13 @@ fn inline(case: &Case) -> Rhhh<u64> {
             algo.update_batch(&keys);
         }
     }
-    algo
+    Rhhh::merged_view(&[&algo])
 }
 
 /// One shard, windowed: the single-thread pane ring. Before its first
 /// rotation the ring's answer is its active pane, which is the flat
 /// instance.
-fn inline_windowed(case: &Case) -> Rhhh<u64> {
+fn inline_windowed(case: &Case) -> FrozenRhhh<u64> {
     let (w, g) = case.window.expect("a windowed case");
     let mut win = WindowedRhhh::<u64>::new(Lattice::ipv4_src_dst_bytes(), case.config(), w, g);
     for part in case.stream().chunks(case.chunk) {
@@ -173,7 +172,7 @@ fn route_and_flush<T: Lane<u64>>(rings: &mut [PaneRing<u64>], groups: &[Vec<T>])
 }
 
 /// Any shard count: the fleet's promise replayed on this thread.
-fn replay(case: &Case) -> Rhhh<u64> {
+fn replay(case: &Case) -> FrozenRhhh<u64> {
     let lat = Lattice::ipv4_src_dst_bytes();
     let cfg = case.config();
     let (pane_len, keep) = match case.window {
@@ -229,14 +228,13 @@ fn replay(case: &Case) -> Rhhh<u64> {
             slices.extend(completed);
         }
     }
-    let mut merged = slices.remove(0);
-    merged.merge_many(slices);
-    merged.note_totals(packets, weight);
-    merged
+    let mut view = Rhhh::merged_view(&slices.iter().collect::<Vec<_>>());
+    view.note_totals(packets, weight);
+    view
 }
 
 /// Fails the case, naming its shape, when the fleet and `want` differ.
-fn check(case: &Case, want: &Rhhh<u64>) -> Result<(), TestCaseError> {
+fn check(case: &Case, want: &FrozenRhhh<u64>) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         summarize(&fleet(case)),
         summarize(want),

@@ -1,11 +1,11 @@
 //! Weight-conservation properties of the `ShardedMonitor` volume feed:
 //! however a weighted stream is split across shards, buffered, batched and
-//! merged back, the harvested instance's packet and weight totals must
+//! merged back, the harvested view's packet and weight totals must
 //! equal the input's exactly — weight is neither created nor lost by
 //! hash-routing, channel hand-off, the per-shard weighted batch path or
 //! the K-way merge.
 
-use hhh_core::{HhhAlgorithm, RhhhConfig};
+use hhh_core::RhhhConfig;
 use hhh_counters::{CompactSpaceSaving, FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::Lattice;
 use hhh_vswitch::ShardedMonitor;

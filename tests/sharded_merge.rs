@@ -1,9 +1,7 @@
-//! Cross-crate merge integration: the K-shard merged pipeline measured
-//! against exact ground truth with the evaluation metrics, plus the merge
-//! behaviour of the baselines.
+//! Cross-crate combine integration: the K-shard pipeline's combined view
+//! measured against exact ground truth with the evaluation metrics.
 
-use hhh_baselines::{Ancestry, AncestryMode, Mst};
-use hhh_core::{CounterKind, ExactHhh, HhhAlgorithm, MergeError, Rhhh, RhhhConfig};
+use hhh_core::{ExactHhh, FrozenRhhh, Rhhh, RhhhConfig};
 use hhh_counters::{CompactSpaceSaving, FrequencyEstimator, SpaceSaving};
 use hhh_eval::coverage_error_ratio;
 use hhh_hierarchy::{pack2, Lattice};
@@ -75,7 +73,7 @@ fn shard_and_merge<E: FrequencyEstimator<u64>>(
     lat: &Lattice<u64>,
     keys: &[u64],
     shards: usize,
-) -> Rhhh<u64, E> {
+) -> FrozenRhhh<u64> {
     let mut parts: Vec<Rhhh<u64, E>> = (0..shards)
         .map(|i| {
             Rhhh::new(
@@ -96,11 +94,7 @@ fn shard_and_merge<E: FrequencyEstimator<u64>>(
             part.update_batch(chunk);
         }
     }
-    let mut merged = parts.remove(0);
-    for part in parts {
-        merged.merge(part);
-    }
-    merged
+    Rhhh::merged_view(&parts.iter().collect::<Vec<_>>())
 }
 
 /// The acceptance differential: against exact ground truth, the K-shard
@@ -142,55 +136,4 @@ fn merged_recall_matches_single_instance_against_exact() {
             }
         }
     }
-}
-
-/// MST shares RHHH's per-node structure, so its merge combines two
-/// deterministic summaries — the multi-device aggregation story for the
-/// update-all baseline.
-#[test]
-fn mst_merges_deterministic_summaries() {
-    let lat = Lattice::ipv4_src_dst_bytes();
-    let keys = random_stream(60_000, 55);
-    let mut whole = Mst::<u64>::new(lat.clone(), 0.01);
-    for &k in &keys {
-        whole.update(k);
-    }
-    let mut a = Mst::<u64>::new(lat.clone(), 0.01);
-    let mut b = Mst::<u64>::new(lat.clone(), 0.01);
-    for &k in &keys {
-        if shard_of(k, 2) == 0 {
-            a.update(k);
-        } else {
-            b.update(k);
-        }
-    }
-    a.try_merge(b).expect("same lattice and capacity");
-    assert_eq!(a.packets(), whole.packets());
-    let planted = |out: &[hhh_core::HeavyHitter<u64>]| {
-        out.iter()
-            .map(|h| h.prefix.display(&lat))
-            .any(|s| s.contains("10.20.0.0/16"))
-    };
-    assert!(planted(&whole.output(0.1)));
-    assert!(planted(&a.output(0.1)), "merged MST lost the attack");
-
-    // And through the dyn surface, MST merges with MST but not with RHHH.
-    let mut boxed: Box<dyn HhhAlgorithm<u64>> = Box::new(Mst::<u64>::new(lat.clone(), 0.01));
-    boxed
-        .merge(Box::new(Mst::<u64>::new(lat.clone(), 0.01)))
-        .expect("MST merges with MST");
-    assert!(matches!(
-        boxed.merge(CounterKind::StreamSummary.build_rhhh::<u64>(lat.clone(), CONFIG)),
-        Err(MergeError::AlgorithmMismatch { .. })
-    ));
-
-    // The ancestry baselines keep per-key compensation state and decline.
-    let mut ancestry = Ancestry::<u64>::new(lat.clone(), AncestryMode::Partial, 0.01);
-    assert!(matches!(
-        HhhAlgorithm::merge(
-            &mut ancestry,
-            CounterKind::StreamSummary.build_rhhh::<u64>(lat, CONFIG)
-        ),
-        Err(MergeError::Unsupported(_))
-    ));
 }
