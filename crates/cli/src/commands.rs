@@ -3,7 +3,7 @@
 use std::io::{self, Write};
 use std::net::Ipv4Addr;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hhh_core::{
     CounterKind, FrozenRhhh, HeavyHitter, HhhAlgorithm, Rhhh, RhhhConfig, WindowedRhhh,
@@ -590,7 +590,7 @@ impl<K: StreamKey, E: FrequencyEstimator<K>> Deployment<K> for Rhhh<K, E> {
     }
 
     fn finish(self) -> Result<Answer<K>, String> {
-        Ok(Answer::Rhhh(Rhhh::merged_view(&[&self])))
+        Ok(Answer::Rhhh(self.freeze()))
     }
 }
 
@@ -620,7 +620,7 @@ struct Fleet<K: KeyBits, E: FrequencyEstimator<K>> {
     deploy: Deploy,
 }
 
-impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fleet<K, E> {
+impl<K: StreamKey, E: FrequencyEstimator<K>> Deployment<K> for Fleet<K, E> {
     fn feed(&mut self, keys: &[K]) {
         self.mon.update_batch(keys);
     }
@@ -629,10 +629,12 @@ impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fl
         self.mon.update_batch_weighted(packets);
     }
 
-    /// Publishes fresh snapshots, waits (bounded) until they cover what
-    /// the answer should (every packet fed, or the last G completed panes
-    /// of a window), and reports the live query's answer size, coverage
-    /// and latency — while the workers keep running.
+    /// Publishes fresh snapshots, waits (bounded) until every shard has
+    /// published after the marker, so the snapshots cover what the
+    /// harvest will (every packet fed, or the last G completed panes of a
+    /// window), and reports the live query's answer size, coverage and
+    /// latency — while the workers keep running. A fleet that does not
+    /// answer within ten seconds gets a stale line instead.
     fn report(&mut self, theta: f64) -> Option<String> {
         if !self.deploy.live_query {
             return None;
@@ -640,15 +642,14 @@ impl<K: StreamKey, E: FrequencyEstimator<K> + Clone + Sync> Deployment<K> for Fl
         let mon = &mut self.mon;
         mon.publish_now();
         let fed = mon.packets();
-        let want = match self.deploy.window {
-            Some((_, g)) if mon.panes_completed() > 0 => {
-                mon.panes_completed().min(g as u64) * mon.pane_len()
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !mon.is_fresh() {
+            if Instant::now() >= deadline {
+                return Some(
+                    "# stale snapshot query: not every shard published within 10 s".into(),
+                );
             }
-            _ => fed,
-        };
-        let deadline = Instant::now() + std::time::Duration::from_millis(500);
-        while Instant::now() < deadline && mon.query_coverage() < want {
-            std::thread::yield_now();
+            std::thread::sleep(Duration::from_micros(50));
         }
         let start = Instant::now();
         let hhhs = mon.query(theta).len();

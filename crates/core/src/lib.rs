@@ -22,9 +22,9 @@
 //!   baselines: conditioned-frequency estimation with `calcPred` in one
 //!   dimension (Algorithm 2) and the glb inclusion–exclusion in two
 //!   (Algorithm 3).
-//! * [`FrozenRhhh`] — a read-only merged view ([`Rhhh::merged_view`]) that
-//!   answers `Output(θ)` over borrowed instances; every live window and
-//!   fleet query reads one.
+//! * [`FrozenRhhh`] — a read-only view: an instance frozen once it stops
+//!   updating ([`Rhhh::freeze`]), or the combine of frozen views
+//!   ([`Rhhh::combine`]); every window and fleet answer reads one.
 //! * [`exact`] — exact HHH per Definitions 6–8, used as ground truth by the
 //!   evaluation metrics.
 //! * [`HhhAlgorithm`] — the interface the evaluation harness uses to drive

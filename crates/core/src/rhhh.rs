@@ -6,7 +6,7 @@
 //! conditioned-frequency output, the sampling slack, the ψ convergence
 //! bound — hangs off this one randomized line.
 
-use hhh_counters::{counters_for, Candidate, FrequencyEstimator, SpaceSaving};
+use hhh_counters::{counters_for, Candidate, FrequencyEstimator, Frozen, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
 use hhh_stats::{psi, sampling_slack};
 
@@ -226,43 +226,6 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         self.weight
     }
 
-    /// Clears all counter state and the packet counter for a new
-    /// measurement interval, keeping the configuration and advancing the
-    /// PRNG (intervals stay statistically independent). Interval-based
-    /// monitoring (e.g. per-epoch DDoS scoring) resets instead of
-    /// reallocating the `H` counter instances.
-    pub fn reset(&mut self) {
-        let counters = counters_for(self.config.epsilon_a, self.config.epsilon_s);
-        for instance in &mut self.instances {
-            *instance = E::with_capacity(counters);
-        }
-        self.packets = 0;
-        self.weight = 0;
-    }
-
-    /// Whether `other` may be combined with `self`: the same lattice masks
-    /// and the same accuracy and performance configuration (seeds may
-    /// differ).
-    fn check_mergeable(&self, other: &Self) -> Result<(), MergeError> {
-        if self.sampler.masks != other.sampler.masks {
-            return Err(MergeError::ConfigMismatch(format!(
-                "lattice `{}` vs `{}`",
-                self.lattice.name(),
-                other.lattice.name()
-            )));
-        }
-        let (a, b) = (&self.config, &other.config);
-        if (a.epsilon_a, a.epsilon_s, a.delta_s) != (b.epsilon_a, b.epsilon_s, b.delta_s)
-            || a.v_scale != b.v_scale
-            || a.updates_per_packet != b.updates_per_packet
-        {
-            return Err(MergeError::ConfigMismatch(format!(
-                "config {a:?} vs {b:?} (seed may differ, everything else must match)"
-            )));
-        }
-        Ok(())
-    }
-
     /// Overrides the packet count `N` and the weight `W` with `n` each
     /// (a unit-weight stream of `n` packets).
     pub fn note_packets(&mut self, n: u64) {
@@ -318,25 +281,33 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
         self.instances[node.index()].updates()
     }
 
-    /// The per-node counter instances in lattice-node order (diagnostic;
-    /// the view tests pin each frozen node against its live instance
-    /// through this).
-    #[doc(hidden)]
+    /// The read-only view of this instance, frozen once: every node's
+    /// [`Frozen`] summary plus `N`, `W` and the configuration. It answers
+    /// `Output(θ)` exactly as the instance does. A summary that stops
+    /// updating — a completed window pane, a published shard snapshot, a
+    /// harvested shard, the end of an interval — is frozen here, and every
+    /// combine reads frozen parts only.
     #[must_use]
-    pub fn node_instances(&self) -> &[E] {
-        &self.instances
+    pub fn freeze(&self) -> FrozenRhhh<K> {
+        FrozenRhhh {
+            lattice: self.lattice.clone(),
+            nodes: self.instances.iter().map(Frozen::freeze).collect(),
+            packets: self.packets,
+            weight: self.weight,
+            config: self.config,
+            v: self.v(),
+        }
     }
 
-    /// A read-only view of the combine of `parts` — instances over the
-    /// same lattice with the same accuracy configuration, each counting
-    /// its own sub-stream — that summarizes the union of their streams.
-    /// This is the aggregation step of every shard-parallel and windowed
-    /// deployment: the window ring, the shard fleet's live queries and its
-    /// harvest all answer from one. Every part is borrowed; node `i`'s view
-    /// is [`FrequencyEstimator::merged_view`] of every part's node-`i`
-    /// instance, and the packet and weight totals sum — so `N`, the ψ
-    /// convergence check and the sampling slack all recompute over the
-    /// union.
+    /// The combine of frozen `parts` — views over the same lattice with the
+    /// same accuracy configuration, each summarizing its own sub-stream —
+    /// into one view of the union of their streams. This is the
+    /// aggregation step of every shard-parallel and windowed deployment:
+    /// the window ring, the shard fleet's live queries and its harvest all
+    /// answer from one. Node `i` of the result is `E`'s one combine rule
+    /// ([`FrequencyEstimator::combine`]) over every part's node `i`, and the
+    /// packet and weight totals sum — so `N`, the ψ convergence check and
+    /// the sampling slack all recompute over the union.
     ///
     /// Accuracy: the per-node counter error bounds *add* (`ε_a` over the
     /// summed updates, unchanged), and the sampling errors of the parts
@@ -349,23 +320,41 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
     ///
     /// # Errors
     ///
-    /// [`MergeError::ConfigMismatch`] when any part's lattice or
-    /// accuracy/performance configuration differs from the first's.
+    /// [`MergeError::ConfigMismatch`] when any part's lattice masks or
+    /// accuracy/performance configuration (everything but the seed) differ
+    /// from the first's.
     ///
     /// # Panics
     ///
     /// Panics when `parts` is empty.
-    pub fn try_merged_view(parts: &[&Self]) -> Result<FrozenRhhh<K>, MergeError> {
+    pub fn try_combine(parts: &[&FrozenRhhh<K>]) -> Result<FrozenRhhh<K>, MergeError> {
         let (first, rest) = parts
             .split_first()
-            .expect("a merged view needs at least one part");
+            .expect("a combine needs at least one part");
+        let masks = |l: &Lattice<K>| l.node_ids().map(|n| l.mask(n)).collect::<Vec<_>>();
+        let (a, lattice) = (&first.config, masks(&first.lattice));
         for other in rest {
-            first.check_mergeable(other)?;
+            if masks(&other.lattice) != lattice {
+                return Err(MergeError::ConfigMismatch(format!(
+                    "lattice `{}` vs `{}`",
+                    first.lattice.name(),
+                    other.lattice.name()
+                )));
+            }
+            let b = &other.config;
+            if (a.epsilon_a, a.epsilon_s, a.delta_s) != (b.epsilon_a, b.epsilon_s, b.delta_s)
+                || a.v_scale != b.v_scale
+                || a.updates_per_packet != b.updates_per_packet
+            {
+                return Err(MergeError::ConfigMismatch(format!(
+                    "config {a:?} vs {b:?} (seed may differ, everything else must match)"
+                )));
+            }
         }
-        let nodes = (0..first.instances.len())
+        let nodes = (0..first.nodes.len())
             .map(|node| {
-                let column: Vec<&E> = parts.iter().map(|p| &p.instances[node]).collect();
-                E::merged_view(&column)
+                let column: Vec<&Frozen<K>> = parts.iter().map(|p| &p.nodes[node]).collect();
+                E::combine(&column)
             })
             .collect();
         Ok(FrozenRhhh {
@@ -374,18 +363,18 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> Rhhh<K, E> {
             packets: parts.iter().map(|p| p.packets).sum(),
             weight: parts.iter().map(|p| p.weight).sum(),
             config: first.config,
-            v: first.v(),
+            v: first.v,
         })
     }
 
-    /// [`Rhhh::try_merged_view`] for callers that construct every part.
+    /// [`Rhhh::try_combine`] for callers that construct every part.
     ///
     /// # Panics
     ///
     /// Panics when `parts` is empty or any part is incompatible.
     #[must_use]
-    pub fn merged_view(parts: &[&Self]) -> FrozenRhhh<K> {
-        Self::try_merged_view(parts).unwrap_or_else(|e| panic!("Rhhh::merged_view: {e}"))
+    pub fn combine(parts: &[&FrozenRhhh<K>]) -> FrozenRhhh<K> {
+        Self::try_combine(parts).unwrap_or_else(|e| panic!("Rhhh::combine: {e}"))
     }
 }
 
@@ -708,40 +697,6 @@ mod tests {
             "estimate {} vs volume {truth}",
             entry.freq_upper
         );
-    }
-
-    #[test]
-    fn reset_clears_state_for_next_interval() {
-        let lat = hhh_hierarchy::Lattice::ipv4_src_bytes();
-        let mut algo = Rhhh::<u32>::new(
-            lat,
-            RhhhConfig {
-                epsilon_s: 0.05,
-                delta_s: 0.05,
-                ..RhhhConfig::default()
-            },
-        );
-        for _ in 0..100_000 {
-            algo.update(ip(1, 1, 1, 1));
-        }
-        assert!(!algo.output(0.5).is_empty());
-        algo.reset();
-        assert_eq!(algo.packets(), 0);
-        assert_eq!(algo.total_weight(), 0);
-        assert_eq!(algo.total_updates(), 0);
-        assert!(algo.output(0.5).is_empty());
-        // The next interval works normally and finds its own HHHs.
-        let mut rng = Lcg(33);
-        for i in 0..150_000u64 {
-            let key = if i % 2 == 0 {
-                ip(9, 9, 9, 9)
-            } else {
-                rng.next() as u32
-            };
-            algo.update(key);
-        }
-        let out = algo.output(0.3);
-        assert!(out.iter().any(|h| h.prefix.key == ip(9, 9, 9, 9)));
     }
 
     #[test]

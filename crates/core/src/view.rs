@@ -1,13 +1,15 @@
-//! Read-only combined RHHH views: the query plane.
+//! Read-only RHHH views: the parts every combine reads, and the query
+//! plane.
 //!
 //! `Output(θ)` (Algorithm 1, lines 11–16) reads per-node bounds and the
 //! stream totals; it never updates. A [`FrozenRhhh`] is everything it
 //! reads — one [`Frozen`] node summary per lattice node, plus `N`, `W`
-//! and the configuration that fixes the scale, the slack and ψ — built by
-//! [`Rhhh::merged_view`] from *borrowed* instances. The window ring and
-//! the shard fleet answer every query through one, the fleet's harvest
-//! included, so a query clones no pane and builds no live summary: no
-//! combined summary is ever updated.
+//! and the configuration that fixes the scale, the slack and ψ. An
+//! instance is frozen once, when it stops updating ([`Rhhh::freeze`]): a
+//! window pane at its rotation, a shard's pane at each publication, a
+//! never-rotated shard pane at the harvest. [`Rhhh::try_combine`] then
+//! combines frozen parts only, so no combined summary is ever updated
+//! and no live summary is ever rebuilt or cloned to answer a query.
 
 use hhh_counters::{Candidate, Frozen};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
@@ -17,10 +19,11 @@ use crate::rhhh::{psi_of, scale_of, slack_of, RhhhConfig};
 #[cfg(doc)]
 use crate::Rhhh;
 
-/// A read-only RHHH answer source: the combine of one or more [`Rhhh`]
-/// instances, frozen per node by each counter family's one combine rule
-/// ([`hhh_counters::FrequencyEstimator::merged_view`]). A view of one
-/// instance answers `Output(θ)` exactly as the instance does.
+/// A read-only RHHH answer source: one [`Rhhh`] instance frozen
+/// ([`Rhhh::freeze`]), or the combine of several frozen views by each
+/// counter family's one combine rule
+/// ([`hhh_counters::FrequencyEstimator::combine`]). A frozen instance
+/// answers `Output(θ)` exactly as the instance does.
 #[derive(Debug, Clone)]
 pub struct FrozenRhhh<K: KeyBits> {
     pub(crate) lattice: Lattice<K>,
@@ -37,6 +40,18 @@ impl<K: KeyBits> FrozenRhhh<K> {
     #[must_use]
     pub fn node(&self, node: NodeId) -> &Frozen<K> {
         &self.nodes[node.index()]
+    }
+
+    /// The lattice the view measures over.
+    #[must_use]
+    pub fn lattice(&self) -> &Lattice<K> {
+        &self.lattice
+    }
+
+    /// The configuration of the instances the view stands for.
+    #[must_use]
+    pub fn config(&self) -> &RhhhConfig {
+        &self.config
     }
 
     /// The packet count `N` the view covers.
@@ -125,7 +140,7 @@ impl<K: KeyBits> NodeEstimates<K> for FrozenRhhh<K> {
 mod tests {
     use super::*;
     use crate::Rhhh;
-    use hhh_counters::{FrequencyEstimator, SpaceSaving};
+    use hhh_counters::{FrequencyEstimator, Frozen, SpaceSaving};
 
     fn config(seed: u64) -> RhhhConfig {
         RhhhConfig {
@@ -156,7 +171,8 @@ mod tests {
     #[test]
     fn view_combines_nodes_and_sums_totals() {
         let parts = [fed(1, 20_000), fed(2, 30_000), fed(3, 10_000)];
-        let view = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
+        let frozen: Vec<FrozenRhhh<u64>> = parts.iter().map(Rhhh::freeze).collect();
+        let view = Rhhh::<u64>::combine(&frozen.iter().collect::<Vec<_>>());
         assert_eq!(view.packets(), 60_000);
         assert_eq!(view.total_weight(), 60_000);
         // Slack and ψ are those of one instance that saw all 60k packets.
@@ -167,16 +183,13 @@ mod tests {
         let updates: u64 = parts.iter().map(|p| p.total_updates()).sum();
         assert_eq!(view.total_updates(), updates);
         for node in parts[0].lattice().node_ids() {
-            let column: Vec<&SpaceSaving<u64>> = parts
-                .iter()
-                .map(|p| &p.node_instances()[node.index()])
-                .collect();
-            let want = SpaceSaving::merged_view(&column);
+            let column: Vec<&Frozen<u64>> = frozen.iter().map(|f| f.node(node)).collect();
+            let want = SpaceSaving::combine(&column);
             assert_eq!(view.node(node).candidates(), want.candidates());
             assert_eq!(view.node(node).updates(), want.updates());
         }
         // One part's view answers as the part itself.
-        let single = Rhhh::merged_view(&[&parts[1]]);
+        let single = Rhhh::<u64>::combine(&[&frozen[1]]);
         assert_eq!(single.output(0.05), parts[1].output(0.05));
         assert_eq!(single.slack(), parts[1].slack());
     }
@@ -192,7 +205,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            Rhhh::try_merged_view(&[&a, &b]),
+            Rhhh::<u64>::try_combine(&[&a.freeze(), &b.freeze()]),
             Err(crate::MergeError::ConfigMismatch(_))
         ));
     }

@@ -16,12 +16,13 @@
 //!   geometric-skip [`Rhhh::update_batch`] / [`Rhhh::update_batch_weighted`]
 //!   paths (batches that straddle a pane boundary are split at the
 //!   boundary, so pane attribution is exact);
-//! * every `⌈W/G⌉` packets the ring **rotates**: the active pane joins the
-//!   completed set, the oldest completed pane beyond `G` is dropped, and a
-//!   fresh pane (fresh deterministic seed) starts absorbing;
-//! * a **query** combines the last `G` completed panes in a single K-way
-//!   pass into a read-only [`FrozenRhhh`] view ([`Rhhh::merged_view`])
-//!   and runs `Output(θ)` on it.
+//! * every `⌈W/G⌉` packets the ring **rotates**: the active pane is frozen
+//!   ([`Rhhh::freeze`]) and joins the completed set, the oldest completed
+//!   pane beyond `G` is dropped, and a fresh pane (fresh deterministic
+//!   seed) starts absorbing;
+//! * a **query** combines the last `G` frozen panes in a single K-way
+//!   pass into a read-only [`FrozenRhhh`] view ([`Rhhh::combine`]) and
+//!   runs `Output(θ)` on it.
 //!
 //! # Coverage and staleness
 //!
@@ -35,7 +36,7 @@
 //! # Accuracy
 //!
 //! Each pane is an independent RHHH instance, so the combine analysis of
-//! [`Rhhh::try_merged_view`] applies verbatim: per-pane counter errors add
+//! [`Rhhh::try_combine`] applies verbatim: per-pane counter errors add
 //! (`Σᵢ ε·Nᵢ = ε·W` — the same class as one instance over the window) and
 //! the panes' independent sampling errors add in variance, which the
 //! view's `slack()` over the covered `N` charges. The per-query
@@ -46,14 +47,17 @@
 //!
 //! # Query cost and the cached view
 //!
-//! `Output(θ)` only reads bounds, so a windowed answer never builds a
-//! live summary. [`WindowedRhhh::query`] combines the borrowed completed
-//! panes into a [`FrozenRhhh`]: per node, the counter family's one combine
-//! rule runs over the G panes (for Space Saving, one hash combine with
-//! min-count padding, a linear-time select that drops the union beyond
-//! capacity, and a sort of only the kept entries). No pane is cloned and
-//! no stream summary or arena is rebuilt. [`WindowedRhhh::merged_window`]
-//! builds the same view without the cache.
+//! Nothing updates a completed pane, so it is frozen once, at rotation:
+//! the ring keeps each completed pane as a shared (`Arc`) [`FrozenRhhh`]
+//! — its entries, bounds and totals, without the estimator structures or
+//! the sampler's scratch — and drops the live pane. [`WindowedRhhh::query`]
+//! combines the frozen panes into one [`FrozenRhhh`]: per node, the
+//! counter family's one combine rule runs over the G panes (for Space
+//! Saving, one hash combine with min-count padding, a linear-time select
+//! that drops the union beyond capacity, and a sort of only the kept
+//! entries). No live pane is cloned and no stream summary or arena is
+//! rebuilt. [`WindowedRhhh::merged_window`] builds the same view without
+//! the cache.
 //!
 //! The view is **cached**: it is built at most once per pane (lazily, after
 //! the rotation that invalidated it), so a steady query cadence pays the
@@ -67,6 +71,7 @@
 //! the combine-per-query cost model (and for differential tests).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use hhh_counters::{FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice};
@@ -87,7 +92,8 @@ pub fn pane_seed(base: u64, rotation: u64) -> u64 {
 }
 
 /// A ring of RHHH panes: one active instance absorbing updates plus the
-/// last `keep` completed instances, rotated externally.
+/// last `keep` completed panes, frozen at their rotation, rotated
+/// externally.
 ///
 /// This is the storage half of [`WindowedRhhh`], split out so external
 /// drivers — the shard workers of `hhh_vswitch`'s windowed pipeline, whose
@@ -96,8 +102,9 @@ pub fn pane_seed(base: u64, rotation: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct PaneRing<K: KeyBits, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     active: Rhhh<K, E>,
-    /// Oldest → newest; `len() ≤ keep`.
-    completed: VecDeque<Rhhh<K, E>>,
+    /// Oldest → newest; `len() ≤ keep`. Shared, so a shard fleet's
+    /// snapshots publish them without a copy.
+    completed: VecDeque<Arc<FrozenRhhh<K>>>,
     keep: usize,
     rotations: u64,
     base_seed: u64,
@@ -132,8 +139,8 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> PaneRing<K, E> {
         &mut self.active
     }
 
-    /// Completed panes, oldest first (at most `keep`).
-    pub fn completed(&self) -> impl Iterator<Item = &Rhhh<K, E>> {
+    /// Completed panes, frozen, oldest first (at most `keep`).
+    pub fn completed(&self) -> impl Iterator<Item = &Arc<FrozenRhhh<K>>> {
         self.completed.iter()
     }
 
@@ -150,38 +157,19 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> PaneRing<K, E> {
         self.rotations
     }
 
-    /// Decomposes the ring into the active pane and the retained completed
-    /// panes (oldest first), for harvest paths that own the ring and
-    /// combine many rings' panes in one view.
-    #[must_use]
-    pub fn into_parts(self) -> (Rhhh<K, E>, Vec<Rhhh<K, E>>) {
-        (self.active, self.completed.into())
-    }
-
-    /// Completes the active pane: it joins the retained set (evicting the
-    /// oldest pane beyond `keep`) and a fresh pane with a fresh
-    /// deterministic seed starts absorbing.
+    /// Completes the active pane: it is frozen and joins the retained set
+    /// (evicting the oldest pane beyond `keep`), the live pane is dropped,
+    /// and a fresh pane with a fresh deterministic seed starts absorbing.
     pub fn rotate(&mut self) {
         let lattice = self.active.lattice().clone();
         let mut config = *self.active.config();
         config.seed = pane_seed(self.base_seed, self.rotations);
-        let fresh = Rhhh::new(lattice, config);
-        self.completed
-            .push_back(std::mem::replace(&mut self.active, fresh));
+        let done = std::mem::replace(&mut self.active, Rhhh::new(lattice, config));
+        self.completed.push_back(Arc::new(done.freeze()));
         if self.completed.len() > self.keep {
             self.completed.pop_front();
         }
         self.rotations += 1;
-    }
-
-    /// The read-only view of the retained completed panes, combined in one
-    /// [`Rhhh::merged_view`] over borrowed panes. Its packet and weight
-    /// totals cover exactly the retained panes — the window the answer
-    /// speaks for. `None` while no pane has completed.
-    #[must_use]
-    pub fn merged_view(&self) -> Option<FrozenRhhh<K>> {
-        let panes: Vec<&Rhhh<K, E>> = self.completed.iter().collect();
-        (!panes.is_empty()).then(|| Rhhh::merged_view(&panes))
     }
 }
 
@@ -335,12 +323,14 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> WindowedRhhh<K, E> {
         (end - self.covered_packets(), end)
     }
 
-    /// The view over the covered window, built fresh (one combine per
-    /// call, no cache). Queries read the cached [`WindowedRhhh::view`]
-    /// instead. `None` until the first rotation.
+    /// The view over the covered window, built fresh (one combine of the
+    /// frozen panes per call, no cache). Its packet and weight totals cover
+    /// exactly the retained panes. Queries read the cached
+    /// [`WindowedRhhh::view`] instead. `None` until the first rotation.
     #[must_use]
     pub fn merged_window(&self) -> Option<FrozenRhhh<K>> {
-        self.ring.merged_view()
+        let panes: Vec<&FrozenRhhh<K>> = self.ring.completed().map(|p| &**p).collect();
+        (!panes.is_empty()).then(|| Rhhh::<K, E>::combine(&panes))
     }
 
     /// The cached merged view over the covered window — node estimates,
@@ -349,7 +339,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> WindowedRhhh<K, E> {
     /// rotation.
     pub fn view(&mut self) -> Option<&FrozenRhhh<K>> {
         if self.cached.is_none() {
-            self.cached = self.ring.merged_view();
+            self.cached = self.merged_window();
         }
         self.cached.as_ref()
     }
@@ -369,14 +359,14 @@ impl<K: KeyBits, E: FrequencyEstimator<K>> WindowedRhhh<K, E> {
     /// as the reference side of the cache-coherence property tests).
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Option<Vec<HeavyHitter<K>>> {
-        self.ring.merged_view().map(|v| v.output(theta))
+        self.merged_window().map(|v| v.output(theta))
     }
 
     /// The view of the in-progress pane alone (partial; noisier early in
     /// the pane).
     #[must_use]
     pub fn current_view(&self) -> FrozenRhhh<K> {
-        Rhhh::merged_view(&[self.ring.active()])
+        self.ring.active().freeze()
     }
 }
 

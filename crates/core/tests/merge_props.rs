@@ -2,7 +2,7 @@
 //!
 //! A K-shard pipeline partitions the stream by key hash, runs one RHHH
 //! instance per shard through the geometric-skip batch path, and combines
-//! the shards into one read-only view (`Rhhh::merged_view`) at harvest.
+//! the frozen shards into one read-only view (`Rhhh::combine`) at harvest.
 //! These tests pin the combine contract at the RHHH level:
 //!
 //! * the view's per-node summaries keep the Space Saving sandwich with the
@@ -12,15 +12,13 @@
 //! * the view's `Output(θ)` finds the same planted hierarchical heavy
 //!   hitter a single instance over the whole stream finds — on random,
 //!   Zipf-tailed and phase-change streams, for both Space Saving layouts,
-//! * `Rhhh::try_merged_view` combines exactly the parts that share a
+//! * `Rhhh::try_combine` combines exactly the frozen parts that share a
 //!   lattice and configuration (seeds may differ), and sums their totals.
 
 use std::collections::HashMap;
 
 use hhh_core::{FrozenRhhh, HhhAlgorithm, MergeError, NodeEstimates, Rhhh, RhhhConfig};
-use hhh_counters::{
-    merge_entries_many, Candidate, CompactSpaceSaving, FrequencyEstimator, SpaceSaving,
-};
+use hhh_counters::{merge_entries_many, CompactSpaceSaving, FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{pack2, shard_of, Lattice};
 use hhh_traces::{TraceConfig, TraceGenerator};
 
@@ -132,7 +130,13 @@ fn shard_and_merge<E: FrequencyEstimator<u64>>(
     shards: usize,
 ) -> FrozenRhhh<u64> {
     let parts = shard::<E>(lat, config, keys, shards);
-    Rhhh::merged_view(&parts.iter().collect::<Vec<_>>())
+    combine(&parts)
+}
+
+/// Freezes every part and combines the frozen parts.
+fn combine<E: FrequencyEstimator<u64>>(parts: &[Rhhh<u64, E>]) -> FrozenRhhh<u64> {
+    let frozen: Vec<FrozenRhhh<u64>> = parts.iter().map(Rhhh::freeze).collect();
+    Rhhh::<u64, E>::combine(&frozen.iter().collect::<Vec<_>>())
 }
 
 /// The merged per-node summaries keep the counter-level sandwich with the
@@ -271,7 +275,7 @@ fn rhhh_merge_rejects_incompatible_configs() {
     let a = Rhhh::<u64>::new(lat.clone(), test_config(1, 1));
     let mismatch = |other: &Rhhh<u64>| {
         matches!(
-            Rhhh::try_merged_view(&[&a, other]),
+            Rhhh::<u64>::try_combine(&[&a.freeze(), &other.freeze()]),
             Err(MergeError::ConfigMismatch(_))
         )
     };
@@ -292,7 +296,7 @@ fn rhhh_merge_rejects_incompatible_configs() {
     assert!(mismatch(&c));
     // Different seed alone is fine — shards must use distinct seeds.
     let d = Rhhh::<u64>::new(lat, test_config(1, 99));
-    assert!(Rhhh::try_merged_view(&[&a, &d]).is_ok());
+    assert!(Rhhh::<u64>::try_combine(&[&a.freeze(), &d.freeze()]).is_ok());
 }
 
 /// The K-way view against a test-side pairwise fold of the same shards:
@@ -308,32 +312,18 @@ fn rhhh_merge_many_no_looser_than_pairwise_fold() {
     let keys = zipf_stream(200_000, 55);
     for shards in [2usize, 4, 8] {
         let parts = shard::<CompactSpaceSaving<u64>>(&lat, test_config(1, 0xF01D), &keys, shards);
-        let kway = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
+        let kway = combine(&parts);
         assert_eq!(kway.packets(), keys.len() as u64, "{shards} shards");
+        let frozen: Vec<FrozenRhhh<u64>> = parts.iter().map(Rhhh::freeze).collect();
         for node in lat.node_ids() {
-            let instances = parts.iter().map(|p| &p.node_instances()[node.index()]);
-            let cap = parts[0].node_instances()[node.index()].capacity();
-            let mut fold: Option<(Vec<Candidate<u64>>, u64)> = None;
-            for inst in instances {
-                let side = (inst.candidates(), inst.unmonitored_upper());
-                let Some(acc) = fold.take() else {
-                    fold = Some(side);
-                    continue;
-                };
-                let entries = merge_entries_many(&[acc, side], cap);
-                let min = if entries.len() < cap { 0 } else { entries[0].1 };
-                let cands = entries
-                    .iter()
-                    .map(|&(key, count, error)| Candidate {
-                        key,
-                        upper: count,
-                        lower: count - error,
-                    })
-                    .collect();
-                fold = Some((cands, min));
-            }
-            let (cands, min) = fold.expect("at least one shard");
-            let fold: HashMap<u64, u64> = cands.iter().map(|c| (c.key, c.upper)).collect();
+            let first = frozen[0].node(node).clone();
+            let cap = first.capacity();
+            let acc = frozen[1..].iter().fold(first, |acc, side| {
+                merge_entries_many(&[&acc, side.node(node)], cap)
+            });
+            let min = acc.unmonitored_upper();
+            let fold: HashMap<u64, u64> =
+                acc.candidates().iter().map(|c| (c.key, c.upper)).collect();
             let fold_upper = |key: &u64| fold.get(key).copied().unwrap_or(min);
             for c in kway.node(node).candidates() {
                 assert!(
@@ -363,7 +353,7 @@ fn rhhh_merge_many_no_looser_than_pairwise_fold() {
     }
 }
 
-/// `try_merged_view` validates every part against the first: one bad
+/// `try_combine` validates every part against the first: one bad
 /// shard anywhere in the list fails the whole view; compatible parts
 /// combine with their packet, weight and update totals summed.
 #[test]
@@ -374,13 +364,14 @@ fn rhhh_merge_many_rejects_any_incompatible_input() {
     let mut good = Rhhh::<u64>::new(lat.clone(), test_config(1, 2));
     good.update_weighted(pack2(0x0A00_0001, 0x0808_0808), 1_500);
     let bad = Rhhh::<u64>::new(lat, test_config(10, 3)); // wrong v_scale
-    for parts in [[&a, &good, &bad], [&a, &bad, &good]] {
+    let (fa, fgood, fbad) = (a.freeze(), good.freeze(), bad.freeze());
+    for parts in [[&fa, &fgood, &fbad], [&fa, &fbad, &fgood]] {
         assert!(matches!(
-            Rhhh::try_merged_view(&parts),
+            Rhhh::<u64>::try_combine(&parts),
             Err(MergeError::ConfigMismatch(_))
         ));
     }
-    let view = Rhhh::try_merged_view(&[&a, &good]).expect("same lattice and config");
+    let view = Rhhh::<u64>::try_combine(&[&fa, &fgood]).expect("same lattice and config");
     assert_eq!(view.packets(), a.packets() + good.packets());
     assert_eq!(view.total_weight(), a.total_weight() + good.total_weight());
     assert_eq!(

@@ -88,12 +88,10 @@ impl FrequencyEstimator<u64> for Exact {
         self.updates += weight;
     }
 
-    fn merged_view(parts: &[&Self]) -> Frozen<u64> {
+    fn combine(parts: &[&Frozen<u64>]) -> Frozen<u64> {
         let mut sum = Exact::default();
         for part in parts {
-            for (&key, &count) in &part.counts {
-                sum.add(key, count);
-            }
+            part.for_each_candidate(|c| sum.add(c.key, c.lower));
         }
         Frozen::freeze(&sum)
     }
@@ -198,7 +196,8 @@ fn fleet<E: FrequencyEstimator<u64>>(keys: &[u64], shards: usize) -> Vec<Rhhh<u6
 }
 
 fn view_of<E: FrequencyEstimator<u64>>(parts: &[Rhhh<u64, E>]) -> FrozenRhhh<u64> {
-    Rhhh::merged_view(&parts.iter().collect::<Vec<_>>())
+    let frozen: Vec<FrozenRhhh<u64>> = parts.iter().map(Rhhh::freeze).collect();
+    Rhhh::<u64, E>::combine(&frozen.iter().collect::<Vec<_>>())
 }
 
 fn check_fleets<E: FrequencyEstimator<u64>>(tail: u32) {

@@ -839,8 +839,8 @@ impl<K: CounterKey> FrequencyEstimator<K> for CompactSpaceSaving<K> {
         }
     }
 
-    fn merged_view(parts: &[&Self]) -> Frozen<K> {
-        crate::frozen::space_saving_view(parts)
+    fn combine(parts: &[&Frozen<K>]) -> Frozen<K> {
+        Frozen::combine_by(parts, crate::merge_entries_many)
     }
 
     #[inline]

@@ -55,14 +55,15 @@
 //!
 //! # Combining
 //!
-//! [`FrequencyEstimator::merged_view`] combines parts with a *documented*
-//! (not Space-Saving-exact) bound: counts for the same key sum across
-//! shards (sums of underestimates underestimate the concatenated stream),
-//! the union is re-inserted in descending count order, and any entry that
-//! finds no slot — capacity or an unresolvable bucket conflict — returns
-//! its mass to the deficit. The combined deficit is therefore at most the
-//! sum of the shard deficits plus the dropped mass, and the sandwich above
-//! holds for the concatenated stream by the same ledger argument.
+//! [`FrequencyEstimator::combine`] combines frozen parts with a
+//! *documented* (not Space-Saving-exact) bound: counts for the same key
+//! sum across shards (sums of underestimates underestimate the
+//! concatenated stream), the union is re-inserted in descending count
+//! order, and any entry that finds no slot — capacity or an unresolvable
+//! bucket conflict — returns its mass to the deficit. The combined
+//! deficit is therefore at most the sum of the shard deficits plus the
+//! dropped mass, and the sandwich above holds for the concatenated stream
+//! by the same ledger argument.
 //!
 //! # Determinism
 //!
@@ -180,16 +181,6 @@ impl<K: CounterKey> CuckooHeavyKeeper<K> {
         self.find_in_bucket(b1, tag, key)
             .or_else(|| self.find_in_bucket(b2, tag, key))
             .is_some()
-    }
-
-    /// `(key, count)` for every occupied slot, slot order. Raw counts —
-    /// the combine wants them without the deficit folded in.
-    fn raw_entries(&self) -> Vec<(K, u64)> {
-        self.slots
-            .iter()
-            .filter(|s| s.count > 0)
-            .map(|s| (s.key, s.count))
-            .collect()
     }
 
     /// Builds an instance holding `entries` (distinct keys, descending
@@ -495,38 +486,31 @@ impl<K: CounterKey> FrequencyEstimator<K> for CuckooHeavyKeeper<K> {
         for_each_run(keys, |key, run| self.apply(key, run));
     }
 
-    fn merged_view(parts: &[&Self]) -> Frozen<K> {
-        let (first, rest) = parts
-            .split_first()
-            .expect("a merged view needs at least one part");
-        if rest.is_empty() {
-            return Frozen::freeze(*first);
-        }
-        // Documented-bound combine (module docs): per-key count sums stay
-        // underestimates of the concatenated stream; re-inserted largest
-        // first so capacity/conflict drops hit the smallest counts; every
-        // drop returns to the deficit, which prices the combine.
-        let mut updates = 0;
-        let mut entries = Vec::new();
-        for part in parts {
-            assert_eq!(
-                part.capacity, first.capacity,
-                "merge requires equal capacities"
-            );
-            updates += part.updates;
-            entries.extend(part.raw_entries());
-        }
-        entries.sort_unstable_by_key(|a| a.0);
-        let mut summed: Vec<(K, u64)> = Vec::with_capacity(entries.len());
-        for &(key, count) in &entries {
-            match summed.last_mut() {
-                Some(last) if last.0 == key => last.1 += count,
-                _ => summed.push((key, count)),
+    fn combine(parts: &[&Frozen<K>]) -> Frozen<K> {
+        // Documented-bound combine (module docs): per-key sums of the
+        // parts' counts (their `lower`) stay underestimates of the
+        // concatenated stream; re-inserted largest first so capacity and
+        // conflict drops hit the smallest counts; every drop returns to the
+        // deficit, which prices the combine.
+        Frozen::combine_by(parts, |parts, capacity| {
+            let mut updates = 0;
+            let mut entries = Vec::new();
+            for part in parts {
+                updates += part.updates();
+                part.for_each_candidate(|c| entries.push((c.key, c.lower)));
             }
-        }
-        // Descending count, key tie-break: deterministic drop order.
-        summed.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Frozen::freeze(&Self::from_entries(first.capacity, updates, &summed))
+            entries.sort_unstable_by_key(|a| a.0);
+            let mut summed: Vec<(K, u64)> = Vec::with_capacity(entries.len());
+            for &(key, count) in &entries {
+                match summed.last_mut() {
+                    Some(last) if last.0 == key => last.1 += count,
+                    _ => summed.push((key, count)),
+                }
+            }
+            // Descending count, key tie-break: deterministic drop order.
+            summed.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            Frozen::freeze(&Self::from_entries(capacity, updates, &summed))
+        })
     }
 
     fn updates(&self) -> u64 {
@@ -697,7 +681,7 @@ mod tests {
         for &k in &b_keys {
             b.increment(k);
         }
-        let view = CuckooHeavyKeeper::merged_view(&[&a, &b]);
+        let view = CuckooHeavyKeeper::combine(&[&Frozen::freeze(&a), &Frozen::freeze(&b)]);
         assert_eq!(view.updates(), a.updates() + b.updates());
         let mut all = a_keys;
         all.extend(b_keys);

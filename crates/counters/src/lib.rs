@@ -87,7 +87,7 @@ mod tagged_table;
 pub use compact_space_saving::CompactSpaceSaving;
 pub use cuckoo_heavy_keeper::CuckooHeavyKeeper;
 pub use fast_hash::{FastHasher, IntHashBuilder};
-pub use frozen::Frozen;
+pub use frozen::{merge_entries_many, Frozen};
 pub use lossy_counting::LossyCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;
@@ -115,7 +115,7 @@ pub struct Candidate<K> {
 
 /// The (ε, δ)-Frequency Estimation interface of Definition 4, extended with
 /// the candidate enumeration that `Output` (Algorithm 1) requires and the
-/// one read-only combine ([`Self::merged_view`]) that shard-parallel and
+/// one combine of frozen parts ([`Self::combine`]) that shard-parallel and
 /// windowed deployments answer from.
 ///
 /// Implementations count *updates* (the paper's `X_p`); RHHH scales them by
@@ -187,12 +187,12 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
         self.increment_batch(keys);
     }
 
-    /// A read-only view of the combine of `parts` — summaries of
-    /// *different portions* of one logical stream, built with the same
-    /// capacity — that summarizes the concatenated stream, without
-    /// modifying or consuming any part. This is each family's one combine
-    /// rule: `Output(θ)` only reads bounds, so no combined summary is ever
-    /// updated. A single part is frozen as is.
+    /// The combine of `parts` — frozen summaries of *different portions* of
+    /// one logical stream, built with the same capacity — into one frozen
+    /// summary of the concatenated stream. This is each family's one
+    /// combine rule: a summary is frozen once, when it stops updating
+    /// ([`Frozen::freeze`]), and every combine reads frozen parts only. A
+    /// single part is returned as is.
     ///
     /// The contract every rule keeps (following Mitzenmacher, Steinke &
     /// Thaler's merge analysis for Space-Saving-style summaries):
@@ -207,14 +207,15 @@ pub trait FrequencyEstimator<K: CounterKey>: Send + 'static {
     ///
     /// The Space Saving layouts combine *exactly*, over all `K` parts at
     /// once ([`merge_entries_many`]). Misra–Gries and Lossy Counting fold
-    /// their pairwise rules over the parts in order, and Cuckoo Heavy
-    /// Keeper re-inserts the summed counts largest first, charging every
-    /// drop to its deficit; each documents its bound inline.
+    /// their pairwise rules over the parts in order and emit their entries
+    /// in ascending key order, and Cuckoo Heavy Keeper re-inserts the
+    /// summed counts largest first, charging every drop to its deficit;
+    /// each documents its bound inline.
     ///
     /// # Panics
     ///
     /// Panics when `parts` is empty or the capacities differ.
-    fn merged_view(parts: &[&Self]) -> Frozen<K>
+    fn combine(parts: &[&Frozen<K>]) -> Frozen<K>
     where
         Self: Sized;
 
@@ -282,95 +283,6 @@ pub fn counters_for(epsilon_a: f64, epsilon_s: f64) -> usize {
     );
     assert!(epsilon_s >= 0.0, "epsilon_s must be non-negative");
     ((1.0 + epsilon_s) / epsilon_a).ceil() as usize
-}
-
-/// Combines any number of Space-Saving-style summaries in one pass — the
-/// engine of the Space Saving layouts'
-/// [`FrequencyEstimator::merged_view`]: counts and errors pair up
-/// additively — a key absent from a side contributes that side's min-count
-/// to *both* its count and its error (the absent side may have seen it up
-/// to `min` times, all of which must stay deniable) — then the union is
-/// re-evicted back to `capacity` by dropping minimal counters. Every
-/// dropped entry's merged count is bounded by every survivor's, so the
-/// merged min-count still bounds any unmonitored key. Because
-/// the padding uses each *input's* min-count, a K-way combine is pointwise
-/// tighter than folding pairwise merges, whose padding grows with the
-/// intermediate merged minima.
-///
-/// `sides` pairs each input's candidate list with its min-count. Returns
-/// the kept `(key, count, error)` entries sorted ascending by
-/// `(count, key)`, so the first of them is the merged min-count once the
-/// union fills the capacity.
-///
-/// Keys are distinct after the combine, so `(count, key)` is a total order
-/// on the union: selecting the dropped prefix with a linear-time select
-/// and sorting only the kept entries returns exactly what a full sort of
-/// the union would.
-#[doc(hidden)]
-#[must_use]
-pub fn merge_entries_many<K: CounterKey>(
-    sides: &[(Vec<Candidate<K>>, u64)],
-    capacity: usize,
-) -> Vec<(K, u64, u64)> {
-    let total_min: u64 = sides.iter().map(|(_, min)| min).sum();
-    let union = sides.iter().map(|(c, _)| c.len()).sum();
-    // Per key: summed counts and errors over the sides that monitor it,
-    // plus the summed min-counts of those sides — the complement against
-    // `total_min` is the padding the absent sides owe. The map only holds
-    // each key's position, so the sums stay in one dense array.
-    let mut slot: fast_hash::FastMap<K, u32> =
-        fast_hash::FastMap::with_capacity_and_hasher(union, fast_hash::IntHashBuilder);
-    let mut entries: Vec<(K, u64, u64)> = Vec::with_capacity(union);
-    let mut present_min: Vec<u64> = Vec::with_capacity(union);
-    for (cands, min) in sides {
-        for c in cands {
-            let i = *slot.entry(c.key).or_insert_with(|| {
-                entries.push((c.key, 0, 0));
-                present_min.push(0);
-                (entries.len() - 1) as u32
-            }) as usize;
-            entries[i].1 += c.upper;
-            entries[i].2 += c.upper - c.lower;
-            present_min[i] += min;
-        }
-    }
-    for (e, present) in entries.iter_mut().zip(present_min) {
-        let pad = total_min - present;
-        e.1 += pad;
-        e.2 += pad;
-    }
-    // Deterministic re-eviction: order by (count, key) so ties among equal
-    // minimal counters break the same way on every run.
-    let order = |&(key, count, _): &(K, u64, u64)| (count, key);
-    let keep_from = entries.len().saturating_sub(capacity);
-    if keep_from > 0 {
-        entries.select_nth_unstable_by_key(keep_from, order);
-        entries.drain(..keep_from);
-    }
-    entries.sort_unstable_by_key(order);
-    entries
-}
-
-/// [`merge_entries_many`] over borrowed Space-Saving-style parts, each
-/// side being a part's candidates and its unmonitored-key bound (its
-/// min-count): the combine behind the Space Saving layouts'
-/// [`FrequencyEstimator::merged_view`].
-///
-/// # Panics
-///
-/// Panics when the capacities differ.
-pub(crate) fn combine_parts<K: CounterKey, E: FrequencyEstimator<K>>(
-    parts: &[&E],
-) -> Vec<(K, u64, u64)> {
-    let capacity = parts[0].capacity();
-    let sides: Vec<(Vec<Candidate<K>>, u64)> = parts
-        .iter()
-        .map(|p| {
-            assert_eq!(p.capacity(), capacity, "merge requires equal capacities");
-            (p.candidates(), p.unmonitored_upper())
-        })
-        .collect();
-    merge_entries_many(&sides, capacity)
 }
 
 /// Run-length encodes a key slice: invokes `f(key, run_length)` once per

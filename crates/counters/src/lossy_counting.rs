@@ -9,6 +9,8 @@
 //! Listed in Section 3.1 of the RHHH paper ([33]) among the counter
 //! algorithms that satisfy Definition 4 and can replace Space Saving.
 
+use std::collections::BTreeMap;
+
 use crate::fast_hash::FastMap;
 use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 
@@ -22,7 +24,7 @@ struct Entry {
 ///
 /// Space is O(ε⁻¹·log εN) in the worst case (more than Space Saving's strict
 /// `capacity` counters), which is the classical trade-off between the two.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LossyCounting<K> {
     entries: FastMap<K, Entry>,
     /// Bucket width (= capacity, so ε = 1/capacity).
@@ -52,41 +54,49 @@ impl<K: CounterKey> LossyCounting<K> {
         self.entries.retain(|_, e| e.count + e.delta > b);
     }
 
-    /// Documented-bound Lossy Counting combine: counts and deltas add for
-    /// keys tracked on both sides; a key tracked on only one side takes the
-    /// other side's `bucket − 1` as extra delta (the most occurrences that
-    /// side could have missed). The merged bucket is `b₁ + b₂ − 1`, so the
-    /// deterministic guarantee becomes `count ≤ f ≤ count + ε·(N₁+N₂)` —
-    /// the two inputs' bounds summed — and a final prune restores the
-    /// steady-state invariant `count + Δ > bucket − 1`.
-    fn absorb(&mut self, other: &Self) {
-        self.updates += other.updates;
-        let (b1, b2) = (self.bucket, other.bucket);
-        for e in self.entries.values_mut() {
-            e.delta += b2 - 1;
-        }
-        for (&key, &e2) in &other.entries {
-            match self.entries.get_mut(&key) {
-                Some(e1) => {
-                    // Tracked on both sides: replace the padding with the
-                    // other side's actual delta.
-                    e1.count += e2.count;
-                    e1.delta = e1.delta - (b2 - 1) + e2.delta;
-                }
-                None => {
-                    self.entries.insert(
-                        key,
-                        Entry {
-                            count: e2.count,
-                            delta: e2.delta + (b1 - 1),
-                        },
-                    );
-                }
+    /// Documented-bound Lossy Counting combine, folded over frozen parts
+    /// in order from the empty summary (bucket 1, no entries). A part's
+    /// entry gives `count = lower` and `Δ = upper − lower`, and its bucket
+    /// is `unmonitored_upper + 1` exactly, since a bucket starts at 1.
+    /// Counts and deltas add for keys tracked on both sides; a key tracked
+    /// on only one side takes the other side's `bucket − 1` as extra delta
+    /// (the most occurrences that side could have missed). The merged
+    /// bucket is `b₁ + b₂ − 1`, so the deterministic guarantee becomes
+    /// `count ≤ f ≤ count + ε·(N₁+N₂)` — the two inputs' bounds summed —
+    /// and a final prune restores the steady-state invariant
+    /// `count + Δ > bucket − 1`. Entries come out in ascending key order.
+    fn fold(parts: &[&Frozen<K>], capacity: usize) -> Frozen<K> {
+        let mut entries: BTreeMap<K, Entry> = BTreeMap::new();
+        let (mut bucket, mut updates) = (1, 0);
+        for part in parts {
+            updates += part.updates();
+            let (b1, b2) = (bucket, part.unmonitored_upper() + 1);
+            for e in entries.values_mut() {
+                e.delta += b2 - 1;
             }
+            part.for_each_candidate(|c| {
+                let (count, delta) = (c.lower, c.upper - c.lower);
+                match entries.get_mut(&c.key) {
+                    Some(e1) => {
+                        // Tracked on both sides: replace the padding with
+                        // the other side's actual delta.
+                        e1.count += count;
+                        e1.delta = e1.delta - (b2 - 1) + delta;
+                    }
+                    None => {
+                        let delta = delta + (b1 - 1);
+                        entries.insert(c.key, Entry { count, delta });
+                    }
+                }
+            });
+            bucket = b1 + b2 - 1;
+            entries.retain(|_, e| e.count + e.delta > bucket - 1);
         }
-        self.bucket = b1 + b2 - 1;
-        let floor = self.bucket - 1;
-        self.entries.retain(|_, e| e.count + e.delta > floor);
+        let entries = entries
+            .into_iter()
+            .map(|(key, e)| (key, e.count + e.delta, e.delta))
+            .collect();
+        Frozen::from_entries(entries, bucket - 1, updates, capacity)
     }
 }
 
@@ -149,8 +159,8 @@ impl<K: CounterKey> FrequencyEstimator<K> for LossyCounting<K> {
         crate::for_each_run(keys, |key, run| self.add(key, run));
     }
 
-    fn merged_view(parts: &[&Self]) -> Frozen<K> {
-        crate::frozen::fold_view(parts, Self::absorb)
+    fn combine(parts: &[&Frozen<K>]) -> Frozen<K> {
+        Frozen::combine_by(parts, Self::fold)
     }
 
     fn updates(&self) -> u64 {

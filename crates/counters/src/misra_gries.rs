@@ -10,6 +10,8 @@
 //! Referenced in Section 3.1 of the RHHH paper as one of the counter
 //! algorithms ([17, 30]) that can replace Space Saving.
 
+use std::collections::BTreeMap;
+
 use crate::fast_hash::FastMap;
 use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 
@@ -17,7 +19,7 @@ use crate::{Candidate, CounterKey, FrequencyEstimator, Frozen};
 ///
 /// The global decrement makes `increment` O(k) in the worst case but O(1)
 /// amortized (every decrement is paid for by an earlier increment).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MisraGries<K> {
     counts: FastMap<K, u64>,
     capacity: usize,
@@ -36,31 +38,40 @@ impl<K: CounterKey> MisraGries<K> {
     }
 
     /// The Misra–Gries combine of Agarwal et al. (*Mergeable Summaries*,
-    /// PODS 2012): sum counts key-wise, then subtract the `(k+1)`-st
-    /// largest combined count from every entry and drop the non-positive
-    /// ones. Each key loses at most that subtrahend while at least `k+1`
-    /// entries lose it in full, so the data-dependent deficit invariant
-    /// `underestimate ≤ (N − Σcounts)/(k+1)` — and with it the documented
-    /// `N/(k+1)` bound over the concatenated stream — survives merging.
-    fn absorb(&mut self, other: &Self) {
-        self.updates += other.updates;
-        self.stored += other.stored;
-        for (&key, &c) in &other.counts {
-            *self.counts.entry(key).or_insert(0) += c;
-        }
-        if self.counts.len() > self.capacity {
-            let mut counts: Vec<u64> = self.counts.values().copied().collect();
-            counts.sort_unstable_by(|a, b| b.cmp(a));
-            let sub = counts[self.capacity];
-            let mut removed = 0u64;
-            self.counts.retain(|_, c| {
-                let cut = (*c).min(sub);
-                removed += cut;
-                *c -= cut;
-                *c > 0
+    /// PODS 2012), folded over frozen parts in order from the empty
+    /// summary: sum counts (each part's `lower`) key-wise, then subtract
+    /// the `(k+1)`-st largest combined count from every entry and drop the
+    /// non-positive ones. Each key loses at most that subtrahend while at
+    /// least `k+1` entries lose it in full, so the data-dependent deficit
+    /// invariant `underestimate ≤ (N − Σcounts)/(k+1)` — and with it the
+    /// documented `N/(k+1)` bound over the concatenated stream — survives
+    /// merging. Entries come out in ascending key order.
+    fn fold(parts: &[&Frozen<K>], capacity: usize) -> Frozen<K> {
+        let mut counts: BTreeMap<K, u64> = BTreeMap::new();
+        let (mut updates, mut stored) = (0, 0);
+        for part in parts {
+            updates += part.updates();
+            part.for_each_candidate(|c| {
+                *counts.entry(c.key).or_insert(0) += c.lower;
+                stored += c.lower;
             });
-            self.stored -= removed;
+            if counts.len() > capacity {
+                let mut sorted: Vec<u64> = counts.values().copied().collect();
+                let (_, &mut sub, _) = sorted.select_nth_unstable_by(capacity, |a, b| b.cmp(a));
+                counts.retain(|_, c| {
+                    let cut = (*c).min(sub);
+                    stored -= cut;
+                    *c -= cut;
+                    *c > 0
+                });
+            }
         }
+        let deficit = (updates - stored) / (capacity as u64 + 1);
+        let entries = counts
+            .into_iter()
+            .map(|(key, c)| (key, c + deficit, deficit))
+            .collect();
+        Frozen::from_entries(entries, deficit, updates, capacity)
     }
 }
 
@@ -130,8 +141,8 @@ impl<K: CounterKey> FrequencyEstimator<K> for MisraGries<K> {
         crate::for_each_run(keys, |key, run| self.add(key, run));
     }
 
-    fn merged_view(parts: &[&Self]) -> Frozen<K> {
-        crate::frozen::fold_view(parts, Self::absorb)
+    fn combine(parts: &[&Frozen<K>]) -> Frozen<K> {
+        Frozen::combine_by(parts, Self::fold)
     }
 
     fn updates(&self) -> u64 {

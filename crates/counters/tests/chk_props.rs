@@ -6,7 +6,7 @@
 //! every key (monitored or absent), with `upper − lower` exactly the
 //! unattributed deficit `updates − Σ counts`.
 
-use hhh_counters::{CuckooHeavyKeeper, FrequencyEstimator};
+use hhh_counters::{CuckooHeavyKeeper, FrequencyEstimator, Frozen};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -91,7 +91,7 @@ proptest! {
         for &k in &sa { a.increment(k); }
         for &k in &sb { b.increment(k); }
         let deficit_sum = a.error_bound() + b.error_bound();
-        let merged = CuckooHeavyKeeper::merged_view(&[&a, &b]);
+        let merged = CuckooHeavyKeeper::combine(&[&Frozen::freeze(&a), &Frozen::freeze(&b)]);
         // Documented combine bound: re-insertion only ever *returns* mass
         // to the deficit, so the merged deficit is at least the shard sum
         // (drops add to it) and the sandwich holds over the concatenation.

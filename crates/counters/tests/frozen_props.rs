@@ -1,7 +1,8 @@
-//! A single-part [`Frozen`] view answers exactly as the live instance it
-//! was taken from: the same candidates in the same order, and the same
-//! `upper` and `lower` for monitored and unmonitored keys alike — for
-//! every counter structure, full or not yet full.
+//! A [`Frozen`] view answers exactly as the live instance it was frozen
+//! from, and so does the combine of that one frozen part: the same
+//! candidates in the same order, the same `upper` and `lower` for
+//! monitored and unmonitored keys alike, and the same capacity — for every
+//! counter structure, full or not yet full.
 
 use hhh_counters::{
     CompactSpaceSaving, CuckooHeavyKeeper, FrequencyEstimator, Frozen, LossyCounting, MisraGries,
@@ -19,9 +20,11 @@ fn check_single_part<E: FrequencyEstimator<u64>>(stream: &[u64], capacity: usize
     for &k in stream {
         live.increment(k);
     }
-    for view in [E::merged_view(&[&live]), Frozen::freeze(&live)] {
+    let frozen = Frozen::freeze(&live);
+    for view in [E::combine(&[&frozen]), frozen.clone()] {
         assert_eq!(view.candidates(), live.candidates(), "{name}: candidates");
         assert_eq!(view.updates(), live.updates(), "{name}: updates");
+        assert_eq!(view.capacity(), live.capacity(), "{name}: capacity");
         let monitored = live.candidates().into_iter().map(|c| c.key);
         let seen = stream.iter().copied();
         for key in monitored.chain(seen).chain(UNSEEN) {
@@ -51,7 +54,7 @@ fn not_yet_full_instance_freezes_exactly() {
     let stream: Vec<u64> = (0..60u64).map(|i| i % 5).collect();
     check_every_counter(&stream, 32);
     assert_eq!(
-        SpaceSaving::<u64>::merged_view(&[&SpaceSaving::with_capacity(4)]).unmonitored_upper(),
+        Frozen::freeze(&SpaceSaving::<u64>::with_capacity(4)).unmonitored_upper(),
         0
     );
 }

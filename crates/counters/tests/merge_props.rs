@@ -1,6 +1,6 @@
-//! Differential combine tests: a stream split across K shard summaries and
-//! combined into one read-only view (`FrequencyEstimator::merged_view`)
-//! must still satisfy the (ε, δ)-Frequency Estimation sandwich against
+//! Differential combine tests: a stream split across K shard summaries,
+//! each frozen, and combined into one read-only view
+//! (`FrequencyEstimator::combine`) must still satisfy the (ε, δ)-Frequency Estimation sandwich against
 //! exact counts of the *whole* stream, with the additive error of the
 //! per-shard bounds summed — for every counter algorithm, at K = 1..=4, on
 //! random, Zipf, phase-change and adversarial streams.
@@ -31,8 +31,14 @@ fn shard<E: FrequencyEstimator<u64>>(stream: &[u64], shards: usize, capacity: us
     parts
 }
 
+/// Freezes every part and combines the frozen parts by `E`'s rule.
+fn combine<E: FrequencyEstimator<u64>>(parts: &[&E]) -> Frozen<u64> {
+    let frozen: Vec<Frozen<u64>> = parts.iter().map(|p| Frozen::freeze(*p)).collect();
+    E::combine(&frozen.iter().collect::<Vec<_>>())
+}
+
 fn view_of<E: FrequencyEstimator<u64>>(parts: &[E]) -> Frozen<u64> {
-    E::merged_view(&parts.iter().collect::<Vec<_>>())
+    combine(&parts.iter().collect::<Vec<_>>())
 }
 
 /// Keys sorted, so views of different candidate orders compare.
@@ -180,26 +186,16 @@ fn merged_shards_keep_sandwich_on_zipf_stream() {
 
 /// A pairwise fold of the same engine, kept as a test-side oracle: each
 /// step combines the running result, padded with its own merged
-/// min-count, with the next part. Returns the kept candidates by key and
-/// the final min-count (the fold's bound for an unmonitored key).
+/// min-count, with the next frozen part. Returns the kept candidates by
+/// key and the final min-count (the fold's bound for an unmonitored key).
 fn pairwise_fold<E: FrequencyEstimator<u64>>(parts: &[E]) -> (HashMap<u64, Candidate<u64>>, u64) {
     let cap = parts[0].capacity();
-    let mut acc = (parts[0].candidates(), parts[0].unmonitored_upper());
+    let mut acc = Frozen::freeze(&parts[0]);
     for part in &parts[1..] {
-        let side = (part.candidates(), part.unmonitored_upper());
-        let entries = merge_entries_many(&[acc, side], cap);
-        let min = if entries.len() < cap { 0 } else { entries[0].1 };
-        let cands = entries
-            .iter()
-            .map(|&(key, count, error)| Candidate {
-                key,
-                upper: count,
-                lower: count - error,
-            })
-            .collect();
-        acc = (cands, min);
+        acc = merge_entries_many(&[&acc, &Frozen::freeze(part)], cap);
     }
-    (acc.0.into_iter().map(|c| (c.key, c)).collect(), acc.1)
+    let kept = acc.candidates().into_iter().map(|c| (c.key, c)).collect();
+    (kept, acc.unmonitored_upper())
 }
 
 /// Builds K shard summaries and combines them two ways: the pairwise fold
@@ -258,21 +254,21 @@ fn kway_merge_tighter_than_pairwise_fold() {
     }
 }
 
-/// A one-part view is the part frozen as is, in its own candidate order;
-/// empty parts add nothing to a combine.
+/// A one-part combine is the frozen part as is, in its own candidate
+/// order; empty parts add nothing to a combine.
 fn check_single_and_empty<E: FrequencyEstimator<u64>>() {
     let mut a = E::with_capacity(8);
     for i in 0..30u64 {
         a.increment(i % 6);
     }
-    let single = E::merged_view(&[&a]);
     let frozen = Frozen::freeze(&a);
+    let single = E::combine(&[&frozen]);
     assert_eq!(single.candidates(), frozen.candidates());
     assert_eq!(single.unmonitored_upper(), frozen.unmonitored_upper());
     assert_eq!(single.updates(), frozen.updates());
     let empty = E::with_capacity(8);
     for parts in [[&a, &empty], [&empty, &a]] {
-        let view = E::merged_view(&parts);
+        let view = combine(&parts);
         assert_eq!(sorted(view.candidates()), sorted(a.candidates()));
         assert_eq!(view.updates(), 30);
     }
@@ -290,7 +286,7 @@ fn merge_many_rejects_capacity_mismatch() {
     let a: CompactSpaceSaving<u64> = CompactSpaceSaving::with_capacity(8);
     let b: CompactSpaceSaving<u64> = CompactSpaceSaving::with_capacity(8);
     let c: CompactSpaceSaving<u64> = CompactSpaceSaving::with_capacity(16);
-    let _ = CompactSpaceSaving::merged_view(&[&a, &b, &c]);
+    let _ = combine(&[&a, &b, &c]);
 }
 
 #[test]
@@ -298,8 +294,7 @@ fn merged_view_rejects_capacity_mismatch_for_every_family() {
     fn panics<E: FrequencyEstimator<u64>>() -> bool {
         let a = E::with_capacity(8);
         let b = E::with_capacity(16);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| E::merged_view(&[&a, &b])))
-            .is_err()
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| combine(&[&a, &b]))).is_err()
     }
     assert!(panics::<SpaceSaving<u64>>(), "stream-summary");
     assert!(panics::<CompactSpaceSaving<u64>>(), "compact");
@@ -324,7 +319,7 @@ fn merge_below_capacity_is_exact_union() {
         b.increment(10);
     }
     b.increment(11);
-    let view = SpaceSaving::merged_view(&[&a, &b]);
+    let view = combine(&[&a, &b]);
     assert_eq!(view.updates(), 16);
     for (key, f) in [(1u64, 5u64), (2, 3), (10, 7), (11, 1)] {
         assert_eq!(view.upper(&key), f, "key {key}");
@@ -344,7 +339,7 @@ fn merge_with_empty_preserves_counts() {
     let before = sorted(a.candidates());
     // Combining with an empty part on either side adopts `a`'s contents.
     for parts in [[&a, &empty], [&empty, &a]] {
-        let view = CompactSpaceSaving::merged_view(&parts);
+        let view = combine(&parts);
         assert_eq!(sorted(view.candidates()), before);
         assert_eq!(view.updates(), 20);
     }
@@ -364,7 +359,7 @@ fn merge_overflow_re_evicts_to_capacity() {
     for (key, w) in [(11u64, 9u64), (12, 7), (13, 2), (14, 1)] {
         b.add(key, w);
     }
-    let view = SpaceSaving::merged_view(&[&a, &b]);
+    let view = combine(&[&a, &b]);
     assert_eq!(view.candidates().len(), cap);
     assert_eq!(view.updates(), 40);
     // Min-padding: min_a = 1, min_b = 1, so each side's keys carry +1.
@@ -383,7 +378,154 @@ fn merge_overflow_re_evicts_to_capacity() {
 fn merge_rejects_capacity_mismatch() {
     let a: SpaceSaving<u64> = SpaceSaving::with_capacity(8);
     let b: SpaceSaving<u64> = SpaceSaving::with_capacity(16);
-    let _ = SpaceSaving::merged_view(&[&a, &b]);
+    let _ = combine(&[&a, &b]);
+}
+
+/// A combine's entries as a key-sorted `(key, lower, upper)` multiset, its
+/// update count and its unmonitored-key bound.
+type Ledger = (Vec<(u64, u64, u64)>, u64, u64);
+
+fn ledger_of(view: &Frozen<u64>) -> Ledger {
+    let mut entries: Vec<(u64, u64, u64)> = view
+        .candidates()
+        .iter()
+        .map(|c| (c.key, c.lower, c.upper))
+        .collect();
+    entries.sort_unstable();
+    (entries, view.updates(), view.unmonitored_upper())
+}
+
+/// The reference for the Misra–Gries combine: the pairwise rule as the
+/// live summary applied it (Agarwal et al.), on a scratch copy of the
+/// first part's counts that absorbs the rest in order. A live part's
+/// state reads back through its bounds: `count = lower`, `stored = Σ count`.
+fn misra_gries_reference(parts: &[MisraGries<u64>]) -> Ledger {
+    let k = parts[0].capacity();
+    let state = |p: &MisraGries<u64>| -> HashMap<u64, u64> {
+        p.candidates().iter().map(|c| (c.key, c.lower)).collect()
+    };
+    let mut counts = state(&parts[0]);
+    let mut updates = parts[0].updates();
+    let mut stored: u64 = counts.values().sum();
+    for part in &parts[1..] {
+        let other = state(part);
+        updates += part.updates();
+        stored += other.values().sum::<u64>();
+        for (key, c) in other {
+            *counts.entry(key).or_insert(0) += c;
+        }
+        if counts.len() > k {
+            let mut all: Vec<u64> = counts.values().copied().collect();
+            all.sort_unstable_by(|a, b| b.cmp(a));
+            let sub = all[k];
+            let mut removed = 0;
+            counts.retain(|_, c| {
+                let cut = (*c).min(sub);
+                removed += cut;
+                *c -= cut;
+                *c > 0
+            });
+            stored -= removed;
+        }
+    }
+    let deficit = (updates - stored) / (k as u64 + 1);
+    let mut entries: Vec<(u64, u64, u64)> = counts
+        .into_iter()
+        .map(|(key, c)| (key, c, c + deficit))
+        .collect();
+    entries.sort_unstable();
+    (entries, updates, deficit)
+}
+
+/// The reference for the Lossy Counting combine: the live summary's
+/// pairwise rule on a scratch copy of the first part, absorbing the rest
+/// in order. A live part's state reads back through its bounds:
+/// `count = lower`, `Δ = upper − lower`, `bucket = unmonitored + 1`.
+fn lossy_counting_reference(parts: &[LossyCounting<u64>]) -> Ledger {
+    let state = |p: &LossyCounting<u64>| -> (HashMap<u64, (u64, u64)>, u64) {
+        let entries = p
+            .candidates()
+            .iter()
+            .map(|c| (c.key, (c.lower, c.upper - c.lower)))
+            .collect();
+        (entries, p.unmonitored_upper() + 1)
+    };
+    let (mut entries, mut bucket) = state(&parts[0]);
+    let mut updates = parts[0].updates();
+    for part in &parts[1..] {
+        let (other, b2) = state(part);
+        updates += part.updates();
+        let b1 = bucket;
+        for e in entries.values_mut() {
+            e.1 += b2 - 1;
+        }
+        for (key, (count, delta)) in other {
+            match entries.get_mut(&key) {
+                Some(e1) => {
+                    e1.0 += count;
+                    e1.1 = e1.1 - (b2 - 1) + delta;
+                }
+                None => {
+                    entries.insert(key, (count, delta + (b1 - 1)));
+                }
+            }
+        }
+        bucket = b1 + b2 - 1;
+        entries.retain(|_, e| e.0 + e.1 > bucket - 1);
+    }
+    let mut entries: Vec<(u64, u64, u64)> = entries
+        .into_iter()
+        .map(|(key, (count, delta))| (key, count, count + delta))
+        .collect();
+    entries.sort_unstable();
+    (entries, updates, bucket - 1)
+}
+
+/// Splits `stream` into `k` parts of interleaved chunks, so the parts
+/// share keys and the rules' both-sides branches run.
+fn chunked<E: FrequencyEstimator<u64>>(stream: &[u64], k: usize, capacity: usize) -> Vec<E> {
+    let mut parts: Vec<E> = (0..k).map(|_| E::with_capacity(capacity)).collect();
+    for (i, chunk) in stream.chunks(97).enumerate() {
+        parts[i % k].increment_batch(chunk);
+    }
+    parts
+}
+
+/// The Misra–Gries and Lossy Counting combines over frozen parts keep the
+/// live pairwise rules' ledgers exactly — the same `(key, lower, upper)`
+/// multiset, update count and unmonitored-key bound — and emit their
+/// entries in ascending key order.
+fn check_fold_matches_live_rule(stream: &[u64], k: usize, capacity: usize) {
+    let mg = chunked::<MisraGries<u64>>(stream, k, capacity);
+    let view = view_of(&mg);
+    assert_eq!(ledger_of(&view), misra_gries_reference(&mg), "misra-gries");
+    let keys: Vec<u64> = view.candidates().iter().map(|c| c.key).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "misra-gries order");
+    let lc = chunked::<LossyCounting<u64>>(stream, k, capacity);
+    let view = view_of(&lc);
+    assert_eq!(ledger_of(&view), lossy_counting_reference(&lc), "lossy");
+    let keys: Vec<u64> = view.candidates().iter().map(|c| c.key).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "lossy order");
+}
+
+#[test]
+fn misra_gries_and_lossy_folds_match_the_live_rules() {
+    // Geometric key frequencies (key j about twice as common as j + 1),
+    // shifted by the chunk's position so neighbouring parts share some
+    // keys: the parts hold distinct counts, and their union overflows the
+    // capacity, so the Misra–Gries cut and the Lossy prune both bite.
+    let mut x = 0xF01Du64;
+    let stream: Vec<u64> = (0..12_000u64)
+        .map(|i| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(7);
+            u64::from((x >> 20).trailing_zeros().min(24)) + 3 * ((i / 97) % 4)
+        })
+        .collect();
+    for k in 2..=4 {
+        for capacity in [2, 4, 8] {
+            check_fold_matches_live_rule(&stream, k, capacity);
+        }
+    }
 }
 
 /// The full-sort combine the select-based engine replaced, kept as its
@@ -450,9 +592,32 @@ proptest! {
         sides in vec(side(), 1..9),
         capacity in 1usize..40,
     ) {
-        let got = merge_entries_many(&sides, capacity);
+        let frozen: Vec<Frozen<u64>> = sides
+            .iter()
+            .map(|(cands, min)| {
+                let entries = cands.iter().map(|c| (c.key, c.upper, c.upper - c.lower)).collect();
+                Frozen::from_entries(entries, *min, 0, capacity)
+            })
+            .collect();
+        let got = merge_entries_many(&frozen.iter().collect::<Vec<_>>(), capacity);
+        let got: Vec<(u64, u64, u64)> = got
+            .candidates()
+            .iter()
+            .map(|c| (c.key, c.upper, c.upper - c.lower))
+            .collect();
         let want = full_sort_merge_entries(&sides, capacity);
         prop_assert_eq!(got, want);
+    }
+
+    /// Random streams: the frozen Misra–Gries and Lossy Counting folds
+    /// keep the live rules' ledgers at K = 2..=4.
+    #[test]
+    fn misra_gries_and_lossy_folds_match_on_random_streams(
+        stream in vec(0u64..80, 1..1_500),
+        k in 2usize..5,
+        capacity in 1usize..24,
+    ) {
+        check_fold_matches_live_rule(&stream, k, capacity);
     }
 
     /// Random streams, random shard counts: the Space Saving views keep
@@ -494,8 +659,8 @@ proptest! {
         let (p1, rest) = stream.split_at(third);
         let (p2, p3) = rest.split_at((rest.len() / 2).min(rest.len()));
         let (a, b, c) = (build(p1), build(p2), build(p3));
-        let left = SpaceSaving::merged_view(&[&a, &b, &c]);
-        let right = SpaceSaving::merged_view(&[&c, &a, &b]);
+        let left = combine(&[&a, &b, &c]);
+        let right = combine(&[&c, &a, &b]);
         prop_assert_eq!(left.updates(), right.updates());
         prop_assert_eq!(left.unmonitored_upper(), right.unmonitored_upper());
         prop_assert_eq!(sorted(left.candidates()), sorted(right.candidates()));

@@ -44,10 +44,11 @@ fn check<E: FrequencyEstimator<u64>>(stream: &[u64], capacity: usize) {
     for (i, part) in parts.iter().enumerate() {
         assert_eq!(visited(part), part.candidates(), "{name}: part {i}");
     }
+    let frozen: Vec<Frozen<u64>> = parts.iter().map(Frozen::freeze).collect();
     for view in [
-        Frozen::freeze(&parts[1]),
-        E::merged_view(&[&parts[0]]),
-        E::merged_view(&parts.iter().collect::<Vec<_>>()),
+        frozen[1].clone(),
+        E::combine(&[&frozen[0]]),
+        E::combine(&frozen.iter().collect::<Vec<_>>()),
     ] {
         assert_eq!(visited_frozen(&view), view.candidates(), "{name}: view");
     }

@@ -13,8 +13,8 @@
 //! column is expected to drift with K rather than stay flat.)
 //!
 //! Every row is the one combine the fleet answers with (`kway`):
-//! `Rhhh::merged_view` over all K shards, each counter family's combine
-//! rule per node. The pairwise fold through the driver trait that earlier
+//! `Rhhh::combine` over all K shards, frozen once their feed ends, each
+//! counter family's combine rule per node. The pairwise fold through the driver trait that earlier
 //! versions also measured is gone; its accuracy columns were identical to
 //! the K-way rows at every K.
 
@@ -41,9 +41,9 @@ fn shard_config(epsilon: f64, i: usize) -> RhhhConfig {
     }
 }
 
-/// K-way combine on concrete instances: partition, feed, one
-/// `Rhhh::merged_view` over all shards. Returns the output and the
-/// combine cost.
+/// K-way combine on concrete instances: partition, feed, freeze, one
+/// `Rhhh::combine` over all shards. Returns the output and the cost of
+/// the combine of the frozen parts.
 fn run_kway<E: FrequencyEstimator<u64>>(
     lattice: &Lattice<u64>,
     keys: &[u64],
@@ -61,8 +61,9 @@ fn run_kway<E: FrequencyEstimator<u64>>(
     for (part, bucket) in parts.iter_mut().zip(&buckets) {
         part.update_batch(bucket);
     }
+    let frozen: Vec<_> = parts.iter().map(Rhhh::freeze).collect();
     let t0 = Instant::now();
-    let view = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
+    let view = Rhhh::<u64, E>::combine(&frozen.iter().collect::<Vec<_>>());
     let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
     (view.output(theta), merge_ms)
 }

@@ -53,7 +53,7 @@ pub use flow_table::{Action, FlowKey, MegaflowTable, MicroflowCache};
 pub use handoff::{HandoffStats, SpawnError, SpawnOptions};
 pub use monitor::{AlgoMonitor, BatchingMonitor, NoOpMonitor};
 pub use packet::{build_udp_frame, EthernetFrame, Ipv4View, ParseError, UdpView};
-pub use sharded::{shard_of, ShardSnapshot, ShardedMonitor};
+pub use sharded::{shard_of, ShardedMonitor};
 pub use wire::WireBlockView;
 
 /// Paper §5.2's distributed deployment (Figure 8): the switch samples and

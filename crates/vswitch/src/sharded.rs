@@ -45,30 +45,30 @@
 //! slice has absorbed, and they are summed over panes, never over shards.
 //! Per-slice counter errors add, which is the Mitzenmacher–Steinke–Thaler
 //! Space Saving merge: `Σᵢ nᵢ/m = n/m`, the same ε_a class as one
-//! instance. Every answer is a read-only [`FrozenRhhh`] built by
-//! [`Rhhh::try_merged_view`] from borrowed slices: live queries borrow
-//! the latest snapshots, the harvest the joined rings.
+//! instance. Every slice is frozen, and every answer is the read-only
+//! [`FrozenRhhh`] that [`Rhhh::try_combine`] builds from the slices: the
+//! latest snapshots' for live queries, the joined rings' for the harvest.
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
-//! publishes an epoch-stamped [`ShardSnapshot`] — clones of the slices its
-//! answer covers — through an atomically swappable pointer (`arc-swap`):
-//! every `publish_every` batches for the flat fleet, at every pane
-//! rotation for the windowed one, on [`ShardedMonitor::publish_now`]
-//! markers, and once at exit. Publication is the one clone: the worker
-//! copies its slices once, so publishing never perturbs its state and the
-//! harvest is the same whether or when queries ran. A live `query(θ)`
-//! holds the latest snapshots' `Arc`s and builds the merged view straight
-//! from their slices — no second clone, no rebuilt summary — then caches
-//! the view keyed by the epoch vector, so repeated queries between
-//! publications cost one `Output(θ)` scan.
+//! publishes an epoch-stamped snapshot of its frozen slices through an
+//! atomically swappable pointer (`arc-swap`): every `publish_every`
+//! batches for the flat fleet, at every pane rotation for the windowed
+//! one, on [`ShardedMonitor::publish_now`] markers, and once at exit.
+//! Publishing copies no live state — the flat fleet freezes its active
+//! pane ([`Rhhh::freeze`]), the windowed fleet shares the `Arc`s of the
+//! panes its ring froze at rotation — so the harvest is the same whether
+//! or when queries ran. A live `query(θ)` combines the latest snapshots'
+//! slices and caches the view keyed by the epoch vector, so repeated
+//! queries between publications cost one `Output(θ)` scan.
+//! [`ShardedMonitor::is_fresh`] tells when every shard has published
+//! after the last marker.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use arc_swap::ArcSwap;
 use hhh_core::{
-    pane_seed, FrozenRhhh, HeavyHitter, HhhAlgorithm, Lane, MergeError, PaneRing, Rhhh, RhhhConfig,
-    Sampler,
+    pane_seed, FrozenRhhh, HeavyHitter, Lane, MergeError, PaneRing, Rhhh, RhhhConfig, Sampler,
 };
 use hhh_counters::{FrequencyEstimator, SpaceSaving};
 use hhh_hierarchy::{KeyBits, Lattice, NodeId};
@@ -95,15 +95,19 @@ const PACKET_CALL: usize = 4_096;
 /// the worker flushed before publishing it, and is stale by at most one
 /// publication interval.
 #[derive(Debug)]
-pub struct ShardSnapshot<K: KeyBits, E: FrequencyEstimator<K>> {
+struct ShardSnapshot<K: KeyBits> {
     /// Publication sequence number (0 = the pre-feed empty snapshot).
-    pub epoch: u64,
+    epoch: u64,
+    /// [`ShardMsg::Publish`] markers the worker had consumed when it
+    /// published this snapshot.
+    markers: u64,
     /// Global index of the first pane in `panes`.
-    pub first_pane: u64,
-    /// The worker's slices of the panes its answer covers, oldest first:
-    /// the retained completed panes, or the active pane before the first
-    /// rotation. Each slice's `N` and `W` are the last stamp it absorbed.
-    pub panes: Vec<Rhhh<K, E>>,
+    first_pane: u64,
+    /// The worker's frozen slices of the panes its answer covers, oldest
+    /// first: the retained completed panes, or the active pane before the
+    /// first rotation. Each slice's `N` and `W` are the last stamp it
+    /// absorbed.
+    panes: Vec<Arc<FrozenRhhh<K>>>,
 }
 
 /// Where a shard's sampled entries wait for the next hand-off: the node
@@ -217,35 +221,49 @@ enum ShardMsg<K> {
     Poison,
 }
 
-/// Stores a fresh epoch-stamped snapshot of the slices the ring's answer
-/// covers — the coverage rule [`ShardedMonitor::harvest`] applies, so
-/// live queries and the harvest agree on semantics.
-fn publish<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    slot: &ArcSwap<ShardSnapshot<K, E>>,
-    epoch: &mut u64,
+/// The frozen slices a ring's answer covers, oldest first, and the global
+/// index of the first: the retained completed panes, whose `Arc`s the ring
+/// froze at rotation, or before the first rotation the active pane, frozen
+/// here. Live queries and [`ShardedMonitor::harvest`] share this coverage
+/// rule, so they agree on semantics.
+fn covered<K: KeyBits, E: FrequencyEstimator<K>>(
     ring: &PaneRing<K, E>,
-) {
-    *epoch += 1;
+) -> (u64, Vec<Arc<FrozenRhhh<K>>>) {
     let rotations = ring.rotations();
-    let (first_pane, panes) = if rotations == 0 {
-        (0, vec![ring.active().clone()])
+    if rotations == 0 {
+        (0, vec![Arc::new(ring.active().freeze())])
     } else {
         let first = rotations - ring.completed_len() as u64;
         (first, ring.completed().cloned().collect())
-    };
+    }
+}
+
+/// Stores a fresh epoch-stamped snapshot of the slices the ring's answer
+/// covers, recording the markers consumed so far.
+fn publish<K: KeyBits, E: FrequencyEstimator<K>>(
+    slot: &ArcSwap<ShardSnapshot<K>>,
+    epoch: &mut u64,
+    markers: u64,
+    ring: &PaneRing<K, E>,
+) {
+    *epoch += 1;
+    let (first_pane, panes) = covered(ring);
     slot.store(Arc::new(ShardSnapshot {
         epoch: *epoch,
+        markers,
         first_pane,
         panes,
     }));
 }
 
+/// One shard's frozen slices, oldest first, with the global index of the
+/// first.
+type Slices<'a, K> = (u64, &'a [Arc<FrozenRhhh<K>>]);
+
 /// The panes every shard has reached, `lo..hi`, and their summed totals:
 /// each pane's `N` and `W` are the smallest stamp among its slices (what
 /// every slice has absorbed), summed over panes, never over shards.
-fn shared_panes<K: KeyBits, E: FrequencyEstimator<K>>(
-    shards: &[(u64, &[Rhhh<K, E>])],
-) -> (std::ops::Range<u64>, u64, u64) {
+fn shared_panes<K: KeyBits>(shards: &[Slices<'_, K>]) -> (std::ops::Range<u64>, u64, u64) {
     let lo = shards.iter().map(|(first, _)| *first).max().unwrap_or(0);
     let hi = shards
         .iter()
@@ -255,35 +273,35 @@ fn shared_panes<K: KeyBits, E: FrequencyEstimator<K>>(
     let (mut packets, mut weight) = (0, 0);
     for pane in lo..hi {
         let slices = || shards.iter().map(|(first, p)| &p[(pane - first) as usize]);
-        packets += slices().map(HhhAlgorithm::packets).min().unwrap_or(0);
-        weight += slices().map(Rhhh::total_weight).min().unwrap_or(0);
+        packets += slices().map(|s| s.packets()).min().unwrap_or(0);
+        weight += slices().map(|s| s.total_weight()).min().unwrap_or(0);
     }
     (lo..hi, packets, weight)
 }
 
 /// The one combine behind every answer — live queries over the latest
-/// snapshots and the harvest over the joined rings: every shard's slices
-/// (oldest first, with the global index of the first) of the panes all
-/// shards have reached, in shard order, in one [`Rhhh::try_merged_view`],
-/// with the totals of [`shared_panes`]. No slice is cloned and no live
-/// summary is built.
+/// snapshots and the harvest over the joined rings: every shard's frozen
+/// slices of the panes all shards have reached, in shard order, in one
+/// [`Rhhh::try_combine`] by `E`'s combine rule, with the totals of
+/// [`shared_panes`]. No live summary is built.
 fn view<K: KeyBits, E: FrequencyEstimator<K>>(
-    shards: &[(u64, &[Rhhh<K, E>])],
+    shards: &[Slices<'_, K>],
 ) -> Result<FrozenRhhh<K>, MergeError> {
     let (span, packets, weight) = shared_panes(shards);
     if span.is_empty() {
         // The shards share no pane yet: an empty answer.
         let any = &shards[0].1[0];
-        let empty = Rhhh::<K, E>::new(any.lattice().clone(), *any.config());
-        return Rhhh::try_merged_view(&[&empty]);
+        return Ok(Rhhh::<K, E>::new(any.lattice().clone(), *any.config()).freeze());
     }
-    let slices: Vec<&Rhhh<K, E>> = shards
+    let slices: Vec<&FrozenRhhh<K>> = shards
         .iter()
         .flat_map(|(first, panes)| {
-            panes[(span.start - first) as usize..(span.end - first) as usize].iter()
+            panes[(span.start - first) as usize..(span.end - first) as usize]
+                .iter()
+                .map(|p| &**p)
         })
         .collect();
-    let mut view = Rhhh::try_merged_view(&slices)?;
+    let mut view = Rhhh::<K, E>::try_combine(&slices)?;
     view.note_totals(packets, weight);
     Ok(view)
 }
@@ -291,13 +309,13 @@ fn view<K: KeyBits, E: FrequencyEstimator<K>>(
 /// [`view`] of the latest snapshots, whose slices one fleet built from one
 /// configuration.
 fn snapshot_view<K: KeyBits, E: FrequencyEstimator<K>>(
-    snaps: &[Arc<ShardSnapshot<K, E>>],
+    snaps: &[Arc<ShardSnapshot<K>>],
 ) -> FrozenRhhh<K> {
-    let shards: Vec<(u64, &[Rhhh<K, E>])> = snaps
+    let shards: Vec<Slices<'_, K>> = snaps
         .iter()
         .map(|snap| (snap.first_pane, &snap.panes[..]))
         .collect();
-    view(&shards).expect("one fleet's slices share one configuration")
+    view::<K, E>(&shards).expect("one fleet's slices share one configuration")
 }
 
 /// How a fleet's worker rings turn over and publish.
@@ -331,7 +349,7 @@ struct Cadence {
 pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     senders: Vec<ShardTx<ShardMsg<K>>>,
     handles: Vec<JoinHandle<PaneRing<K, E>>>,
-    snapshots: Vec<Arc<ArcSwap<ShardSnapshot<K, E>>>>,
+    snapshots: Vec<Arc<ArcSwap<ShardSnapshot<K>>>>,
     stats: Vec<HandoffStats>,
     sampler: Sampler<K>,
     outs: Vec<Outbox<K>>,
@@ -350,6 +368,8 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
     /// Whether the current pane took packets since the last send.
     unsent: bool,
     rotations: u64,
+    /// [`ShardMsg::Publish`] markers sent so far.
+    markers: u64,
     seed: u64,
     /// Live-query view cache keyed by the snapshot epoch vector; stays
     /// valid until any shard publishes again.
@@ -357,7 +377,7 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
     label: String,
 }
 
-impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
+impl<K: KeyBits, E: FrequencyEstimator<K>> ShardedMonitor<K, E> {
     /// Spawns `shards` worker threads behind an ingress sampler seeded
     /// with `config.seed`, handing each shard its sampled entries once
     /// some shard has `batch` samples waiting. Uses the default
@@ -464,8 +484,9 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             let ring = PaneRing::<K, E>::new(lattice.clone(), config, cadence.keep);
             let slot = Arc::new(ArcSwap::from_pointee(ShardSnapshot {
                 epoch: 0,
+                markers: 0,
                 first_pane: 0,
-                panes: vec![ring.active().clone()],
+                panes: covered(&ring).1,
             }));
             snapshots.push(Arc::clone(&slot));
             let (tx, rx) = conduit::<ShardMsg<K>>(ring_slots(
@@ -475,8 +496,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             ));
             let handle = spawn_named(format!("shard-{shard}"), move || {
                 let mut ring = ring;
-                let mut batches = 0u64;
-                let mut epoch = 0u64;
+                let (mut batches, mut epoch, mut markers) = (0u64, 0u64, 0u64);
                 while let Some(msg) = rx.recv() {
                     // Batches publish every `publish_every`; markers
                     // always publish.
@@ -488,23 +508,24 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
                         }
                         ShardMsg::Rotate => {
                             ring.rotate();
-                            publish(&slot, &mut epoch, &ring);
+                            publish(&slot, &mut epoch, markers, &ring);
                             continue;
                         }
                         ShardMsg::Publish => {
-                            publish(&slot, &mut epoch, &ring);
+                            markers += 1;
+                            publish(&slot, &mut epoch, markers, &ring);
                             continue;
                         }
                         ShardMsg::Poison => panic!("injected shard failure"),
                     }
                     batches += 1;
                     if batches.is_multiple_of(cadence.publish_every) {
-                        publish(&slot, &mut epoch, &ring);
+                        publish(&slot, &mut epoch, markers, &ring);
                     }
                 }
                 // Final publication so late readers see the full
                 // sub-stream even without harvesting.
-                publish(&slot, &mut epoch, &ring);
+                publish(&slot, &mut epoch, markers, &ring);
                 ring
             })?;
             senders.push(tx.bind(handle.thread().clone()));
@@ -525,6 +546,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             pane: Stamp::default(),
             unsent: false,
             rotations: 0,
+            markers: 0,
             seed: config.seed,
             query_cache: None,
             label,
@@ -702,18 +724,33 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
 
     /// Flushes and asks every worker to publish a fresh snapshot (without
     /// rotating). The marker rides the FIFO hand-off behind the flushed
-    /// batches, so once each shard's epoch advances past its value at
-    /// call time, [`ShardedMonitor::query`] reflects **every** packet fed
-    /// before this call that its coverage rule admits — the deterministic
-    /// freshness hook the property suite pins.
+    /// batches, so once every shard has consumed it
+    /// ([`ShardedMonitor::is_fresh`]), [`ShardedMonitor::query`] reflects
+    /// **every** packet fed before this call that its coverage rule
+    /// admits — the deterministic freshness hook the property suite pins.
+    /// An epoch advance alone does not show that: the flat fleet's
+    /// publications every `publish_every` batches and the windowed
+    /// fleet's rotation publications advance the epoch too.
     pub fn publish_now(&mut self) {
+        self.markers += 1;
         self.broadcast(|| ShardMsg::Publish);
+    }
+
+    /// Whether every shard's latest snapshot was published after the last
+    /// [`ShardedMonitor::publish_now`] marker reached it: a query then
+    /// covers everything fed before that call. Never true for a shard
+    /// whose worker died before the marker.
+    #[must_use]
+    pub fn is_fresh(&self) -> bool {
+        self.snapshots
+            .iter()
+            .all(|s| s.load_full().markers >= self.markers)
     }
 
     /// The latest snapshots and their epochs. Holding the `Arc`s keeps
     /// the published slices alive for a borrowed [`view`], so nothing is
     /// cloned.
-    fn latest_snapshots(&self) -> (Vec<u64>, Vec<Arc<ShardSnapshot<K, E>>>) {
+    fn latest_snapshots(&self) -> (Vec<u64>, Vec<Arc<ShardSnapshot<K>>>) {
         self.snapshots
             .iter()
             .map(|s| {
@@ -725,14 +762,13 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
 
     /// Ensures the query cache holds the view of the latest snapshots.
     fn refresh_query_cache(&mut self) -> &FrozenRhhh<K> {
-        let epochs = self.snapshot_epochs();
+        let (epochs, snaps) = self.latest_snapshots();
         if self
             .query_cache
             .as_ref()
             .is_none_or(|(cached, _)| *cached != epochs)
         {
-            let (epochs, snaps) = self.latest_snapshots();
-            self.query_cache = Some((epochs, snapshot_view(&snaps)));
+            self.query_cache = Some((epochs, snapshot_view::<K, E>(&snaps)));
         }
         &self.query_cache.as_ref().expect("cache refreshed above").1
     }
@@ -754,7 +790,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
     /// bench races the cached path against.
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        snapshot_view(&self.latest_snapshots().1).output(theta)
+        snapshot_view::<K, E>(&self.latest_snapshots().1).output(theta)
     }
 
     /// Packets covered by the current snapshot view — how much of the fed
@@ -790,27 +826,16 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         self.flush();
         self.senders.clear(); // closes every hand-off; workers drain & exit
         let rings = join_shards(std::mem::take(&mut self.handles))?;
-        let owned: Vec<(u64, Vec<Rhhh<K, E>>)> = rings
-            .into_iter()
-            .map(|ring| {
-                let rotations = ring.rotations();
-                let (active, completed) = ring.into_parts();
-                if rotations == 0 {
-                    (0, vec![active])
-                } else {
-                    (rotations - completed.len() as u64, completed)
-                }
-            })
-            .collect();
-        let shards: Vec<(u64, &[Rhhh<K, E>])> = owned
+        let owned: Vec<(u64, Vec<Arc<FrozenRhhh<K>>>)> = rings.iter().map(covered).collect();
+        let shards: Vec<Slices<'_, K>> = owned
             .iter()
             .map(|(first, panes)| (*first, &panes[..]))
             .collect();
-        view(&shards)
+        view::<K, E>(&shards)
     }
 }
 
-impl<E: FrequencyEstimator<u64> + Clone + Sync> DataplaneMonitor for ShardedMonitor<u64, E> {
+impl<E: FrequencyEstimator<u64>> DataplaneMonitor for ShardedMonitor<u64, E> {
     #[inline]
     fn on_packet(&mut self, key2: u64) {
         self.update(key2);
@@ -941,14 +966,8 @@ mod tests {
         for &k in &attack_stream(n, 23) {
             mon.update(k);
         }
-        let before = mon.snapshot_epochs();
         mon.publish_now();
-        wait_until(|| {
-            mon.snapshot_epochs()
-                .iter()
-                .zip(&before)
-                .all(|(now, then)| now > then)
-        });
+        wait_until(|| mon.is_fresh());
         // The publish markers rode the FIFO hand-off behind every flushed
         // batch, so the snapshot merge covers the entire feed so far.
         assert_eq!(mon.query_coverage(), n);
@@ -1008,14 +1027,8 @@ mod tests {
         for &k in &attack_stream(50_000, 29) {
             mon.update(k);
         }
-        let before = mon.snapshot_epochs();
         mon.publish_now();
-        wait_until(|| {
-            mon.snapshot_epochs()
-                .iter()
-                .zip(&before)
-                .all(|(now, then)| now > then)
-        });
+        wait_until(|| mon.is_fresh());
         let c1 = mon.query_coverage();
         let epochs = mon.snapshot_epochs();
         let c2 = mon.query_coverage();
@@ -1176,9 +1189,11 @@ mod tests {
 
     #[test]
     fn live_view_answers_as_the_harvested_merge() {
-        // Once the snapshots cover what the harvest will, the query
-        // plane's view and the harvest's view combine the same slices, so
-        // they must give the same answer, entry for entry.
+        // Once every shard has answered the marker, the snapshots cover
+        // what the harvest will, so the query plane's view and the
+        // harvest's view combine the same slices and must give the same
+        // answer, entry for entry. (Coverage alone does not show that: a
+        // window's snapshots one rotation behind cover as many packets.)
         for shards in 1usize..=4 {
             for (window, covered) in [(None, 50_000), (Some((40_000, 4)), 40_000)] {
                 let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
@@ -1200,7 +1215,8 @@ mod tests {
                     mon.update_batch(chunk);
                 }
                 mon.publish_now();
-                wait_until(|| mon.query_coverage() == covered);
+                wait_until(|| mon.is_fresh());
+                assert_eq!(mon.query_coverage(), covered, "K={shards} {window:?}");
                 let live = mon.query(0.1);
                 assert_eq!(live, mon.query_fresh(0.1));
                 let merged = mon.harvest().expect("healthy pipeline");
@@ -1229,10 +1245,7 @@ mod tests {
         }
         assert_eq!(mon.panes_completed(), 2);
         mon.publish_now();
-        wait_until(|| {
-            // Two rotations + the explicit marker: every shard past 2.
-            mon.snapshot_epochs().iter().all(|&e| e > 2)
-        });
+        wait_until(|| mon.is_fresh());
         assert_eq!(
             mon.query_coverage(),
             20_000,
@@ -1313,14 +1326,8 @@ mod tests {
         assert_eq!(mon.panes_completed(), 0);
         // Live query before any rotation serves the active panes, like
         // the harvest below.
-        let before = mon.snapshot_epochs();
         mon.publish_now();
-        wait_until(|| {
-            mon.snapshot_epochs()
-                .iter()
-                .zip(&before)
-                .all(|(now, then)| now > then)
-        });
+        wait_until(|| mon.is_fresh());
         assert_eq!(mon.query_coverage(), 10_000);
         let merged = mon.harvest().expect("healthy pipeline");
         assert_eq!(

@@ -5,8 +5,9 @@
 //! `Sampler` seeded from `config.seed` (reseeded at each rotation as a
 //! fresh `PaneRing` pane is), route each sampled entry with
 //! `shard_of(masked key)`, flush each call's node groups separately into
-//! the shard's active pane, and answer with one `Rhhh::merged_view` in
-//! shard order whose `N` and `W` are what was fed into the covered panes.
+//! the shard's active pane, freeze the covered panes, and answer with one
+//! `Rhhh::combine` of the frozen slices in shard order whose `N` and `W`
+//! are what was fed into the covered panes.
 //! So:
 //!
 //! * at one shard the harvest equals inline `Rhhh::update_batch` /
@@ -17,6 +18,8 @@
 //! Equal means bit for bit on the harvested view's `N`, `W`, total and
 //! per-node update counts, every node's counters and `Output(θ)`. The counters are small
 //! (40 per node), so evictions make the flush grouping observable.
+
+use std::sync::Arc;
 
 use hhh_core::{
     FrozenRhhh, HeavyHitter, Lane, NodeEstimates, PaneRing, Rhhh, RhhhConfig, Sampler, WindowedRhhh,
@@ -137,7 +140,7 @@ fn inline(case: &Case) -> FrozenRhhh<u64> {
             algo.update_batch(&keys);
         }
     }
-    Rhhh::merged_view(&[&algo])
+    algo.freeze()
 }
 
 /// One shard, windowed: the single-thread pane ring. Before its first
@@ -219,16 +222,19 @@ fn replay(case: &Case) -> FrozenRhhh<u64> {
     };
     let packets = covered.iter().map(|p| p.0).sum();
     let weight = covered.iter().map(|p| p.1).sum();
-    let mut slices = Vec::new();
-    for ring in rings {
-        let (active, completed) = ring.into_parts();
-        if rotations == 0 {
-            slices.push(active);
-        } else {
-            slices.extend(completed);
-        }
-    }
-    let mut view = Rhhh::merged_view(&slices.iter().collect::<Vec<_>>());
+    // Each ring's answer: its active pane frozen before the first
+    // rotation, else the panes it froze at rotation.
+    let slices: Vec<Arc<FrozenRhhh<u64>>> = rings
+        .iter()
+        .flat_map(|ring| {
+            if rotations == 0 {
+                vec![Arc::new(ring.active().freeze())]
+            } else {
+                ring.completed().cloned().collect()
+            }
+        })
+        .collect();
+    let mut view = Rhhh::<u64>::combine(&slices.iter().map(|p| &**p).collect::<Vec<_>>());
     view.note_totals(packets, weight);
     view
 }

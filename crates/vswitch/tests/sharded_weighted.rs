@@ -23,7 +23,7 @@ fn config(seed: u64) -> RhhhConfig {
     }
 }
 
-fn run_weighted<E: FrequencyEstimator<u64> + Clone + Sync>(
+fn run_weighted<E: FrequencyEstimator<u64>>(
     packets: &[(u64, u64)],
     shards: usize,
     batch: usize,

@@ -5,12 +5,14 @@
 //! and after an explicit publish marker drains it sees *everything* fed
 //! before the marker — exactly, for any stream, shard count, batch grain
 //! and publication interval. The cached and from-scratch query paths must
-//! agree whenever the cache is keyed to the current epochs.
+//! agree whenever the cache is keyed to the current epochs, and once every
+//! shard has answered the last marker (`is_fresh`), the live query is the
+//! harvest's answer, for flat and windowed fleets alike.
 
 use std::time::{Duration, Instant};
 
-use hhh_core::RhhhConfig;
-use hhh_counters::SpaceSaving;
+use hhh_core::{HeavyHitter, RhhhConfig};
+use hhh_counters::{FrequencyEstimator, MisraGries, SpaceSaving};
 use hhh_hierarchy::Lattice;
 use hhh_vswitch::{ShardedMonitor, SpawnOptions};
 use proptest::collection::vec;
@@ -33,6 +35,66 @@ fn wait_until(mut done: impl FnMut() -> bool, what: &str) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Feeds `keys`, asks for a fresh publication, waits until every shard
+/// has answered it, and returns the live answer beside the harvest's.
+fn fresh_and_harvested<E: FrequencyEstimator<u64>>(
+    mut mon: ShardedMonitor<u64, E>,
+    keys: &[u64],
+) -> (Vec<HeavyHitter<u64>>, Vec<HeavyHitter<u64>>) {
+    let theta = 0.05;
+    for chunk in keys.chunks(1_000) {
+        mon.update_batch(chunk);
+    }
+    mon.publish_now();
+    wait_until(|| mon.is_fresh(), "every shard to answer the marker");
+    let live = mon.query(theta);
+    let harvested = mon.harvest().expect("healthy pipeline").output(theta);
+    (live, harvested)
+}
+
+fn check_fresh_query_is_the_harvest<E: FrequencyEstimator<u64>>() {
+    let name = std::any::type_name::<E>();
+    let lat = Lattice::ipv4_src_dst_bytes();
+    let mut x = 0xF2E5u64;
+    let keys: Vec<u64> = (0..20_000u64)
+        .map(|i| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(3);
+            if i % 3 == 0 {
+                0x0A14_0000_0808_0808 | (x >> 60)
+            } else {
+                x >> 8
+            }
+        })
+        .collect();
+    for shards in 1..=3 {
+        for (n, seed) in [(keys.len(), 5), (2_500, 6)] {
+            let spawn = ShardedMonitor::<u64, E>::spawn(lat.clone(), config(seed), shards, 64);
+            let (live, harvested) = fresh_and_harvested(spawn.expect("spawn workers"), &keys[..n]);
+            assert_eq!(live, harvested, "{name}: flat fleet, K={shards}, n={n}");
+            let spawn = ShardedMonitor::<u64, E>::spawn_windowed(
+                lat.clone(),
+                config(seed),
+                shards,
+                64,
+                9_000,
+                3,
+            );
+            let (live, harvested) = fresh_and_harvested(spawn.expect("spawn workers"), &keys[..n]);
+            assert_eq!(live, harvested, "{name}: windowed fleet, K={shards}, n={n}");
+        }
+    }
+}
+
+/// Once `publish_now` has reached every shard (`is_fresh`), the live
+/// query answers as the harvest does — flat and windowed fleets, one to
+/// three shards, before and after the first rotation, for a Space Saving
+/// combine and for the Misra–Gries fold.
+#[test]
+fn fresh_query_is_the_harvest() {
+    check_fresh_query_is_the_harvest::<SpaceSaving<u64>>();
+    check_fresh_query_is_the_harvest::<MisraGries<u64>>();
 }
 
 proptest! {

@@ -217,8 +217,9 @@ fn check_rhhh<K: KeyBits, E: FrequencyEstimator<K>>(lattice: &Lattice<K>, keys: 
         parts[i % 3].update_batch(chunk);
     }
     let live = &parts[0];
-    let one = Rhhh::merged_view(&[live]);
-    let many = Rhhh::merged_view(&parts.iter().collect::<Vec<_>>());
+    let frozen: Vec<_> = parts.iter().map(Rhhh::freeze).collect();
+    let one = Rhhh::<K, E>::combine(&[&frozen[0]]);
+    let many = Rhhh::<K, E>::combine(&frozen.iter().collect::<Vec<_>>());
     for ratio in SLACK_RATIOS {
         let what = format!("{name} {} slack/θN={ratio}", lattice.name());
         let theta_at = |slack: f64, weight: u64| {

@@ -94,7 +94,8 @@ fn shard_and_merge<E: FrequencyEstimator<u64>>(
             part.update_batch(chunk);
         }
     }
-    Rhhh::merged_view(&parts.iter().collect::<Vec<_>>())
+    let frozen: Vec<_> = parts.iter().map(Rhhh::freeze).collect();
+    Rhhh::<u64, E>::combine(&frozen.iter().collect::<Vec<_>>())
 }
 
 /// The acceptance differential: against exact ground truth, the K-shard
